@@ -9,10 +9,10 @@ alpha above the depth rho, a double sum that vanishes identically.
 
 from padicslopes.combinatorics import (
     build_interior_annihilator,
-    build_rho_annihilator,
     ecal_of,
-    lambda_defining_residual,
-    lambda_coefficients,
+    lambda_identity_holds,
+    lambda_raw_table,
+    lambda_values_by_differences,
     rho_of,
     rho_zero_row_identity,
     vartheta_profile,
@@ -20,11 +20,11 @@ from padicslopes.combinatorics import (
 )
 
 p, R, alpha = 5, 3, 7
-table = lambda_coefficients(p, R, alpha)
+table = lambda_values_by_differences(p, R, alpha)
 print(f"Lambda table for p={p}, R={R}, alpha={alpha}:")
-for beta in sorted(table.values):
+for beta in sorted(table):
     print(f"  beta={beta}: {table[beta]}")
-print("defining-identity residual is zero:", all(c == 0 for c in lambda_defining_residual(table)))
+print("defining identity holds at X = 0..R:", lambda_identity_holds(p, alpha, *lambda_raw_table(p, R, alpha)))
 print()
 
 p, r, a = 5, 26, 2
@@ -46,7 +46,7 @@ print()
 
 p, rho = 5, 2
 r = rho * (p + 1) + p - 2
-sys105 = build_rho_annihilator(p, r)
+sys105 = build_interior_annihilator(p, r, rho)
 d0, th, exact = rho_zero_row_identity(sys105)
 print(f"rho-case annihilator at (p={p}, r={r}):")
 print(f"  target: {sys105.target}; residual empty: {not sys105.residual()}")

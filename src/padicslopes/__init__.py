@@ -5,15 +5,13 @@ measures.  Everything is computed over int/Fraction; no floating point."""
 from .combinatorics import (
     build_interior_annihilator,
     build_matrix_M,
-    build_rho_annihilator,
     c_constants,
     factor_and_rank_checks,
-    lambda_coefficients,
     solve_interior_system,
     vartheta,
     verify_vanishing_double_sum,
 )
-from .lemma_checks import integrality_checks, sweep_lemma, verify_lemma, verify_lemma9
+from .lemma_checks import integrality_checks, sweep_lemma, verify_lemma
 from .measures import (
     mass_in_middle,
     is_regular,
@@ -26,7 +24,6 @@ from .padic import (
     INFINITY,
     ExtendedValuation,
     NewtonPolygon,
-    Params,
     binomial_valuation,
     factorial_valuation,
     generalized_binomial,
@@ -52,14 +49,12 @@ __all__ = [
     "ExtendedValuation",
     "FormalSum",
     "NewtonPolygon",
-    "Params",
     "SurrogateParams",
     "SymPoly",
     "act",
     "binomial_valuation",
     "build_interior_annihilator",
     "build_matrix_M",
-    "build_rho_annihilator",
     "c_constants",
     "coset_canonicalize",
     "delta",
@@ -74,7 +69,6 @@ __all__ = [
     "integer_log",
     "integrality_checks",
     "is_regular",
-    "lambda_coefficients",
     "mass_in_middle",
     "middle_mass_profile",
     "miller_basis",
@@ -91,7 +85,6 @@ __all__ = [
     "verify_T_expansion",
     "verify_vanishing_double_sum",
     "verify_lemma",
-    "verify_lemma9",
 ]
 
 __version__ = "0.1.0"

@@ -17,6 +17,8 @@ import json
 import multiprocessing
 import os
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from . import combinatorics as comb
 from . import lemma_checks as lc
@@ -27,49 +29,48 @@ from .padic import INFINITY, format_rational, is_prime
 
 OUT_DIR_ENV = "PADICSLOPES_OUT_DIR"
 
-VERIFY_TARGETS = (
-    "lemma9", "lemma10", "lemma11", "lemma12", "lemma13", "lemma14", "lemma15",
-    "lambda-system", "matrix-entries", "det-factorization",
-    "interior-annihilator", "double-sum", "rho-annihilator",
-    "integrality", "hecke",
-)
-
-# short ids accepted interchangeably with the descriptive names
-TARGET_ALIASES = {
-    "eq34": "lambda-system",
-    "eq59": "matrix-entries",
-    "det66": "det-factorization",
-    "eq71": "interior-annihilator",
-    "eq88": "double-sum",
-    "eq105": "rho-annihilator",
-}
-
-DEFAULT_PRIMES = {
-    "lemma9": [2, 3, 5, 7, 11, 13],
-    "hecke": [5, 7],
-}
-
 
 class UsageError(Exception):
     pass
 
 
 def _parse_int_list(text: str) -> list[int]:
+    """'5,7,5' -> [5, 7]: sorted, without repeats."""
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        return sorted({int(tok) for tok in text.split(",") if tok})
     except ValueError as exc:
-        raise UsageError(f"bad integer list {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 
 
 def _parse_range(text: str) -> list[int]:
-    """'12' or '12..40' (inclusive)."""
+    """'12' or '12..40' (inclusive, nonempty)."""
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(text)]
+        lo, _, hi = text.partition("..")
+        values = list(range(int(lo), int(hi or lo) + 1))
     except ValueError as exc:
-        raise UsageError(f"bad range {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"bad range {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    return values
+
+
+def _parse_jobs(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"--jobs must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
+def _check_primes(ps: list[int]) -> list[int]:
+    for p in ps:
+        if not is_prime(p):
+            raise UsageError(f"{p} is not prime")
+    return ps
+
+
+def _one_prime(ps: list[int], command: str) -> int:
+    if len(ps) != 1:
+        raise UsageError(f"{command} takes one prime, got {','.join(map(str, ps))}")
+    return _check_primes(ps)[0]
 
 
 def _resolve_out(path: str | None) -> str | None:
@@ -97,260 +98,280 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _fmt_margin(m) -> str:
-    if m is None:
-        return ""
-    return format_rational(m)
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# verify
+# verify: the table of targets
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Target:
+    """One verify target.
+
+    ``cells(p, args)`` lists the cells of one prime, honouring the pins named
+    in ``pins``; ``check(*cell)`` returns (verdict, checked, margin or None,
+    JSON record) and raises ValueError for a cell outside the hypotheses.
+    ``shown(cell)`` gives the p, r and alpha columns of the CSV row.
+    """
+
+    cells: Callable
+    check: Callable
+    pins: tuple[str, ...] = ()
+    primes: tuple[int, ...] = (5, 7, 11, 13)
+    small_primes: bool = False  # whether p = 2, 3 are admissible
+    shown: Callable = tuple
+    notes: Callable = lambda records: []
+
+
+def _identity(name: str, ok: bool, checked: int, margin=None, **fields) -> tuple:
+    """The check result of an identity target, whose record holds the cell."""
+    return "holds" if ok else "fails", checked, margin, {"target": name, "holds": ok, **fields}
+
+
+def _windowed(window: Callable) -> Callable:
+    """(p, r, alpha) cells: r from --r, else 1..--r-max.  With both --r and
+    --alpha the cells are taken literally (invalid ones are rejected);
+    otherwise alpha runs over window(p, r), restricted to --alpha if given."""
+
+    def cells(p, args):
+        out = []
+        for r in args.r or range(1, args.r_max + 1):
+            if args.r and args.alpha:
+                alphas = args.alpha
+            else:
+                alphas = [a for a in window(p, r) if not args.alpha or a in args.alpha]
+            out += [(p, r, a) for a in alphas]
+        return out
+
+    return cells
+
+
+def _rho_shaped(rs: Callable) -> Callable:
+    """(p, r) cells: r from --r (taken literally), else rs(p, r_max)."""
+    return lambda p, args: [(p, r) for r in args.r or rs(p, args.r_max)]
+
+
+def _with_rho(cell: tuple) -> tuple:
+    return (*cell, comb.rho_of(*cell))
+
+
+def _integrality_alphas(p: int, r: int) -> list[int]:
+    rho = comb.rho_of(p, r)
+    rho_case = rho >= 1 and r == rho * (p + 1) + 1
+    return lc.general_alphas(p, r) + ([rho] if rho_case else [])
+
+
+def _double_sum_alphas(p: int, r: int) -> list[int]:
+    rho = comb.rho_of(p, r)
+    return [a for a in lc.general_alphas(p, r) if a <= rho + comb.rho_prime_of(p, r, a)]
+
+
+def _check_lemma(lemma_id: int) -> Callable:
+    def check(p, r, alpha=None):
+        rep = lc.verify_lemma(lemma_id, p, r, alpha)
+        return rep.verdict, rep.checked, rep.min_margin, lc.report_to_dict(rep)
+
+    return check
+
+
+def _check_lemma9(p, a_max):
+    rep = lc.sweep_lemma9_with_oracle([p], a_max)[p]
+    record = {
+        "target": "lemma9", "p": p, "a_max": a_max,
+        "verdict": rep.verdict, "checked": rep.checked,
+        "max_valuation": rep.max_valuation_seen,
+        "violations": list(rep.violations),
+    }
+    return rep.verdict, rep.checked, None, record
+
+
+def _check_lambda_system(p, R, alpha):
+    nums, den = comb.lambda_raw_table(p, R, alpha)
+    ok = comb.lambda_identity_holds(p, alpha, nums, den)
+    return _identity("lambda-system", ok, R + 1, p=p, R=R, alpha=alpha)
+
+
+def _check_matrix_entries(p, r, alpha):
+    m = comb.build_matrix_M(p, r, alpha)
+    rank = comb.interior_rank_report(p, r, alpha)
+    ok = comb.trinomial_revision_check(m) and rank.permutation_ok and rank.full_rank_mod_p
+    return _identity("matrix-entries", ok, m.nrows * m.ncols, p=p, r=r, alpha=alpha, rank_R=rank.R)
+
+
+def _check_det_factorization(p, R, gamma):
+    rep = comb.factor_and_rank_checks(p, R, gamma)
+    ok = rep.factorization_ok and rep.unitriangular_ok and rep.det_matches_closed_form
+    ok = ok and rep.full_rank_mod_p
+    return _identity(
+        "det-factorization", ok, R * R, p=p, R=R, gamma=gamma,
+        det=rep.det_binomial, closed_form=rep.det_expected,
+        linear_power_agrees=rep.linear_power_agrees,
+    )
+
+
+def _det_notes(records: list[dict]) -> list[str]:
+    disagreements = sum(rec.get("linear_power_agrees") is False for rec in records)
+    return [
+        "note: determinant closed form is (p-1)^(R(R-1)/2), not "
+        f"(p-1)^R (the forms differ on {disagreements} cells; "
+        "both are units mod p, so full rank is unaffected)"
+    ] if disagreements else []
+
+
+def _check_interior_annihilator(p, r, alpha):
+    sysm = comb.build_interior_annihilator(p, r, alpha)
+    prof = comb.vartheta_profile(sysm)
+    ok = (
+        not sysm.residual()
+        and prof.zero_below_alpha
+        and prof.valuation_at_alpha_is_ecal
+        and prof.valuations_ok_up_to >= 2 * comb.rho_of(p, r)
+    )
+    return _identity("interior-annihilator", ok, len(sysm.row_values), p=p, r=r, alpha=alpha)
+
+
+def _check_double_sum(p, r, alpha):
+    rep = comb.verify_vanishing_double_sum(p, r, alpha)
+    return _identity("double-sum", rep.holds, len(rep.row_sums), p=p, r=r, alpha=alpha)
+
+
+def _check_rho_annihilator(p, r):
+    sysm = comb.build_interior_annihilator(p, r, comb.rho_of(p, r))
+    ok = not sysm.residual() and comb.rho_zero_row_identity(sysm)[2]
+    return _identity("rho-annihilator", ok, len(sysm.row_values), p=p, r=r)
+
+
+def _check_integrality(p, r, alpha):
+    rep = lc.integrality_checks(p, r, alpha)
+    margin = min(rep.c_prime_min_valuation, rep.c_double_min_valuation)
+    return _identity(
+        "integrality", rep.holds, 2 * (rep.rho_prime + 1), margin, p=p, r=r, alpha=alpha, variant=rep.variant
+    )
+
+
+def _check_hecke(p, t, delta, alpha):
+    sp = sh.SurrogateParams(p=p, t=t, delta=delta, alpha=alpha)
+    rep = sh.verify_T_expansion(sp, alpha)
+    ok = rep.matches and rep.combined_form_matches is not False
+    return _identity(
+        "hecke", ok, 1, p=p, t=t, delta=delta, alpha=alpha, mismatch=rep.first_mismatch
+    )
+
+
+def _lambda_cells(p, args):
+    samples = range(1, args.alpha_max + 1, max(1, args.alpha_max // 12))
+    return [(p, R, alpha) for R in range(args.R_max + 1) for alpha in samples if alpha >= R]
+
+
+def _hecke_cells(p, args):
+    return [
+        (p, t, delta, alpha)
+        for t in range(2, args.t_max + 1)
+        for delta in range(1, min(args.delta_max, t) + 1)
+        for alpha in range(0, delta + 1)
+        if alpha + delta <= t
+    ]
+
+
+_GENERAL = _windowed(lc.general_alphas)
+_BELOW_RHO = _windowed(lambda p, r: range(comb.rho_of(p, r)))
+_RHO_CASE = _rho_shaped(lambda p, r_max: [r for _, r in lc.admissible_rho_cells(p, r_max)])
+
+VERIFY_TARGETS = {
+    "lemma9": Target(
+        lambda p, args: [(p, args.a_max)], _check_lemma9,
+        primes=(2, 3, 5, 7, 11, 13), small_primes=True,
+    ),
+    **{f"lemma{i}": Target(_GENERAL, _check_lemma(i), pins=("r", "alpha")) for i in (10, 11, 12)},
+    **{f"lemma{i}": Target(_RHO_CASE, _check_lemma(i), pins=("r",), shown=_with_rho) for i in (13, 14, 15)},
+    "lambda-system": Target(_lambda_cells, _check_lambda_system),
+    "matrix-entries": Target(_BELOW_RHO, _check_matrix_entries, pins=("r", "alpha")),
+    "det-factorization": Target(
+        lambda p, args: [(p, R, g) for R in range(1, args.R_max + 1) for g in (0, 1, 2, 5, 11)],
+        _check_det_factorization, notes=_det_notes,
+    ),
+    "interior-annihilator": Target(_BELOW_RHO, _check_interior_annihilator, pins=("r", "alpha")),
+    "double-sum": Target(_windowed(_double_sum_alphas), _check_double_sum, pins=("r", "alpha")),
+    "rho-annihilator": Target(
+        # r = rho(p+1) + p - 2 with rho >= 1
+        _rho_shaped(lambda p, r_max: range(2 * p - 1, r_max + 1, p + 1)), _check_rho_annihilator,
+        pins=("r",), shown=_with_rho,
+    ),
+    "integrality": Target(_windowed(_integrality_alphas), _check_integrality, pins=("r", "alpha")),
+    "hecke": Target(
+        _hecke_cells, _check_hecke, primes=(5, 7),
+        shown=lambda cell: (cell[0], cell[1], f"{cell[2]}/{cell[3]}"),
+    ),
+}
+
+# short ids accepted interchangeably with the descriptive names
+TARGET_ALIASES = {
+    "eq34": "lambda-system",
+    "eq59": "matrix-entries",
+    "det66": "det-factorization",
+    "eq71": "interior-annihilator",
+    "eq88": "double-sum",
+    "eq105": "rho-annihilator",
+}
 
 VERIFY_HEADER = ["target", "p", "r", "alpha", "verdict", "min_margin", "checked"]
+
+
+def _columns(values: tuple) -> list:
+    """The p, r and alpha columns of a row, padded to three."""
+    return list(values[:3]) + [""] * (3 - len(values[:3]))
 
 
 def _verify_cell(task: tuple) -> tuple[list, dict]:
     """Run one verification cell; returns (csv row, json record).
 
-    Module-level so multiprocessing can pickle it; every branch is pure.
+    Module-level so multiprocessing can pickle it; every check is pure.
     Cells that violate a module precondition (possible when --r/--alpha pin
     tuples explicitly) are reported as rejected rather than silently skipped.
     """
-    target = task[0]
+    name, cell = task[0], task[1:]
+    target = VERIFY_TARGETS[name]
     try:
-        return _verify_cell_inner(task)
+        verdict, checked, margin, record = target.check(*cell)
     except ValueError as exc:
-        cell = list(task[1:4]) + [""] * (3 - len(task[1:4]))
-        row = [target, *cell, "rejected", "", 0]
-        return row, {"target": target, "cell": list(task[1:]), "rejected": str(exc)}
-
-
-def _verify_cell_inner(task: tuple) -> tuple[list, dict]:
-    target = task[0]
-    if target in ("lemma10", "lemma11", "lemma12"):
-        _, p, r, alpha = task
-        rep = lc.verify_lemma(int(target[5:]), p, r, alpha)
-        row = [target, p, r, alpha, rep.verdict, _fmt_margin(rep.min_margin), rep.checked]
-        return row, lc.report_to_dict(rep)
-    if target in ("lemma13", "lemma14", "lemma15"):
-        _, p, r = task
-        rep = lc.verify_lemma(int(target[5:]), p, r)
-        row = [target, p, r, rep.alpha, rep.verdict, _fmt_margin(rep.min_margin), rep.checked]
-        return row, lc.report_to_dict(rep)
-    if target == "lambda-system":
-        _, p, R, alpha = task
-        table = comb.lambda_coefficients(p, R, alpha)
-        ok = all(c == 0 for c in comb.lambda_defining_residual(table))
-        ok = ok and comb.lambda_values_by_differences(p, R, alpha) == table.values
-        row = ["lambda-system", p, R, alpha, "holds" if ok else "fails", "", R + 1]
-        return row, {"target": "lambda-system", "p": p, "R": R, "alpha": alpha, "holds": ok}
-    if target == "matrix-entries":
-        _, p, r, alpha = task
-        m = comb.build_matrix_M(p, r, alpha)
-        rank = comb.interior_rank_report(p, r, alpha)
-        ok = comb.trinomial_revision_check(m) and rank.permutation_ok and rank.full_rank_mod_p
-        row = ["matrix-entries", p, r, alpha, "holds" if ok else "fails", "", m.nrows * m.ncols]
-        return row, {"target": "matrix-entries", "p": p, "r": r, "alpha": alpha, "holds": ok, "rank_R": rank.R}
-    if target == "det-factorization":
-        _, p, R, gamma = task
-        rep = comb.factor_and_rank_checks(p, R, gamma)
-        ok = (
-            rep.factorization_ok
-            and rep.unitriangular_ok
-            and rep.det_matches_closed_form
-            and rep.full_rank_mod_p
-        )
-        row = ["det-factorization", p, R, gamma, "holds" if ok else "fails", "", R * R]
-        rec = {
-            "target": "det-factorization",
-            "p": p,
-            "R": R,
-            "gamma": gamma,
-            "holds": ok,
-            "det": rep.det_binomial,
-            "closed_form": rep.det_expected,
-            "linear_power_agrees": rep.linear_power_agrees,
-        }
-        return row, rec
-    if target == "interior-annihilator":
-        _, p, r, alpha = task
-        sysm = comb.build_interior_annihilator(p, r, alpha)
-        prof = comb.vartheta_profile(sysm)
-        ok = (
-            not sysm.residual()
-            and prof.zero_below_alpha
-            and prof.valuation_at_alpha_is_ecal
-            and prof.valuations_ok_up_to >= 2 * comb.rho_of(p, r)
-        )
-        row = ["interior-annihilator", p, r, alpha, "holds" if ok else "fails", "", len(sysm.row_values)]
-        return row, {"target": "interior-annihilator", "p": p, "r": r, "alpha": alpha, "holds": ok}
-    if target == "double-sum":
-        _, p, r, alpha = task
-        rep = comb.verify_vanishing_double_sum(p, r, alpha)
-        row = ["double-sum", p, r, alpha, "holds" if rep.holds else "fails", "", len(rep.row_sums)]
-        return row, {"target": "double-sum", "p": p, "r": r, "alpha": alpha, "holds": rep.holds}
-    if target == "rho-annihilator":
-        _, p, r = task
-        sysm = comb.build_rho_annihilator(p, r)
-        _, _, exact = comb.rho_zero_row_identity(sysm)
-        ok = not sysm.residual() and exact
-        row = ["rho-annihilator", p, r, comb.rho_of(p, r), "holds" if ok else "fails", "", len(sysm.row_values)]
-        return row, {"target": "rho-annihilator", "p": p, "r": r, "holds": ok}
-    if target == "integrality":
-        _, p, r, alpha = task
-        rep = lc.integrality_checks(p, r, alpha)
-        margin = min(rep.c_prime_min_valuation, rep.c_double_min_valuation)
-        row = [
-            "integrality", p, r, alpha,
-            "holds" if rep.holds else "fails",
-            format_rational(margin),
-            2 * (rep.rho_prime + 1),
-        ]
-        return row, {
-            "target": "integrality", "p": p, "r": r, "alpha": alpha,
-            "variant": rep.variant, "holds": rep.holds,
-        }
-    if target == "hecke":
-        _, p, t, delta, alpha = task
-        sp = sh.SurrogateParams(p=p, t=t, delta=delta, alpha=alpha)
-        rep = sh.verify_T_expansion(sp, alpha)
-        ok = rep.matches and rep.combined_form_matches is not False
-        row = ["hecke", p, t, f"{delta}/{alpha}", "holds" if ok else "fails", "", 1]
-        return row, {
-            "target": "hecke", "p": p, "t": t, "delta": delta, "alpha": alpha,
-            "holds": ok, "mismatch": rep.first_mismatch,
-        }
-    raise UsageError(f"unknown verify target {target!r}")
-
-
-def _verify_tasks(target: str, args) -> list[tuple]:
-    ps = args.p or DEFAULT_PRIMES.get(target, [5, 7, 11, 13])
-    for p in ps:
-        if not is_prime(p):
-            raise UsageError(f"{p} is not prime")
-        if target != "lemma9" and p <= 3:
-            raise UsageError(f"target {target} needs primes > 3, got {p}")
-    rs = set(args.r) if getattr(args, "r", None) else None
-    alphas = set(args.alpha) if getattr(args, "alpha", None) else None
-    tasks: list[tuple] = []
-    if target in ("lemma10", "lemma11", "lemma12", "integrality"):
-        if rs is not None:
-            # pinned cells are taken literally; invalid ones get reported
-            for p in ps:
-                for r in sorted(rs):
-                    if alphas is not None:
-                        arange = sorted(alphas)
-                    else:
-                        arange = [a for _, rr, a in lc.admissible_general_cells(p, r) if rr == r]
-                    tasks.extend((target, p, r, a) for a in arange)
-        else:
-            for p in ps:
-                for cell in lc.admissible_general_cells(p, args.r_max):
-                    tasks.append((target, *cell))
-            if target == "integrality":
-                for p in ps:
-                    for _, r in lc.admissible_rho_cells(p, args.r_max):
-                        tasks.append((target, p, r, comb.rho_of(p, r)))
-    elif target in ("lemma13", "lemma14", "lemma15"):
-        for p in ps:
-            cells = lc.admissible_rho_cells(p, args.r_max)
-            if rs is not None:
-                cells = [(p, r) for r in sorted(rs)]
-            tasks.extend((target, *cell) for cell in cells)
-    elif target == "lambda-system":
-        alpha_samples = range(1, args.alpha_max + 1, max(1, args.alpha_max // 12))
-        for p in ps:
-            for R in range(0, args.R_max + 1):
-                for alpha in alpha_samples:
-                    if alpha >= R:
-                        tasks.append((target, p, R, alpha))
-    elif target in ("matrix-entries", "interior-annihilator"):
-        for p in ps:
-            for r in sorted(rs) if rs is not None else range(1, args.r_max + 1):
-                arange = sorted(alphas) if alphas is not None else range(0, comb.rho_of(p, r))
-                tasks.extend((target, p, r, alpha) for alpha in arange)
-    elif target == "double-sum":
-        for p in ps:
-            for r in sorted(rs) if rs is not None else range(1, args.r_max + 1):
-                rho = comb.rho_of(p, r)
-                if alphas is not None:
-                    tasks.extend((target, p, r, alpha) for alpha in sorted(alphas))
-                    continue
-                for alpha in range(rho + 1, r // (p - 1) + 1):
-                    rp = comb.rho_prime_of(p, r, alpha)
-                    if rp >= 1 and alpha <= rho + rp:
-                        tasks.append((target, p, r, alpha))
-    elif target == "rho-annihilator":
-        for p in ps:
-            rho = 1
-            while rho * (p + 1) + p - 2 <= args.r_max:
-                tasks.append((target, p, rho * (p + 1) + p - 2))
-                rho += 1
-    elif target == "det-factorization":
-        for p in ps:
-            for R in range(1, args.R_max + 1):
-                for gamma in (0, 1, 2, 5, 11):
-                    tasks.append((target, p, R, gamma))
-    elif target == "hecke":
-        for p in ps:
-            for t in range(2, args.t_max + 1):
-                for delta in range(1, min(args.delta_max, t) + 1):
-                    for alpha in range(0, delta + 1):
-                        if alpha + delta <= t:
-                            tasks.append((target, p, t, delta, alpha))
-    elif target == "lemma9":
-        tasks = [(target, p, args.a_max) for p in ps]
-    else:
-        raise UsageError(f"unknown verify target {target!r}")
-    return sorted(tasks)
+        row = [name, *_columns(cell), "rejected", "", 0]
+        return row, {"target": name, "cell": list(cell), "rejected": str(exc)}
+    margin = "" if margin is None else format_rational(margin)
+    return [name, *_columns(target.shown(cell)), verdict, margin, checked], record
 
 
 def _run_tasks(tasks: list[tuple], jobs: int) -> list[tuple[list, dict]]:
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            return pool.map(_verify_cell, tasks, chunksize=64)
+    size = min(jobs, os.cpu_count() or 1, len(tasks))
+    if size > 1:
+        with multiprocessing.Pool(size) as pool:
+            return pool.map(_verify_cell, tasks, chunksize=min(64, -(-len(tasks) // size)))
     return [_verify_cell(t) for t in tasks]
 
 
 def cmd_verify(args) -> int:
-    target = TARGET_ALIASES.get(args.target, args.target)
-    if target == "lemma9":
-        ps = args.p or DEFAULT_PRIMES["lemma9"]
-        reports = lc.sweep_lemma9_with_oracle(sorted(ps), args.a_max)
-        rows = [
-            ["lemma9", p, args.a_max, "", rep.verdict, "", rep.checked]
-            for p, rep in sorted(reports.items())
-        ]
-        records = [
-            {
-                "target": "lemma9", "p": p, "a_max": args.a_max,
-                "verdict": rep.verdict, "checked": rep.checked,
-                "max_valuation": rep.max_valuation_seen,
-                "violations": list(rep.violations),
-            }
-            for p, rep in sorted(reports.items())
-        ]
-    else:
-        results = _run_tasks(_verify_tasks(target, args), args.jobs)
-        rows = [row for row, _ in results]
-        records = [rec for _, rec in results]
+    name = TARGET_ALIASES.get(args.target, args.target)
+    target = VERIFY_TARGETS[name]
+    for pin in ("r", "alpha"):
+        if getattr(args, pin) and pin not in target.pins:
+            raise UsageError(f"target {name} does not take --{pin}")
+    ps = _check_primes(args.p or list(target.primes))
+    if not target.small_primes and min(ps) <= 3:
+        raise UsageError(f"target {name} needs primes > 3, got {min(ps)}")
+    tasks = sorted((name, *cell) for p in ps for cell in target.cells(p, args))
+    results = _run_tasks(tasks, args.jobs)
+    rows = [row for row, _ in results]
+    records = [rec for _, rec in results]
 
     failures = [row for row in rows if row[4] == "fails"]
     rejected = [rec for rec in records if "rejected" in rec]
-    notes = []
-    if target == "det-factorization":
-        disagreements = [rec for rec in records if not rec["linear_power_agrees"]]
-        if disagreements:
-            notes.append(
-                "note: determinant closed form is (p-1)^(R(R-1)/2), not "
-                f"(p-1)^R (the forms differ on {len(disagreements)} cells; "
-                "both are units mod p, so full rank is unaffected)"
-            )
+    notes = target.notes(records)
     if args.format == "json":
-        payload = {"target": target, "records": records, "notes": notes,
+        payload = {"target": name, "records": records, "notes": notes,
                    "verified": not failures}
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(_json_text(payload), args.out)
     else:
         text = _csv_text(VERIFY_HEADER, rows)
         for note in notes:
@@ -366,7 +387,7 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# slopes / measure / lambda / hecke-check
+# slopes / measure / lambda
 # ---------------------------------------------------------------------------
 
 
@@ -377,9 +398,7 @@ def cmd_slopes(args) -> int:
     header = ms.SLOPES_CSV_HEADER + (["approx_decimal"] if args.approx else [])
     rows = []
     records = []
-    for p in sorted(args.p):
-        if not is_prime(p):
-            raise UsageError(f"{p} is not prime")
+    for p in _check_primes(args.p):
         for k in ks:
             svals = mf.slopes(p, k)
             records.append({"p": p, "k": k, "slopes": [format_rational(s) for s in svals]})
@@ -389,39 +408,24 @@ def cmd_slopes(args) -> int:
                     row.append("~" + (f"{float(s):.6f}" if s is not INFINITY else "inf"))
                 rows.append(row)
     if args.format == "json":
-        _emit(json.dumps({"records": records}, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(_json_text({"records": records}), args.out)
     else:
         _emit(_csv_text(header, rows), args.out)
     return 0
 
 
 def cmd_measure(args) -> int:
-    p = args.p[0] if isinstance(args.p, list) else args.p
-    if not is_prime(p):
-        raise UsageError(f"{p} is not prime")
-    ks = args.k
     table = ms.middle_mass_profile(
-        p, min(ks), max(ks),
+        _one_prime(args.p, "measure"), args.k[0], args.k[-1],
         include_newforms=args.include_newforms,
         max_dim=args.max_dim,
     )
+    data = ms.profile_to_dict(table)
     if args.format == "json":
-        _emit(json.dumps(ms.profile_to_dict(table), indent=2, sort_keys=True) + "\n", args.out)
+        _emit(_json_text(data), args.out)
     else:
-        header = list(ms.PROFILE_CSV_HEADER)
-        if args.dump_masses:
-            header.append("masses")
-        rows = []
-        for row in table.rows:
-            out = [
-                row.p, row.k, row.dim_old, row.dim_new, row.count_middle,
-                format_rational(row.fraction_middle),
-                format_rational(row.left_end),
-                format_rational(row.right_end),
-            ]
-            if args.dump_masses:
-                out.append(";".join(format_rational(m) for m in row.masses))
-            rows.append(out)
+        header = ms.PROFILE_CSV_HEADER + (["masses"] if args.dump_masses else [])
+        rows = [[";".join(row[h]) if h == "masses" else row[h] for h in header] for row in data["rows"]]
         text = _csv_text(header, rows)
         if table.cutoff:
             text += f"# cutoff: {table.cutoff}\n"
@@ -432,22 +436,18 @@ def cmd_measure(args) -> int:
 
 
 def cmd_lambda(args) -> int:
-    table = comb.lambda_coefficients(args.p[0], args.R, args.alpha)
+    p = _one_prime(args.p, "lambda")
+    values = sorted(comb.lambda_values_by_differences(p, args.R, args.alpha).items())
     if args.format == "json":
         payload = {
-            "p": table.p, "R": table.R, "alpha": table.alpha,
-            "values": {str(b): format_rational(v) for b, v in sorted(table.values.items())},
+            "p": p, "R": args.R, "alpha": args.alpha,
+            "values": {str(b): format_rational(v) for b, v in values},
         }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(_json_text(payload), args.out)
     else:
-        rows = [[b, format_rational(v)] for b, v in sorted(table.values.items())]
+        rows = [[b, format_rational(v)] for b, v in values]
         _emit(_csv_text(["beta", "value"], rows), args.out)
     return 0
-
-
-def cmd_hecke_check(args) -> int:
-    args.target = "hecke"
-    return cmd_verify(args)
 
 
 # ---------------------------------------------------------------------------
@@ -466,18 +466,20 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=["csv", "json"], default="csv")
         sp.add_argument("--out", type=str, default=None,
                         help=f"output path (relative paths use ${OUT_DIR_ENV} when set)")
-        sp.add_argument("--jobs", type=int, default=1)
+        sp.add_argument("--jobs", type=_parse_jobs, default=1,
+                        help="worker processes, at most the CPU count and the number of cells")
 
     v = sub.add_parser("verify", help="run an identity or lemma sweep")
     v.add_argument(
         "target",
-        choices=VERIFY_TARGETS + tuple(TARGET_ALIASES),
+        choices=tuple(VERIFY_TARGETS) + tuple(TARGET_ALIASES),
         metavar="target",
         help=f"one of {', '.join(VERIFY_TARGETS)} (short ids: {', '.join(TARGET_ALIASES)})",
     )
     v.add_argument("--p", type=_parse_int_list, default=None)
     v.add_argument("--r", type=_parse_range, default=None,
-                   help="pin specific r values instead of sweeping to --r-max")
+                   help="pin specific r values instead of sweeping to --r-max "
+                        "(targets that take no pin exit with 2)")
     v.add_argument("--alpha", type=_parse_range, default=None,
                    help="pin specific alpha values (invalid cells are reported)")
     v.add_argument("--r-max", type=int, default=200)
@@ -521,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--t-max", type=int, default=8)
     h.add_argument("--delta-max", type=int, default=4)
     common(h)
-    h.set_defaults(func=cmd_hecke_check)
+    h.set_defaults(func=cmd_verify, target="hecke", r=None, alpha=None)
 
     return parser
 
@@ -532,10 +534,7 @@ def main(argv: list[str] | None = None) -> int:
     args.out = _resolve_out(args.out)
     try:
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

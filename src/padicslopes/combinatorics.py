@@ -28,13 +28,6 @@ def _ptrim(c: list[Fraction]) -> list[Fraction]:
     return c
 
 
-def _padd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    n = max(len(a), len(b))
-    return _ptrim([
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    ])
-
-
 def _pscale(a: list[Fraction], s: Fraction) -> list[Fraction]:
     return _ptrim([c * s for c in a])
 
@@ -46,10 +39,6 @@ def _pmul_linear(a: list[Fraction], c0: Fraction, c1: Fraction) -> list[Fraction
         out[i] += c * c0
         out[i + 1] += c * c1
     return _ptrim(out)
-
-
-def _pzero(a: list[Fraction]) -> bool:
-    return all(c == 0 for c in a)
 
 
 def comb0(n: int, k: int) -> int:
@@ -89,11 +78,6 @@ def _require_prime_gt3(p: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def binomial_basis_poly(p: int, alpha: int, m: int) -> list[Fraction]:
-    """C((p-1)X + alpha, m) as a polynomial in X, lowest degree first."""
-    return binomial_basis_polys(p, alpha, m)[m]
-
-
 def binomial_basis_polys(p: int, alpha: int, m_max: int) -> list[list[Fraction]]:
     """All basis polynomials C((p-1)X + alpha, m) for m = 0..m_max, built
     from one running product."""
@@ -106,54 +90,6 @@ def binomial_basis_polys(p: int, alpha: int, m_max: int) -> list[list[Fraction]]
             fact *= m
         out.append(_pscale(prod, Fraction(1, fact)))
     return out
-
-
-def _target_poly(R: int) -> list[Fraction]:
-    """C(R - X, R) = (R-X)(R-1-X)...(1-X) / R! as a polynomial in X."""
-    poly = [Fraction(1)]
-    for v in range(1, R + 1):
-        poly = _pmul_linear(poly, Fraction(v), Fraction(-1))
-    return _pscale(poly, Fraction(1, math.factorial(R)))
-
-
-@dataclass(frozen=True)
-class LambdaTable:
-    """Coefficients Lambda_R(alpha, beta), beta in [alpha-R, alpha], defined by
-    sum_beta Lambda_R(alpha, beta) C((p-1)X + alpha, alpha - beta) = C(R - X, R)."""
-
-    p: int
-    R: int
-    alpha: int
-    values: dict[int, Fraction]
-
-    def __getitem__(self, beta: int) -> Fraction:
-        return self.values[beta]
-
-
-def lambda_coefficients(p: int, R: int, alpha: int) -> LambdaTable:
-    """Solve the defining identity by matching coefficients of X^0..X^R.
-
-    The system is triangular: the basis element of index m has degree
-    exactly m with leading coefficient (p-1)^m / m!, never zero.
-    """
-    _require_prime_gt3(p)
-    if R < 0 or alpha < R:
-        raise ValueError(f"need 0 <= R <= alpha, got R={R}, alpha={alpha}")
-    basis = binomial_basis_polys(p, alpha, R)
-    residual = list(_target_poly(R))
-    residual += [Fraction(0)] * (R + 1 - len(residual))
-    values: dict[int, Fraction] = {}
-    for m in range(R, -1, -1):
-        lead = Fraction((p - 1) ** m, math.factorial(m))
-        c = residual[m] / lead
-        values[alpha - m] = c
-        if c != 0:
-            bm = basis[m]
-            for u in range(len(bm)):
-                residual[u] -= c * bm[u]
-    if not _pzero(residual):
-        raise AssertionError("triangular solve left a nonzero residual (bug)")
-    return LambdaTable(p=p, R=R, alpha=alpha, values=values)
 
 
 def lambda_raw_table(p: int, R: int, alpha: int) -> tuple[list[int], int]:
@@ -183,21 +119,24 @@ def lambda_raw_table(p: int, R: int, alpha: int) -> tuple[list[int], int]:
 
 
 def lambda_values_by_differences(p: int, R: int, alpha: int) -> dict[int, Fraction]:
-    """Independent route to the Lambda table via Newton forward differences;
-    used as an oracle against :func:`lambda_coefficients` and as the fast
-    path in large sweeps."""
+    """The Lambda table {beta: Lambda_R(alpha, beta)} for beta in [alpha-R, alpha],
+    defined by sum_beta Lambda_R(alpha, beta) C((p-1)X + alpha, alpha - beta)
+    = C(R - X, R)."""
     nums, den = lambda_raw_table(p, R, alpha)
     return {alpha - m: Fraction(nums[m], den) for m in range(R + 1)}
 
 
-def lambda_defining_residual(table: LambdaTable) -> list[Fraction]:
-    """The defining-identity residual of a Lambda table; zero iff valid."""
-    basis = binomial_basis_polys(table.p, table.alpha, table.R)
-    acc: list[Fraction] = [Fraction(0)]
-    for beta, lam in table.values.items():
-        if lam != 0:
-            acc = _padd(acc, _pscale(basis[table.alpha - beta], lam))
-    return _ptrim(_padd(acc, _pscale(_target_poly(table.R), Fraction(-1))))
+def lambda_identity_holds(p: int, alpha: int, nums: list[int], den: int) -> bool:
+    """Exact proof of the defining identity for a raw table (nums, den):
+    sum_m nums[m] C((p-1)X + alpha, m) = den C(R - X, R) with R = len(nums)-1.
+
+    Both sides have degree <= R, so agreement at X = 0..R proves it, and
+    C(R - x, R) is 1 at x = 0 and 0 at x = 1..R.
+    """
+    return all(
+        sum(n * comb0((p - 1) * x + alpha, m) for m, n in enumerate(nums)) == (den if x == 0 else 0)
+        for x in range(len(nums))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +179,7 @@ def c_constants(p: int, r: int, alpha: int, variant: str = "general") -> CConsta
         rp = rho
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    lam = lambda_coefficients(p, rp, alpha).values
+    lam = lambda_values_by_differences(p, rp, alpha)
     values = {l: lam[l] * comb0(r, alpha - l) for l in range(alpha - rp, alpha + 1)}
     return CConstants(p=p, r=r, alpha=alpha, rho_prime=rp, values=values, lambda_values=lam)
 
@@ -422,6 +361,12 @@ def interior_rank_report(p: int, r: int, alpha: int) -> InteriorRankReport:
 # ---------------------------------------------------------------------------
 
 
+def row_sum(p: int, r: int, alpha: int, cols: Mapping[int, Fraction], i: int) -> Fraction:
+    """sum_l C_l C(r-alpha+l, i(p-1)+l): row i of the cell's binomial system
+    applied to the column constants cols = {l: C_l}."""
+    return sum((c * comb0(r - alpha + l, i * (p - 1) + l) for l, c in cols.items()), Fraction(0))
+
+
 def _interior_solution(
     p: int, r: int, alpha: int, targets: Mapping[int, Fraction]
 ) -> dict[int, Fraction]:
@@ -467,12 +412,7 @@ def solve_interior_system(p: int, r: int, alpha: int, u: int) -> dict[int, Fract
     ecal = ecal_of(p, r)
     sol = _interior_solution(p, r, alpha, {u: Fraction(p**ecal)})
     for i in rows:
-        got = sum(
-            (c * comb0(r - alpha + l, i * (p - 1) + l) for l, c in sol.items()),
-            Fraction(0),
-        )
-        want = p**ecal if i == u else 0
-        if got != want:
+        if row_sum(p, r, alpha, sol, i) != (p**ecal if i == u else 0):
             raise AssertionError("interior system solution failed verification (bug)")
     return sol
 
@@ -498,16 +438,7 @@ class AnnihilatorSystem:
     def lhs_coefficient(self, i: int) -> Fraction:
         """Coefficient of the monomial with x-exponent i(p-1)+alpha on the
         assembled left side."""
-        acc = sum(
-            (
-                c * comb0(self.r - self.alpha + l, i * (self.p - 1) + l)
-                for l, c in self.column_constants.items()
-            ),
-            Fraction(0),
-        )
-        if i in self.boundary_values:
-            acc += self.boundary_values[i]
-        return acc
+        return row_sum(self.p, self.r, self.alpha, self.column_constants, i) + self.boundary_values.get(i, 0)
 
     def residual(self) -> dict[int, Fraction]:
         """lhs - rhs per row; identically zero iff the identity holds."""
@@ -531,33 +462,46 @@ def _theta_monomial_targets(
 
 
 def build_interior_annihilator(p: int, r: int, alpha: int) -> AnnihilatorSystem:
-    """The cell's annihilator with right side p^ecal theta^alpha x^(p-1) y^(rest),
-    built from the interior solutions; 0 <= alpha <= rho - 1."""
+    """The cell's annihilator, built from the interior solutions.
+
+    For 0 <= alpha <= rho - 1 the right side is p^ecal theta^alpha x^(p-1)
+    y^(rest).  For alpha = rho, which needs r - rho(p+1) = p - 2, it is
+    p^ecal theta^rho y^(p-2); the i = 0 row is then a boundary row, so its
+    coefficient p^ecal survives rather than being interior-annihilated.
+    """
     _require_prime_gt3(p)
     rho = rho_of(p, r)
-    if not 0 <= alpha <= rho - 1:
-        raise ValueError(f"need 0 <= alpha <= rho-1 = {rho - 1}, got alpha={alpha}")
+    if 0 <= alpha <= rho - 1:
+        return _annihilator(p, r, alpha, 1, f"x^{p - 1} * y^{r - alpha * (p + 1) - p + 1}")
+    if alpha == rho >= 1 and r - rho * (p + 1) == p - 2:
+        return _annihilator(p, r, rho, 0, f"y^{p - 2}")
+    raise ValueError(
+        f"need 0 <= alpha <= rho-1 = {rho - 1}, or alpha = rho with r - rho(p+1) = p-2; "
+        f"got r={r}, alpha={alpha}"
+    )
+
+
+def _annihilator(p: int, r: int, alpha: int, offset: int, monomial: str) -> AnnihilatorSystem:
+    """Right side p^ecal theta^alpha times the monomial, whose theta-expansion
+    has support i in [offset, alpha + offset]; interior rows are solved,
+    the remaining rows absorb the difference as boundary coefficients."""
     ecal = ecal_of(p, r)
-    targets = _theta_monomial_targets(p, alpha, ecal, offset=1)
+    targets = _theta_monomial_targets(p, alpha, ecal, offset)
     interior = set(interior_row_indices(p, r, alpha))
     cols = _interior_solution(p, r, alpha, {i: t for i, t in targets.items() if i in interior})
-    for l in range(alpha - rho, alpha - len(interior) + 1):
+    for l in range(alpha - rho_of(p, r), alpha - len(interior) + 1):
         cols.setdefault(l, Fraction(0))
-    boundary = {}
-    for i in all_row_indices(p, r, alpha):
-        if i in interior:
-            continue
-        got = sum(
-            (c * comb0(r - alpha + l, i * (p - 1) + l) for l, c in cols.items()),
-            Fraction(0),
-        )
-        boundary[i] = targets.get(i, Fraction(0)) - got
+    boundary = {
+        i: targets.get(i, Fraction(0)) - row_sum(p, r, alpha, cols, i)
+        for i in all_row_indices(p, r, alpha)
+        if i not in interior
+    }
     return AnnihilatorSystem(
         p=p,
         r=r,
         alpha=alpha,
         ecal=ecal,
-        target=f"p^{ecal} * theta^{alpha} * x^{p - 1} * y^{r - alpha * (p + 1) - p + 1}",
+        target=f"p^{ecal} * theta^{alpha} * {monomial}",
         column_constants=cols,
         row_values=targets,
         boundary_values=boundary,
@@ -594,41 +538,6 @@ def vartheta_profile(system: AnnihilatorSystem, w_max: int | None = None) -> The
     return ThetaProfile(alpha, ecal, zero_below, at_alpha, ok_up_to, vals)
 
 
-def build_rho_annihilator(p: int, r: int) -> AnnihilatorSystem:
-    """The alpha = rho variant with right side p^ecal theta^rho y^(r-rho(p+1));
-    requires r - rho(p+1) = p - 2.  The i = 0 row is a boundary row here, so
-    its coefficient p^ecal survives rather than being interior-annihilated."""
-    _require_prime_gt3(p)
-    rho = rho_of(p, r)
-    if r - rho * (p + 1) != p - 2 or rho < 1:
-        raise ValueError(f"need r - rho(p+1) = p-2 with rho >= 1, got r={r}, rho={rho}")
-    ecal = ecal_of(p, r)
-    targets = _theta_monomial_targets(p, rho, ecal, offset=0)
-    interior = set(interior_row_indices(p, r, rho))
-    cols = _interior_solution(p, r, rho, {i: t for i, t in targets.items() if i in interior})
-    for l in range(0, rho - len(interior) + 1):
-        cols.setdefault(l, Fraction(0))
-    boundary = {}
-    for i in all_row_indices(p, r, rho):
-        if i in interior:
-            continue
-        got = sum(
-            (c * comb0(r - rho + l, i * (p - 1) + l) for l, c in cols.items()),
-            Fraction(0),
-        )
-        boundary[i] = targets.get(i, Fraction(0)) - got
-    return AnnihilatorSystem(
-        p=p,
-        r=r,
-        alpha=rho,
-        ecal=ecal,
-        target=f"p^{ecal} * theta^{rho} * y^{r - rho * (p + 1)}",
-        column_constants=cols,
-        row_values=targets,
-        boundary_values=boundary,
-    )
-
-
 def rho_zero_row_identity(system: AnnihilatorSystem) -> tuple[Fraction, Fraction, bool]:
     """(D_0, vartheta_rho(D), exact?) for the rho-case annihilator.
 
@@ -657,12 +566,7 @@ class DoubleSumReport:
 def verify_vanishing_double_sum(p: int, r: int, alpha: int) -> DoubleSumReport:
     """sum_l C_l C(r-alpha+l, i(p-1)+l) = 0 for i = 1..rho', coefficient-wise."""
     cc = c_constants(p, r, alpha, variant="general")
-    sums = {}
-    for i in range(1, cc.rho_prime + 1):
-        sums[i] = sum(
-            (c * comb0(r - alpha + l, i * (p - 1) + l) for l, c in cc.values.items()),
-            Fraction(0),
-        )
+    sums = {i: row_sum(p, r, alpha, cc.values, i) for i in range(1, cc.rho_prime + 1)}
     return DoubleSumReport(
         p=p,
         r=r,

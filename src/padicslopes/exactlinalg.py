@@ -94,11 +94,3 @@ def lagrange_interpolate(points: Sequence[tuple[int, Fraction]]) -> list[Fractio
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
-
-
-def poly_eval(coeffs: Sequence[Fraction | int], x: int | Fraction) -> Fraction:
-    """Evaluate a lowest-first coefficient list at x (Horner)."""
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc

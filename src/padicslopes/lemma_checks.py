@@ -9,18 +9,16 @@ Vacuous windows are reported as such rather than silently passing.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .combinatorics import (
     c_constants,
     comb0,
+    lambda_identity_holds,
     lambda_raw_table,
-    lambda_values_by_differences,
     rho_of,
     rho_prime_of,
 )
@@ -140,29 +138,13 @@ def _report(lemma_id, p, r, alpha, rho, rp, witnesses) -> LemmaReport:
     )
 
 
-def _fast_c_constants(p: int, r: int, alpha: int, rp: int) -> dict[int, Fraction]:
-    lam = lambda_values_by_differences(p, rp, alpha)
-    return {l: lam[l] * comb0(r, alpha - l) for l in range(alpha - rp, alpha + 1)}
-
-
 def verify_lemma(lemma_id: int, p: int, r: int, alpha: int | None = None) -> LemmaReport:
     """Check one lemma on one parameter cell over its full index window.
 
     Lemmas 10-12 need alpha > rho (with rho' >= 1); lemmas 13-15 need
-    r = rho(p+1)+1 and take alpha = rho implicitly.  For lemma 9 the second
-    argument is the sweep ceiling a_max and the verdict summarizes the whole
-    exhaustive run.
+    r = rho(p+1)+1 and take alpha = rho implicitly.  Lemma 9 is checked by
+    :func:`sweep_lemma9_with_oracle`.
     """
-    if lemma_id == 9:
-        rep9 = verify_lemma9(p, r)
-        witnesses = tuple(
-            Witness(a, "C(a,b)", binomial_valuation(a, b, p), integer_log(p, a), False)
-            for a, b in rep9.violations
-        )
-        return LemmaReport(
-            lemma_id=9, p=p, r=r, alpha=None, rho=None, rho_prime=None,
-            witnesses=witnesses, verdict=rep9.verdict, checked=rep9.checked,
-        )
     rho = rho_of(p, r)
     if lemma_id in GENERAL_LEMMAS:
         if alpha is None or alpha <= rho:
@@ -205,7 +187,7 @@ def verify_lemma(lemma_id: int, p: int, r: int, alpha: int | None = None) -> Lem
                 witnesses.append(Witness(i, "X_i_star", v0, v, v0 < v))
             i += 1
     else:  # 12, 15
-        cols = _fast_c_constants(p, r, alpha, rp)
+        cols = c_constants(p, r, alpha, "general" if lemma_id == 12 else "rho_case")
         lo = alpha - rp if lemma_id == 12 else 1
         for l in range(lo, alpha + 1):
             v = valuation(cols[l], p)
@@ -229,29 +211,6 @@ class Lemma9Report:
     verdict: str
     max_valuation_seen: int
     violations: tuple[tuple[int, int], ...]  # (a, b) pairs
-
-
-def verify_lemma9(p: int, a_max: int) -> Lemma9Report:
-    """Exhaustive carry-count bound v_p(C(a,b)) <= floor(log_p a)."""
-    violations = []
-    checked = 0
-    vmax = 0
-    for a in range(1, a_max + 1):
-        bound = integer_log(p, a)
-        for b in range(0, a + 1):
-            v = binomial_valuation(a, b, p)
-            vmax = max(vmax, v)
-            checked += 1
-            if v > bound:
-                violations.append((a, b))
-    return Lemma9Report(
-        p=p,
-        a_max=a_max,
-        checked=checked,
-        verdict="holds" if not violations else "fails",
-        max_valuation_seen=vmax,
-        violations=tuple(violations[:100]),
-    )
 
 
 def sweep_lemma9_with_oracle(ps: Sequence[int], a_max: int) -> dict[int, Lemma9Report]:
@@ -353,13 +312,7 @@ def integrality_checks(p: int, r: int, alpha: int) -> IntegralityReport:
     )
 
     # defining identity: sum_m nums[m] C((p-1)x+alpha, m) = den C(rho'-x, rho')
-    defining_ok = True
-    for x in range(rp + 1):
-        lhs = sum(nums[m] * comb0((p - 1) * x + alpha, m) for m in range(rp + 1))
-        rhs = den if x == 0 else 0
-        if lhs != rhs:
-            defining_ok = False
-            break
+    defining_ok = lambda_identity_holds(p, alpha, nums, den)
 
     # cleared identity, scaled by (-1)^rho' den:
     #   sum_m (rho'!/m!) nums[m] G_m(x) = (-1)^rho' den (x-1)...(x-rho')
@@ -399,18 +352,18 @@ def integrality_checks(p: int, r: int, alpha: int) -> IntegralityReport:
 # ---------------------------------------------------------------------------
 
 
-def admissible_general_cells(p: int, r_max: int) -> list[tuple[int, int, int]]:
-    """(p, r, alpha) with rho < alpha <= floor(r/(p-1)) and rho' >= 1.
+def general_alphas(p: int, r: int) -> list[int]:
+    """alpha with rho < alpha <= floor(r/(p-1)) and rho' >= 1.
 
     The alpha ceiling is the largest value the slope hypothesis allows.
     """
-    cells = []
-    for r in range(1, r_max + 1):
-        rho = rho_of(p, r)
-        for alpha in range(rho + 1, r // (p - 1) + 1):
-            if rho_prime_of(p, r, alpha) >= 1:
-                cells.append((p, r, alpha))
-    return cells
+    alphas = range(rho_of(p, r) + 1, r // (p - 1) + 1)
+    return [alpha for alpha in alphas if rho_prime_of(p, r, alpha) >= 1]
+
+
+def admissible_general_cells(p: int, r_max: int) -> list[tuple[int, int, int]]:
+    """(p, r, alpha) with 1 <= r <= r_max and alpha in :func:`general_alphas`."""
+    return [(p, r, alpha) for r in range(1, r_max + 1) for alpha in general_alphas(p, r)]
 
 
 def admissible_rho_cells(p: int, r_max: int) -> list[tuple[int, int]]:
@@ -473,34 +426,6 @@ def sweep_lemma(lemma_id: int, ps: Sequence[int], r_max: int) -> SweepSummary:
 # serialization
 # ---------------------------------------------------------------------------
 
-CSV_HEADER = ["lemma_id", "p", "r", "alpha", "index", "v_X0", "v_other", "margin"]
-
-
-def report_rows(report: LemmaReport) -> list[list[str]]:
-    rows = []
-    for w in report.witnesses:
-        rows.append(
-            [
-                str(report.lemma_id),
-                str(report.p),
-                "" if report.r is None else str(report.r),
-                "" if report.alpha is None else str(report.alpha),
-                str(w.index),
-                format_rational(w.lhs_val),
-                format_rational(w.rhs_val),
-                format_rational(w.margin),
-            ]
-        )
-    return rows
-
-
-def write_reports_csv(reports: Iterable[LemmaReport], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for rep in reports:
-            writer.writerows(report_rows(rep))
-
 
 def report_to_dict(report: LemmaReport) -> dict:
     return {
@@ -525,9 +450,3 @@ def report_to_dict(report: LemmaReport) -> dict:
             for w in report.witnesses
         ],
     }
-
-
-def write_reports_json(reports: Iterable[LemmaReport], path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump([report_to_dict(rep) for rep in reports], fh, indent=2, sort_keys=True)
-        fh.write("\n")

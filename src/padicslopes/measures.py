@@ -9,11 +9,8 @@ comparisons are exact rationals.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .modforms import dim_cusp, slopes
 from .padic import (
@@ -218,27 +215,6 @@ PROFILE_CSV_HEADER = [
 ]
 
 
-def write_profile_csv(table: ProfileTable, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PROFILE_CSV_HEADER)
-        for row in table.rows:
-            writer.writerow(
-                [
-                    row.p,
-                    row.k,
-                    row.dim_old,
-                    row.dim_new,
-                    row.count_middle,
-                    format_rational(row.fraction_middle),
-                    format_rational(row.left_end),
-                    format_rational(row.right_end),
-                ]
-            )
-        if table.cutoff:
-            fh.write(f"# cutoff: {table.cutoff}\n")
-
-
 def profile_to_dict(table: ProfileTable) -> dict:
     return {
         "p": table.p,
@@ -261,20 +237,4 @@ def profile_to_dict(table: ProfileTable) -> dict:
     }
 
 
-def write_profile_json(table: ProfileTable, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(profile_to_dict(table), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 SLOPES_CSV_HEADER = ["p", "k", "slope"]
-
-
-def write_slopes_csv(cells: Iterable[tuple[int, int]], path: str) -> None:
-    """One row per slope with multiplicity expanded, in (p, k) order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SLOPES_CSV_HEADER)
-        for p, k in sorted(set(cells)):
-            for s in slopes(p, k):
-                writer.writerow([p, k, format_rational(s)])

@@ -9,7 +9,7 @@ rational and absorbs addition.  Everything here works over plain ``int`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -246,39 +246,6 @@ def newton_polygon(coeffs: Sequence[int | Fraction], p: int) -> NewtonPolygon:
         else:
             merged.append((s, m))
     return NewtonPolygon(tuple(hull), tuple(merged))
-
-
-@dataclass(frozen=True)
-class Params:
-    """Derived parameters of a (p, k) cell.
-
-    r = k - 2, rho = floor((k-1)/(p+1)), eps_cal = floor(log_p(k-1)).
-    ``nu`` is floor(slope) + 1 when a slope is supplied, else None.
-    """
-
-    p: int
-    k: int
-    r: int = field(init=False)
-    rho: int = field(init=False)
-    eps_cal: int = field(init=False)
-    nu: int | None = None
-
-    def __post_init__(self):
-        _check_prime(self.p)
-        if self.k < 2:
-            raise ValueError("k must be >= 2")
-        object.__setattr__(self, "r", self.k - 2)
-        object.__setattr__(self, "rho", (self.k - 1) // (self.p + 1))
-        object.__setattr__(self, "eps_cal", integer_log(self.p, self.k - 1))
-
-    @classmethod
-    def from_r(cls, p: int, r: int, nu: int | None = None) -> "Params":
-        return cls(p=p, k=r + 2, nu=nu)
-
-    @classmethod
-    def with_slope(cls, p: int, k: int, slope: int | Fraction) -> "Params":
-        nu = math.floor(slope) + 1
-        return cls(p=p, k=k, nu=nu)
 
 
 def format_rational(x: int | Fraction | Infinity) -> str:

@@ -16,6 +16,8 @@ from padicslopes import modforms as mf
 from padicslopes import symhecke as sh
 from padicslopes.cli import main as cli_main
 
+from lambda_oracle import lambda_coefficients, lambda_defining_residual
+
 
 PS = (5, 7, 11, 13)
 
@@ -41,12 +43,13 @@ def test_criterion_2_lambda_system():
     for p in PS:
         for R in range(0, 31):
             for alpha in sorted({R, R + 1, R + 7, 2 * R, 45, 60} & set(range(R, 61))):
-                table = comb.lambda_coefficients(p, R, alpha)
-                assert all(c == 0 for c in comb.lambda_defining_residual(table)), (p, R, alpha)
+                table = lambda_coefficients(p, R, alpha)
+                assert all(c == 0 for c in lambda_defining_residual(table)), (p, R, alpha)
                 assert comb.lambda_values_by_differences(p, R, alpha) == table.values
+                assert comb.lambda_identity_holds(p, alpha, *comb.lambda_raw_table(p, R, alpha))
                 cells += 1
         for alpha in (1, 13, 60):
-            t = comb.lambda_coefficients(p, 1, alpha)
+            t = comb.lambda_values_by_differences(p, 1, alpha)
             assert t[alpha - 1] == Fraction(-1, p - 1)
             assert t[alpha] == Fraction(p - 1 + alpha, p - 1)
     _report(2, time.time() - t0, "<30s",
@@ -116,7 +119,7 @@ def test_criterion_5_identities_88_and_105():
         rho = 1
         while rho * (p + 1) + p - 2 <= 200:
             r = rho * (p + 1) + p - 2
-            sysm = comb.build_rho_annihilator(p, r)
+            sysm = comb.build_interior_annihilator(p, r, rho)
             assert sysm.residual() == {}, (p, r)
             assert comb.rho_zero_row_identity(sysm)[2], (p, r)
             n105 += 1

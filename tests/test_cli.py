@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from padicslopes import cli
 from padicslopes.cli import main
 
 
@@ -126,6 +129,91 @@ class TestVerifyCommand:
         run_cli(["verify", "lemma10", "--p", "5", "--r-max", "80", "--jobs", "3"], a)
         run_cli(["verify", "lemma10", "--p", "5", "--r-max", "80", "--jobs", "1"], b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestArgumentBoundary:
+    @pytest.mark.parametrize("argv", [
+        ["slopes", "--p", "5", "--k", "12..14,16"],
+        ["slopes", "--p", "5,x", "--k", "12"],
+        ["verify", "lemma10", "--p", "5", "--r", "40..30"],
+        ["verify", "lemma10", "--p", "5", "--jobs", "0"],
+    ])
+    def test_malformed_values_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_malformed_list_exit_2_from_console(self):
+        for bad in (["--p", "5", "--k", "12..14,16"], ["--p", "5,x", "--k", "12"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "padicslopes.cli", "slopes", *bad],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 2
+            assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "rho-annihilator", "--p", "5", "--alpha", "2", "--r-max", "40"],
+        ["verify", "det-factorization", "--p", "5", "--r", "3"],
+        ["verify", "lambda-system", "--p", "5", "--alpha", "3"],
+        ["verify", "lemma9", "--p", "5", "--r", "10", "--a-max", "10"],
+        ["verify", "lemma13", "--p", "5", "--r", "19", "--alpha", "3"],
+        ["verify", "hecke", "--p", "5", "--r", "3"],
+        ["measure", "--p", "5,7", "--k", "12"],
+        ["lambda", "--p", "5,7", "--R", "1", "--alpha", "7"],
+    ])
+    def test_unsupported_pins_and_extra_primes_exit_2(self, argv, capsys):
+        assert run_cli(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_rho_annihilator_honours_r(self, tmp_path):
+        out = tmp_path / "v.csv"
+        assert run_cli(["verify", "rho-annihilator", "--p", "5", "--r", "15"], out) == 0
+        assert out.read_text().splitlines()[1:] == ["rho-annihilator,5,15,2,holds,,3"]
+        assert run_cli(["verify", "rho-annihilator", "--p", "5", "--r", "16"], out) == 2
+        assert "rejected" in out.read_text()
+
+    def test_alpha_without_r_restricts_the_sweep(self, tmp_path):
+        from padicslopes.lemma_checks import admissible_general_cells
+
+        out = tmp_path / "v.csv"
+        assert run_cli(["verify", "lemma10", "--p", "5", "--alpha", "9", "--r-max", "60"], out) == 0
+        got = [tuple(int(x) for x in ln.split(",")[1:4]) for ln in out.read_text().splitlines()[1:]]
+        assert got == [cell for cell in admissible_general_cells(5, 60) if cell[2] == 9]
+        assert got
+
+    def test_repeated_primes_deduplicated(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for target in ("lemma10", "lemma9"):
+            assert run_cli(["verify", target, "--p", "5,5", "--r-max", "40", "--a-max", "20"], a) == 0
+            assert run_cli(["verify", target, "--p", "5", "--r-max", "40", "--a-max", "20"], b) == 0
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_pool_size_capped(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        out = tmp_path / "v.csv"
+        assert run_cli(["verify", "lemma10", "--p", "5", "--r-max", "60", "--jobs", "8"], out) == 0
+        assert run_cli(["verify", "lemma9", "--p", "2,3", "--a-max", "20", "--jobs", "8"], out) == 0
+        assert run_cli(["verify", "lemma9", "--p", "2", "--a-max", "20", "--jobs", "8"], out) == 0
+        assert sizes == [3, 2]
 
 
 class TestHeckeCheckCommand:

@@ -9,16 +9,15 @@ from padicslopes.combinatorics import (
     all_row_indices,
     build_interior_annihilator,
     build_matrix_M,
-    build_rho_annihilator,
     c_constants,
     comb0,
     ecal_of,
-    lambda_defining_residual,
     trinomial_revision_check,
     factor_and_rank_checks,
     interior_rank_report,
     interior_row_indices,
-    lambda_coefficients,
+    lambda_identity_holds,
+    lambda_raw_table,
     lambda_values_by_differences,
     rho_of,
     rho_prime_of,
@@ -29,6 +28,8 @@ from padicslopes.combinatorics import (
     verify_vanishing_double_sum,
 )
 from padicslopes.padic import generalized_binomial, valuation
+
+from lambda_oracle import lambda_coefficients, lambda_defining_residual
 
 
 class TestLambdaTables:
@@ -60,6 +61,18 @@ class TestLambdaTables:
     def test_rejects_R_above_alpha(self):
         with pytest.raises(ValueError):
             lambda_coefficients(5, 4, 3)
+        with pytest.raises(ValueError):
+            lambda_raw_table(5, 4, 3)
+
+    @pytest.mark.parametrize("p,R,alpha", [(5, 0, 3), (7, 6, 6), (13, 20, 33)])
+    def test_identity_check_detects_corruption(self, p, R, alpha):
+        nums, den = lambda_raw_table(p, R, alpha)
+        assert lambda_identity_holds(p, alpha, nums, den)
+        for m in range(R + 1):
+            bad = list(nums)
+            bad[m] += 1
+            assert not lambda_identity_holds(p, alpha, bad, den)
+        assert not lambda_identity_holds(p, alpha, nums, den + 1)
 
 
 class TestCConstants:
@@ -241,20 +254,20 @@ class TestRhoAnnihilator:
     @pytest.mark.parametrize("p,rho", [(5, 2), (5, 5), (7, 3), (11, 2), (13, 4)])
     def test_residual_and_target(self, p, rho):
         r = rho * (p + 1) + p - 2
-        sys = build_rho_annihilator(p, r)
+        sys = build_interior_annihilator(p, r, rho)
         assert sys.residual() == {}
         assert sys.target.startswith(f"p^{ecal_of(p, r)} * theta^{rho} * y^")
 
     def test_known_parameter_cell(self):
         # p=5, rho=2, r=15: 15 - 12 = 3 = p-2
-        sys = build_rho_annihilator(5, 15)
+        sys = build_interior_annihilator(5, 15, 2)
         assert sys.residual() == {}
 
     def test_zero_row_vs_theta(self):
         # exact r-level identity: D_0 (1-p)^rho = vartheta_rho(D);
         # the two agree up to the unit (1-p)^rho = 1 mod p
         for (p, rho) in [(5, 2), (7, 4), (11, 3)]:
-            sys = build_rho_annihilator(p, rho * (p + 1) + p - 2)
+            sys = build_interior_annihilator(p, rho * (p + 1) + p - 2, rho)
             d0, th, exact = rho_zero_row_identity(sys)
             assert exact
             assert d0 == p ** ecal_of(p, sys.r)
@@ -262,7 +275,7 @@ class TestRhoAnnihilator:
 
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
-            build_rho_annihilator(5, 14)
+            build_interior_annihilator(5, 14, rho_of(5, 14))  # 14 - 2*6 != p-2
 
 
 class TestRowIndexing:

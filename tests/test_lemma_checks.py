@@ -4,21 +4,18 @@ from fractions import Fraction
 import pytest
 
 from padicslopes.combinatorics import rho_of, rho_prime_of
+from padicslopes.cli import main as cli_main
 from padicslopes.lemma_checks import (
-    CSV_HEADER,
     admissible_general_cells,
     admissible_rho_cells,
+    general_alphas,
     integrality_checks,
-    report_rows,
     report_to_dict,
     sweep_lemma,
     sweep_lemma9_with_oracle,
     valuation_witnesses,
     verify_lemma,
-    verify_lemma9,
     witness_values,
-    write_reports_csv,
-    write_reports_json,
 )
 from padicslopes.padic import valuation
 
@@ -139,7 +136,7 @@ class TestVerifyLemma:
 
 class TestLemma9:
     def test_small_sweep_holds(self):
-        rep = verify_lemma9(3, 200)
+        rep = sweep_lemma9_with_oracle([3], 200)[3]
         assert rep.verdict == "holds"
         assert rep.checked == sum(a + 1 for a in range(1, 201))
 
@@ -204,6 +201,7 @@ class TestSweeps:
             assert a > rho_of(p, r)
             assert rho_prime_of(p, r, a) >= 1
             assert a <= r // (p - 1)
+        assert [(p, r, a) for p, r, a in cells if r == 40] == [(5, 40, a) for a in general_alphas(5, 40)]
         assert admissible_rho_cells(5, 60) == [(5, 7), (5, 13), (5, 19), (5, 25), (5, 31), (5, 37), (5, 43), (5, 49), (5, 55)]
 
     def test_small_sweep_summary(self):
@@ -220,14 +218,16 @@ class TestSweeps:
 
 class TestSerialization:
     def test_csv_and_json(self, tmp_path):
-        reps = [verify_lemma(10, 5, 40, 9), verify_lemma(12, 5, 40, 9)]
+        # the command line is the one serializer of lemma reports
+        rep = verify_lemma(12, 5, 40, 9)
         csv_path = tmp_path / "out.csv"
         json_path = tmp_path / "out.json"
-        write_reports_csv(reps, str(csv_path))
-        write_reports_json(reps, str(json_path))
+        argv = ["verify", "lemma12", "--p", "5", "--r", "40", "--alpha", "9"]
+        assert cli_main([*argv, "--out", str(csv_path)]) == 0
+        assert cli_main([*argv, "--format", "json", "--out", str(json_path)]) == 0
         lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == ",".join(CSV_HEADER)
-        assert len(lines) == 1 + sum(r.checked for r in reps)
+        assert lines[0] == "target,p,r,alpha,verdict,min_margin,checked"
+        assert lines[1].split(",") == ["lemma12", "5", "40", "9", "holds", str(rep.min_margin), str(rep.checked)]
         # no floats anywhere: every numeric field is int or num/den
         for line in lines[1:]:
             for field in line.split(","):
@@ -235,7 +235,8 @@ class TestSerialization:
         import json as json_mod
 
         data = json_mod.loads(json_path.read_text())
-        assert data[0]["verdict"] == "holds"
+        assert data["records"] == [report_to_dict(rep)]
+        assert data["records"][0]["verdict"] == "holds"
 
     def test_infinite_margin_rendering(self):
         d = report_to_dict(verify_lemma(10, 5, 40, 9))

@@ -11,9 +11,8 @@ from padicslopes.measures import (
     oldform_slope_pair,
     profile_to_dict,
     supersingularity_measure,
-    write_profile_csv,
-    write_slopes_csv,
 )
+from padicslopes.cli import main as cli_main
 from padicslopes.padic import INFINITY
 
 
@@ -171,7 +170,8 @@ class TestProfiles:
     def test_csv_and_json(self, tmp_path):
         table = middle_mass_profile(59, 12, 16)
         csv_path = tmp_path / "profile.csv"
-        write_profile_csv(table, str(csv_path))
+        # the command line is the one serializer of profiles
+        assert cli_main(["measure", "--p", "59", "--k", "12..16", "--out", str(csv_path)]) == 0
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].startswith("p,k,dim_old")
         row16 = [ln for ln in lines if ln.startswith("59,16")][0]
@@ -183,6 +183,7 @@ class TestProfiles:
 
     def test_slopes_csv(self, tmp_path):
         path = tmp_path / "slopes.csv"
-        write_slopes_csv([(2, 12), (2, 24), (5, 12)], str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines == ["p,k,slope", "2,12,3", "2,24,3", "2,24,7", "5,12,1"]
+        assert cli_main(["slopes", "--p", "5,2,5", "--k", "12", "--out", str(path)]) == 0
+        assert path.read_text().splitlines() == ["p,k,slope", "2,12,3", "5,12,1"]
+        assert cli_main(["slopes", "--p", "2", "--k", "24", "--out", str(path)]) == 0
+        assert path.read_text().splitlines() == ["p,k,slope", "2,24,3", "2,24,7"]

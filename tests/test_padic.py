@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from padicslopes.padic import (
     INFINITY,
-    Params,
     binomial_valuation,
     factorial_valuation,
     generalized_binomial,
@@ -215,23 +214,3 @@ class TestNewtonPolygon:
         poly = [0, 0, 5, -6, 1]
         np = newton_polygon(poly, 5)
         assert sum(m for _, m in np.slopes) == 4 - 2
-
-
-class TestParams:
-    def test_derived_fields(self):
-        pr = Params(p=5, k=28)
-        assert (pr.r, pr.rho, pr.eps_cal) == (26, 4, 2)
-
-    def test_from_r(self):
-        pr = Params.from_r(7, 18)
-        assert pr.k == 20 and pr.rho == 2
-
-    def test_with_slope(self):
-        pr = Params.with_slope(5, 28, Fraction(7, 2))
-        assert pr.nu == 4
-
-    def test_rejects_bad(self):
-        with pytest.raises(ValueError):
-            Params(p=4, k=10)
-        with pytest.raises(ValueError):
-            Params(p=5, k=1)
