@@ -2,11 +2,16 @@
 
 Each lemma asserts strict inequalities v_p(X_0) < v_p(.) over a finite index
 window; the sweep enumerates every hypothesis-admissible cell up to a bound
-and checks each window exactly.  Vacuous cells (empty windows) are counted
-separately so a "holds" verdict never hides an empty range.
+(the cells ``padicslopes verify lemmaN`` runs) and checks each window
+exactly.  Vacuous cells (empty windows) are counted separately so a "holds"
+verdict never hides an empty range.
 """
 
-from padicslopes.lemma_checks import sweep_lemma, sweep_lemma9_with_oracle
+from argparse import Namespace
+
+from padicslopes.cli import VERIFY_TARGETS
+from padicslopes.lemma_checks import sweep_lemma9_with_oracle
+from padicslopes.padic import INFINITY
 
 print("carry bound (exhaustive, with the exact-binomial factorization oracle):")
 for p, rep in sweep_lemma9_with_oracle((2, 3, 5), 300).items():
@@ -15,9 +20,13 @@ for p, rep in sweep_lemma9_with_oracle((2, 3, 5), 300).items():
 print()
 
 R_MAX = 120
+grid = Namespace(r=None, alpha=None, r_max=R_MAX)
 for lemma in (10, 11, 12, 13, 14, 15):
-    summary = sweep_lemma(lemma, (5, 7, 11, 13), R_MAX)
+    target = VERIFY_TARGETS[f"lemma{lemma}"]
+    results = [target.check(*cell) for p in (5, 7, 11, 13) for cell in target.cells(p, grid)]
+    verdicts = [verdict for verdict, _, _, _ in results]
+    margins = [m for _, _, m, _ in results if m is not None and m != INFINITY]
     print(f"lemma {lemma:2d} over r <= {R_MAX}: "
-          f"{'holds' if summary.holds else 'FAILS'} on {len(summary.reports)} cells "
-          f"({summary.checked} witnesses, {summary.vacuous_count} vacuous, "
-          f"min margin {summary.min_margin})")
+          f"{'FAILS' if 'fails' in verdicts else 'holds'} on {len(results)} cells "
+          f"({sum(checked for _, checked, _, _ in results)} witnesses, "
+          f"{verdicts.count('vacuous')} vacuous, min margin {min(margins, default=None)})")

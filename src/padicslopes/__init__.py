@@ -11,7 +11,7 @@ from .combinatorics import (
     vartheta,
     verify_vanishing_double_sum,
 )
-from .lemma_checks import integrality_checks, sweep_lemma, verify_lemma
+from .lemma_checks import integrality_checks, verify_lemma
 from .measures import (
     mass_in_middle,
     is_regular,
@@ -40,7 +40,6 @@ from .symhecke import (
     coset_canonicalize,
     h_polys,
     hecke_T,
-    theta_multiple_coeffs,
     verify_T_expansion,
 )
 
@@ -77,9 +76,7 @@ __all__ = [
     "solve_interior_system",
     "supersingularity_measure",
     "support_bound",
-    "sweep_lemma",
     "teichmuller_lift",
-    "theta_multiple_coeffs",
     "valuation",
     "vartheta",
     "verify_T_expansion",

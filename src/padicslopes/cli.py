@@ -325,14 +325,13 @@ def _columns(values: tuple) -> list:
     return list(values[:3]) + [""] * (3 - len(values[:3]))
 
 
-def _verify_cell(task: tuple) -> tuple[list, dict]:
+def _verify_cell(name: str, *cell) -> tuple[list, dict]:
     """Run one verification cell; returns (csv row, json record).
 
     Module-level so multiprocessing can pickle it; every check is pure.
     Cells that violate a module precondition (possible when --r/--alpha pin
     tuples explicitly) are reported as rejected rather than silently skipped.
     """
-    name, cell = task[0], task[1:]
     target = VERIFY_TARGETS[name]
     try:
         verdict, checked, margin, record = target.check(*cell)
@@ -343,12 +342,13 @@ def _verify_cell(task: tuple) -> tuple[list, dict]:
     return [name, *_columns(target.shown(cell)), verdict, margin, checked], record
 
 
-def _run_tasks(tasks: list[tuple], jobs: int) -> list[tuple[list, dict]]:
+def _pool_starmap(fn: Callable, tasks: list[tuple], jobs: int) -> list:
+    """[fn(*task) for task in tasks], in order, on up to ``jobs`` processes."""
     size = min(jobs, os.cpu_count() or 1, len(tasks))
     if size > 1:
         with multiprocessing.Pool(size) as pool:
-            return pool.map(_verify_cell, tasks, chunksize=min(64, -(-len(tasks) // size)))
-    return [_verify_cell(t) for t in tasks]
+            return pool.starmap(fn, tasks, chunksize=min(64, -(-len(tasks) // size)))
+    return [fn(*t) for t in tasks]
 
 
 def cmd_verify(args) -> int:
@@ -361,7 +361,7 @@ def cmd_verify(args) -> int:
     if not target.small_primes and min(ps) <= 3:
         raise UsageError(f"target {name} needs primes > 3, got {min(ps)}")
     tasks = sorted((name, *cell) for p in ps for cell in target.cells(p, args))
-    results = _run_tasks(tasks, args.jobs)
+    results = _pool_starmap(_verify_cell, tasks, args.jobs)
     rows = [row for row, _ in results]
     records = [rec for _, rec in results]
 
@@ -395,18 +395,17 @@ def cmd_slopes(args) -> int:
     ks = [k for k in args.k if k % 2 == 0 and k >= 4]
     if not ks:
         raise UsageError("no even weights >= 4 in --k")
+    tasks = [(p, k) for p in _check_primes(args.p) for k in ks]
     header = ms.SLOPES_CSV_HEADER + (["approx_decimal"] if args.approx else [])
     rows = []
     records = []
-    for p in _check_primes(args.p):
-        for k in ks:
-            svals = mf.slopes(p, k)
-            records.append({"p": p, "k": k, "slopes": [format_rational(s) for s in svals]})
-            for s in svals:
-                row = [p, k, format_rational(s)]
-                if args.approx:
-                    row.append("~" + (f"{float(s):.6f}" if s is not INFINITY else "inf"))
-                rows.append(row)
+    for (p, k), svals in zip(tasks, _pool_starmap(mf.slopes, tasks, args.jobs)):
+        records.append({"p": p, "k": k, "slopes": [format_rational(s) for s in svals]})
+        for s in svals:
+            row = [p, k, format_rational(s)]
+            if args.approx:
+                row.append("~" + ("inf" if s == INFINITY else f"{float(s):.6f}"))
+            rows.append(row)
     if args.format == "json":
         _emit(_json_text({"records": records}), args.out)
     else:
@@ -419,6 +418,7 @@ def cmd_measure(args) -> int:
         _one_prime(args.p, "measure"), args.k[0], args.k[-1],
         include_newforms=args.include_newforms,
         max_dim=args.max_dim,
+        starmap=lambda fn, tasks: _pool_starmap(fn, tasks, args.jobs),
     )
     data = ms.profile_to_dict(table)
     if args.format == "json":
@@ -462,12 +462,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, jobs=True):
         sp.add_argument("--format", choices=["csv", "json"], default="csv")
         sp.add_argument("--out", type=str, default=None,
                         help=f"output path (relative paths use ${OUT_DIR_ENV} when set)")
-        sp.add_argument("--jobs", type=_parse_jobs, default=1,
-                        help="worker processes, at most the CPU count and the number of cells")
+        if jobs:
+            sp.add_argument("--jobs", type=_parse_jobs, default=1,
+                            help="worker processes, at most the CPU count and the number of cells")
 
     v = sub.add_parser("verify", help="run an identity or lemma sweep")
     v.add_argument(
@@ -515,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("--p", type=_parse_int_list, required=True)
     l.add_argument("--R", type=int, required=True)
     l.add_argument("--alpha", type=int, required=True)
-    common(l)
+    common(l, jobs=False)  # one table: nothing to share out
     l.set_defaults(func=cmd_lambda)
 
     h = sub.add_parser("hecke-check", help="Hecke expansion identity grid")

@@ -10,35 +10,13 @@ satisfy.  All arithmetic is exact (int / Fraction); nothing is approximated.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .exactlinalg import bareiss_det, lagrange_interpolate, mat_mul_int, rank_mod_p
+from .exactlinalg import bareiss_det, mat_mul_int, rank_mod_p
 from .padic import integer_log, is_prime, valuation
-
-# ---------------------------------------------------------------------------
-# dense rational polynomials, lowest degree first
-# ---------------------------------------------------------------------------
-
-
-def _ptrim(c: list[Fraction]) -> list[Fraction]:
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pscale(a: list[Fraction], s: Fraction) -> list[Fraction]:
-    return _ptrim([c * s for c in a])
-
-
-def _pmul_linear(a: list[Fraction], c0: Fraction, c1: Fraction) -> list[Fraction]:
-    """a(X) * (c0 + c1 X)."""
-    out = [Fraction(0)] * (len(a) + 1)
-    for i, c in enumerate(a):
-        out[i] += c * c0
-        out[i + 1] += c * c1
-    return _ptrim(out)
 
 
 def comb0(n: int, k: int) -> int:
@@ -78,17 +56,12 @@ def _require_prime_gt3(p: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def binomial_basis_polys(p: int, alpha: int, m_max: int) -> list[list[Fraction]]:
-    """All basis polynomials C((p-1)X + alpha, m) for m = 0..m_max, built
-    from one running product."""
+def _forward_differences(values: list) -> list:
+    """[v_0, (Delta v)_0, ..., (Delta^(n-1) v)_0] for values v_0..v_(n-1)."""
     out = []
-    prod = [Fraction(1)]
-    fact = 1
-    for m in range(m_max + 1):
-        if m:
-            prod = _pmul_linear(prod, Fraction(alpha - m + 1), Fraction(p - 1))
-            fact *= m
-        out.append(_pscale(prod, Fraction(1, fact)))
+    while values:
+        out.append(values[0])
+        values = list(map(operator.sub, values[1:], values))
     return out
 
 
@@ -110,12 +83,7 @@ def lambda_raw_table(p: int, R: int, alpha: int) -> tuple[list[int], int]:
         for u in range(R):
             n *= (R - u) * (p - 1) + alpha - s
         ns.append(n)
-    den = (p - 1) ** R * math.factorial(R)
-    nums = [ns[0]]
-    for _ in range(R):
-        ns = [ns[s + 1] - ns[s] for s in range(len(ns) - 1)]
-        nums.append(ns[0])
-    return nums, den
+    return _forward_differences(ns), (p - 1) ** R * math.factorial(R)
 
 
 def lambda_values_by_differences(p: int, R: int, alpha: int) -> dict[int, Fraction]:
@@ -373,34 +341,22 @@ def _interior_solution(
     """Constants C_l (l in (alpha-R, alpha]) with
     sum_l C_l C(r-alpha+l, i(p-1)+l) = targets[i] on every interior row i.
 
-    Clearing C(r, i(p-1)+alpha) per entry reduces each row to the evaluation
-    at X = i of a polynomial of degree < R expressed in the binomial basis
-    C((p-1)X+alpha, alpha-l); Lagrange interpolation through the R interior
-    rows therefore solves the system, and shows it is never singular.
+    Trinomial revision turns row i into sum_m c'_m C(n_i, m) = y_i with
+    n_i = i(p-1)+alpha, c'_m = C_(alpha-m) / C(r, m) and
+    y_i = targets[i] / C(r, n_i).  The R interior rows are consecutive, so
+    taking forward differences in i makes the system triangular: the k-th
+    difference of C(n_i, m) vanishes for k > m and is (p-1)^m at k = m.
+    Back-substitution solves it, and shows it is never singular.
     """
     rows = interior_row_indices(p, r, alpha)
-    R = len(rows)
-    if R == 0:
-        return {}
-    points = [
-        (i, Fraction(targets.get(i, Fraction(0))) / comb0(r, i * (p - 1) + alpha))
-        for i in rows
-    ]
-    q = lagrange_interpolate(points)
-    q = q + [Fraction(0)] * (R - len(q))
-    basis = binomial_basis_polys(p, alpha, R - 1)
-    solution: dict[int, Fraction] = {}
-    for m in range(R - 1, -1, -1):
-        lead = Fraction((p - 1) ** m, math.factorial(m))
-        cprime = q[m] / lead
-        solution[alpha - m] = cprime * comb0(r, m)
-        if cprime != 0:
-            bm = basis[m]
-            for u in range(len(bm)):
-                q[u] -= cprime * bm[u]
-    if any(c != 0 for c in q):
-        raise AssertionError("basis conversion left a nonzero residual (bug)")
-    return solution
+    ns = [i * (p - 1) + alpha for i in rows]
+    dy = _forward_differences([Fraction(targets.get(i, 0)) / comb0(r, n) for i, n in zip(rows, ns)])
+    table = [_forward_differences([comb0(n, m) for n in ns[: m + 1]]) for m in range(len(rows))]
+    cprime: dict[int, Fraction] = {}
+    for k in range(len(rows) - 1, -1, -1):
+        rest = sum(table[m][k] * c for m, c in cprime.items())
+        cprime[k] = (dy[k] - rest) / (p - 1) ** k
+    return {alpha - m: c * comb0(r, m) for m, c in cprime.items()}
 
 
 def solve_interior_system(p: int, r: int, alpha: int, u: int) -> dict[int, Fraction]:

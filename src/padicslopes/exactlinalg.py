@@ -1,9 +1,8 @@
-"""Small exact linear-algebra helpers: integer determinants, ranks mod p,
-Lagrange interpolation over the rationals.  No floating point anywhere."""
+"""Small exact linear-algebra helpers: integer determinants, characteristic
+polynomials and products, ranks mod p.  No floating point anywhere."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -72,25 +71,24 @@ def mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[
     ]
 
 
-def lagrange_interpolate(points: Sequence[tuple[int, Fraction]]) -> list[Fraction]:
-    """Coefficients (lowest degree first) of the unique polynomial of degree
-    < len(points) through the given points with distinct integer abscissae."""
-    n = len(points)
-    coeffs = [Fraction(0)] * max(n, 1)
-    for s, (xs, ys) in enumerate(points):
-        # numerator polynomial prod_{t != s} (X - x_t), built incrementally
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for t, (xt, _) in enumerate(points):
-            if t == s:
-                continue
-            denom *= xs - xt
-            basis = [Fraction(0)] + basis
-            for u in range(len(basis) - 1):
-                basis[u] -= xt * basis[u + 1]
-        w = ys / denom
-        for u in range(len(basis)):
-            coeffs[u] += w * basis[u]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+def charpoly(mat: Sequence[Sequence[int]]) -> list[int]:
+    """det(xI - A) of a square integer matrix, lowest degree first.
+
+    Berkowitz's algorithm: the coefficients of the leading (k+1) x (k+1)
+    block are a lower-triangular Toeplitz matrix times those of the k x k
+    block, with first column 1, -a_kk and -R A_k^j C for the new row R and
+    column C.  Only ring operations on integers occur, so nothing is divided.
+    """
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("matrix must be square")
+    poly = [1]  # highest degree first
+    for k in range(n):
+        row = mat[k][:k]
+        col = [mat[i][k] for i in range(k)]
+        toeplitz = [1, -mat[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(a * b for a, b in zip(row, col)))
+            col = [sum(a * b for a, b in zip(mat[i], col)) for i in range(k)]
+        poly = [sum(toeplitz[i - j] * c for j, c in enumerate(poly[: i + 1])) for i in range(k + 2)]
+    return poly[::-1]

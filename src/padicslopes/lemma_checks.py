@@ -10,7 +10,7 @@ Vacuous windows are reported as such rather than silently passing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,16 +37,6 @@ GENERAL_LEMMAS = (10, 11, 12)
 RHO_LEMMAS = (13, 14, 15)
 
 
-@dataclass(frozen=True)
-class ValuationWitness:
-    """Exact values entering one lemma instance at one index."""
-
-    X0: Fraction
-    Xi: Fraction | None = None
-    Xi_star: Fraction | None = None
-    Cl_pl: Fraction | None = None
-
-
 def witness_values(p: int, r: int, alpha: int, rho_prime: int, i: int) -> tuple[Fraction, Fraction]:
     """(X_i, X_i*) at row index i:
     X_i   = p^(-i(p-1))      C(r, i(p-1)+alpha) C(rho'-i, rho'),
@@ -58,29 +48,6 @@ def witness_values(p: int, r: int, alpha: int, rho_prime: int, i: int) -> tuple[
     e2 = i * (p - 1) + 2 * alpha - r
     xis = core * (Fraction(p**e2) if e2 >= 0 else Fraction(1, p ** (-e2)))
     return xi, xis
-
-
-def valuation_witnesses(
-    p: int, r: int, alpha: int, index: int, variant: str = "general"
-) -> ValuationWitness:
-    """All witness values at one index of a cell; Cl_pl only for column
-    indices inside [alpha - rho', alpha]."""
-    if variant == "rho_case":
-        rho = rho_of(p, r)
-        if r != rho * (p + 1) + 1 or alpha != rho:
-            raise ValueError("rho_case needs r = rho(p+1)+1 and alpha = rho")
-        rp = rho
-    else:
-        rp = rho_prime_of(p, r, alpha)
-        if rp < 1:
-            raise ValueError(f"rho' = {rp} < 1: outside the lemma hypotheses")
-    x0 = Fraction(comb0(r, alpha))
-    xi, xis = witness_values(p, r, alpha, rp, index)
-    clpl = None
-    if alpha - rp <= index <= alpha:
-        cc = c_constants(p, r, alpha, variant=variant)
-        clpl = cc[index] * p**index
-    return ValuationWitness(X0=x0, Xi=xi, Xi_star=xis, Cl_pl=clpl)
 
 
 @dataclass(frozen=True)
@@ -348,7 +315,7 @@ def integrality_checks(p: int, r: int, alpha: int) -> IntegralityReport:
 
 
 # ---------------------------------------------------------------------------
-# sweeps over admissible cells
+# admissible cell windows
 # ---------------------------------------------------------------------------
 
 
@@ -361,11 +328,6 @@ def general_alphas(p: int, r: int) -> list[int]:
     return [alpha for alpha in alphas if rho_prime_of(p, r, alpha) >= 1]
 
 
-def admissible_general_cells(p: int, r_max: int) -> list[tuple[int, int, int]]:
-    """(p, r, alpha) with 1 <= r <= r_max and alpha in :func:`general_alphas`."""
-    return [(p, r, alpha) for r in range(1, r_max + 1) for alpha in general_alphas(p, r)]
-
-
 def admissible_rho_cells(p: int, r_max: int) -> list[tuple[int, int]]:
     """(p, r) with r = rho(p+1)+1, rho >= 1."""
     cells = []
@@ -374,52 +336,6 @@ def admissible_rho_cells(p: int, r_max: int) -> list[tuple[int, int]]:
         cells.append((p, rho * (p + 1) + 1))
         rho += 1
     return cells
-
-
-@dataclass
-class SweepSummary:
-    lemma_id: int
-    reports: list[LemmaReport] = field(default_factory=list)
-
-    @property
-    def holds(self) -> bool:
-        return all(rep.verdict != "fails" for rep in self.reports)
-
-    @property
-    def counterexamples(self) -> list[LemmaReport]:
-        return [rep for rep in self.reports if rep.verdict == "fails"]
-
-    @property
-    def vacuous_count(self) -> int:
-        return sum(1 for rep in self.reports if rep.verdict == "vacuous")
-
-    @property
-    def checked(self) -> int:
-        return sum(rep.checked for rep in self.reports)
-
-    @property
-    def min_margin(self) -> ExtendedValuation | None:
-        margins = [
-            rep.min_margin
-            for rep in self.reports
-            if rep.min_margin is not None and not isinstance(rep.min_margin, type(INFINITY))
-        ]
-        return min(margins) if margins else None
-
-
-def sweep_lemma(lemma_id: int, ps: Sequence[int], r_max: int) -> SweepSummary:
-    """Run one lemma over every hypothesis-admissible cell with r <= r_max."""
-    summary = SweepSummary(lemma_id=lemma_id)
-    for p in sorted(ps):
-        if lemma_id in GENERAL_LEMMAS:
-            for _, r, alpha in admissible_general_cells(p, r_max):
-                summary.reports.append(verify_lemma(lemma_id, p, r, alpha))
-        elif lemma_id in RHO_LEMMAS:
-            for _, r in admissible_rho_cells(p, r_max):
-                summary.reports.append(verify_lemma(lemma_id, p, r))
-        else:
-            raise ValueError(f"sweep_lemma handles lemmas 10-15, got {lemma_id}")
-    return summary
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,10 @@ comparisons are exact rationals.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .modforms import dim_cusp, slopes
 from .padic import (
@@ -169,44 +171,49 @@ class ProfileTable:
     cutoff: str | None  # set when the resource guard stopped the sweep
 
 
+def profile_row(p: int, k: int, include_newforms: bool = False) -> ProfileRow:
+    """The middle-interval mass count of one weight."""
+    measure = supersingularity_measure(p, k, include_newforms)
+    bound = support_bound(p, k)
+    count, frac = mass_in_middle(measure, bound)
+    return ProfileRow(
+        p=p,
+        k=k,
+        dim_old=measure.oldform_count,
+        dim_new=measure.newform_count,
+        count_middle=count,
+        fraction_middle=frac,
+        left_end=bound.left_end,
+        right_end=bound.right_end,
+        masses=measure.masses,
+    )
+
+
 def middle_mass_profile(
     p: int,
     k_min: int,
     k_max: int,
     include_newforms: bool = False,
     max_dim: int = 80,
+    starmap: Callable = itertools.starmap,
 ) -> ProfileTable:
     """Per-weight middle-interval mass counts over even k in [k_min, k_max].
 
     ``max_dim`` is a resource guard on the cusp-space dimension; exceeding it
     stops the sweep with an explicit cutoff marker instead of truncating
-    silently.
+    silently.  The weights are listed up to the cutoff first, and
+    ``starmap(profile_row, tasks)`` computes their rows in order (a process
+    pool's starmap works too).
     """
-    rows = []
+    ks = []
     cutoff = None
-    for k in range(k_min + (k_min % 2), k_max + 1, 2):
-        if k < 4:
-            continue
+    for k in range(max(4, k_min + (k_min % 2)), k_max + 1, 2):
         d = dim_cusp(k)
         if d > max_dim:
             cutoff = f"max_dim guard: dim S_{k} = {d} > {max_dim}"
             break
-        measure = supersingularity_measure(p, k, include_newforms)
-        bound = support_bound(p, k)
-        count, frac = mass_in_middle(measure, bound)
-        rows.append(
-            ProfileRow(
-                p=p,
-                k=k,
-                dim_old=measure.oldform_count,
-                dim_new=measure.newform_count,
-                count_middle=count,
-                fraction_middle=frac,
-                left_end=bound.left_end,
-                right_end=bound.right_end,
-                masses=measure.masses,
-            )
-        )
+        ks.append(k)
+    rows = starmap(profile_row, [(p, k, include_newforms) for k in ks])
     return ProfileTable(p=p, include_newforms=include_newforms, rows=tuple(rows), cutoff=cutoff)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactlinalg import bareiss_det, lagrange_interpolate
+from .exactlinalg import charpoly
 from .padic import INFINITY, ExtendedValuation, is_prime, newton_polygon
 
 
@@ -214,21 +214,8 @@ class HeckeMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def charpoly(self) -> list[int]:
-        """det(xI - A), lowest degree first, by Lagrange interpolation of
-        fraction-free integer determinants at x = 0..d."""
-        d = self.d
-        pts = []
-        for x in range(d + 1):
-            m = [
-                [(x if i == j else 0) - self.entries[i][j] for j in range(d)]
-                for i in range(d)
-            ]
-            pts.append((x, Fraction(bareiss_det(m))))
-        coeffs = lagrange_interpolate(pts)
-        coeffs += [Fraction(0)] * (d + 1 - len(coeffs))
-        if any(c.denominator != 1 for c in coeffs):
-            raise AssertionError("characteristic polynomial must be integral (bug)")
-        return [int(c) for c in coeffs]
+        """det(xI - A), lowest degree first (Berkowitz, division-free)."""
+        return charpoly(self.entries)
 
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(self.d))

@@ -477,37 +477,3 @@ def verify_T_expansion(sp: SurrogateParams, alpha: int) -> TExpansionReport:
         combined_form_matches=combined,
         first_mismatch=mismatch,
     )
-
-
-def theta_multiple_coeffs(
-    sp: SurrogateParams, alpha: int, eta: int, scalar: Fraction
-) -> dict[int, Fraction]:
-    """Expansion of scalar (1-p)^(-alpha) theta^alpha x^(eta(p-1)) y^(rest)
-    in the family x^(j(p-1)+alpha) y^(t-j(p-1)-alpha): the coefficient at j is
-    scalar (1-p)^(-alpha) (-1)^(j-eta) C(alpha, j-eta), supported on
-    [eta, alpha+eta]."""
-    import math
-
-    p, t = sp.p, sp.t
-    if alpha * (p + 1) + eta * (p - 1) > t:
-        raise ValueError("degree constraint alpha(p+1) + eta(p-1) <= t violated")
-    unit = Fraction(1, (1 - p) ** alpha)
-    return {
-        j: Fraction(scalar) * unit * (-1) ** (j - eta) * math.comb(alpha, j - eta)
-        for j in range(eta, alpha + eta + 1)
-    }
-
-
-def theta_power_monomial(p: int, t: int, alpha: int, eta: int) -> dict[int, Fraction]:
-    """Exact rational coefficients (by x-exponent) of
-    theta^alpha x^(eta(p-1)) y^(t - alpha(p+1) - eta(p-1)),
-    theta = x y^p - x^p y; used as the reconstruction oracle."""
-    import math
-
-    if alpha * (p + 1) + eta * (p - 1) > t:
-        raise ValueError("degree constraint violated")
-    out: dict[int, Fraction] = {}
-    for m in range(alpha + 1):
-        e = alpha + (m + eta) * (p - 1)
-        out[e] = Fraction((-1) ** m * math.comb(alpha, m))
-    return out

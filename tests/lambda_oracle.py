@@ -4,19 +4,47 @@ Production computes Lambda tables by integer forward differences
 (``combinatorics.lambda_raw_table``).  This module solves the same defining
 identity the other way, by matching coefficients of Fraction polynomials,
 and evaluates its residual coefficient-wise; the tests compare the routes.
+The dense Fraction polynomials (lowest degree first) live only here.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from padicslopes.combinatorics import (
-    _pmul_linear,
-    _pscale,
-    _ptrim,
-    _require_prime_gt3,
-    binomial_basis_polys,
-)
+from padicslopes.combinatorics import _require_prime_gt3
+
+
+def _ptrim(c: list[Fraction]) -> list[Fraction]:
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _pscale(a: list[Fraction], s: Fraction) -> list[Fraction]:
+    return _ptrim([c * s for c in a])
+
+
+def _pmul_linear(a: list[Fraction], c0: Fraction, c1: Fraction) -> list[Fraction]:
+    """a(X) * (c0 + c1 X)."""
+    out = [Fraction(0)] * (len(a) + 1)
+    for i, c in enumerate(a):
+        out[i] += c * c0
+        out[i + 1] += c * c1
+    return _ptrim(out)
+
+
+def _binomial_basis_polys(p: int, alpha: int, m_max: int) -> list[list[Fraction]]:
+    """The polynomials C((p-1)X + alpha, m) for m = 0..m_max, built from one
+    running product."""
+    out = []
+    prod = [Fraction(1)]
+    fact = 1
+    for m in range(m_max + 1):
+        if m:
+            prod = _pmul_linear(prod, Fraction(alpha - m + 1), Fraction(p - 1))
+            fact *= m
+        out.append(_pscale(prod, Fraction(1, fact)))
+    return out
 
 
 def _padd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -61,7 +89,7 @@ def lambda_coefficients(p: int, R: int, alpha: int) -> LambdaTable:
     _require_prime_gt3(p)
     if R < 0 or alpha < R:
         raise ValueError(f"need 0 <= R <= alpha, got R={R}, alpha={alpha}")
-    basis = binomial_basis_polys(p, alpha, R)
+    basis = _binomial_basis_polys(p, alpha, R)
     residual = list(_target_poly(R))
     residual += [Fraction(0)] * (R + 1 - len(residual))
     values: dict[int, Fraction] = {}
@@ -80,7 +108,7 @@ def lambda_coefficients(p: int, R: int, alpha: int) -> LambdaTable:
 
 def lambda_defining_residual(table: LambdaTable) -> list[Fraction]:
     """The defining-identity residual of a Lambda table; zero iff valid."""
-    basis = binomial_basis_polys(table.p, table.alpha, table.R)
+    basis = _binomial_basis_polys(table.p, table.alpha, table.R)
     acc: list[Fraction] = [Fraction(0)]
     for beta, lam in table.values.items():
         if lam != 0:

@@ -7,6 +7,7 @@ grids, never subsampled.
 
 import random
 import time
+from argparse import Namespace
 from fractions import Fraction
 
 from padicslopes import combinatorics as comb
@@ -14,7 +15,9 @@ from padicslopes import lemma_checks as lc
 from padicslopes import measures as ms
 from padicslopes import modforms as mf
 from padicslopes import symhecke as sh
+from padicslopes.cli import VERIFY_TARGETS
 from padicslopes.cli import main as cli_main
+from padicslopes.padic import INFINITY
 
 from lambda_oracle import lambda_coefficients, lambda_defining_residual
 
@@ -56,121 +59,84 @@ def test_criterion_2_lambda_system():
             f"defining identity residual zero on {cells} tables; closed forms match")
 
 
+def _verify(name, primes=PS, **grid):
+    """(cell, verdict, checked, margin, record) for every cell that the verify
+    table lists for ``name`` over ``primes`` on ``grid``, judged by its check."""
+    target = VERIFY_TARGETS[name]
+    args = Namespace(r=None, alpha=None, **grid)
+    return [(cell, *target.check(*cell)) for p in primes for cell in target.cells(p, args)]
+
+
+def _assert_all_hold(results, count):
+    # the pinned count makes a window change in the table fail the gate
+    assert len(results) == count
+    for cell, verdict, _, _, _ in results:
+        assert verdict == "holds", cell
+
+
 def test_criterion_3_matrix_suite():
     t0 = time.time()
-    checked = 0
-    for p in PS:
-        for r in range(1, 201):
-            for alpha in range(0, comb.rho_of(p, r)):
-                m = comb.build_matrix_M(p, r, alpha)
-                assert comb.trinomial_revision_check(m), (p, r, alpha)
-                rank = comb.interior_rank_report(p, r, alpha)
-                assert rank.permutation_ok and rank.full_rank_mod_p, (p, r, alpha)
-                checked += 1
-    disagreements = 0
-    for p in PS:
-        for R in range(1, 13):
-            for gamma in (0, 1, 2, 5, 11):
-                rep = comb.factor_and_rank_checks(p, R, gamma)
-                assert rep.factorization_ok and rep.unitriangular_ok, (p, R, gamma)
-                assert rep.det_matches_closed_form, (p, R, gamma)
-                assert rep.full_rank_mod_p, (p, R, gamma)
-                disagreements += not rep.linear_power_agrees
+    entries = _verify("matrix-entries", r_max=200)
+    _assert_all_hold(entries, 8708)
+    dets = _verify("det-factorization", R_max=12)
+    _assert_all_hold(dets, 240)
+    disagreements = sum(not record["linear_power_agrees"] for _, _, _, _, record in dets)
     assert disagreements > 0
     print(
         "[criterion 3] note: det = (p-1)^(R(R-1)/2) exactly; the linear power "
         f"(p-1)^R form differs on {disagreements} grid cells (unit either way)"
     )
     _report(3, time.time() - t0, "<5min",
-            f"entry identity, factorization, determinant closed form, and full rank on {checked} cells")
+            f"entry identity, factorization, determinant closed form, and full rank on {len(entries)} cells")
 
 
 def test_criterion_4_interior_annihilator():
     t0 = time.time()
-    checked = 0
-    for p in PS:
-        for r in range(1, 201):
-            rho = comb.rho_of(p, r)
-            for alpha in range(0, rho):
-                sysm = comb.build_interior_annihilator(p, r, alpha)
-                assert sysm.residual() == {}, (p, r, alpha)
-                prof = comb.vartheta_profile(sysm)
-                assert prof.zero_below_alpha, (p, r, alpha)
-                assert prof.valuation_at_alpha_is_ecal, (p, r, alpha)
-                assert prof.valuations_ok_up_to >= 2 * rho, (p, r, alpha)
-                checked += 1
+    results = _verify("interior-annihilator", r_max=200)
+    _assert_all_hold(results, 8708)
     _report(4, time.time() - t0, "<10min",
-            f"identity residual zero and theta-functional profile exact on {checked} cells")
+            f"identity residual zero and theta-functional profile exact on {len(results)} cells")
 
 
 def test_criterion_5_identities_88_and_105():
     t0 = time.time()
-    n88 = 0
-    for p in PS:
-        for r in range(1, 201):
-            rho = comb.rho_of(p, r)
-            for alpha in range(rho + 1, r // (p - 1) + 1):
-                rp = comb.rho_prime_of(p, r, alpha)
-                if rp >= 1 and alpha <= rho + rp:
-                    assert comb.verify_vanishing_double_sum(p, r, alpha).holds, (p, r, alpha)
-                    n88 += 1
-    n105 = 0
-    for p in PS:
-        rho = 1
-        while rho * (p + 1) + p - 2 <= 200:
-            r = rho * (p + 1) + p - 2
-            sysm = comb.build_interior_annihilator(p, r, rho)
-            assert sysm.residual() == {}, (p, r)
-            assert comb.rho_zero_row_identity(sysm)[2], (p, r)
-            n105 += 1
-            rho += 1
+    double_sums = _verify("double-sum", r_max=200)
+    _assert_all_hold(double_sums, 3009)
+    rho_variants = _verify("rho-annihilator", r_max=200)
+    _assert_all_hold(rho_variants, 84)
     _report(5, time.time() - t0, "<5min",
-            f"vanishing double sum on {n88} cells; rho-variant residual zero on {n105} cells")
+            f"vanishing double sum on {len(double_sums)} cells; "
+            f"rho-variant residual zero on {len(rho_variants)} cells")
 
 
 def test_criterion_6_lemmas_10_to_15():
     t0 = time.time()
     details = []
-    for lemma in (10, 11, 12, 13, 14, 15):
-        summary = lc.sweep_lemma(lemma, PS, 400)
-        assert summary.holds, f"lemma {lemma}: {summary.counterexamples[:1]}"
-        assert not summary.counterexamples
-        assert summary.min_margin is not None and summary.min_margin >= 1
-        details.append(f"L{lemma}: margin>={summary.min_margin} "
-                       f"({summary.checked} witnesses, {summary.vacuous_count} vacuous)")
+    for lemma, count in ((10, 12165), (11, 12165), (12, 12165), (13, 176), (14, 176), (15, 176)):
+        results = _verify(f"lemma{lemma}", r_max=400)
+        assert len(results) == count
+        fails = [cell for cell, verdict, _, _, _ in results if verdict == "fails"]
+        assert not fails, f"lemma {lemma}: {fails[:1]}"
+        margins = [m for _, _, _, m, _ in results if m is not None and m != INFINITY]
+        assert margins and min(margins) >= 1
+        witnesses = sum(checked for _, _, checked, _, _ in results)
+        vacuous = sum(verdict == "vacuous" for _, verdict, _, _, _ in results)
+        details.append(f"L{lemma}: margin>={min(margins)} ({witnesses} witnesses, {vacuous} vacuous)")
     _report(6, time.time() - t0, "<15min", "; ".join(details))
 
 
 def test_criterion_7_integrality():
     t0 = time.time()
-    checked = 0
-    for p in PS:
-        for _, r, alpha in lc.admissible_general_cells(p, 400):
-            rep = lc.integrality_checks(p, r, alpha)
-            assert rep.holds, (p, r, alpha)
-            checked += 1
-        for _, r in lc.admissible_rho_cells(p, 400):
-            rep = lc.integrality_checks(p, r, comb.rho_of(p, r))
-            assert rep.holds, (p, r)
-            checked += 1
+    results = _verify("integrality", r_max=400)
+    _assert_all_hold(results, 12341)
     _report(7, time.time() - t0, "exact (no target)",
-            f"v_p(C') >= 0, v_p(C'') >= 0, and both defining identities on {checked} cells")
+            f"v_p(C') >= 0, v_p(C'') >= 0, and both defining identities on {len(results)} cells")
 
 
 def test_criterion_8_hecke_operator():
     t0 = time.time()
-    cells = 0
-    for p in (5, 7):
-        for t in range(2, 9):
-            for d in range(1, min(4, t) + 1):
-                for alpha in range(0, d + 1):
-                    if alpha + d > t:
-                        continue
-                    sp = sh.SurrogateParams(p=p, t=t, delta=d, alpha=alpha)
-                    rep = sh.verify_T_expansion(sp, alpha)
-                    assert rep.matches, rep.first_mismatch
-                    assert rep.combined_form_matches is not False
-                    cells += 1
+    results = _verify("hecke", primes=(5, 7), t_max=8, delta_max=4)
+    _assert_all_hold(results, 130)
 
     rng = random.Random(20260809)
     sp = sh.SurrogateParams(p=5, t=6, delta=2, alpha=1)
@@ -198,7 +164,7 @@ def test_criterion_8_hecke_operator():
         g = rng.choice(gens)
         assert sh.hecke_T(s.act(g), sp) == sh.hecke_T(s, sp).act(g)
     _report(8, time.time() - t0, "<60s",
-            f"expansion identity on {cells} grid cells; linearity and equivariance on 100 random instances")
+            f"expansion identity on {len(results)} grid cells; linearity and equivariance on 100 random instances")
 
 
 def test_criterion_9_modular_forms():

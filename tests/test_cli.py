@@ -1,11 +1,26 @@
 import json
+import os
 import subprocess
 import sys
+from argparse import Namespace
 
 import pytest
 
 from padicslopes import cli
 from padicslopes.cli import main
+
+
+def run_console(args):
+    """``python -m padicslopes.cli`` in a child process that imports the
+    package under test."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "padicslopes.cli", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 def run_cli(args, out_path=None):
@@ -137,6 +152,7 @@ class TestArgumentBoundary:
         ["slopes", "--p", "5,x", "--k", "12"],
         ["verify", "lemma10", "--p", "5", "--r", "40..30"],
         ["verify", "lemma10", "--p", "5", "--jobs", "0"],
+        ["lambda", "--p", "5", "--R", "1", "--alpha", "7", "--jobs", "2"],
     ])
     def test_malformed_values_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -146,11 +162,7 @@ class TestArgumentBoundary:
 
     def test_malformed_list_exit_2_from_console(self):
         for bad in (["--p", "5", "--k", "12..14,16"], ["--p", "5,x", "--k", "12"]):
-            proc = subprocess.run(
-                [sys.executable, "-m", "padicslopes.cli", "slopes", *bad],
-                capture_output=True,
-                text=True,
-            )
+            proc = run_console(["slopes", *bad])
             assert proc.returncode == 2
             assert "Traceback" not in proc.stderr
 
@@ -176,12 +188,11 @@ class TestArgumentBoundary:
         assert "rejected" in out.read_text()
 
     def test_alpha_without_r_restricts_the_sweep(self, tmp_path):
-        from padicslopes.lemma_checks import admissible_general_cells
-
         out = tmp_path / "v.csv"
         assert run_cli(["verify", "lemma10", "--p", "5", "--alpha", "9", "--r-max", "60"], out) == 0
         got = [tuple(int(x) for x in ln.split(",")[1:4]) for ln in out.read_text().splitlines()[1:]]
-        assert got == [cell for cell in admissible_general_cells(5, 60) if cell[2] == 9]
+        window = cli.VERIFY_TARGETS["lemma10"].cells(5, Namespace(r=None, alpha=None, r_max=60))
+        assert got == [cell for cell in window if cell[2] == 9]
         assert got
 
     def test_repeated_primes_deduplicated(self, tmp_path):
@@ -204,8 +215,8 @@ class TestArgumentBoundary:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks, chunksize=1):
-                return [fn(t) for t in tasks]
+            def starmap(self, fn, tasks, chunksize=1):
+                return [fn(*t) for t in tasks]
 
         monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
@@ -214,6 +225,20 @@ class TestArgumentBoundary:
         assert run_cli(["verify", "lemma9", "--p", "2,3", "--a-max", "20", "--jobs", "8"], out) == 0
         assert run_cli(["verify", "lemma9", "--p", "2", "--a-max", "20", "--jobs", "8"], out) == 0
         assert sizes == [3, 2]
+        # slopes and measure share the pool out by weight, in sorted order
+        serial, pooled = tmp_path / "a.csv", tmp_path / "b.csv"
+        for argv, pools in [
+            (["slopes", "--p", "2,5", "--k", "12..40", "--approx"], [3]),
+            (["measure", "--p", "59", "--k", "12..20", "--include-newforms"], [3]),
+            (["measure", "--p", "5", "--k", "12..200", "--max-dim", "2", "--dump-masses"], [3]),
+            (["slopes", "--p", "5", "--k", "12", "--format", "json"], []),
+        ]:
+            sizes.clear()
+            assert run_cli([*argv, "--jobs", "1"], serial) == 0
+            assert sizes == []
+            assert run_cli([*argv, "--jobs", "8"], pooled) == 0
+            assert sizes == pools
+            assert pooled.read_bytes() == serial.read_bytes()
 
 
 class TestHeckeCheckCommand:
@@ -246,10 +271,6 @@ class TestOutDirEnv:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "padicslopes.cli", "slopes", "--p", "2", "--k", "12"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_console(["slopes", "--p", "2", "--k", "12"])
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1] == "2,12,3"

@@ -1,23 +1,22 @@
 import math
+from argparse import Namespace
 from fractions import Fraction
 
 import pytest
 
-from padicslopes.combinatorics import rho_of, rho_prime_of
+from padicslopes.combinatorics import c_constants, rho_of, rho_prime_of
+from padicslopes.cli import VERIFY_TARGETS
 from padicslopes.cli import main as cli_main
 from padicslopes.lemma_checks import (
-    admissible_general_cells,
     admissible_rho_cells,
     general_alphas,
     integrality_checks,
     report_to_dict,
-    sweep_lemma,
     sweep_lemma9_with_oracle,
-    valuation_witnesses,
     verify_lemma,
     witness_values,
 )
-from padicslopes.padic import valuation
+from padicslopes.padic import INFINITY, valuation
 
 
 def falling(a, n):
@@ -29,8 +28,11 @@ def falling(a, n):
 
 class TestWitnessValues:
     def test_X0_is_central_binomial(self):
-        w = valuation_witnesses(5, 40, 9, 2)
-        assert w.X0 == math.comb(40, 9)
+        # every witness compares against v_p(X_0) with X_0 = C(r, alpha)
+        for lemma in (10, 11, 12):
+            rep = verify_lemma(lemma, 5, 40, 9)
+            assert rep.witnesses
+            assert all(w.lhs_val == valuation(math.comb(40, 9), 5) for w in rep.witnesses)
 
     def test_eq133_ratio(self):
         # general variant, i = -j < 0:
@@ -66,12 +68,15 @@ class TestWitnessValues:
             assert xis == expected
 
     def test_column_witness(self):
-        w = valuation_witnesses(5, 40, 9, 9)
-        assert w.Cl_pl is not None
+        # the column witness at l = alpha is v_p(C_l p^l)
+        (w,) = [w for w in verify_lemma(12, 5, 40, 9).witnesses if w.index == 9]
+        assert w.kind == "C_l_p^l"
+        assert w.rhs_val == valuation(c_constants(5, 40, 9)[9] * 5**9, 5)
 
     def test_window_validation(self):
-        with pytest.raises(ValueError):
-            valuation_witnesses(5, 10, 6, 0)  # r - alpha < p: rho' < 1
+        for lemma in (10, 11, 12):
+            with pytest.raises(ValueError):
+                verify_lemma(lemma, 5, 10, 6)  # r - alpha < p: rho' < 1
 
 
 class TestVerifyLemma:
@@ -109,8 +114,6 @@ class TestVerifyLemma:
         rep = verify_lemma(15, 5, 19)
         assert [w.index for w in rep.witnesses] == [1, 2, 3]
         p, r, rho = 5, 19, 3
-        from padicslopes.combinatorics import c_constants
-
         cc = c_constants(p, r, rho, variant="rho_case")
         v0 = valuation(math.comb(r, rho), p)
         assert valuation(cc[0], p) == v0  # equality at l=0: excluded for a reason
@@ -194,9 +197,16 @@ class TestIntegrality:
         assert integrality_checks(p, r, alpha).cleared_identity_ok
 
 
+def _sweep(name, ps, r_max):
+    """(verdict, checked, margin, record) of every cell the verify table lists."""
+    target = VERIFY_TARGETS[name]
+    args = Namespace(r=None, alpha=None, r_max=r_max)
+    return [target.check(*cell) for p in ps for cell in target.cells(p, args)]
+
+
 class TestSweeps:
     def test_admissible_cells_shape(self):
-        cells = admissible_general_cells(5, 60)
+        cells = VERIFY_TARGETS["lemma10"].cells(5, Namespace(r=None, alpha=None, r_max=60))
         for p, r, a in cells:
             assert a > rho_of(p, r)
             assert rho_prime_of(p, r, a) >= 1
@@ -205,15 +215,15 @@ class TestSweeps:
         assert admissible_rho_cells(5, 60) == [(5, 7), (5, 13), (5, 19), (5, 25), (5, 31), (5, 37), (5, 43), (5, 49), (5, 55)]
 
     def test_small_sweep_summary(self):
-        s = sweep_lemma(12, [5, 7], 80)
-        assert s.holds
-        assert not s.counterexamples
-        assert s.min_margin is not None and s.min_margin >= 1
+        results = _sweep("lemma12", [5, 7], 80)
+        assert results and all(verdict == "holds" for verdict, _, _, _ in results)
+        margins = [margin for _, _, margin, _ in results if margin != INFINITY]
+        assert margins and min(margins) >= 1
 
     def test_vacuous_cells_recorded(self):
-        s = sweep_lemma(13, [5], 60)
-        assert s.vacuous_count >= 1
-        assert s.holds
+        verdicts = [verdict for verdict, _, _, _ in _sweep("lemma13", [5], 60)]
+        assert "vacuous" in verdicts
+        assert "fails" not in verdicts
 
 
 class TestSerialization:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicslopes.exactlinalg import mat_mul_int
 from padicslopes.modforms import (
     QExpansion,
     bernoulli,
@@ -156,6 +157,19 @@ class TestHeckeMatrix:
                 (f,) = miller_basis(k, p * p + 2)
                 ap = hecke_operator(f, p).a(1)
                 assert f.a(p * p) == ap**2 - p ** (k - 1)
+
+    @pytest.mark.parametrize("p,k", [(2, 24), (3, 36), (5, 60), (7, 100), (59, 40), (2, 192), (5, 200)])
+    def test_cayley_hamilton(self, p, k):
+        # chi(T) = 0 by Horner's rule on integer matrices; d <= 16 on this grid
+        hm = hecke_matrix(p, k)
+        cp = hm.charpoly()
+        assert len(cp) == hm.d + 1 and cp[-1] == 1 and cp[-2] == -hm.trace()
+        identity = [[int(i == j) for j in range(hm.d)] for i in range(hm.d)]
+        acc = [[0] * hm.d for _ in range(hm.d)]
+        for c in reversed(cp):
+            acc = mat_mul_int(acc, hm.entries)
+            acc = [[a + c * e for a, e in zip(row, ids)] for row, ids in zip(acc, identity)]
+        assert acc == [[0] * hm.d for _ in range(hm.d)]
 
     def test_charpoly_matches_eigenvalue_on_dim1(self):
         hm = hecke_matrix(7, 16)

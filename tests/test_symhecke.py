@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from padicslopes.combinatorics import build_interior_annihilator, ecal_of
 from padicslopes.symhecke import (
     IDENTITY,
     CosetRep,
@@ -16,8 +17,6 @@ from padicslopes.symhecke import (
     mat,
     mat_mul,
     teichmuller_lifts,
-    theta_multiple_coeffs,
-    theta_power_monomial,
     verify_T_expansion,
 )
 
@@ -288,29 +287,29 @@ class TestTExpansion:
 
 
 class TestThetaMachinery:
+    # the annihilator's right side p^ecal theta^alpha x^(offset(p-1)) y^(rest),
+    # read at the x-exponents i(p-1) + alpha: offset 1 below rho, 0 at rho
+
     def test_support_and_ratios(self):
-        sp = SurrogateParams(p=5, t=16, delta=2, alpha=2)
-        D = theta_multiple_coeffs(sp, 2, 1, Fraction(3, 7))
+        D = build_interior_annihilator(5, 40, 2).row_values
         assert sorted(D) == [1, 2, 3]
-        assert D[1] == Fraction(3, 7) / (1 - 5) ** 2
+        assert D[1] == 5 ** ecal_of(5, 40)
         assert [D[j] / D[1] for j in sorted(D)] == [1, -2, 1]
 
     def test_alpha0_single_term(self):
-        sp = SurrogateParams(p=5, t=16, delta=2, alpha=0)
-        assert theta_multiple_coeffs(sp, 0, 3, Fraction(9)) == {3: Fraction(9)}
+        assert build_interior_annihilator(5, 40, 0).row_values == {1: 5 ** ecal_of(5, 40)}
 
     def test_reconstruction(self):
-        sp = SurrogateParams(p=7, t=20, delta=2, alpha=2)
-        scalar = Fraction(-5, 3)
-        D = theta_multiple_coeffs(sp, 2, 0, scalar)
-        mono = theta_power_monomial(7, 20, 2, 0)
-        unit = scalar / (1 - 7) ** 2
-        assert {j * 6 + 2: v for j, v in D.items()} == {e: unit * c for e, c in mono.items()}
-
-    def test_degree_guard(self):
-        sp = SurrogateParams(p=5, t=10, delta=2, alpha=2)
-        with pytest.raises(ValueError):
-            theta_multiple_coeffs(sp, 2, 3, Fraction(1))
+        # against theta^alpha multiplied out, over Z/modulus with modulus large
+        p, modulus = 7, 10**12
+        for r, alpha, offset in ((60, 3, 1), (29, 3, 0)):
+            poly = [0] * (offset * (p - 1)) + [p ** ecal_of(p, r)]
+            for _ in range(alpha):
+                poly = theta_times(poly, p, modulus)
+            D = build_interior_annihilator(p, r, alpha).row_values
+            assert {e: c for e, c in enumerate(poly) if c} == {
+                i * (p - 1) + alpha: d % modulus for i, d in D.items()
+            }
 
     def test_theta_factor_mod_p_all_units(self):
         # g(theta^a f) is divisible by theta^a mod p for every integral g
