@@ -5,7 +5,8 @@ Each case is one small invocation whose exact output is stored under
 code.  The fixtures are a safety net for refactors: any change to a verdict,
 a row, a column or the serialization shows up here.
 
-Rewrite the fixtures (only when an output change is intended) with
+Rewrite the fixtures, and the demo outputs under ``tests/golden/demos/``
+(only when an output change is intended), with
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -89,3 +90,12 @@ if __name__ == "__main__":
         got = _run(argv, os.path.join(GOLDEN, name))
         if got != code:
             sys.exit(f"{name}: exit code {got}, expected {code}")
+    from test_demos import DEMOS, GOLDEN_DEMOS, fixture_path, run_demo
+
+    os.makedirs(GOLDEN_DEMOS, exist_ok=True)
+    for path in DEMOS:
+        proc = run_demo(path)
+        if proc.returncode:
+            sys.exit(f"{path}: exit code {proc.returncode}\n{proc.stderr.decode()}")
+        with open(fixture_path(path), "wb") as fh:
+            fh.write(proc.stdout)
