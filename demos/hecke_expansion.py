@@ -16,7 +16,7 @@ from padicslopes.symhecke import (
     verify_T_expansion,
 )
 
-sp = SurrogateParams(p=5, t=4, delta=2, alpha=1)
+sp = SurrogateParams(p=5, t=4, delta=2)
 print(f"parameters: p={sp.p}, t={sp.t}, delta={sp.delta}, precision p^{sp.M}")
 
 h, hstar = h_polys(sp, 1)
@@ -33,6 +33,6 @@ for alpha in range(0, sp.delta + 1):
     rep = verify_T_expansion(sp, alpha)
     print(f"expansion identity at alpha={alpha}: {'match' if rep.matches else 'MISMATCH'}")
 
-big = SurrogateParams(p=7, t=8, delta=3, alpha=2)
+big = SurrogateParams(p=7, t=8, delta=3)
 rep = verify_T_expansion(big, 2)
 print(f"and at p=7, t=8, delta=3, alpha=2: {'match' if rep.matches else 'MISMATCH'}")

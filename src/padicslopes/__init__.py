@@ -37,7 +37,6 @@ from .symhecke import (
     SurrogateParams,
     SymPoly,
     act,
-    coset_canonicalize,
     h_polys,
     hecke_T,
     verify_T_expansion,
@@ -55,7 +54,6 @@ __all__ = [
     "build_interior_annihilator",
     "build_matrix_M",
     "c_constants",
-    "coset_canonicalize",
     "delta",
     "dim_cusp",
     "eisenstein",

@@ -253,8 +253,7 @@ def _check_integrality(p, r, alpha):
 
 
 def _check_hecke(p, t, delta, alpha):
-    sp = sh.SurrogateParams(p=p, t=t, delta=delta, alpha=alpha)
-    rep = sh.verify_T_expansion(sp, alpha)
+    rep = sh.verify_T_expansion(sh.SurrogateParams(p=p, t=t, delta=delta), alpha)
     ok = rep.matches and rep.combined_form_matches is not False
     return _identity(
         "hecke", ok, 1, p=p, t=t, delta=delta, alpha=alpha, mismatch=rep.first_mismatch
@@ -365,7 +364,7 @@ def cmd_verify(args) -> int:
     rows = [row for row, _ in results]
     records = [rec for _, rec in results]
 
-    failures = [row for row in rows if row[4] == "fails"]
+    failures = [rec for row, rec in results if row[4] == "fails"]
     rejected = [rec for rec in records if "rejected" in rec]
     notes = target.notes(records)
     if args.format == "json":
@@ -378,7 +377,8 @@ def cmd_verify(args) -> int:
             text += f"# {note}\n"
         _emit(text, args.out)
     if failures:
-        sys.stderr.write(f"counterexample: {failures[0]}\n")
+        for rec in failures:
+            sys.stderr.write(f"counterexample: {json.dumps(rec, sort_keys=True)}\n")
         return 1
     if rejected:
         sys.stderr.write(f"invalid cell: {rejected[0]['cell']}: {rejected[0]['rejected']}\n")

@@ -75,9 +75,6 @@ class QExpansion:
         """Multiply by q^n (weight unchanged: bookkeeping helper)."""
         return QExpansion(self.weight, [0] * n + self.coeffs[: self.prec - n], self.prec)
 
-    def truncate(self, prec: int) -> "QExpansion":
-        return QExpansion(self.weight, self.coeffs[:prec], min(prec, self.prec))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QExpansion)

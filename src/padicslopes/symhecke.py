@@ -4,25 +4,24 @@ operator attached to the double coset of diag(p, 1).
 Values live in the degree-t homogeneous polynomial module twisted by
 |det|^(t/2); coefficients are canonical residues mod p^M and the twist is a
 formal exponent of p (never a root of p), so central scalars act exactly
-trivially.  Formal sums are keyed by canonical coset representatives: two
-group elements label the same term iff they differ by right multiplication
-by an integral unit times a central power of p, and the canonical key is the
-column Hermite form [[p^a, c], [0, p^d]] with 0 <= c < p^a and minimal entry
-valuation 0.
+trivially.  Group elements are integral: a row-major 4-tuple of int, since
+every element the operator builds is a product of integer matrices.  Formal
+sums are keyed by canonical coset representatives: two group elements label
+the same term iff they differ by right multiplication by an integral unit
+times a central power of p, and the canonical key is the column Hermite
+form [[p^a, c], [0, p^d]] with 0 <= c < p^a and minimal entry valuation 0,
+computed in closed form with one modular inverse.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import INFINITY, is_prime, teichmuller_lift, valuation
+from .padic import is_prime, teichmuller_lift, valuation
 
-Matrix = tuple[Fraction, Fraction, Fraction, Fraction]  # ((a, b), (c, d)) row-major
-
-
-def mat(a, b, c, d) -> Matrix:
-    return (Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+Matrix = tuple[int, int, int, int]  # ((a, b), (c, d)) row-major
 
 
 def mat_mul(g1: Matrix, g2: Matrix) -> Matrix:
@@ -36,59 +35,42 @@ def mat_mul(g1: Matrix, g2: Matrix) -> Matrix:
     )
 
 
-def mat_det(g: Matrix) -> Fraction:
-    return g[0] * g[3] - g[1] * g[2]
+IDENTITY = (1, 0, 0, 1)
 
 
-def mat_inv(g: Matrix) -> Matrix:
-    det = mat_det(g)
-    if det == 0:
-        raise ZeroDivisionError("singular matrix")
-    return (g[3] / det, -g[1] / det, -g[2] / det, g[0] / det)
-
-
-IDENTITY = mat(1, 0, 0, 1)
-
-
-def _rat_mod(q: Fraction, modulus: int) -> int:
-    """Canonical residue of a p-integral rational mod p^M."""
-    den = q.denominator
-    if den == 1:
-        return q.numerator % modulus
-    return q.numerator * pow(den, -1, modulus) % modulus
+def _primitive(g: Matrix, p: int) -> tuple[int, Matrix]:
+    """(m, g / p^m) for the largest power p^m dividing every entry of g."""
+    if not all(isinstance(e, int) for e in g):
+        raise TypeError(f"group elements have int entries, got {g!r}")
+    if g[0] * g[3] - g[1] * g[2] == 0:
+        raise ZeroDivisionError("matrix must be invertible")
+    m = valuation(math.gcd(*g), p)
+    pm = p**m
+    return m, tuple(e // pm for e in g)
 
 
 @dataclass(frozen=True)
 class SurrogateParams:
     """Small surrogate parameters for the tower-of-p-powers constants.
 
-    Every identity checked here is algebraic in (t, delta, eta, alpha), so
-    small values exercise them fully.  M defaults to t + delta + 2, enough
-    headroom for the p^xi factors in the expansions.
+    Every identity checked here is algebraic in (t, delta, alpha), so small
+    values exercise them fully.  The working precision M = t + delta + 2
+    leaves headroom for the p^xi factors in the expansions.
     """
 
     p: int
     t: int
     delta: int
-    alpha: int
-    eta: int = 0
-    M: int | None = None
 
     def __post_init__(self):
         if not is_prime(self.p) or self.p <= 3:
             raise ValueError(f"p must be a prime > 3, got {self.p}")
         if self.delta < 1:
             raise ValueError("delta must be >= 1")
-        if not 0 <= self.alpha <= self.delta:
-            raise ValueError("need 0 <= alpha <= delta")
-        if self.alpha + self.delta > self.t:
-            raise ValueError("need alpha + delta <= t")
-        if self.eta < 0:
-            raise ValueError("eta must be nonnegative")
-        if self.M is None:
-            object.__setattr__(self, "M", self.t + self.delta + 2)
-        elif self.M < self.t + self.delta + 2:
-            raise ValueError("need M >= t + delta + 2")
+
+    @property
+    def M(self) -> int:
+        return self.t + self.delta + 2
 
 
 @dataclass(frozen=True)
@@ -162,21 +144,16 @@ class SymPoly:
         return {e: c for e, c in enumerate(self.coeffs) if c}
 
 
-def act(g, f: SymPoly) -> SymPoly:
+def act(g: Matrix, f: SymPoly) -> SymPoly:
     """Row-substitution action: for g = [[a,b],[c,d]],
     (g.f)(x, y) = f(a x + c y, b x + d y), with the twist advanced by
-    -v_p(det g_0) t/2 after the central p-power of g is cancelled exactly.
+    -v_p(det g_0) t/2 for g_0 = g / p^m, m the least entry valuation, so
+    that the central power p^m acts trivially.
     """
-    g = tuple(Fraction(e) for e in g)
-    det = mat_det(g)
-    if det == 0:
-        raise ZeroDivisionError("matrix must be invertible")
-    cmin = min(valuation(e, f.p) for e in g if e != 0)
-    pc = Fraction(f.p) ** cmin
-    g0 = tuple(e / pc for e in g)
-    v0 = valuation(det, f.p) - 2 * cmin
+    _, (a, b, c, d) = _primitive(g, f.p)
+    v0 = valuation(a * d - b * c, f.p)
     q = f.p**f.M
-    a, b, c, d = (_rat_mod(e, q) for e in g0)
+    a, b, c, d = a % q, b % q, c % q, d % q
     t = f.degree
     # powers of the two linear forms a x + c y and b x + d y
     pow1 = [[1]]
@@ -221,48 +198,36 @@ class CosetRep:
     p: int
 
     def matrix(self) -> Matrix:
-        return mat(self.p**self.a_exp, self.c_val, 0, self.p**self.d_exp)
+        return (self.p**self.a_exp, self.c_val, 0, self.p**self.d_exp)
 
 
-def coset_canonicalize(g, p: int) -> CosetRep:
-    """Canonical representative of the coset of g; two elements map to the
-    same key iff one is the other times an integral-unit-and-central factor."""
-    return coset_decompose(g, p)[0]
-
-
-def coset_decompose(g, p: int) -> tuple[CosetRep, Matrix]:
+def coset_decompose(g: Matrix, p: int) -> tuple[CosetRep, Matrix]:
     """(canonical representative, h) with g = rep.matrix() @ h and h in KZ.
 
     Right cosets: g1, g2 share a key iff g2^(-1) g1 is an integral unit
-    times a central power of p.  Column reduction over Z_p computes the
-    Hermite form; every step is exact rational arithmetic.
+    times a central power of p.  With g / p^m = [[a, b], [c, d]] primitive,
+    the bottom row gives d_exp = s = min(v_p(c), v_p(d)), the determinant
+    gives a_exp = v_p(ad - bc) - s, and the top entry over the bottom one of
+    valuation s gives c_val; h = rep^(-1) g is then p^m times an integral
+    unit, and every division below is exact.
     """
-    g = tuple(Fraction(e) for e in g)
-    if mat_det(g) == 0:
-        raise ZeroDivisionError("matrix must be invertible")
-    m = min(valuation(e, p) for e in g if e != 0)
-    pm = Fraction(p) ** m
-    g1 = tuple(e / pm for e in g)
-    _, _, c, d = g1
-    vc = valuation(c, p)
-    vd = valuation(d, p)
+    m, (a, b, c, d) = _primitive(g, p)
+    vc, vd = valuation(c, p), valuation(d, p)
     if vd <= vc:  # INFINITY compares greater than any integer
-        s = vd
-        u = mat(1, 0, -c / d, Fraction(p) ** s / d)
+        s, top, low = vd, b, d
     else:
-        s = vc
-        u = mat(-d / c, Fraction(p) ** s / c, 1, 0)
-    g2 = mat_mul(g1, u)
-    assert g2[2] == 0
-    x, y = g2[0], g2[1]
-    a = valuation(x, p)
-    u2 = mat(Fraction(p) ** a / x, 0, 0, 1)
-    yred = _rat_mod(y, p**a) if a > 0 else 0
-    u3 = mat(1, (yred - y) / Fraction(p) ** a, 0, 1)
-    utotal = mat_mul(mat_mul(u, u2), u3)
-    h = tuple(e * pm for e in mat_inv(utotal))
-    rep = CosetRep(a_exp=a, d_exp=s, c_val=yred, p=p)
-    return rep, h
+        s, top, low = vc, a, c
+    a_exp = valuation(a * d - b * c, p) - s
+    pa, ps, pm = p**a_exp, p**s, p**m
+    c_val = top * pow(low // ps, -1, pa) % pa
+    pas = pa * ps
+    h = (
+        pm * ((ps * a - c_val * c) // pas),
+        pm * ((ps * b - c_val * d) // pas),
+        pm * (c // ps),
+        pm * (d // ps),
+    )
+    return CosetRep(a_exp=a_exp, d_exp=s, c_val=c_val, p=p), h
 
 
 class FormalSum:
@@ -322,10 +287,10 @@ class FormalSum:
                 out.terms[rep] = w
         return out
 
-    def act(self, g) -> "FormalSum":
+    def act(self, g: Matrix) -> "FormalSum":
         out = FormalSum(self.p)
         for rep, v in self.terms.items():
-            out._insert(mat_mul(tuple(Fraction(e) for e in g), rep.matrix()), v)
+            out._insert(mat_mul(g, rep.matrix()), v)
         return out
 
     def support(self) -> list[CosetRep]:
@@ -343,7 +308,7 @@ class FormalSum:
         lines = []
         for rep in self.support():
             v = self.terms[rep]
-            entries = " ".join(str(e) for e in (rep.p**rep.a_exp, rep.c_val, 0, rep.p**rep.d_exp))
+            entries = " ".join(map(str, rep.matrix()))
             body = " ".join(f"{e}:{c}" for e, c in sorted(v.sparse().items()))
             lines.append(f"[{entries}] twist={v.twist} | {body}")
         return "\n".join(lines)
@@ -351,9 +316,11 @@ class FormalSum:
 
 def h_polys(sp: SurrogateParams, alpha: int) -> tuple[SymPoly, SymPoly]:
     """(h_alpha, h_alpha*) = (x^a y^(t-a) - x^(a+d) y^(t-a-d), its variable swap)."""
-    if not 0 <= alpha <= sp.delta:
-        raise ValueError("need 0 <= alpha <= delta")
     t, d = sp.t, sp.delta
+    if not 0 <= alpha <= d:
+        raise ValueError("need 0 <= alpha <= delta")
+    if alpha + d > t:
+        raise ValueError("need alpha + delta <= t")
     one = 1
     minus = sp.p**sp.M - 1
     h = SymPoly.from_dict(t, sp.p, sp.M, {alpha: one, alpha + d: minus})
@@ -376,8 +343,8 @@ def hecke_T(s: FormalSum, sp: SurrogateParams) -> FormalSum:
         gamma = rep.matrix()
         for mu in range(p):
             lift = lifts[mu]
-            out._insert(mat_mul(gamma, mat(p, lift, 0, 1)), act(mat(1, -lift, 0, p), v))
-        out._insert(mat_mul(gamma, mat(1, 0, 0, p)), act(mat(p, 0, 0, 1), v))
+            out._insert(mat_mul(gamma, (p, lift, 0, 1)), act((1, -lift, 0, p), v))
+        out._insert(mat_mul(gamma, (1, 0, 0, p)), act((p, 0, 0, 1), v))
     return out
 
 
@@ -391,37 +358,22 @@ class TExpansionReport:
     first_mismatch: str | None
 
 
-def _expansion_value(sp: SurrogateParams, alpha: int, lift: int) -> SymPoly:
-    """Exact xi-sum expansion of x^a (-[mu] x + p y)^(t-a) - x^(a+d)(...)^(t-a-d):
-    the coefficient of x^(t-xi) y^xi is
-    (-[mu])^(t-a-xi) C(t-a, xi) p^xi - (-[mu])^(t-a-d-xi) C(t-a-d, xi) p^xi."""
-    import math
-
+def _xi_sum_value(sp: SurrogateParams, alpha: int, lift: int, offset: int) -> SymPoly:
+    """The xi-sum expansion of x^a (-[mu] x + p y)^(t-a) - x^(a+d)(...)^(t-a-d)
+    with the coefficient of x^(t-xi) y^xi written as
+    ((-[mu])^(t-a-xi) C(t-a, xi) - (-[mu])^(t-a-offset-xi) C(t-a-d, xi)) p^xi.
+    offset = delta is the exact expansion; offset = 0 is the combined form
+    with a single common power of (-[mu]), equal to it only when
+    (-[mu])^delta = 1."""
     p, M, t, d = sp.p, sp.M, sp.t, sp.delta
     q = p**M
+    u = -lift % q
     entries: dict[int, int] = {}
     for xi in range(t - alpha + 1):
-        c1 = math.comb(t - alpha, xi) * pow(-lift % q, t - alpha - xi, q)
-        c2 = 0
+        c = math.comb(t - alpha, xi) * pow(u, t - alpha - xi, q)
         if xi <= t - alpha - d:
-            c2 = math.comb(t - alpha - d, xi) * pow(-lift % q, t - alpha - d - xi, q)
-        coeff = (c1 - c2) * pow(p, xi, q) % q
-        if coeff:
-            entries[t - xi] = coeff
-    return SymPoly.from_dict(t, p, M, entries, twist=Fraction(-t, 2))
-
-
-def _combined_form_value(sp: SurrogateParams, alpha: int, lift: int) -> SymPoly:
-    """The combined form with a single common power of (-[mu]); it
-    equals the exact expansion only when lcm(2, p-1) divides delta."""
-    import math
-
-    p, M, t, d = sp.p, sp.M, sp.t, sp.delta
-    q = p**M
-    entries: dict[int, int] = {}
-    for xi in range(t - alpha + 1):
-        binom = math.comb(t - alpha, xi) - (math.comb(t - alpha - d, xi) if xi <= t - alpha - d else 0)
-        coeff = binom * pow(-lift % q, t - alpha - xi, q) * pow(p, xi, q) % q
+            c -= math.comb(t - alpha - d, xi) * pow(u, t - alpha - offset - xi, q)
+        coeff = c * pow(p, xi, q) % q
         if coeff:
             entries[t - xi] = coeff
     return SymPoly.from_dict(t, p, M, entries, twist=Fraction(-t, 2))
@@ -433,8 +385,6 @@ def verify_T_expansion(sp: SurrogateParams, alpha: int) -> TExpansionReport:
     A_mu the exact xi-sum and A = p^a x^a y^(t-a) - p^(a+d) x^(a+d) y^(t-a-d).
     """
     p, M, t, d = sp.p, sp.M, sp.t, sp.delta
-    if not 0 <= alpha <= sp.delta:
-        raise ValueError("need 0 <= alpha <= delta")
     q = p**M
     h, _ = h_polys(sp, alpha)
     lhs = hecke_T(FormalSum.unit(h), sp)
@@ -442,13 +392,13 @@ def verify_T_expansion(sp: SurrogateParams, alpha: int) -> TExpansionReport:
     lifts = teichmuller_lifts(p, M)
     rhs = FormalSum(p)
     for mu in range(p):
-        rhs._insert(mat(p, lifts[mu], 0, 1), _expansion_value(sp, alpha, lifts[mu]))
+        rhs._insert((p, lifts[mu], 0, 1), _xi_sum_value(sp, alpha, lifts[mu], d))
     a_val = SymPoly.from_dict(
         t, p, M,
         {alpha: pow(p, alpha, q), alpha + d: -pow(p, alpha + d, q) % q},
         twist=Fraction(-t, 2),
     )
-    rhs._insert(mat(1, 0, 0, p), a_val)
+    rhs._insert((1, 0, 0, p), a_val)
 
     matches = lhs == rhs
     mismatch = None
@@ -464,10 +414,9 @@ def verify_T_expansion(sp: SurrogateParams, alpha: int) -> TExpansionReport:
     combined = None
     if applicable:
         rhs2 = FormalSum(p)
-        rhs2._insert(mat(p, 0, 0, 1), _expansion_value(sp, alpha, 0))
-        for mu in range(1, p):
-            rhs2._insert(mat(p, lifts[mu], 0, 1), _combined_form_value(sp, alpha, lifts[mu]))
-        rhs2._insert(mat(1, 0, 0, p), a_val)
+        for mu in range(p):
+            rhs2._insert((p, lifts[mu], 0, 1), _xi_sum_value(sp, alpha, lifts[mu], 0 if mu else d))
+        rhs2._insert((1, 0, 0, p), a_val)
         combined = lhs == rhs2
     return TExpansionReport(
         sp=sp,

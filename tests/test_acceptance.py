@@ -139,11 +139,11 @@ def test_criterion_8_hecke_operator():
     _assert_all_hold(results, 130)
 
     rng = random.Random(20260809)
-    sp = sh.SurrogateParams(p=5, t=6, delta=2, alpha=1)
+    sp = sh.SurrogateParams(p=5, t=6, delta=2)
     q = 5**sp.M
     gens = [
-        sh.mat(5, 0, 0, 1), sh.mat(1, 0, 0, 5), sh.mat(5, 2, 0, 1),
-        sh.mat(1, 3, 0, 1), sh.mat(0, 1, 1, 0), sh.mat(2, 1, 1, 1),
+        (5, 0, 0, 1), (1, 0, 0, 5), (5, 2, 0, 1),
+        (1, 3, 0, 1), (0, 1, 1, 0), (2, 1, 1, 1),
     ]
 
     def rand_sum():

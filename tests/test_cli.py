@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -254,6 +255,34 @@ class TestHeckeCheckCommand:
         assert run_cli(["verify", "eq88", "--p", "5", "--r-max", "30"], a) == 0
         assert run_cli(["verify", "double-sum", "--p", "5", "--r-max", "30"], b) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_counterexample_reported_in_full(self, tmp_path, capsys, monkeypatch):
+        # one cell's check is made to fail: exit 1, the row and the JSON say
+        # so, and stderr carries that cell's whole record
+        target = cli.VERIFY_TARGETS["hecke"]
+        bad_cell = (5, 3, 1, 1)
+
+        def check(*cell):
+            verdict, checked, margin, record = target.check(*cell)
+            if cell == bad_cell:
+                return "fails", checked, margin, {**record, "holds": False, "mismatch": "injected"}
+            return verdict, checked, margin, record
+
+        monkeypatch.setitem(cli.VERIFY_TARGETS, "hecke", dataclasses.replace(target, check=check))
+        argv = ["hecke-check", "--p", "5", "--t-max", "3"]
+        csv_out, json_out = tmp_path / "h.csv", tmp_path / "h.json"
+        assert run_cli(argv, csv_out) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            'counterexample: {"alpha": 1, "delta": 1, "holds": false, "mismatch": "injected", '
+            '"p": 5, "t": 3, "target": "hecke"}'
+        ]
+        assert "hecke,5,3,1/1,fails,,1" in csv_out.read_text().splitlines()
+        assert run_cli([*argv, "--format", "json"], json_out) == 1
+        payload = json.loads(json_out.read_text())
+        assert payload["verified"] is False
+        assert [r for r in payload["records"] if not r["holds"]] == [
+            {"target": "hecke", "holds": False, "p": 5, "t": 3, "delta": 1, "alpha": 1, "mismatch": "injected"}
+        ]
 
     def test_pinned_invalid_cell_reported(self, tmp_path, capsys):
         out = tmp_path / "v.csv"

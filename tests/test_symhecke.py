@@ -2,8 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from padicslopes.combinatorics import build_interior_annihilator, ecal_of
+from padicslopes.padic import valuation
 from padicslopes.symhecke import (
     IDENTITY,
     CosetRep,
@@ -14,7 +17,6 @@ from padicslopes.symhecke import (
     coset_decompose,
     h_polys,
     hecke_T,
-    mat,
     mat_mul,
     teichmuller_lifts,
     verify_T_expansion,
@@ -54,7 +56,7 @@ def theta_times(coeffs, p, modulus):
 
 class TestAction:
     def setup_method(self):
-        self.sp = SurrogateParams(p=5, t=4, delta=2, alpha=1)
+        self.sp = SurrogateParams(p=5, t=4, delta=2)
 
     def test_identity(self):
         h, _ = h_polys(self.sp, 1)
@@ -62,7 +64,7 @@ class TestAction:
 
     def test_diagonal_scaling(self):
         mono = SymPoly.from_dict(4, 5, self.sp.M, {1: 1})
-        out = act(mat(1, 0, 0, 5), mono)
+        out = act((1, 0, 0, 5), mono)
         assert out.sparse() == {1: 5**3}
         assert out.twist == Fraction(-4, 2)
 
@@ -72,7 +74,7 @@ class TestAction:
         q = 5**sp.M
         L = teichmuller_lifts(5, sp.M)[2]
         h, _ = h_polys(sp, 1)
-        got = act(mat(1, -L, 0, 5), h)
+        got = act((1, -L, 0, 5), h)
         expected = {}
         # first term: a=1, expand (-Lx+5y)^3 against x
         for xi in range(4):
@@ -90,126 +92,145 @@ class TestAction:
 
     def test_central_elements_act_trivially(self):
         h, _ = h_polys(self.sp, 0)
-        for m in (1, 2, -1):
-            g = mat(Fraction(5) ** m, 0, 0, Fraction(5) ** m)
-            assert act(g, h) == h
+        for m in (1, 2):
+            assert act((5**m, 0, 0, 5**m), h) == h
 
     def test_rejects_singular(self):
         h, _ = h_polys(self.sp, 1)
         with pytest.raises(ZeroDivisionError):
-            act(mat(1, 2, 2, 4), h)
+            act((1, 2, 2, 4), h)
+
+    def test_rejects_fraction_entries(self):
+        h, _ = h_polys(self.sp, 1)
+        with pytest.raises(TypeError):
+            act((Fraction(1, 5), 0, 0, 1), h)
 
     def test_composition(self):
         # row substitution composes as act(g1) o act(g2) = act(g1 g2)
         random.seed(3)
         q = 5**self.sp.M
         f = SymPoly(4, 5, self.sp.M, tuple(random.randrange(q) for _ in range(5)))
-        g1 = mat(2, 1, 0, 3)
-        g2 = mat(1, 4, 5, 1)
+        g1 = (2, 1, 0, 3)
+        g2 = (1, 4, 5, 1)
         assert act(g1, act(g2, f)) == act(mat_mul(g1, g2), f)
 
 
 class TestHPolys:
     def test_alpha0_example(self):
-        sp = SurrogateParams(p=5, t=3, delta=1, alpha=0)
+        sp = SurrogateParams(p=5, t=3, delta=1)
         h, _ = h_polys(sp, 0)
         q = 5**sp.M
         assert h.sparse() == {0: 1, 1: q - 1}  # y^3 - x y^2
 
     def test_star_leading_degree(self):
-        sp = SurrogateParams(p=7, t=6, delta=2, alpha=1)
+        sp = SurrogateParams(p=7, t=6, delta=2)
         _, hs = h_polys(sp, 1)
         assert max(hs.sparse()) == 6 - 1
 
     def test_involution(self):
-        sp = SurrogateParams(p=5, t=6, delta=2, alpha=2)
+        sp = SurrogateParams(p=5, t=6, delta=2)
         h, hs = h_polys(sp, 2)
-        swap = mat(0, 1, 1, 0)
+        swap = (0, 1, 1, 0)
         assert act(swap, hs) == h
         assert act(swap, h) == hs
 
     def test_range_check(self):
-        sp = SurrogateParams(p=5, t=6, delta=2, alpha=0)
+        sp = SurrogateParams(p=5, t=6, delta=2)
         with pytest.raises(ValueError):
             h_polys(sp, 3)
 
 
 class TestCosets:
     def test_central_is_identity_class(self):
-        rep, _ = coset_decompose(mat(5, 0, 0, 5), 5)
+        rep, _ = coset_decompose((5, 0, 0, 5), 5)
         assert rep == coset_decompose(IDENTITY, 5)[0]
 
     def test_diag_p_1_distinct(self):
-        assert coset_decompose(mat(5, 0, 0, 1), 5)[0] != coset_decompose(IDENTITY, 5)[0]
+        assert coset_decompose((5, 0, 0, 1), 5)[0] != coset_decompose(IDENTITY, 5)[0]
 
     def test_mu_classes_distinct(self):
         lifts = teichmuller_lifts(5, 8)
-        reps = {coset_decompose(mat(5, lifts[mu], 0, 1), 5)[0] for mu in range(5)}
+        reps = {coset_decompose((5, lifts[mu], 0, 1), 5)[0] for mu in range(5)}
         assert len(reps) == 5
 
     def test_right_coset_invariance(self):
         # multiplying by integral units or central powers never moves the class
         random.seed(11)
         p = 5
-        g = mat(25, 7, 0, 1)
+        g = (25, 7, 0, 1)
         base, _ = coset_decompose(g, p)
         kz_elements = [
-            mat(1, 3, 0, 1),
-            mat(2, 0, 0, 3),
-            mat(0, 1, 1, 0),
-            mat(1, 0, 4, 1),
-            mat(5, 0, 0, 5),
-            mat(Fraction(1, 5), 0, 0, Fraction(1, 5)),
+            (1, 3, 0, 1),
+            (2, 0, 0, 3),
+            (0, 1, 1, 0),
+            (1, 0, 4, 1),
+            (5, 0, 0, 5),
+            (25, 0, 0, 25),
         ]
         for h in kz_elements:
             rep, _ = coset_decompose(mat_mul(g, h), p)
             assert rep == base
 
-    def test_decomposition_reconstructs(self):
-        for g in [mat(5, 3, 0, 1), mat(1, 0, 5, 25), mat(Fraction(1, 5), 2, 3, 7)]:
-            rep, h = coset_decompose(g, 5)
-            assert mat_mul(rep.matrix(), h) == tuple(Fraction(e) for e in g)
-            # h is in KZ: a central power times an integral unit
-            from padicslopes.padic import valuation
+    @settings(max_examples=400, deadline=None)
+    @given(
+        p=st.sampled_from([2, 3, 5, 7]),
+        xs=st.tuples(*[st.integers(-60, 60)] * 4),
+        ks=st.tuples(*[st.integers(0, 4)] * 4),
+    )
+    @example(p=5, xs=(5, 3, 0, 1), ks=(0, 0, 0, 0))
+    @example(p=5, xs=(1, 0, 5, 25), ks=(0, 0, 0, 0))
+    @example(p=5, xs=(1, 10, 15, 35), ks=(0, 0, 0, 0))
+    def test_decomposition_reconstructs(self, p, xs, ks):
+        # g = key @ h, h = p^m (integral unit), and the key in Hermite shape:
+        # the Hermite form is unique, so these pin the key independently
+        g = tuple(x * p**k for x, k in zip(xs, ks))
+        assume(g[0] * g[3] - g[1] * g[2] != 0)
+        rep, h = coset_decompose(g, p)
+        assert all(type(e) is int for e in h)
+        assert mat_mul(rep.matrix(), h) == g
+        det_v = valuation(h[0] * h[3] - h[1] * h[2], p)
+        assert det_v % 2 == 0
+        m = det_v // 2
+        assert all(e % p**m == 0 for e in h)
+        unit = tuple(e // p**m for e in h)
+        assert (unit[0] * unit[3] - unit[1] * unit[2]) % p
+        assert 0 <= rep.c_val < p**rep.a_exp
+        assert min(rep.a_exp, rep.d_exp, valuation(rep.c_val, p)) == 0
 
-            det_v = valuation(h[0] * h[3] - h[1] * h[2], 5)
-            assert det_v % 2 == 0
-            m = det_v // 2
-            unit = tuple(e * Fraction(5) ** (-m) for e in h)
-            assert all(valuation(e, 5) >= 0 for e in unit if e != 0)
+    def test_rejects_fraction_entries(self):
+        with pytest.raises(TypeError):
+            coset_decompose((Fraction(1, 5), 2, 3, 7), 5)
 
     def test_canonical_form_invariants(self):
-        rep, _ = coset_decompose(mat(50, 7, 0, 10), 5)
+        rep, _ = coset_decompose((50, 7, 0, 10), 5)
         assert 0 <= rep.c_val < 5**rep.a_exp
         vals = [rep.a_exp, rep.d_exp]
         if rep.c_val:
-            from padicslopes.padic import valuation
-
             vals.append(valuation(rep.c_val, 5))
         assert min(vals) == 0
 
 
 class TestHeckeOperator:
     def test_support_bound(self):
-        sp = SurrogateParams(p=5, t=2, delta=1, alpha=0)
+        sp = SurrogateParams(p=5, t=2, delta=1)
         yt = SymPoly.from_dict(2, 5, sp.M, {0: 1})
         out = hecke_T(FormalSum.unit(yt), sp)
         assert len(out) <= 5 + 1
 
     def test_second_summand_exact(self):
         # [[1,0],[0,p]] . (p^a x^a y^(t-a) - p^(a+d) x^(a+d) y^(t-a-d))
-        sp = SurrogateParams(p=5, t=4, delta=2, alpha=1)
+        sp = SurrogateParams(p=5, t=4, delta=2)
         q = 5**sp.M
         h, _ = h_polys(sp, 1)
         out = hecke_T(FormalSum.unit(h), sp)
-        rep, _ = coset_decompose(mat(1, 0, 0, 5), 5)
+        rep, _ = coset_decompose((1, 0, 0, 5), 5)
         val = out.terms[rep]
         assert val.sparse() == {1: 5, 3: (-(5**3)) % q}
         assert val.twist == Fraction(-4, 2)
 
     def test_full_hand_expansion_p5_t2(self):
         # T(1 . h_0) for p=5, t=2, delta=1: hand-expanded oracle, term by term
-        sp = SurrogateParams(p=5, t=2, delta=1, alpha=0)
+        sp = SurrogateParams(p=5, t=2, delta=1)
         p, M, q = 5, sp.M, 5**sp.M
         lifts = teichmuller_lifts(p, M)
         h, _ = h_polys(sp, 0)  # y^2 - x y
@@ -224,17 +245,17 @@ class TestHeckeOperator:
                 0: p * p % q,
             }
             value = SymPoly.from_dict(2, p, M, entries, twist=Fraction(-2, 2))
-            expected._insert(mat(p, L, 0, 1), value)
+            expected._insert((p, L, 0, 1), value)
         # [[p,0],[0,1]] . h_0 = y^2 - p x y
         value = SymPoly.from_dict(2, p, M, {0: 1, 1: -p % q}, twist=Fraction(-2, 2))
-        expected._insert(mat(1, 0, 0, p), value)
+        expected._insert((1, 0, 0, p), value)
         assert got == expected
 
     def test_linearity(self):
         random.seed(5)
-        sp = SurrogateParams(p=5, t=5, delta=2, alpha=1)
+        sp = SurrogateParams(p=5, t=5, delta=2)
         q = 5**sp.M
-        gens = [mat(5, 0, 0, 1), mat(1, 0, 0, 5), mat(5, 2, 0, 1), mat(1, 3, 0, 1), mat(0, 1, 1, 0)]
+        gens = [(5, 0, 0, 1), (1, 0, 0, 5), (5, 2, 0, 1), (1, 3, 0, 1), (0, 1, 1, 0)]
 
         def rand_sum():
             s = FormalSum(5)
@@ -252,9 +273,9 @@ class TestHeckeOperator:
 
     def test_equivariance(self):
         random.seed(6)
-        sp = SurrogateParams(p=7, t=4, delta=1, alpha=0)
+        sp = SurrogateParams(p=7, t=4, delta=1)
         q = 7**sp.M
-        gens = [mat(7, 0, 0, 1), mat(1, 0, 0, 7), mat(7, 3, 0, 1), mat(2, 1, 1, 1), mat(0, 1, 1, 0)]
+        gens = [(7, 0, 0, 1), (1, 0, 0, 7), (7, 3, 0, 1), (2, 1, 1, 1), (0, 1, 1, 0)]
 
         def rand_sum():
             s = FormalSum(7)
@@ -274,13 +295,13 @@ class TestHeckeOperator:
 class TestTExpansion:
     @pytest.mark.parametrize("p,t,d,a", [(5, 2, 1, 0), (5, 4, 2, 1), (7, 3, 1, 0), (5, 8, 4, 3), (7, 8, 4, 2)])
     def test_matches(self, p, t, d, a):
-        sp = SurrogateParams(p=p, t=t, delta=d, alpha=a)
+        sp = SurrogateParams(p=p, t=t, delta=d)
         rep = verify_T_expansion(sp, a)
         assert rep.matches, rep.first_mismatch
 
     def test_combined_form_when_applicable(self):
         # lcm(2, p-1) | delta: the single-power combined form agrees for mu != 0
-        sp = SurrogateParams(p=5, t=8, delta=4, alpha=2)
+        sp = SurrogateParams(p=5, t=8, delta=4)
         rep = verify_T_expansion(sp, 2)
         assert rep.combined_form_applicable
         assert rep.combined_form_matches
@@ -319,9 +340,7 @@ class TestThetaMachinery:
         M = 1
         for _ in range(20):
             while True:
-                g = mat(*(random.randrange(p) for _ in range(4)))
-                from padicslopes.padic import valuation
-
+                g = tuple(random.randrange(p) for _ in range(4))
                 if (g[0] * g[3] - g[1] * g[2]) % p:
                     break
             base = [random.randrange(p)]  # degree t - alpha(p+1) = 1
@@ -340,8 +359,8 @@ class TestThetaMachinery:
         p, t, alpha, M = 5, 13, 2, 1
         for _ in range(20):
             while True:
-                g = mat(*(random.randrange(p) for _ in range(4)))
-                det = int(g[0] * g[3] - g[1] * g[2]) % p
+                g = tuple(random.randrange(p) for _ in range(4))
+                det = (g[0] * g[3] - g[1] * g[2]) % p
                 if det:
                     break
             base = [random.randrange(p), random.randrange(p)]
@@ -365,11 +384,11 @@ class TestThetaMachinery:
         for _ in range(alpha):
             poly = theta_times(poly, p, q)
         f = SymPoly(t, p, M, tuple(poly))
-        for g in [mat(2, 0, 0, 2), mat(3, 0, 0, 3 * teichmuller_lifts(p, M)[2]), mat(0, 1, 1, 0)]:
+        for g in [(2, 0, 0, 2), (3, 0, 0, 3 * teichmuller_lifts(p, M)[2]), (0, 1, 1, 0)]:
             out = act(g, f)
             assert theta_divides(list(out.coeffs), t, p, q, power=alpha) is not None
         # ...and fails without the matching, mod p^2 already
-        out = act(mat(2, 0, 0, 3), SymPoly(6, p, 2, tuple(theta_times([1], p, p**2))))
+        out = act((2, 0, 0, 3), SymPoly(6, p, 2, tuple(theta_times([1], p, p**2))))
         assert theta_divides(list(out.coeffs), 6, p, p**2, power=1) is None
 
     def test_theta_factor_not_exact_for_shear(self):
@@ -379,7 +398,7 @@ class TestThetaMachinery:
         q = p**M
         poly = theta_times([1], p, q)  # theta itself, degree 6
         f = SymPoly(6, p, M, tuple(poly))
-        out = act(mat(1, 1, 0, 1), f)
+        out = act((1, 1, 0, 1), f)
         assert theta_divides(list(out.coeffs), t, p, q, power=1) is None
         assert theta_divides([c % p for c in out.coeffs], t, p, p, power=1) is not None
 
@@ -389,10 +408,10 @@ class TestModuleRelation:
         # g1 (g2 . (h w)) = (g1 g2 h) . w for h an integral unit times a
         # central power: both sides canonicalize to the same formal sum
         random.seed(23)
-        sp = SurrogateParams(p=5, t=4, delta=1, alpha=0)
+        sp = SurrogateParams(p=5, t=4, delta=1)
         q = 5**sp.M
-        group_gens = [mat(5, 0, 0, 1), mat(1, 2, 0, 5), mat(2, 1, 1, 1), mat(0, 1, 1, 0)]
-        kz_gens = [mat(1, 3, 0, 1), mat(2, 0, 0, 3), mat(0, 1, 1, 0), mat(5, 0, 0, 5)]
+        group_gens = [(5, 0, 0, 1), (1, 2, 0, 5), (2, 1, 1, 1), (0, 1, 1, 0)]
+        kz_gens = [(1, 3, 0, 1), (2, 0, 0, 3), (0, 1, 1, 0), (5, 0, 0, 5)]
 
         def rand_from(gens):
             g = IDENTITY
@@ -411,10 +430,10 @@ class TestModuleRelation:
 
 class TestDumpFormat:
     def test_golden(self):
-        sp = SurrogateParams(p=5, t=2, delta=1, alpha=0)
+        sp = SurrogateParams(p=5, t=2, delta=1)
         h, _ = h_polys(sp, 0)
         s = FormalSum.unit(h)
-        s = s + FormalSum.single(mat(5, 1, 0, 1), SymPoly.from_dict(2, 5, sp.M, {2: 3}))
+        s = s + FormalSum.single((5, 1, 0, 1), SymPoly.from_dict(2, 5, sp.M, {2: 3}))
         expected = (
             "[1 0 0 1] twist=0 | 0:1 1:3124\n"
             "[5 1 0 1] twist=0 | 2:3"
@@ -422,8 +441,8 @@ class TestDumpFormat:
         assert s.dump() == expected
 
     def test_stable_sort(self):
-        sp = SurrogateParams(p=5, t=2, delta=1, alpha=0)
+        sp = SurrogateParams(p=5, t=2, delta=1)
         v = SymPoly.from_dict(2, 5, sp.M, {0: 1})
-        s1 = FormalSum.single(mat(5, 2, 0, 1), v) + FormalSum.single(mat(1, 0, 0, 5), v)
-        s2 = FormalSum.single(mat(1, 0, 0, 5), v) + FormalSum.single(mat(5, 2, 0, 1), v)
+        s1 = FormalSum.single((5, 2, 0, 1), v) + FormalSum.single((1, 0, 0, 5), v)
+        s2 = FormalSum.single((1, 0, 0, 5), v) + FormalSum.single((5, 2, 0, 1), v)
         assert s1.dump() == s2.dump()
