@@ -9,6 +9,8 @@ satisfy.  All arithmetic is exact (int / Fraction); nothing is approximated.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -152,15 +154,43 @@ def c_constants(p: int, r: int, alpha: int, variant: str = "general") -> CConsta
     return CConstants(p=p, r=r, alpha=alpha, rho_prime=rp, values=values, lambda_values=lam)
 
 
+def _numerators(values: Mapping[int, Fraction | int], den: int) -> dict[int, int]:
+    """{key: values[key] * den} for a den that every value's denominator divides."""
+    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+
+
+def _over_common_denominator(values: Mapping[int, Fraction | int]) -> tuple[dict[int, int], int]:
+    """(numerators, den) with den the lcm of the values' denominators."""
+    den = math.lcm(*(v.denominator for v in values.values()))
+    return _numerators(values, den), den
+
+
+def _vartheta_numerators(D: Mapping[int, Fraction | int], p: int, w_max: int) -> tuple[list[int], int]:
+    """([S_0, ..., S_(w_max)], den) with vartheta_w(D) = S_w / den, in one pass.
+
+    den is the lcm of D's denominators.  Each C(i(p-1), w) comes from
+    C(i(p-1), w-1) by the falling-factorial ratio (top - w + 1) / w, which
+    divides exactly for any integer top; negative tops give the generalized
+    binomial.
+    """
+    nums, den = _over_common_denominator(D)
+    coefs = [n for n in nums.values() if n]
+    tops = [i * (p - 1) for i, n in nums.items() if n]
+    binoms = [1] * len(coefs)
+    sums = []
+    for w in range(w_max + 1):
+        if w:
+            binoms = [b * (t - w + 1) // w for b, t in zip(binoms, tops)]
+        sums.append(sum(map(operator.mul, coefs, binoms)))
+    return sums, den
+
+
 def vartheta(D: Mapping[int, Fraction | int], w: int, p: int) -> Fraction:
     """sum_i D_i C(i(p-1), w) with the generalized binomial for negative i."""
-    from .padic import generalized_binomial
-
-    acc = Fraction(0)
-    for i, d in D.items():
-        if d != 0:
-            acc += Fraction(d) * generalized_binomial(i * (p - 1), w)
-    return acc
+    if w < 0:
+        raise ValueError("w must be nonnegative")
+    sums, den = _vartheta_numerators(D, p, w)
+    return Fraction(sums[w], den)
 
 
 # ---------------------------------------------------------------------------
@@ -329,34 +359,90 @@ def interior_rank_report(p: int, r: int, alpha: int) -> InteriorRankReport:
 # ---------------------------------------------------------------------------
 
 
-def row_sum(p: int, r: int, alpha: int, cols: Mapping[int, Fraction], i: int) -> Fraction:
-    """sum_l C_l C(r-alpha+l, i(p-1)+l): row i of the cell's binomial system
-    applied to the column constants cols = {l: C_l}."""
-    return sum((c * comb0(r - alpha + l, i * (p - 1) + l) for l, c in cols.items()), Fraction(0))
+def _row_sum_numerators(p: int, r: int, alpha: int, nums: Mapping[int, int], rows) -> list[int]:
+    """[sum_l N_l C(r-alpha+l, i(p-1)+l) for i in rows] for integer column
+    numerators nums = {l: N_l}.  A column with r-alpha+l < 0 is zero on every
+    row, and row i meets only the columns with i(p-1)+l >= 0."""
+    cols = sorted((l, n) for l, n in nums.items() if n and l >= alpha - r)
+    ls = [l for l, _ in cols]
+    ns = [n for _, n in cols]
+    tops = [r - alpha + l for l in ls]
+    out = []
+    for i in rows:
+        k = i * (p - 1)
+        j = bisect.bisect_left(ls, -k)
+        out.append(sum(map(operator.mul, ns[j:], map(math.comb, tops[j:], [k + l for l in ls[j:]]))))
+    return out
 
 
-def _interior_solution(
-    p: int, r: int, alpha: int, targets: Mapping[int, Fraction]
-) -> dict[int, Fraction]:
+def row_sums(p: int, r: int, alpha: int, cols: Mapping[int, Fraction], rows) -> dict[int, Fraction]:
+    """{i: sum_l C_l C(r-alpha+l, i(p-1)+l)} for i in rows: the cell's
+    binomial system applied to the column constants cols = {l: C_l}.
+
+    The C_l become integer numerators over their lcm once; each row is an
+    integer sum, divided by that lcm once.
+    """
+    nums, den = _over_common_denominator(cols)
+    return {i: Fraction(s, den) for i, s in zip(rows, _row_sum_numerators(p, r, alpha, nums, rows))}
+
+
+@functools.lru_cache(maxsize=16)
+def _step_differences(p: int, size: int) -> tuple[tuple[int, ...], ...]:
+    """rows[k][j] = (Delta^k C((p-1)i, j)) at i = 0, for j, k < size.
+
+    The generating function of C((p-1)i, j) over j is (1+x)^((p-1)i), so the
+    k-th difference in i at 0 is ((1+x)^(p-1) - 1)^k; row k holds its
+    coefficients, zero below x^k and (p-1)^k at x^k.  The table depends only
+    on p; callers round size up to a power of two, so a sweep over many
+    cells builds only a few tables.
+    """
+    g = [math.comb(p - 1, t) for t in range(1, p)]
+    row = [1] + [0] * (size - 1)
+    rows = [tuple(row)]
+    for _ in range(1, size):
+        row = [sum(c * row[j - t] for t, c in enumerate(g[:j], 1)) for j in range(size)]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _interior_solution(p: int, r: int, alpha: int, targets: Mapping[int, int]) -> dict[int, Fraction]:
     """Constants C_l (l in (alpha-R, alpha]) with
     sum_l C_l C(r-alpha+l, i(p-1)+l) = targets[i] on every interior row i.
 
     Trinomial revision turns row i into sum_m c'_m C(n_i, m) = y_i with
     n_i = i(p-1)+alpha, c'_m = C_(alpha-m) / C(r, m) and
-    y_i = targets[i] / C(r, n_i).  The R interior rows are consecutive, so
-    taking forward differences in i makes the system triangular: the k-th
-    difference of C(n_i, m) vanishes for k > m and is (p-1)^m at k = m.
-    Back-substitution solves it, and shows it is never singular.
+    y_i = targets[i] / C(r, n_i).  The R interior rows are consecutive,
+    n_i = n_0 + (p-1)i for i = 0..R-1 after shifting i, and Vandermonde's
+    identity splits C(n_i, m) = sum_j C(n_0, m-j) C((p-1)i, j); so the row
+    system reads sum_j d_j C((p-1)i, j) = y_i with
+    d_j = sum_(m >= j) c'_m C(n_0, m-j).  Taking forward differences in i
+    makes it triangular with diagonal (p-1)^k (see _step_differences).
+    Back-substitution gives the d_j, and the unit triangular Toeplitz
+    relation gives the c'_m; neither is ever singular.
+
+    The solve runs in integers: with L = lcm C(r, n_i) and
+    E = (p-1)^(R(R-1)/2), d_k and c'_k have denominators dividing
+    L (p-1)^(k+...+R-1), so their multiples by L E are integers and every
+    division by (p-1)^k in the back-substitution is exact.  A remainder
+    raises.
     """
     rows = interior_row_indices(p, r, alpha)
-    ns = [i * (p - 1) + alpha for i in rows]
-    dy = _forward_differences([Fraction(targets.get(i, 0)) / comb0(r, n) for i, n in zip(rows, ns)])
-    table = [_forward_differences([comb0(n, m) for n in ns[: m + 1]]) for m in range(len(rows))]
-    cprime: dict[int, Fraction] = {}
-    for k in range(len(rows) - 1, -1, -1):
-        rest = sum(table[m][k] * c for m, c in cprime.items())
-        cprime[k] = (dy[k] - rest) / (p - 1) ** k
-    return {alpha - m: c * comb0(r, m) for m, c in cprime.items()}
+    R = len(rows)
+    binoms_r = [math.comb(r, i * (p - 1) + alpha) for i in rows]
+    den = math.lcm(*binoms_r) * (p - 1) ** (R * (R - 1) // 2)
+    dy = _forward_differences([targets.get(i, 0) * (den // b) for i, b in zip(rows, binoms_r)])
+    steps = _step_differences(p, 1 << (R - 1).bit_length())
+    d = [0] * R
+    for k in range(R - 1, -1, -1):
+        d[k], rem = divmod(dy[k] - sum(map(operator.mul, steps[k][k + 1 : R], d[k + 1 :])), (p - 1) ** k)
+        if rem:
+            raise AssertionError("inexact division in the interior back-substitution (bug)")
+    n0 = rows[0] * (p - 1) + alpha if rows else 0
+    shifts = [math.comb(n0, t) for t in range(R)]
+    cprime = [0] * R
+    for m in range(R - 1, -1, -1):
+        cprime[m] = d[m] - sum(map(operator.mul, shifts[1 : R - m], cprime[m + 1 :]))
+    return {alpha - m: Fraction(cprime[m] * math.comb(r, m), den) for m in range(R - 1, -1, -1)}
 
 
 def solve_interior_system(p: int, r: int, alpha: int, u: int) -> dict[int, Fraction]:
@@ -366,9 +452,9 @@ def solve_interior_system(p: int, r: int, alpha: int, u: int) -> dict[int, Fract
     if u not in rows:
         raise ValueError(f"u={u} is not an interior row of (p={p}, r={r}, alpha={alpha})")
     ecal = ecal_of(p, r)
-    sol = _interior_solution(p, r, alpha, {u: Fraction(p**ecal)})
-    for i in rows:
-        if row_sum(p, r, alpha, sol, i) != (p**ecal if i == u else 0):
+    sol = _interior_solution(p, r, alpha, {u: p**ecal})
+    for i, s in row_sums(p, r, alpha, sol, rows).items():
+        if s != (p**ecal if i == u else 0):
             raise AssertionError("interior system solution failed verification (bug)")
     return sol
 
@@ -391,30 +477,28 @@ class AnnihilatorSystem:
     row_values: dict[int, Fraction]
     boundary_values: dict[int, Fraction]
 
-    def lhs_coefficient(self, i: int) -> Fraction:
-        """Coefficient of the monomial with x-exponent i(p-1)+alpha on the
-        assembled left side."""
-        return row_sum(self.p, self.r, self.alpha, self.column_constants, i) + self.boundary_values.get(i, 0)
-
     def residual(self) -> dict[int, Fraction]:
-        """lhs - rhs per row; identically zero iff the identity holds."""
+        """lhs - rhs per row, lhs being the row sum of the column constants
+        plus the boundary value; identically zero iff the identity holds.
+        Every row of the cell is evaluated, in integers over the lcm of all
+        the denominators."""
+        parts = (self.column_constants, self.boundary_values, self.row_values)
+        den = math.lcm(*(v.denominator for part in parts for v in part.values()))
+        cols, boundary, rhs = (_numerators(part, den) for part in parts)
+        rows = all_row_indices(self.p, self.r, self.alpha)
         out = {}
-        for i in all_row_indices(self.p, self.r, self.alpha):
-            d = self.lhs_coefficient(i) - self.row_values.get(i, Fraction(0))
+        for i, s in zip(rows, _row_sum_numerators(self.p, self.r, self.alpha, cols, rows)):
+            d = s + boundary.get(i, 0) - rhs.get(i, 0)
             if d:
-                out[i] = d
+                out[i] = Fraction(d, den)
         return out
 
 
-def _theta_monomial_targets(
-    p: int, alpha: int, ecal: int, offset: int
-) -> dict[int, Fraction]:
+def _theta_monomial_targets(p: int, alpha: int, ecal: int, offset: int) -> dict[int, int]:
     """Coefficients of p^ecal theta^alpha x^(offset(p-1)) y^(...) in the
     family x^(i(p-1)+alpha) y^(r-i(p-1)-alpha): support i in [offset, alpha+offset]."""
-    scale = Fraction(p**ecal)
-    return {
-        m + offset: scale * (-1) ** m * math.comb(alpha, m) for m in range(alpha + 1)
-    }
+    scale = p**ecal
+    return {m + offset: scale * (-1) ** m * math.comb(alpha, m) for m in range(alpha + 1)}
 
 
 def build_interior_annihilator(p: int, r: int, alpha: int) -> AnnihilatorSystem:
@@ -447,10 +531,11 @@ def _annihilator(p: int, r: int, alpha: int, offset: int, monomial: str) -> Anni
     cols = _interior_solution(p, r, alpha, {i: t for i, t in targets.items() if i in interior})
     for l in range(alpha - rho_of(p, r), alpha - len(interior) + 1):
         cols.setdefault(l, Fraction(0))
+    rows = [i for i in all_row_indices(p, r, alpha) if i not in interior]
+    nums, den = _over_common_denominator(cols)
     boundary = {
-        i: targets.get(i, Fraction(0)) - row_sum(p, r, alpha, cols, i)
-        for i in all_row_indices(p, r, alpha)
-        if i not in interior
+        i: Fraction(targets.get(i, 0) * den - s, den)
+        for i, s in zip(rows, _row_sum_numerators(p, r, alpha, nums, rows))
     }
     return AnnihilatorSystem(
         p=p,
@@ -459,7 +544,7 @@ def _annihilator(p: int, r: int, alpha: int, offset: int, monomial: str) -> Anni
         ecal=ecal,
         target=f"p^{ecal} * theta^{alpha} * {monomial}",
         column_constants=cols,
-        row_values=targets,
+        row_values={i: Fraction(t) for i, t in targets.items()},
         boundary_values=boundary,
     )
 
@@ -482,13 +567,15 @@ def vartheta_profile(system: AnnihilatorSystem, w_max: int | None = None) -> The
     p, alpha, ecal = system.p, system.alpha, system.ecal
     if w_max is None:
         w_max = 2 * rho_of(p, system.r)
-    vals = {w: vartheta(system.row_values, w, p) for w in range(w_max + 1)}
-    zero_below = all(vals[w] == 0 for w in range(min(alpha, w_max + 1)))
-    at_alpha = alpha <= w_max and valuation(vals[alpha], p) == ecal
+    sums, den = _vartheta_numerators(system.row_values, p, w_max)
+    vals = {w: Fraction(s, den) for w, s in enumerate(sums)}
+    # v_p(S_w / den) >= ecal  <=>  p^(ecal + v_p(den)) divides S_w (also for S_w = 0)
+    unit = p ** (ecal + valuation(den, p))
+    zero_below = all(s == 0 for s in sums[:alpha])
+    at_alpha = alpha <= w_max and sums[alpha] % unit == 0 and sums[alpha] % (unit * p) != 0
     ok_up_to = -1
     for w in range(alpha, w_max + 1):
-        v = valuation(vals[w], p)
-        if v < ecal:
+        if sums[w] % unit:
             break
         ok_up_to = w
     return ThetaProfile(alpha, ecal, zero_below, at_alpha, ok_up_to, vals)
@@ -522,7 +609,7 @@ class DoubleSumReport:
 def verify_vanishing_double_sum(p: int, r: int, alpha: int) -> DoubleSumReport:
     """sum_l C_l C(r-alpha+l, i(p-1)+l) = 0 for i = 1..rho', coefficient-wise."""
     cc = c_constants(p, r, alpha, variant="general")
-    sums = {i: row_sum(p, r, alpha, cc.values, i) for i in range(1, cc.rho_prime + 1)}
+    sums = row_sums(p, r, alpha, cc.values, range(1, cc.rho_prime + 1))
     return DoubleSumReport(
         p=p,
         r=r,

@@ -250,6 +250,8 @@ def newton_polygon(coeffs: Sequence[int | Fraction], p: int) -> NewtonPolygon:
 
 def format_rational(x: int | Fraction | Infinity) -> str:
     """Exact rendering: integers bare, otherwise num/den; INFINITY as 'inf'."""
+    if type(x) is int:
+        return str(x)
     if isinstance(x, Infinity):
         return "inf"
     f = Fraction(x)

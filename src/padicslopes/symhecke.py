@@ -150,7 +150,10 @@ def act(g: Matrix, f: SymPoly) -> SymPoly:
     -v_p(det g_0) t/2 for g_0 = g / p^m, m the least entry valuation, so
     that the central power p^m acts trivially.
     """
-    _, (a, b, c, d) = _primitive(g, f.p)
+    _, g0 = _primitive(g, f.p)
+    if g0 == IDENTITY:
+        return f  # a central p^m: the coefficients are already reduced and the twist moves by 0
+    a, b, c, d = g0
     v0 = valuation(a * d - b * c, f.p)
     q = f.p**f.M
     a, b, c, d = a % q, b % q, c % q, d % q

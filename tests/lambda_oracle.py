@@ -1,17 +1,31 @@
-"""The triangular Lambda route, kept as an independent oracle.
+"""Fraction routes kept as independent oracles.
 
 Production computes Lambda tables by integer forward differences
 (``combinatorics.lambda_raw_table``).  This module solves the same defining
 identity the other way, by matching coefficients of Fraction polynomials,
 and evaluates its residual coefficient-wise; the tests compare the routes.
 The dense Fraction polynomials (lowest degree first) live only here.
+
+Production evaluates the annihilator path (row sums, the interior solve,
+vartheta) in integers over one common denominator per cell.  The
+term-by-term Fraction formulas for the same quantities are kept at the end
+of this module, and the tests compare the two.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from padicslopes.combinatorics import _require_prime_gt3
+from padicslopes.combinatorics import (
+    _forward_differences,
+    _require_prime_gt3,
+    all_row_indices,
+    comb0,
+    ecal_of,
+    interior_row_indices,
+    rho_of,
+)
+from padicslopes.padic import generalized_binomial
 
 
 def _ptrim(c: list[Fraction]) -> list[Fraction]:
@@ -114,3 +128,56 @@ def lambda_defining_residual(table: LambdaTable) -> list[Fraction]:
         if lam != 0:
             acc = _padd(acc, _pscale(basis[table.alpha - beta], lam))
     return _ptrim(_padd(acc, _pscale(_target_poly(table.R), Fraction(-1))))
+
+
+# ---------------------------------------------------------------------------
+# the annihilator path, one Fraction term at a time
+# ---------------------------------------------------------------------------
+
+
+def row_sum(p: int, r: int, alpha: int, cols: dict[int, Fraction], i: int) -> Fraction:
+    """sum_l C_l C(r-alpha+l, i(p-1)+l): row i of the cell's binomial system
+    applied to the column constants cols = {l: C_l}."""
+    return sum((c * comb0(r - alpha + l, i * (p - 1) + l) for l, c in cols.items()), Fraction(0))
+
+
+def vartheta(D: dict[int, Fraction], w: int, p: int) -> Fraction:
+    """sum_i D_i C(i(p-1), w) with the generalized binomial for negative i."""
+    acc = Fraction(0)
+    for i, d in D.items():
+        if d != 0:
+            acc += Fraction(d) * generalized_binomial(i * (p - 1), w)
+    return acc
+
+
+def interior_solution(p: int, r: int, alpha: int, targets: dict[int, Fraction]) -> dict[int, Fraction]:
+    """Constants C_l with row sums equal to targets[i] on every interior row:
+    forward differences of y_i = targets[i] / C(r, n_i) and Fraction
+    back-substitution against the differences of C(n_i, m)."""
+    rows = interior_row_indices(p, r, alpha)
+    ns = [i * (p - 1) + alpha for i in rows]
+    dy = _forward_differences([Fraction(targets.get(i, 0)) / comb0(r, n) for i, n in zip(rows, ns)])
+    table = [_forward_differences([comb0(n, m) for n in ns[: m + 1]]) for m in range(len(rows))]
+    cprime: dict[int, Fraction] = {}
+    for k in range(len(rows) - 1, -1, -1):
+        rest = sum(table[m][k] * c for m, c in cprime.items())
+        cprime[k] = (dy[k] - rest) / (p - 1) ** k
+    return {alpha - m: c * comb0(r, m) for m, c in cprime.items()}
+
+
+def annihilator(p: int, r: int, alpha: int) -> tuple[dict, dict, dict]:
+    """(column_constants, row_values, boundary_values) of the cell's
+    annihilator: offset 1 below rho, offset 0 in the rho case."""
+    ecal = ecal_of(p, r)
+    offset = 1 if alpha < rho_of(p, r) else 0
+    targets = {m + offset: Fraction(p**ecal) * (-1) ** m * math.comb(alpha, m) for m in range(alpha + 1)}
+    interior = set(interior_row_indices(p, r, alpha))
+    cols = interior_solution(p, r, alpha, {i: t for i, t in targets.items() if i in interior})
+    for l in range(alpha - rho_of(p, r), alpha - len(interior) + 1):
+        cols.setdefault(l, Fraction(0))
+    boundary = {
+        i: targets.get(i, Fraction(0)) - row_sum(p, r, alpha, cols, i)
+        for i in all_row_indices(p, r, alpha)
+        if i not in interior
+    }
+    return cols, targets, boundary

@@ -1,11 +1,16 @@
+import dataclasses
 import math
+from argparse import Namespace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicslopes.cli import VERIFY_TARGETS
 from padicslopes.combinatorics import (
+    _forward_differences,
+    _step_differences,
     all_row_indices,
     build_interior_annihilator,
     build_matrix_M,
@@ -22,6 +27,7 @@ from padicslopes.combinatorics import (
     rho_of,
     rho_prime_of,
     rho_zero_row_identity,
+    row_sums,
     solve_interior_system,
     vartheta,
     vartheta_profile,
@@ -29,6 +35,7 @@ from padicslopes.combinatorics import (
 )
 from padicslopes.padic import generalized_binomial, valuation
 
+import lambda_oracle as oracle
 from lambda_oracle import lambda_coefficients, lambda_defining_residual
 
 
@@ -290,3 +297,102 @@ class TestRowIndexing:
             assert 0 <= i * (p - 1) + alpha <= r
         for i in interior:
             assert rho < i * (p - 1) + alpha < r - rho
+
+
+def _window(name, p, **grid):
+    return VERIFY_TARGETS[name].cells(p, Namespace(alpha=None, **grid))
+
+
+@st.composite
+def _annihilator_rows(draw):
+    """(p, r) with r <= 80; half the draws are rho-shaped r."""
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    if draw(st.booleans()):
+        return p, draw(st.sampled_from([r for _, r in _window("rho-annihilator", p, r=None, r_max=80)]))
+    return p, draw(st.integers(1, 80))
+
+
+class TestIntegerRouteAgainstOracle:
+    """The integer annihilator path against the term-by-term Fraction formulas,
+    on every alpha of the interior-annihilator and rho-annihilator windows."""
+
+    @given(_annihilator_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_annihilator_matches_fraction_oracle(self, cell):
+        p, r = cell
+        alphas = [a for _, _, a in _window("interior-annihilator", p, r=[r], r_max=None)]
+        if (p, r) in _window("rho-annihilator", p, r=None, r_max=80):
+            alphas.append(rho_of(p, r))
+        for alpha in alphas:
+            sysm = build_interior_annihilator(p, r, alpha)
+            cols, rhs, boundary = oracle.annihilator(p, r, alpha)
+            for got, want in ((sysm.column_constants, cols), (sysm.row_values, rhs),
+                              (sysm.boundary_values, boundary)):
+                assert list(got.items()) == list(want.items())
+                assert all(type(v) is Fraction for v in got.values())
+            rows = all_row_indices(p, r, alpha)
+            want = {i: oracle.row_sum(p, r, alpha, cols, i) for i in rows}
+            assert row_sums(p, r, alpha, cols, rows) == want
+            prof = vartheta_profile(sysm)
+            assert list(prof.values.items()) == [
+                (w, oracle.vartheta(rhs, w, p)) for w in range(2 * rho_of(p, r) + 1)
+            ]
+            for i in interior_row_indices(p, r, alpha)[:2]:
+                want = oracle.interior_solution(p, r, alpha, {i: Fraction(p ** ecal_of(p, r))})
+                assert list(solve_interior_system(p, r, alpha, i).items()) == list(want.items())
+        for _, _, alpha in _window("double-sum", p, r=[r], r_max=None):
+            rep = verify_vanishing_double_sum(p, r, alpha)
+            cc = c_constants(p, r, alpha)
+            assert rep.row_sums == {i: oracle.row_sum(p, r, alpha, cc.values, i) for i in rep.row_sums}
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_step_differences(self, p):
+        size = 32
+        table = _step_differences(p, size)
+        for j in range(size):
+            diffs = _forward_differences([math.comb((p - 1) * i, j) for i in range(size)])
+            assert [row[j] for row in table] == diffs
+
+    @pytest.mark.parametrize("w", range(6))
+    def test_vartheta_negative_rows(self, w):
+        D = {-3: Fraction(2, 3), -1: Fraction(-5, 7), 0: Fraction(1), 2: Fraction(9, 4)}
+        assert vartheta(D, w, 5) == oracle.vartheta(D, w, 5)
+
+
+_SMALL_CELLS = [(5, 26, 2), (7, 33, 1), (5, 47, 0), (5, 15, 2), (7, 53, 4)]
+
+
+class TestChecksCanFail:
+    """Each exact check rejects a system that is off by one anywhere."""
+
+    @pytest.mark.parametrize("p,r,alpha", _SMALL_CELLS)
+    def test_residual_sees_every_perturbation(self, p, r, alpha):
+        sysm = build_interior_annihilator(p, r, alpha)
+        assert sysm.residual() == {}
+        for field in ("column_constants", "boundary_values"):
+            values = getattr(sysm, field)
+            assert values
+            for key in values:
+                for delta in (1, -1):
+                    bad = dict(values)
+                    bad[key] += delta
+                    assert dataclasses.replace(sysm, **{field: bad}).residual(), (field, key, delta)
+
+    @pytest.mark.parametrize("p,r,alpha", _SMALL_CELLS)
+    def test_profile_sees_a_perturbed_row_value(self, p, r, alpha):
+        sysm = build_interior_annihilator(p, r, alpha)
+
+        def exact(prof):
+            return (prof.zero_below_alpha and prof.valuation_at_alpha_is_ecal
+                    and prof.valuations_ok_up_to >= 2 * rho_of(p, r))
+
+        assert exact(vartheta_profile(sysm))
+        for i in sysm.row_values:
+            bad = dict(sysm.row_values)
+            bad[i] += 1
+            assert not exact(vartheta_profile(dataclasses.replace(sysm, row_values=bad))), i
+        # p D has the zeros and the lower bounds of D, but valuation ecal + 1 at alpha
+        times_p = {i: p * d for i, d in sysm.row_values.items()}
+        scaled = vartheta_profile(dataclasses.replace(sysm, row_values=times_p))
+        assert scaled.zero_below_alpha and scaled.valuations_ok_up_to >= 2 * rho_of(p, r)
+        assert not scaled.valuation_at_alpha_is_ecal
