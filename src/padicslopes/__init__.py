@@ -26,7 +26,6 @@ from .padic import (
     NewtonPolygon,
     binomial_valuation,
     factorial_valuation,
-    generalized_binomial,
     integer_log,
     newton_polygon,
     teichmuller_lift,
@@ -59,7 +58,6 @@ __all__ = [
     "eisenstein",
     "factor_and_rank_checks",
     "factorial_valuation",
-    "generalized_binomial",
     "h_polys",
     "hecke_T",
     "hecke_matrix",

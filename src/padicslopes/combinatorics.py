@@ -79,12 +79,8 @@ def lambda_raw_table(p: int, R: int, alpha: int) -> tuple[list[int], int]:
     _require_prime_gt3(p)
     if R < 0 or alpha < R:
         raise ValueError(f"need 0 <= R <= alpha, got R={R}, alpha={alpha}")
-    ns = []
-    for s in range(R + 1):
-        n = 1
-        for u in range(R):
-            n *= (R - u) * (p - 1) + alpha - s
-        ns.append(n)
+    # n_s = prod_(k=1..R) (k(p-1) + alpha - s)
+    ns = [math.prod(range(alpha - s + p - 1, alpha - s + R * (p - 1) + 1, p - 1)) for s in range(R + 1)]
     return _forward_differences(ns), (p - 1) ** R * math.factorial(R)
 
 
@@ -101,12 +97,22 @@ def lambda_identity_holds(p: int, alpha: int, nums: list[int], den: int) -> bool
     sum_m nums[m] C((p-1)X + alpha, m) = den C(R - X, R) with R = len(nums)-1.
 
     Both sides have degree <= R, so agreement at X = 0..R proves it, and
-    C(R - x, R) is 1 at x = 0 and 0 at x = 1..R.
+    C(R - x, R) is 1 at x = 0 and 0 at x = 1..R.  Times R!, the left side
+    is sum_m w_m (y)_m with w_m = nums[m] R!/m!, y = (p-1)x + alpha and the
+    falling factorial (y)_m = y(y-1)...(y-m+1); Horner's scheme
+    w_0 + y(w_1 + (y-1)(w_2 + ...)) evaluates it with no division.
     """
-    return all(
-        sum(n * comb0((p - 1) * x + alpha, m) for m, n in enumerate(nums)) == (den if x == 0 else 0)
-        for x in range(len(nums))
-    )
+    R = len(nums) - 1
+    fact = math.factorial(R)
+    weights = [n * (fact // math.factorial(m)) for m, n in enumerate(nums)]
+    for x in range(R + 1):
+        y = (p - 1) * x + alpha
+        h = weights[R]
+        for m in range(R, 0, -1):
+            h = h * (y - m + 1) + weights[m - 1]
+        if h != (den * fact if x == 0 else 0):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -2,21 +2,23 @@
 
 Each lemma asserts strict p-adic valuation inequalities v_p(X_0) < v_p(.)
 over a finite index window attached to a parameter cell.  The checks here
-compute both sides as exact rationals and record per-index witnesses, so a
-"holds" verdict is an exhaustive exact computation, never an estimate.
-Vacuous windows are reported as such rather than silently passing.
+compute every valuation exactly from integers (binomials, Lambda numerators
+and Legendre's formula, never a rational number) and record per-index
+witnesses, so a "holds" verdict is an exhaustive exact computation, never an
+estimate.  Vacuous windows are reported as such rather than silently passing.
+The prime is validated once, at each public entry point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+import operator
+from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Sequence
 
 from .combinatorics import (
-    c_constants,
-    comb0,
+    _require_prime_gt3,
     lambda_identity_holds,
     lambda_raw_table,
     rho_of,
@@ -25,29 +27,16 @@ from .combinatorics import (
 from .padic import (
     INFINITY,
     ExtendedValuation,
-    binomial_valuation,
+    _carries,
+    _check_prime,
+    _vp,
     factorial_valuation,
     format_rational,
-    generalized_binomial,
     integer_log,
-    valuation,
 )
 
 GENERAL_LEMMAS = (10, 11, 12)
 RHO_LEMMAS = (13, 14, 15)
-
-
-def witness_values(p: int, r: int, alpha: int, rho_prime: int, i: int) -> tuple[Fraction, Fraction]:
-    """(X_i, X_i*) at row index i:
-    X_i   = p^(-i(p-1))      C(r, i(p-1)+alpha) C(rho'-i, rho'),
-    X_i*  = p^(i(p-1)+2a-r)  C(r, i(p-1)+alpha) C(rho'-i, rho')."""
-    m = i * (p - 1) + alpha
-    core = Fraction(comb0(r, m)) * generalized_binomial(rho_prime - i, rho_prime)
-    e = i * (p - 1)
-    xi = core * (Fraction(1, p**e) if e >= 0 else Fraction(p ** (-e)))
-    e2 = i * (p - 1) + 2 * alpha - r
-    xis = core * (Fraction(p**e2) if e2 >= 0 else Fraction(1, p ** (-e2)))
-    return xi, xis
 
 
 @dataclass(frozen=True)
@@ -57,12 +46,11 @@ class Witness:
     lhs_val: ExtendedValuation
     rhs_val: ExtendedValuation
     strict: bool
+    margin: ExtendedValuation = field(init=False)
 
-    @property
-    def margin(self) -> ExtendedValuation:
-        if isinstance(self.rhs_val, type(INFINITY)):
-            return INFINITY
-        return self.rhs_val - self.lhs_val
+    def __post_init__(self):
+        margin = INFINITY if self.rhs_val is INFINITY else self.rhs_val - self.lhs_val
+        object.__setattr__(self, "margin", margin)
 
 
 @dataclass(frozen=True)
@@ -76,13 +64,7 @@ class LemmaReport:
     witnesses: tuple[Witness, ...]
     verdict: str  # "holds" | "fails" | "vacuous"
     checked: int
-
-    @property
-    def min_margin(self) -> ExtendedValuation | None:
-        finite = [w.margin for w in self.witnesses if not isinstance(w.margin, type(INFINITY))]
-        if not finite:
-            return INFINITY if self.witnesses else None
-        return min(finite)
+    min_margin: ExtendedValuation | None
 
 
 def _report(lemma_id, p, r, alpha, rho, rp, witnesses) -> LemmaReport:
@@ -92,6 +74,7 @@ def _report(lemma_id, p, r, alpha, rho, rp, witnesses) -> LemmaReport:
         verdict = "holds"
     else:
         verdict = "fails"
+    finite = [w.margin for w in witnesses if w.margin is not INFINITY]
     return LemmaReport(
         lemma_id=lemma_id,
         p=p,
@@ -102,16 +85,36 @@ def _report(lemma_id, p, r, alpha, rho, rp, witnesses) -> LemmaReport:
         witnesses=tuple(witnesses),
         verdict=verdict,
         checked=len(witnesses),
+        min_margin=min(finite) if finite else INFINITY if witnesses else None,
     )
+
+
+def _core_valuation(p: int, r: int, alpha: int, rp: int, i: int) -> ExtendedValuation:
+    """v_p(C(r, i(p-1)+alpha) C(rho'-i, rho')), the common factor of X_i and
+    X_i*; a negative top uses C(-n, w) = (-1)^w C(n+w-1, w)."""
+    top = rp - i
+    core = math.comb(r, i * (p - 1) + alpha) * math.comb(top if top >= 0 else rp - top - 1, rp)
+    return INFINITY if core == 0 else _vp(core, p)
 
 
 def verify_lemma(lemma_id: int, p: int, r: int, alpha: int | None = None) -> LemmaReport:
     """Check one lemma on one parameter cell over its full index window.
 
     Lemmas 10-12 need alpha > rho (with rho' >= 1); lemmas 13-15 need
-    r = rho(p+1)+1 and take alpha = rho implicitly.  Lemma 9 is checked by
+    r = rho(p+1)+1 and take alpha = rho implicitly.  Lemmas 12 and 15 need
+    p > 3, the others any prime.  Lemma 9 is checked by
     :func:`sweep_lemma9_with_oracle`.
+
+    With core = C(r, i(p-1)+alpha) C(rho'-i, rho'), the row witnesses are
+    X_i = p^(-i(p-1)) core and X_i* = p^(i(p-1)+2 alpha-r) core; the column
+    witnesses are C_l p^l with C_l = Lambda(alpha, l) C(r, alpha-l), whose
+    valuation is v_p(n_(alpha-l) C(r, alpha-l)) - v_p(rho'!) over the raw
+    Lambda table (n, (p-1)^rho' rho'!).
     """
+    if lemma_id in (12, 15):
+        _require_prime_gt3(p)
+    else:
+        _check_prime(p)
     rho = rho_of(p, r)
     if lemma_id in GENERAL_LEMMAS:
         if alpha is None or alpha <= rho:
@@ -130,15 +133,14 @@ def verify_lemma(lemma_id: int, p: int, r: int, alpha: int | None = None) -> Lem
     else:
         raise ValueError(f"unknown lemma id {lemma_id}")
 
-    v0 = binomial_valuation(r, alpha, p)
+    v0 = _carries(alpha, r - alpha, p)
     witnesses: list[Witness] = []
 
     if lemma_id in (10, 13):
         # rows below zero: i < 0 with i(p-1)+alpha >= 0
         i = -1
         while i * (p - 1) + alpha >= 0:
-            xi, _ = witness_values(p, r, alpha, rp, i)
-            v = valuation(xi, p)
+            v = _core_valuation(p, r, alpha, rp, i) - i * (p - 1)
             witnesses.append(Witness(i, "X_i", v0, v, v0 < v))
             i -= 1
     elif lemma_id in (11, 14):
@@ -149,17 +151,16 @@ def verify_lemma(lemma_id: int, p: int, r: int, alpha: int | None = None) -> Lem
         i = 0
         while i * (p - 1) + alpha <= hi_incl:
             if i * (p - 1) + alpha > lo_excl:
-                _, xis = witness_values(p, r, alpha, rp, i)
-                v = valuation(xis, p)
+                v = _core_valuation(p, r, alpha, rp, i) + i * (p - 1) + 2 * alpha - r
                 witnesses.append(Witness(i, "X_i_star", v0, v, v0 < v))
             i += 1
     else:  # 12, 15
-        cols = c_constants(p, r, alpha, "general" if lemma_id == 12 else "rho_case")
+        nums, _ = lambda_raw_table(p, rp, alpha)
+        vden = factorial_valuation(rp, p)  # v_p((p-1)^rho' rho'!)
         lo = alpha - rp if lemma_id == 12 else 1
         for l in range(lo, alpha + 1):
-            v = valuation(cols[l], p)
-            if not isinstance(v, type(INFINITY)):
-                v = v + l
+            n = nums[alpha - l] * math.comb(r, alpha - l)
+            v = INFINITY if n == 0 else _vp(n, p) - vden + l
             witnesses.append(Witness(l, "C_l_p^l", v0, v, v0 < v))
 
     return _report(lemma_id, p, r, alpha, rho, rp, witnesses)
@@ -181,40 +182,44 @@ class Lemma9Report:
 
 
 def sweep_lemma9_with_oracle(ps: Sequence[int], a_max: int) -> dict[int, Lemma9Report]:
-    """Carry counts against the direct factorization of exact C(a, b), plus
-    the log bound, for every prime in ps; the binomial is computed once per
-    (a, b) and shared across primes."""
-    violations: dict[int, list[tuple[int, int]]] = {p: [] for p in ps}
-    vmax = {p: 0 for p in ps}
-    checked = 0
-    bounds = {p: [0] + [integer_log(p, a) for a in range(1, a_max + 1)] for p in ps}
-    for a in range(1, a_max + 1):
-        c = 1
-        for b in range(0, a + 1):
-            if b:
-                c = c * (a - b + 1) // b
-            checked += 1
-            for p in ps:
-                carries = binomial_valuation(a, b, p)
-                n, direct = c, 0
-                while n % p == 0:
-                    n //= p
-                    direct += 1
-                if carries != direct or carries > bounds[p][a]:
-                    violations[p].append((a, b))
-                if carries > vmax[p]:
-                    vmax[p] = carries
-    return {
-        p: Lemma9Report(
+    """Carry counts against an independent recurrence oracle, plus the log
+    bound, for every prime in ps and every 0 <= b <= a <= a_max.
+
+    The checked side is Kummer's carry count of b + (a-b).  The oracle never
+    counts carries and never builds C(a, b): it walks b = 0..a along
+    v(C(a, b)) = v(C(a, b-1)) + v(a-b+1) - v(b), the valuation of the exact
+    ratio C(a, b)/C(a, b-1) = (a-b+1)/b, reading v_p(n) for n <= a_max from
+    a per-prime table.
+    """
+    for p in ps:
+        _check_prime(p)
+    reports = {}
+    for p in ps:
+        vp = [0] + [_vp(n, p) for n in range(1, a_max + 1)]
+        violations: list[tuple[int, int]] = []
+        vmax = 0
+        checked = 0
+        for a in range(1, a_max + 1):
+            bound = integer_log(p, a)
+            direct = 0
+            for b in range(a + 1):
+                if b:
+                    direct += vp[a - b + 1] - vp[b]
+                carries = _carries(b, a - b, p)
+                if carries != direct or carries > bound:
+                    violations.append((a, b))
+                if carries > vmax:
+                    vmax = carries
+            checked += a + 1
+        reports[p] = Lemma9Report(
             p=p,
             a_max=a_max,
             checked=checked,
-            verdict="holds" if not violations[p] else "fails",
-            max_valuation_seen=vmax[p],
-            violations=tuple(violations[p][:100]),
+            verdict="holds" if not violations else "fails",
+            max_valuation_seen=vmax,
+            violations=tuple(violations[:100]),
         )
-        for p in ps
-    }
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +237,6 @@ class IntegralityReport:
     c_prime_min_valuation: ExtendedValuation
     c_double_min_valuation: ExtendedValuation
     defining_identity_ok: bool
-    cleared_identity_ok: bool
 
     @property
     def holds(self) -> bool:
@@ -240,21 +244,28 @@ class IntegralityReport:
             self.c_prime_min_valuation >= 0
             and self.c_double_min_valuation >= 0
             and self.defining_identity_ok
-            and self.cleared_identity_ok
         )
 
 
 def integrality_checks(p: int, r: int, alpha: int) -> IntegralityReport:
-    """v_p(C'_l) >= 0 and v_p(C''_j) >= 0, with both defining polynomial
-    identities verified exactly.
+    """v_p(C'_l) >= 0 and v_p(C''_j) >= 0, with the defining polynomial
+    identity verified exactly.
 
-    C'_l is the Lambda value itself; C''_j rescales it by the unit
-    (-1)^rho' (p-1)^(alpha-j) and the integer rho'!/(alpha-j)! so that the
-    cleared identity has the monic product (X-1)...(X-rho') on the right.
-    Both identities relate polynomials of degree rho', so exact evaluation
-    at the rho'+1 integer points 0..rho' proves them; clearing the common
-    denominator (p-1)^rho' rho'! keeps every evaluation in Z.
+    C'_l is the Lambda value itself, n_m / den with m = alpha - l over the raw
+    table (n, den = (p-1)^rho' rho'!); since p-1 is a unit,
+    v_p(C'_l) = v_p(n_m) - v_p(rho'!).  C''_j rescales it by the unit
+    (-1)^rho' (p-1)^(alpha-j) and the integer rho'!/(alpha-j)!, so
+    v_p(C''_j) = v_p(n_m) - v_p(m!).
+
+    The rescaled constants satisfy the cleared identity
+    sum_m (rho'!/m!) n_m G_m(x) = (-1)^rho' den (x-1)...(x-rho') with
+    G_m(x) = prod_(u<m) ((p-1)x + alpha - u).  It is rho'! times the defining
+    identity sum_m n_m C((p-1)x + alpha, m) = den C(rho' - x, rho'): on the
+    left (rho'!/m!) G_m(x) = rho'! C((p-1)x + alpha, m), and on the right
+    (-1)^rho' (x-1)...(x-rho') = rho'! C(rho' - x, rho').  So the proof of
+    the defining identity (exact evaluation at x = 0..rho') proves both.
     """
+    _require_prime_gt3(p)
     rho = rho_of(p, r)
     if r == rho * (p + 1) + 1 and alpha == rho:
         variant = "rho_case"
@@ -268,49 +279,17 @@ def integrality_checks(p: int, r: int, alpha: int) -> IntegralityReport:
             raise ValueError("rho' < 1: outside the lemma hypotheses")
 
     nums, den = lambda_raw_table(p, rp, alpha)  # Lambda(alpha, alpha-m) = nums[m]/den
-    vden = factorial_valuation(rp, p)  # v_p(den), since p-1 is a unit
-
-    def _v(n: int) -> ExtendedValuation:
-        return INFINITY if n == 0 else valuation(n, p)
-
-    cprime_min = min(_v(nums[m]) - vden for m in range(rp + 1))
-    cdouble_min = min(
-        _v(nums[m]) - factorial_valuation(m, p) for m in range(rp + 1)
-    )
-
-    # defining identity: sum_m nums[m] C((p-1)x+alpha, m) = den C(rho'-x, rho')
-    defining_ok = lambda_identity_holds(p, alpha, nums, den)
-
-    # cleared identity, scaled by (-1)^rho' den:
-    #   sum_m (rho'!/m!) nums[m] G_m(x) = (-1)^rho' den (x-1)...(x-rho')
-    # with G_m(x) = prod_{u<m} ((p-1)x + alpha - u)
-    cleared_ok = True
-    rpf = math.factorial(rp)
-    facts = [math.factorial(m) for m in range(rp + 1)]
-    for x in range(rp + 1):
-        g = 1
-        lhs = 0
-        for m in range(rp + 1):
-            if m:
-                g *= (p - 1) * x + alpha - m + 1
-            lhs += (rpf // facts[m]) * nums[m] * g
-        rhs_prod = 1
-        for i in range(1, rp + 1):
-            rhs_prod *= x - i
-        if lhs != (-1) ** rp * den * rhs_prod:
-            cleared_ok = False
-            break
-
+    vnums = [INFINITY if n == 0 else _vp(n, p) for n in nums]
+    vfacts = list(accumulate((_vp(m, p) for m in range(1, rp + 1)), initial=0))  # v_p(m!)
     return IntegralityReport(
         p=p,
         r=r,
         alpha=alpha,
         rho_prime=rp,
         variant=variant,
-        c_prime_min_valuation=cprime_min,
-        c_double_min_valuation=cdouble_min,
-        defining_identity_ok=defining_ok,
-        cleared_identity_ok=cleared_ok,
+        c_prime_min_valuation=min(vnums) - vfacts[rp],
+        c_double_min_valuation=min(map(operator.sub, vnums, vfacts)),
+        defining_identity_ok=lambda_identity_holds(p, alpha, nums, den),
     )
 
 

@@ -8,7 +8,6 @@ rational and absorbs addition.  Everything here works over plain ``int`` and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -86,19 +85,23 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
+def _vp(n: int, p: int) -> int:
+    """v_p of a nonzero int, for a p the caller has already checked."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def valuation(n: int | Fraction, p: int) -> ExtendedValuation:
     """p-adic valuation of an integer or exact rational; INFINITY for 0."""
     _check_prime(p)
     if n == 0:
         return INFINITY
     if isinstance(n, Fraction):
-        return valuation(n.numerator, p) - valuation(n.denominator, p)
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+        return _vp(n.numerator, p) - _vp(n.denominator, p)
+    return _vp(n, p)
 
 
 def factorial_valuation(n: int, p: int) -> int:
@@ -114,6 +117,20 @@ def factorial_valuation(n: int, p: int) -> int:
     return v
 
 
+def _carries(x: int, y: int, p: int) -> int:
+    """The number of carries when adding x, y >= 0 in base p (p unchecked).
+
+    Once x and y run out of digits, an incoming carry cannot carry again.
+    """
+    carries = carry = 0
+    while x or y:
+        carry = 1 if x % p + y % p + carry >= p else 0
+        carries += carry
+        x //= p
+        y //= p
+    return carries
+
+
 def binomial_valuation(a: int, b: int, p: int) -> int:
     """v_p(C(a, b)) as the number of base-p carries when adding b and a-b.
 
@@ -122,37 +139,7 @@ def binomial_valuation(a: int, b: int, p: int) -> int:
     _check_prime(p)
     if not 0 <= b <= a:
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
-    carries = 0
-    carry = 0
-    x, y = b, a - b
-    while x or y or carry:
-        carry = 1 if x % p + y % p + carry >= p else 0
-        carries += carry
-        x //= p
-        y //= p
-    return carries
-
-
-def generalized_binomial(top: int | Fraction, w: int) -> Fraction:
-    """C(top, w) by the falling factorial; top may be negative or rational.
-
-    Satisfies the negation identity C(-m, w) = (-1)^w C(m+w-1, w).
-    """
-    if w < 0:
-        raise ValueError("w must be nonnegative")
-    if isinstance(top, int) and top >= 0:
-        return Fraction(math.comb(top, w))
-    num = 1
-    den = 1
-    if isinstance(top, Fraction):
-        a, b = top.numerator, top.denominator
-        for u in range(w):
-            num *= a - u * b
-            den *= b
-    else:
-        for u in range(w):
-            num *= top - u
-    return Fraction(num, den * math.factorial(w))
+    return _carries(b, a - b, p)
 
 
 def integer_log(p: int, n: int) -> int:

@@ -25,7 +25,8 @@ from padicslopes.combinatorics import (
     interior_row_indices,
     rho_of,
 )
-from padicslopes.padic import generalized_binomial
+
+from lemma_oracle import generalized_binomial
 
 
 def _ptrim(c: list[Fraction]) -> list[Fraction]:

@@ -1,0 +1,119 @@
+"""Rational routes for the valuation lemmas, kept as independent oracles.
+
+Production (``padicslopes.lemma_checks``) computes every witness valuation
+from integers.  This module builds the witnesses as exact ``Fraction``s, the
+way the lemmas state them, and splits them with ``padic.valuation``; the
+column witnesses of lemmas 12 and 15 come from ``c_constants``.  It also
+keeps the cleared integrality identity, which production no longer
+evaluates because it is rho'! times the defining identity.  The tests
+compare the routes.
+"""
+
+import math
+from fractions import Fraction
+
+from padicslopes.combinatorics import c_constants, comb0, rho_of, rho_prime_of
+from padicslopes.lemma_checks import GENERAL_LEMMAS, RHO_LEMMAS, Witness, _report
+from padicslopes.padic import INFINITY, binomial_valuation, valuation
+
+
+def generalized_binomial(top: int | Fraction, w: int) -> Fraction:
+    """C(top, w) by the falling factorial; top may be negative or rational.
+
+    Satisfies the negation identity C(-m, w) = (-1)^w C(m+w-1, w).
+    """
+    if w < 0:
+        raise ValueError("w must be nonnegative")
+    if isinstance(top, int) and top >= 0:
+        return Fraction(math.comb(top, w))
+    num = 1
+    den = 1
+    if isinstance(top, Fraction):
+        a, b = top.numerator, top.denominator
+        for u in range(w):
+            num *= a - u * b
+            den *= b
+    else:
+        for u in range(w):
+            num *= top - u
+    return Fraction(num, den * math.factorial(w))
+
+
+def witness_values(p: int, r: int, alpha: int, rho_prime: int, i: int) -> tuple[Fraction, Fraction]:
+    """(X_i, X_i*) at row index i:
+    X_i   = p^(-i(p-1))      C(r, i(p-1)+alpha) C(rho'-i, rho'),
+    X_i*  = p^(i(p-1)+2a-r)  C(r, i(p-1)+alpha) C(rho'-i, rho')."""
+    m = i * (p - 1) + alpha
+    core = Fraction(comb0(r, m)) * generalized_binomial(rho_prime - i, rho_prime)
+    e = i * (p - 1)
+    xi = core * (Fraction(1, p**e) if e >= 0 else Fraction(p ** (-e)))
+    e2 = i * (p - 1) + 2 * alpha - r
+    xis = core * (Fraction(p**e2) if e2 >= 0 else Fraction(1, p ** (-e2)))
+    return xi, xis
+
+
+def verify_lemma_by_fractions(lemma_id: int, p: int, r: int, alpha: int | None = None):
+    """``verify_lemma`` over exact rationals: the same windows, with each
+    witness built as a Fraction and its valuation split by ``valuation``."""
+    rho = rho_of(p, r)
+    if lemma_id in GENERAL_LEMMAS:
+        if alpha is None or alpha <= rho:
+            raise ValueError(f"lemma {lemma_id} needs alpha > rho = {rho}")
+        rp = rho_prime_of(p, r, alpha)
+        if rp < 1:
+            raise ValueError(f"rho' = {rp} < 1: cell outside the lemma hypotheses")
+    elif lemma_id in RHO_LEMMAS:
+        if r != rho * (p + 1) + 1 or rho < 1:
+            raise ValueError(f"lemma {lemma_id} needs r = rho(p+1)+1 with rho >= 1")
+        alpha = rho if alpha is None else alpha
+        if alpha != rho:
+            raise ValueError(f"lemma {lemma_id} fixes alpha = rho = {rho}")
+        rp = rho
+    else:
+        raise ValueError(f"unknown lemma id {lemma_id}")
+
+    v0 = binomial_valuation(r, alpha, p)
+    witnesses = []
+    if lemma_id in (10, 13):
+        i = -1
+        while i * (p - 1) + alpha >= 0:
+            v = valuation(witness_values(p, r, alpha, rp, i)[0], p)
+            witnesses.append(Witness(i, "X_i", v0, v, v0 < v))
+            i -= 1
+    elif lemma_id in (11, 14):
+        lo_excl = rp * (p - 1) + alpha if lemma_id == 11 else rho * p
+        i = 0
+        while i * (p - 1) + alpha <= r:
+            if i * (p - 1) + alpha > lo_excl:
+                v = valuation(witness_values(p, r, alpha, rp, i)[1], p)
+                witnesses.append(Witness(i, "X_i_star", v0, v, v0 < v))
+            i += 1
+    else:
+        cols = c_constants(p, r, alpha, "general" if lemma_id == 12 else "rho_case")
+        for l in range(alpha - rp if lemma_id == 12 else 1, alpha + 1):
+            v = valuation(cols[l], p)
+            if v is not INFINITY:
+                v = v + l
+            witnesses.append(Witness(l, "C_l_p^l", v0, v, v0 < v))
+    return _report(lemma_id, p, r, alpha, rho, rp, witnesses)
+
+
+def cleared_identity_holds(p: int, alpha: int, nums: list[int], den: int) -> bool:
+    """The cleared identity of a raw Lambda table (nums, den), R = len(nums)-1:
+    sum_m (R!/m!) nums[m] G_m(x) = (-1)^R den (x-1)...(x-R) at x = 0..R,
+    with G_m(x) = prod_(u<m) ((p-1)x + alpha - u)."""
+    rp = len(nums) - 1
+    rpf = math.factorial(rp)
+    for x in range(rp + 1):
+        g = 1
+        lhs = 0
+        for m in range(rp + 1):
+            if m:
+                g *= (p - 1) * x + alpha - m + 1
+            lhs += (rpf // math.factorial(m)) * nums[m] * g
+        rhs_prod = 1
+        for i in range(1, rp + 1):
+            rhs_prod *= x - i
+        if lhs != (-1) ** rp * den * rhs_prod:
+            return False
+    return True

@@ -36,7 +36,7 @@ def test_criterion_1_lemma9_sweep():
         assert rep.verdict == "holds", f"lemma 9 fails at p={p}: {rep.violations[:3]}"
         assert rep.checked == sum(a + 1 for a in range(1, 2001))
     _report(1, time.time() - t0, "<60s",
-            "carry count = direct factorization valuation <= floor(log_p a) "
+            "carry count = recurrence valuation v(C(a,b-1)) + v(a-b+1) - v(b) <= floor(log_p a) "
             f"on {6 * reports[2].checked} triples")
 
 
@@ -130,7 +130,8 @@ def test_criterion_7_integrality():
     results = _verify("integrality", r_max=400)
     _assert_all_hold(results, 12341)
     _report(7, time.time() - t0, "exact (no target)",
-            f"v_p(C') >= 0, v_p(C'') >= 0, and both defining identities on {len(results)} cells")
+            f"v_p(C') >= 0, v_p(C'') >= 0, and the defining identity (the cleared one is rho'! times it) "
+            f"on {len(results)} cells")
 
 
 def test_criterion_8_hecke_operator():

@@ -33,9 +33,10 @@ from padicslopes.combinatorics import (
     vartheta_profile,
     verify_vanishing_double_sum,
 )
-from padicslopes.padic import generalized_binomial, valuation
+from padicslopes.padic import valuation
 
 import lambda_oracle as oracle
+from lemma_oracle import generalized_binomial
 from lambda_oracle import lambda_coefficients, lambda_defining_residual
 
 

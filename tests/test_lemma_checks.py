@@ -3,8 +3,18 @@ from argparse import Namespace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padicslopes.combinatorics import c_constants, rho_of, rho_prime_of
+from padicslopes import lemma_checks as lc
+from padicslopes.combinatorics import (
+    c_constants,
+    lambda_identity_holds,
+    lambda_raw_table,
+    lambda_values_by_differences,
+    rho_of,
+    rho_prime_of,
+)
 from padicslopes.cli import VERIFY_TARGETS
 from padicslopes.cli import main as cli_main
 from padicslopes.lemma_checks import (
@@ -14,9 +24,10 @@ from padicslopes.lemma_checks import (
     report_to_dict,
     sweep_lemma9_with_oracle,
     verify_lemma,
-    witness_values,
 )
 from padicslopes.padic import INFINITY, valuation
+
+from lemma_oracle import cleared_identity_holds, verify_lemma_by_fractions, witness_values
 
 
 def falling(a, n):
@@ -155,6 +166,19 @@ class TestIntegrality:
         assert rep.variant == "general"
         assert rep.holds
 
+    @pytest.mark.parametrize("p,r,alpha", [(5, 14, 3), (5, 40, 9), (7, 25, 3), (11, 90, 9), (13, 400, 30)])
+    def test_minimum_valuations_match_fraction_route(self, p, r, alpha):
+        # C'_j = Lambda(alpha, j); C''_j = (-1)^rho' (p-1)^(alpha-j) rho'!/(alpha-j)! C'_j
+        rep = integrality_checks(p, r, alpha)
+        rp = rep.rho_prime
+        cprime = lambda_values_by_differences(p, rp, alpha)
+        cdouble = {
+            j: (-1) ** rp * (p - 1) ** (alpha - j) * c * (math.factorial(rp) // math.factorial(alpha - j))
+            for j, c in cprime.items()
+        }
+        assert rep.c_prime_min_valuation == min(valuation(c, p) for c in cprime.values())
+        assert rep.c_double_min_valuation == min(valuation(c, p) for c in cdouble.values())
+
     def test_rho_case_example(self):
         # p=7, rho=3: r = 25
         rep = integrality_checks(7, 25, 3)
@@ -164,8 +188,6 @@ class TestIntegrality:
     def test_cleared_identity_matches_polynomial_route(self):
         # dual route: rebuild the cleared identity coefficient-wise with
         # Fraction polynomials and compare against the evaluation verdict
-        from padicslopes.combinatorics import lambda_values_by_differences
-
         p, r, alpha = 5, 40, 9
         rp = rho_prime_of(p, r, alpha)
         cprime = lambda_values_by_differences(p, rp, alpha)
@@ -194,7 +216,135 @@ class TestIntegrality:
                 nxt[d + 1] += cf
             rhs = nxt
         assert lhs == rhs
-        assert integrality_checks(p, r, alpha).cleared_identity_ok
+        assert cleared_identity_holds(p, alpha, *lambda_raw_table(p, rp, alpha))
+        assert integrality_checks(p, r, alpha).holds
+
+
+def _cells(lemma, p, r_max):
+    """Every cell of one lemma at p with r <= r_max, as (lemma, p, r, alpha)."""
+    if lemma in (10, 11, 12):
+        return [(lemma, p, r, a) for r in range(1, r_max + 1) for a in general_alphas(p, r)]
+    return [(lemma, p, r, None) for _, r in admissible_rho_cells(p, r_max)]
+
+
+# p = 3 lies outside the paper's hypotheses; lemmas 12 and 15 reject it
+ORACLE_CELLS = {
+    (lemma, p): _cells(lemma, p, 300)
+    for lemma in (10, 11, 12, 13, 14, 15)
+    for p in ((3, 5, 7, 11, 13) if lemma not in (12, 15) else (5, 7, 11, 13))
+}
+
+
+def _brute_valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+class TestIntegerRouteAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(ORACLE_CELLS)).flatmap(lambda key: st.sampled_from(ORACLE_CELLS[key])))
+    def test_lemmas_match_fraction_route(self, cell):
+        rep = verify_lemma(*cell)
+        oracle = verify_lemma_by_fractions(*cell)
+        assert report_to_dict(rep) == report_to_dict(oracle)
+        assert rep == oracle
+
+    def test_lemma9_matches_brute_division(self, monkeypatch):
+        ps, a_max = (2, 3, 5, 7, 11, 13), 150
+        brute = {}
+        for p in ps:
+            brute[p] = {(a, b): _brute_valuation(math.comb(a, b), p) for a in range(1, a_max + 1) for b in range(a + 1)}
+        reports = sweep_lemma9_with_oracle(ps, a_max)
+        for p in ps:
+            assert reports[p].verdict == "holds"
+            assert reports[p].max_valuation_seen == max(brute[p].values())
+        # the recurrence oracle, compared with brute division on every pair
+        monkeypatch.setattr(lc, "_carries", lambda x, y, p: _brute_valuation(math.comb(x + y, x), p))
+        assert sweep_lemma9_with_oracle(ps, a_max) == reports
+
+
+class TestChecksCanFail:
+    @pytest.mark.parametrize("p,r,alpha", [(5, 40, 9), (7, 25, 3), (11, 90, 9), (13, 200, 15)])
+    def test_identity_detects_numerator_off_by_one(self, p, r, alpha):
+        # (7, 25, 3) is a rho-case cell (r = rho(p+1)+1, alpha = rho)
+        rep = integrality_checks(p, r, alpha)
+        nums, den = lambda_raw_table(p, rep.rho_prime, alpha)
+        assert lambda_identity_holds(p, alpha, nums, den)
+        for m in range(len(nums)):
+            for delta in (1, -1):
+                bad = list(nums)
+                bad[m] += delta
+                assert not lambda_identity_holds(p, alpha, bad, den)
+
+    @pytest.mark.parametrize("p,alpha,R", [(5, 9, 6), (7, 3, 3), (13, 15, 14)])
+    def test_identity_checks_every_point(self, p, alpha, R):
+        # n_0 - alpha d and n_1 + d leave x = 0 (y = alpha) unchanged and
+        # move x = 1 by (p-1) d
+        nums, den = lambda_raw_table(p, R, alpha)
+        assert not lambda_identity_holds(p, alpha, [nums[0] - alpha, nums[1] + 1, *nums[2:]], den)
+
+    def test_integrality_reports_a_broken_table(self, monkeypatch):
+        def corrupted(p, R, alpha):
+            nums, den = lambda_raw_table(p, R, alpha)
+            return [nums[0], nums[1] - 1, *nums[2:]], den
+
+        monkeypatch.setattr(lc, "lambda_raw_table", corrupted)
+        rep = integrality_checks(5, 40, 9)
+        assert not rep.defining_identity_ok
+        assert not rep.holds
+
+    def test_lemma9_reports_a_wrong_carry_count(self, monkeypatch):
+        carries = lc._carries
+
+        def off_by_one(x, y, p):
+            return carries(x, y, p) + ((x, y) == (7, 30))
+
+        monkeypatch.setattr(lc, "_carries", off_by_one)
+        rep = sweep_lemma9_with_oracle([5], 60)[5]
+        assert rep.verdict == "fails"
+        assert rep.violations == ((37, 7),)
+
+
+class TestPrimeValidation:
+    @pytest.mark.parametrize("p", [4, 9])
+    def test_composites_rejected(self, p):
+        for lemma in (10, 11, 12):
+            with pytest.raises(ValueError, match="prime"):
+                verify_lemma(lemma, p, 60, 9)
+        for lemma in (13, 14, 15):
+            with pytest.raises(ValueError, match="prime"):
+                verify_lemma(lemma, p, rho_of(p, 60) * (p + 1) + 1)
+        with pytest.raises(ValueError, match="prime"):
+            sweep_lemma9_with_oracle([p], 20)
+        with pytest.raises(ValueError, match="prime"):
+            sweep_lemma9_with_oracle([2, p], 20)
+        with pytest.raises(ValueError, match="prime"):
+            integrality_checks(p, 60, 9)
+
+    def test_p3_outside_lemmas_12_15_and_integrality(self):
+        # lemmas 10, 11, 13 and 14 are checked at p = 3 as well (evidence
+        # outside the hypotheses); the Lambda tables need p > 3
+        assert verify_lemma(10, 3, 40, 11).verdict == "holds"
+        assert verify_lemma(11, 3, 40, 11).verdict == "holds"
+        assert verify_lemma(13, 3, 13).verdict == "holds"
+        assert verify_lemma(14, 3, 13).verdict == "holds"
+        for lemma, cell in ((12, (40, 11)), (15, (13,))):
+            with pytest.raises(ValueError, match="prime > 3"):
+                verify_lemma(lemma, 3, *cell)
+        with pytest.raises(ValueError, match="prime > 3"):
+            integrality_checks(3, 40, 11)
+
+
+class TestMarginsStored:
+    def test_margins_are_fields(self):
+        rep = verify_lemma(12, 5, 40, 9)
+        for w in rep.witnesses:
+            assert w.__dict__["margin"] == w.rhs_val - w.lhs_val
+        assert rep.__dict__["min_margin"] == min(w.margin for w in rep.witnesses)
+        assert verify_lemma(13, 5, 19).min_margin is None  # vacuous: no witness
 
 
 def _sweep(name, ps, r_max):

@@ -9,12 +9,13 @@ from padicslopes.padic import (
     INFINITY,
     binomial_valuation,
     factorial_valuation,
-    generalized_binomial,
     integer_log,
     newton_polygon,
     teichmuller_lift,
     valuation,
 )
+
+from lemma_oracle import generalized_binomial
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
