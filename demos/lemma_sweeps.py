@@ -13,7 +13,7 @@ from padicslopes.cli import VERIFY_TARGETS
 from padicslopes.lemma_checks import sweep_lemma9_with_oracle
 from padicslopes.padic import INFINITY
 
-print("carry bound (exhaustive, with the exact-binomial factorization oracle):")
+print("carry bound (exhaustive, with the valuation-recurrence oracle):")
 for p, rep in sweep_lemma9_with_oracle((2, 3, 5), 300).items():
     print(f"  p={p}: {rep.verdict} on {rep.checked} pairs, "
           f"max valuation seen {rep.max_valuation_seen}")

@@ -159,14 +159,12 @@ def _with_rho(cell: tuple) -> tuple:
 
 
 def _integrality_alphas(p: int, r: int) -> list[int]:
-    rho = comb.rho_of(p, r)
-    rho_case = rho >= 1 and r == rho * (p + 1) + 1
-    return lc.general_alphas(p, r) + ([rho] if rho_case else [])
+    return comb.general_alphas(p, r) + ([comb.rho_of(p, r)] if r in comb.rho_case_rs(p, r) else [])
 
 
 def _double_sum_alphas(p: int, r: int) -> list[int]:
     rho = comb.rho_of(p, r)
-    return [a for a in lc.general_alphas(p, r) if a <= rho + comb.rho_prime_of(p, r, a)]
+    return [a for a in comb.general_alphas(p, r) if a <= rho + comb.rho_prime_of(p, r, a)]
 
 
 def _check_lemma(lemma_id: int) -> Callable:
@@ -275,9 +273,9 @@ def _hecke_cells(p, args):
     ]
 
 
-_GENERAL = _windowed(lc.general_alphas)
-_BELOW_RHO = _windowed(lambda p, r: range(comb.rho_of(p, r)))
-_RHO_CASE = _rho_shaped(lambda p, r_max: [r for _, r in lc.admissible_rho_cells(p, r_max)])
+_GENERAL = _windowed(comb.general_alphas)
+_BELOW_RHO = _windowed(comb.below_rho_alphas)
+_RHO_CASE = _rho_shaped(comb.rho_case_rs)
 
 VERIFY_TARGETS = {
     "lemma9": Target(
@@ -295,9 +293,7 @@ VERIFY_TARGETS = {
     "interior-annihilator": Target(_BELOW_RHO, _check_interior_annihilator, pins=("r", "alpha")),
     "double-sum": Target(_windowed(_double_sum_alphas), _check_double_sum, pins=("r", "alpha")),
     "rho-annihilator": Target(
-        # r = rho(p+1) + p - 2 with rho >= 1
-        _rho_shaped(lambda p, r_max: range(2 * p - 1, r_max + 1, p + 1)), _check_rho_annihilator,
-        pins=("r",), shown=_with_rho,
+        _rho_shaped(comb.rho_annihilator_rs), _check_rho_annihilator, pins=("r",), shown=_with_rho,
     ),
     "integrality": Target(_windowed(_integrality_alphas), _check_integrality, pins=("r", "alpha")),
     "hecke": Target(

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .exactlinalg import bareiss_det, mat_mul_int, rank_mod_p
-from .padic import integer_log, is_prime, valuation
+from .padic import _check_prime_gt3, integer_log, valuation
 
 
 def comb0(n: int, k: int) -> int:
@@ -48,9 +48,69 @@ def ecal_of(p: int, r: int) -> int:
     return integer_log(p, r + 1)
 
 
-def _require_prime_gt3(p: int) -> None:
-    if not is_prime(p) or p <= 3:
-        raise ValueError(f"p must be a prime > 3, got {p}")
+# The four cell shapes, all under the paper's p > 3 (the callers guard p): each has
+# one validator, which returns rho' or raises ValueError, and one window of its cells.
+
+
+def general_rho_prime(p: int, r: int, alpha: int) -> int:
+    """General cell: rho < alpha with rho' >= 1."""
+    rho, rp = rho_of(p, r), rho_prime_of(p, r, alpha)
+    if alpha <= rho:
+        raise ValueError(f"general variant needs alpha > rho, got alpha={alpha}, rho={rho}")
+    if rp < 1:
+        raise ValueError(f"rho' = {rp} < 1: cell (p={p}, r={r}, alpha={alpha}) is outside the hypotheses")
+    return rp
+
+
+def general_alphas(p: int, r: int) -> list[int]:
+    """General window at (p, r): rho < alpha <= floor(r/(p-1)) with rho' >= 1.
+    The ceiling bounds the window only; the validator accepts cells above it."""
+    return [a for a in range(rho_of(p, r) + 1, r // (p - 1) + 1) if rho_prime_of(p, r, a) >= 1]
+
+
+def rho_case_rho_prime(p: int, r: int, alpha: int) -> int:
+    """Rho-case cell: r = rho(p+1)+1 and alpha = rho >= 1; rho' = rho."""
+    rho = rho_of(p, r)
+    if r != rho * (p + 1) + 1 or alpha != rho or rho < 1:
+        raise ValueError(f"rho case needs r = rho(p+1)+1 and alpha = rho >= 1, got r={r}, alpha={alpha}")
+    return rho
+
+
+def rho_case_rs(p: int, r_max: int) -> range:
+    """Rho-case window: the r <= r_max of that shape, each with alpha = rho."""
+    return range(p + 2, r_max + 1, p + 1)
+
+
+def below_rho_rho_prime(p: int, r: int, alpha: int) -> int:
+    """Below-rho cell: 0 <= alpha < rho."""
+    if not 0 <= alpha < rho_of(p, r):
+        raise ValueError(f"need 0 <= alpha < rho = {rho_of(p, r)}, got alpha={alpha}")
+    return rho_prime_of(p, r, alpha)
+
+
+def below_rho_alphas(p: int, r: int) -> range:
+    """Below-rho window at (p, r)."""
+    return range(rho_of(p, r))
+
+
+def rho_annihilator_rho_prime(p: int, r: int, alpha: int) -> int:
+    """Annihilator rho-shape: r = rho(p+1)+p-2 and alpha = rho >= 1; rho' = rho."""
+    rho = rho_of(p, r)
+    if r != rho * (p + 1) + p - 2 or alpha != rho or rho < 1:
+        raise ValueError(f"rho annihilator needs r = rho(p+1)+p-2, alpha = rho >= 1; got r={r}, alpha={alpha}")
+    return rho
+
+
+def rho_annihilator_rs(p: int, r_max: int) -> range:
+    """Annihilator rho-shape window: the r <= r_max of that shape, each with alpha = rho."""
+    return range(2 * p - 1, r_max + 1, p + 1)
+
+
+def lambda_variant(p: int, r: int, alpha: int) -> tuple[str, int]:
+    """("rho_case", rho') at alpha = rho, which needs a rho-case cell, else ("general", rho')."""
+    if alpha == rho_of(p, r):
+        return "rho_case", rho_case_rho_prime(p, r, alpha)
+    return "general", general_rho_prime(p, r, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +136,7 @@ def lambda_raw_table(p: int, R: int, alpha: int) -> tuple[list[int], int]:
     coefficients are the iterated forward differences of f at 0; the common
     denominator lets the difference table stay in integers.
     """
-    _require_prime_gt3(p)
+    _check_prime_gt3(p)
     if R < 0 or alpha < R:
         raise ValueError(f"need 0 <= R <= alpha, got R={R}, alpha={alpha}")
     # n_s = prod_(k=1..R) (k(p-1) + alpha - s)
@@ -135,26 +195,11 @@ class CConstants:
         return self.values[l]
 
 
-def c_constants(p: int, r: int, alpha: int, variant: str = "general") -> CConstants:
-    """The column constants of the finite-support identities.
-
-    variant="general" requires rho < alpha and rho' >= 1; variant="rho_case"
-    requires r = rho(p+1) + 1 and alpha = rho (then rho' = rho).
-    """
-    _require_prime_gt3(p)
-    rho = rho_of(p, r)
-    if variant == "general":
-        if alpha <= rho:
-            raise ValueError(f"general variant needs alpha > rho, got alpha={alpha}, rho={rho}")
-        rp = rho_prime_of(p, r, alpha)
-        if rp < 1:
-            raise ValueError(f"rho' = {rp} < 1: cell (p={p}, r={r}, alpha={alpha}) is outside the hypotheses")
-    elif variant == "rho_case":
-        if r != rho * (p + 1) + 1 or alpha != rho or rho < 1:
-            raise ValueError(f"rho_case needs r = rho(p+1)+1 and alpha = rho >= 1, got r={r}, alpha={alpha}, rho={rho}")
-        rp = rho
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+def c_constants(p: int, r: int, alpha: int) -> CConstants:
+    """The column constants of the finite-support identities, on a general
+    or a rho-case cell (see lambda_variant)."""
+    _check_prime_gt3(p)
+    _, rp = lambda_variant(p, r, alpha)
     lam = lambda_values_by_differences(p, rp, alpha)
     values = {l: lam[l] * comb0(r, alpha - l) for l in range(alpha - rp, alpha + 1)}
     return CConstants(p=p, r=r, alpha=alpha, rho_prime=rp, values=values, lambda_values=lam)
@@ -250,11 +295,11 @@ class MatrixM:
 
 
 def build_matrix_M(p: int, r: int, alpha: int) -> MatrixM:
-    """Rows may be empty (legal); columns always number rho + 1."""
-    _require_prime_gt3(p)
+    """A below-rho cell or alpha = rho; rows may be empty (legal), columns number rho + 1."""
+    _check_prime_gt3(p)
     rho = rho_of(p, r)
-    if not 0 <= alpha <= rho:
-        raise ValueError(f"need 0 <= alpha <= rho = {rho}, got alpha={alpha}")
+    if alpha != rho:
+        below_rho_rho_prime(p, r, alpha)
     rows = interior_row_indices(p, r, alpha)
     cols = list(range(alpha - rho, alpha + 1))
     entries = tuple(
@@ -269,8 +314,9 @@ def trinomial_revision_check(m: MatrixM) -> bool:
     r, a = m.r, m.alpha
     for i, row in zip(m.row_indices, m.entries):
         n = i * (m.p - 1) + a
+        c_rn = comb0(r, n)  # constant along the row
         for j, e in zip(m.col_indices, row):
-            if e * comb0(r, a - j) != comb0(r, n) * comb0(n, a - j):
+            if e * comb0(r, a - j) != c_rn * comb0(n, a - j):
                 return False
     return True
 
@@ -301,7 +347,7 @@ def factor_and_rank_checks(p: int, R: int, gamma: int) -> FactorRankReport:
     two agree only at R = 0 and R = 3, and both are units mod p, so the rank
     conclusion is the same either way.
     """
-    _require_prime_gt3(p)
+    _check_prime_gt3(p)
     if R < 1 or gamma < 0:
         raise ValueError("need R >= 1 and gamma >= 0")
     m3 = [[comb0(i * (p - 1) + gamma, j) for j in range(R)] for i in range(R)]
@@ -510,21 +556,17 @@ def _theta_monomial_targets(p: int, alpha: int, ecal: int, offset: int) -> dict[
 def build_interior_annihilator(p: int, r: int, alpha: int) -> AnnihilatorSystem:
     """The cell's annihilator, built from the interior solutions.
 
-    For 0 <= alpha <= rho - 1 the right side is p^ecal theta^alpha x^(p-1)
-    y^(rest).  For alpha = rho, which needs r - rho(p+1) = p - 2, it is
-    p^ecal theta^rho y^(p-2); the i = 0 row is then a boundary row, so its
-    coefficient p^ecal survives rather than being interior-annihilated.
+    On a below-rho cell the right side is p^ecal theta^alpha x^(p-1)
+    y^(rest).  On the annihilator rho-shape it is p^ecal theta^rho y^(p-2);
+    the i = 0 row is then a boundary row, so its coefficient p^ecal
+    survives rather than being interior-annihilated.
     """
-    _require_prime_gt3(p)
-    rho = rho_of(p, r)
-    if 0 <= alpha <= rho - 1:
-        return _annihilator(p, r, alpha, 1, f"x^{p - 1} * y^{r - alpha * (p + 1) - p + 1}")
-    if alpha == rho >= 1 and r - rho * (p + 1) == p - 2:
-        return _annihilator(p, r, rho, 0, f"y^{p - 2}")
-    raise ValueError(
-        f"need 0 <= alpha <= rho-1 = {rho - 1}, or alpha = rho with r - rho(p+1) = p-2; "
-        f"got r={r}, alpha={alpha}"
-    )
+    _check_prime_gt3(p)
+    if alpha == rho_of(p, r):
+        rho_annihilator_rho_prime(p, r, alpha)
+        return _annihilator(p, r, alpha, 0, f"y^{p - 2}")
+    below_rho_rho_prime(p, r, alpha)
+    return _annihilator(p, r, alpha, 1, f"x^{p - 1} * y^{r - alpha * (p + 1) - p + 1}")
 
 
 def _annihilator(p: int, r: int, alpha: int, offset: int, monomial: str) -> AnnihilatorSystem:
@@ -614,7 +656,8 @@ class DoubleSumReport:
 
 def verify_vanishing_double_sum(p: int, r: int, alpha: int) -> DoubleSumReport:
     """sum_l C_l C(r-alpha+l, i(p-1)+l) = 0 for i = 1..rho', coefficient-wise."""
-    cc = c_constants(p, r, alpha, variant="general")
+    general_rho_prime(p, r, alpha)  # a rho-case cell has constants but no double sum
+    cc = c_constants(p, r, alpha)
     sums = row_sums(p, r, alpha, cc.values, range(1, cc.rho_prime + 1))
     return DoubleSumReport(
         p=p,

@@ -18,17 +18,19 @@ from itertools import accumulate
 from typing import Sequence
 
 from .combinatorics import (
-    _require_prime_gt3,
+    general_rho_prime,
     lambda_identity_holds,
     lambda_raw_table,
+    lambda_variant,
+    rho_case_rho_prime,
     rho_of,
-    rho_prime_of,
 )
 from .padic import (
     INFINITY,
     ExtendedValuation,
     _carries,
     _check_prime,
+    _check_prime_gt3,
     _vp,
     factorial_valuation,
     format_rational,
@@ -100,10 +102,9 @@ def _core_valuation(p: int, r: int, alpha: int, rp: int, i: int) -> ExtendedValu
 def verify_lemma(lemma_id: int, p: int, r: int, alpha: int | None = None) -> LemmaReport:
     """Check one lemma on one parameter cell over its full index window.
 
-    Lemmas 10-12 need alpha > rho (with rho' >= 1); lemmas 13-15 need
-    r = rho(p+1)+1 and take alpha = rho implicitly.  Lemmas 12 and 15 need
-    p > 3, the others any prime.  Lemma 9 is checked by
-    :func:`sweep_lemma9_with_oracle`.
+    Lemmas 10-12 take a general cell; lemmas 13-15 take a rho-case cell,
+    with alpha = rho implicitly.  Lemmas 12 and 15 need p > 3, the others
+    any prime.  Lemma 9 is checked by :func:`sweep_lemma9_with_oracle`.
 
     With core = C(r, i(p-1)+alpha) C(rho'-i, rho'), the row witnesses are
     X_i = p^(-i(p-1)) core and X_i* = p^(i(p-1)+2 alpha-r) core; the column
@@ -112,24 +113,17 @@ def verify_lemma(lemma_id: int, p: int, r: int, alpha: int | None = None) -> Lem
     Lambda table (n, (p-1)^rho' rho'!).
     """
     if lemma_id in (12, 15):
-        _require_prime_gt3(p)
+        _check_prime_gt3(p)
     else:
         _check_prime(p)
     rho = rho_of(p, r)
     if lemma_id in GENERAL_LEMMAS:
-        if alpha is None or alpha <= rho:
-            raise ValueError(f"lemma {lemma_id} needs alpha > rho = {rho}")
-        rp = rho_prime_of(p, r, alpha)
-        if rp < 1:
-            raise ValueError(f"rho' = {rp} < 1: cell outside the lemma hypotheses")
-    elif lemma_id in RHO_LEMMAS:
-        if r != rho * (p + 1) + 1 or rho < 1:
-            raise ValueError(f"lemma {lemma_id} needs r = rho(p+1)+1 with rho >= 1")
         if alpha is None:
-            alpha = rho
-        if alpha != rho:
-            raise ValueError(f"lemma {lemma_id} fixes alpha = rho = {rho}")
-        rp = rho
+            raise ValueError(f"lemma {lemma_id} needs alpha")
+        rp = general_rho_prime(p, r, alpha)
+    elif lemma_id in RHO_LEMMAS:
+        alpha = rho if alpha is None else alpha
+        rp = rho_case_rho_prime(p, r, alpha)
     else:
         raise ValueError(f"unknown lemma id {lemma_id}")
 
@@ -144,12 +138,9 @@ def verify_lemma(lemma_id: int, p: int, r: int, alpha: int | None = None) -> Lem
             witnesses.append(Witness(i, "X_i", v0, v, v0 < v))
             i -= 1
     elif lemma_id in (11, 14):
-        if lemma_id == 11:
-            lo_excl, hi_incl = rp * (p - 1) + alpha, r
-        else:
-            lo_excl, hi_incl = rho * p, r
+        lo_excl = rp * (p - 1) + alpha if lemma_id == 11 else rho * p
         i = 0
-        while i * (p - 1) + alpha <= hi_incl:
+        while i * (p - 1) + alpha <= r:
             if i * (p - 1) + alpha > lo_excl:
                 v = _core_valuation(p, r, alpha, rp, i) + i * (p - 1) + 2 * alpha - r
                 witnesses.append(Witness(i, "X_i_star", v0, v, v0 < v))
@@ -265,19 +256,8 @@ def integrality_checks(p: int, r: int, alpha: int) -> IntegralityReport:
     (-1)^rho' (x-1)...(x-rho') = rho'! C(rho' - x, rho').  So the proof of
     the defining identity (exact evaluation at x = 0..rho') proves both.
     """
-    _require_prime_gt3(p)
-    rho = rho_of(p, r)
-    if r == rho * (p + 1) + 1 and alpha == rho:
-        variant = "rho_case"
-        rp = rho
-    else:
-        variant = "general"
-        if alpha <= rho:
-            raise ValueError(f"need alpha > rho = {rho} (or the rho case)")
-        rp = rho_prime_of(p, r, alpha)
-        if rp < 1:
-            raise ValueError("rho' < 1: outside the lemma hypotheses")
-
+    _check_prime_gt3(p)
+    variant, rp = lambda_variant(p, r, alpha)
     nums, den = lambda_raw_table(p, rp, alpha)  # Lambda(alpha, alpha-m) = nums[m]/den
     vnums = [INFINITY if n == 0 else _vp(n, p) for n in nums]
     vfacts = list(accumulate((_vp(m, p) for m in range(1, rp + 1)), initial=0))  # v_p(m!)
@@ -291,30 +271,6 @@ def integrality_checks(p: int, r: int, alpha: int) -> IntegralityReport:
         c_double_min_valuation=min(map(operator.sub, vnums, vfacts)),
         defining_identity_ok=lambda_identity_holds(p, alpha, nums, den),
     )
-
-
-# ---------------------------------------------------------------------------
-# admissible cell windows
-# ---------------------------------------------------------------------------
-
-
-def general_alphas(p: int, r: int) -> list[int]:
-    """alpha with rho < alpha <= floor(r/(p-1)) and rho' >= 1.
-
-    The alpha ceiling is the largest value the slope hypothesis allows.
-    """
-    alphas = range(rho_of(p, r) + 1, r // (p - 1) + 1)
-    return [alpha for alpha in alphas if rho_prime_of(p, r, alpha) >= 1]
-
-
-def admissible_rho_cells(p: int, r_max: int) -> list[tuple[int, int]]:
-    """(p, r) with r = rho(p+1)+1, rho >= 1."""
-    cells = []
-    rho = 1
-    while rho * (p + 1) + 1 <= r_max:
-        cells.append((p, rho * (p + 1) + 1))
-        rho += 1
-    return cells
 
 
 # ---------------------------------------------------------------------------

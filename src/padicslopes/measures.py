@@ -18,9 +18,10 @@ from .modforms import dim_cusp, slopes
 from .padic import (
     INFINITY,
     ExtendedValuation,
+    _check_prime,
+    _check_prime_gt3,
     format_rational,
     integer_log,
-    is_prime,
     lower_hull,
 )
 
@@ -66,8 +67,7 @@ def supersingularity_measure(p: int, k: int, include_newforms: bool = False) -> 
     """
     if k % 2 or k < 4:
         raise ValueError("k must be even and >= 4")
-    if not is_prime(p):
-        raise ValueError("p must be prime")
+    _check_prime(p)
     masses: list[Fraction] = []
     level1 = slopes(p, k) if k >= 12 else []
     for alpha in level1:
@@ -132,8 +132,7 @@ def is_regular(p: int, k_max: int | None = None) -> RegularityReport:
     """Slope-zero test over even weights 12 <= k <= p+1 (configurable top):
     p is regular iff every low-weight eigenvalue is a p-adic unit.  Primes
     below 11 have no cusp forms in range, so they are vacuously regular."""
-    if p < 5 or not is_prime(p):
-        raise ValueError("p must be a prime >= 5")
+    _check_prime_gt3(p)
     top = p + 1 if k_max is None else k_max
     ks = tuple(k for k in range(12, top + 1) if k % 2 == 0)
     witnesses = []

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactlinalg import charpoly
-from .padic import INFINITY, ExtendedValuation, is_prime, newton_polygon
+from .padic import INFINITY, ExtendedValuation, _check_prime, is_prime, newton_polygon
 
 
 class QExpansion:
@@ -233,8 +233,7 @@ def hecke_operator(f: QExpansion, p: int) -> QExpansion:
 
 def hecke_matrix(p: int, k: int) -> HeckeMatrix:
     """Integral matrix of T_p on the weight-k Miller basis."""
-    if not is_prime(p):
-        raise ValueError("p must be prime")
+    _check_prime(p)
     d = dim_cusp(k)
     if d == 0:
         return HeckeMatrix(p=p, k=k, d=0, entries=())

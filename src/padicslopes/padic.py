@@ -85,6 +85,12 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"p must be prime, got {p}")
 
 
+def _check_prime_gt3(p: int) -> None:
+    """The paper's hypothesis on p."""
+    if not is_prime(p) or p <= 3:
+        raise ValueError(f"p must be a prime > 3, got {p}")
+
+
 def _vp(n: int, p: int) -> int:
     """v_p of a nonzero int, for a p the caller has already checked."""
     v = 0

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import is_prime, teichmuller_lift, valuation
+from .padic import _check_prime_gt3, teichmuller_lift, valuation
 
 Matrix = tuple[int, int, int, int]  # ((a, b), (c, d)) row-major
 
@@ -63,8 +63,7 @@ class SurrogateParams:
     delta: int
 
     def __post_init__(self):
-        if not is_prime(self.p) or self.p <= 3:
-            raise ValueError(f"p must be a prime > 3, got {self.p}")
+        _check_prime_gt3(self.p)
         if self.delta < 1:
             raise ValueError("delta must be >= 1")
 

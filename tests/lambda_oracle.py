@@ -18,13 +18,13 @@ from fractions import Fraction
 
 from padicslopes.combinatorics import (
     _forward_differences,
-    _require_prime_gt3,
     all_row_indices,
     comb0,
     ecal_of,
     interior_row_indices,
     rho_of,
 )
+from padicslopes.padic import _check_prime_gt3
 
 from lemma_oracle import generalized_binomial
 
@@ -101,7 +101,7 @@ def lambda_coefficients(p: int, R: int, alpha: int) -> LambdaTable:
     The system is triangular: the basis element of index m has degree
     exactly m with leading coefficient (p-1)^m / m!, never zero.
     """
-    _require_prime_gt3(p)
+    _check_prime_gt3(p)
     if R < 0 or alpha < R:
         raise ValueError(f"need 0 <= R <= alpha, got R={R}, alpha={alpha}")
     basis = _binomial_basis_polys(p, alpha, R)

@@ -12,7 +12,7 @@ compare the routes.
 import math
 from fractions import Fraction
 
-from padicslopes.combinatorics import c_constants, comb0, rho_of, rho_prime_of
+from padicslopes.combinatorics import c_constants, comb0, general_rho_prime, rho_case_rho_prime, rho_of
 from padicslopes.lemma_checks import GENERAL_LEMMAS, RHO_LEMMAS, Witness, _report
 from padicslopes.padic import INFINITY, binomial_valuation, valuation
 
@@ -57,18 +57,10 @@ def verify_lemma_by_fractions(lemma_id: int, p: int, r: int, alpha: int | None =
     witness built as a Fraction and its valuation split by ``valuation``."""
     rho = rho_of(p, r)
     if lemma_id in GENERAL_LEMMAS:
-        if alpha is None or alpha <= rho:
-            raise ValueError(f"lemma {lemma_id} needs alpha > rho = {rho}")
-        rp = rho_prime_of(p, r, alpha)
-        if rp < 1:
-            raise ValueError(f"rho' = {rp} < 1: cell outside the lemma hypotheses")
+        rp = general_rho_prime(p, r, alpha)
     elif lemma_id in RHO_LEMMAS:
-        if r != rho * (p + 1) + 1 or rho < 1:
-            raise ValueError(f"lemma {lemma_id} needs r = rho(p+1)+1 with rho >= 1")
         alpha = rho if alpha is None else alpha
-        if alpha != rho:
-            raise ValueError(f"lemma {lemma_id} fixes alpha = rho = {rho}")
-        rp = rho
+        rp = rho_case_rho_prime(p, r, alpha)
     else:
         raise ValueError(f"unknown lemma id {lemma_id}")
 
@@ -89,7 +81,7 @@ def verify_lemma_by_fractions(lemma_id: int, p: int, r: int, alpha: int | None =
                 witnesses.append(Witness(i, "X_i_star", v0, v, v0 < v))
             i += 1
     else:
-        cols = c_constants(p, r, alpha, "general" if lemma_id == 12 else "rho_case")
+        cols = c_constants(p, r, alpha)
         for l in range(alpha - rp if lemma_id == 12 else 1, alpha + 1):
             v = valuation(cols[l], p)
             if v is not INFINITY:

@@ -290,6 +290,12 @@ class TestHeckeCheckCommand:
         assert "rejected" in out.read_text()
         assert "invalid cell" in capsys.readouterr().err
 
+    def test_integrality_rho_zero_cell_rejected(self, tmp_path, capsys):
+        out = tmp_path / "v.csv"
+        assert run_cli(["verify", "integrality", "--p", "5", "--r", "1", "--alpha", "0"], out) == 2
+        assert out.read_text().splitlines() == [",".join(cli.VERIFY_HEADER), "integrality,5,1,0,rejected,,0"]
+        assert "invalid cell: [5, 1, 0]" in capsys.readouterr().err
+
 
 class TestOutDirEnv:
     def test_relative_out_uses_env(self, tmp_path, monkeypatch):

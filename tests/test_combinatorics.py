@@ -7,16 +7,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicslopes import combinatorics
 from padicslopes.cli import VERIFY_TARGETS
 from padicslopes.combinatorics import (
     _forward_differences,
     _step_differences,
     all_row_indices,
+    below_rho_alphas,
+    below_rho_rho_prime,
     build_interior_annihilator,
     build_matrix_M,
     c_constants,
     comb0,
     ecal_of,
+    general_alphas,
+    general_rho_prime,
     trinomial_revision_check,
     factor_and_rank_checks,
     interior_rank_report,
@@ -24,6 +29,11 @@ from padicslopes.combinatorics import (
     lambda_identity_holds,
     lambda_raw_table,
     lambda_values_by_differences,
+    lambda_variant,
+    rho_annihilator_rho_prime,
+    rho_annihilator_rs,
+    rho_case_rho_prime,
+    rho_case_rs,
     rho_of,
     rho_prime_of,
     rho_zero_row_identity,
@@ -110,8 +120,8 @@ class TestCConstants:
 
     def test_rho_case_requires_shape(self):
         with pytest.raises(ValueError):
-            c_constants(5, 14, 2, variant="rho_case")
-        cc = c_constants(5, 19, 3, variant="rho_case")  # r = 3*6+1
+            c_constants(5, 14, 2)  # alpha = rho, but r != rho(p+1)+1
+        cc = c_constants(5, 19, 3)  # r = 3*6+1
         assert cc.rho_prime == 3
 
     def test_general_requires_alpha_above_rho(self):
@@ -218,6 +228,19 @@ class TestInteriorSystem:
         with pytest.raises(ValueError):
             solve_interior_system(5, 26, 2, -3)
 
+    def test_inexact_division_raises(self, monkeypatch):
+        # one more in the last difference leaves a remainder mod (p-1)^(R-1)
+        differences = combinatorics._forward_differences
+
+        def off_by_one(values):
+            out = differences(values)
+            out[-1] += 1
+            return out
+
+        monkeypatch.setattr(combinatorics, "_forward_differences", off_by_one)
+        with pytest.raises(AssertionError, match="inexact division"):
+            build_interior_annihilator(5, 200, 3)
+
 
 class TestInteriorAnnihilator:
     @pytest.mark.parametrize("p,r,alpha", [(5, 26, 2), (5, 47, 0), (7, 33, 1), (11, 100, 7), (13, 60, 0)])
@@ -311,6 +334,88 @@ def _annihilator_rows(draw):
     if draw(st.booleans()):
         return p, draw(st.sampled_from([r for _, r in _window("rho-annihilator", p, r=None, r_max=80)]))
     return p, draw(st.integers(1, 80))
+
+
+_SHAPE_PRIMES = (5, 7, 11, 13)
+_SHAPE_R_MAX = 120
+_SHAPE_GRID = [(p, r, a) for p in _SHAPE_PRIMES for r in range(1, _SHAPE_R_MAX + 1) for a in range(r + 1)]
+
+
+def _accepted(validator):
+    """The cells of the grid that a validator accepts."""
+    out = set()
+    for cell in _SHAPE_GRID:
+        try:
+            validator(*cell)
+        except ValueError:
+            continue
+        out.add(cell)
+    return out
+
+
+def _alpha_window(alphas):
+    return {(p, r, a) for p in _SHAPE_PRIMES for r in range(1, _SHAPE_R_MAX + 1) for a in alphas(p, r)}
+
+
+def _rho_window(rs):
+    return {(p, r, rho_of(p, r)) for p in _SHAPE_PRIMES for r in rs(p, _SHAPE_R_MAX)}
+
+
+def _target_cells(name):
+    args = Namespace(r=None, alpha=None, r_max=_SHAPE_R_MAX)
+    cells = [cell for p in _SHAPE_PRIMES for cell in VERIFY_TARGETS[name].cells(p, args)]
+    return {cell if len(cell) == 3 else (*cell, rho_of(*cell)) for cell in cells}
+
+
+class TestCellShapes:
+    """Each validator accepts exactly the cells of its window on p in
+    {5, 7, 11, 13}, r <= 120 and 0 <= alpha <= r, and returns rho'."""
+
+    @pytest.mark.parametrize(
+        "validator,window",
+        [
+            (below_rho_rho_prime, _alpha_window(below_rho_alphas)),
+            (rho_case_rho_prime, _rho_window(rho_case_rs)),
+            (rho_annihilator_rho_prime, _rho_window(rho_annihilator_rs)),
+        ],
+        ids=["below-rho", "rho-case", "rho-annihilator"],
+    )
+    def test_validator_accepts_exactly_its_window(self, validator, window):
+        assert _accepted(validator) == window
+        assert all(validator(*cell) == rho_prime_of(*cell) for cell in window)
+
+    def test_general_also_accepts_cells_above_the_ceiling(self):
+        # alpha <= floor(r/(p-1)) bounds the window only: pinned cells above it are checked
+        window = _alpha_window(general_alphas)
+        accepted = _accepted(general_rho_prime)
+        above = accepted - window
+        assert window <= accepted
+        assert all(a > r // (p - 1) for p, r, a in above)
+        assert len(above) == 20300
+        assert all(general_rho_prime(*cell) == rho_prime_of(*cell) for cell in window)
+
+    def test_lambda_cells_are_general_or_rho_case(self):
+        # integrality_checks and c_constants read lambda_variant; (p, 1, 0), with
+        # rho = rho' = 0, is in neither shape
+        rho_case = _accepted(rho_case_rho_prime)
+        general = _accepted(general_rho_prime)
+        assert _accepted(lambda_variant) == rho_case | general
+        assert all(lambda_variant(*cell)[0] == "rho_case" for cell in rho_case)
+        assert not any((p, 1, 0) in general | rho_case for p in _SHAPE_PRIMES)
+
+    def test_verify_table_reads_the_windows(self):
+        general = _alpha_window(general_alphas)
+        below = _alpha_window(below_rho_alphas)
+        rho_case = _rho_window(rho_case_rs)
+        for i in (10, 11, 12):
+            assert _target_cells(f"lemma{i}") == general
+        for i in (13, 14, 15):
+            assert _target_cells(f"lemma{i}") == rho_case
+        assert _target_cells("matrix-entries") == below
+        assert _target_cells("interior-annihilator") == below
+        assert _target_cells("rho-annihilator") == _rho_window(rho_annihilator_rs)
+        assert _target_cells("integrality") == general | rho_case
+        assert _target_cells("double-sum") <= general
 
 
 class TestIntegerRouteAgainstOracle:

@@ -9,17 +9,17 @@ from hypothesis import strategies as st
 from padicslopes import lemma_checks as lc
 from padicslopes.combinatorics import (
     c_constants,
+    general_alphas,
     lambda_identity_holds,
     lambda_raw_table,
     lambda_values_by_differences,
+    rho_case_rs,
     rho_of,
     rho_prime_of,
 )
 from padicslopes.cli import VERIFY_TARGETS
 from padicslopes.cli import main as cli_main
 from padicslopes.lemma_checks import (
-    admissible_rho_cells,
-    general_alphas,
     integrality_checks,
     report_to_dict,
     sweep_lemma9_with_oracle,
@@ -125,7 +125,7 @@ class TestVerifyLemma:
         rep = verify_lemma(15, 5, 19)
         assert [w.index for w in rep.witnesses] == [1, 2, 3]
         p, r, rho = 5, 19, 3
-        cc = c_constants(p, r, rho, variant="rho_case")
+        cc = c_constants(p, r, rho)
         v0 = valuation(math.comb(r, rho), p)
         assert valuation(cc[0], p) == v0  # equality at l=0: excluded for a reason
 
@@ -185,6 +185,12 @@ class TestIntegrality:
         assert rep.variant == "rho_case"
         assert rep.holds
 
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_rho_zero_cell_rejected(self, p):
+        # r = 1 = 0(p+1)+1 and alpha = 0 = rho, but the rho case needs rho >= 1
+        with pytest.raises(ValueError):
+            integrality_checks(p, 1, 0)
+
     def test_cleared_identity_matches_polynomial_route(self):
         # dual route: rebuild the cleared identity coefficient-wise with
         # Fraction polynomials and compare against the evaluation verdict
@@ -224,7 +230,7 @@ def _cells(lemma, p, r_max):
     """Every cell of one lemma at p with r <= r_max, as (lemma, p, r, alpha)."""
     if lemma in (10, 11, 12):
         return [(lemma, p, r, a) for r in range(1, r_max + 1) for a in general_alphas(p, r)]
-    return [(lemma, p, r, None) for _, r in admissible_rho_cells(p, r_max)]
+    return [(lemma, p, r, None) for r in rho_case_rs(p, r_max)]
 
 
 # p = 3 lies outside the paper's hypotheses; lemmas 12 and 15 reject it
@@ -362,7 +368,7 @@ class TestSweeps:
             assert rho_prime_of(p, r, a) >= 1
             assert a <= r // (p - 1)
         assert [(p, r, a) for p, r, a in cells if r == 40] == [(5, 40, a) for a in general_alphas(5, 40)]
-        assert admissible_rho_cells(5, 60) == [(5, 7), (5, 13), (5, 19), (5, 25), (5, 31), (5, 37), (5, 43), (5, 49), (5, 55)]
+        assert list(rho_case_rs(5, 60)) == [7, 13, 19, 25, 31, 37, 43, 49, 55]
 
     def test_small_sweep_summary(self):
         results = _sweep("lemma12", [5, 7], 80)
