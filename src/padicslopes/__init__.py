@@ -5,7 +5,6 @@ measures.  Everything is computed over int/Fraction; no floating point."""
 from .combinatorics import (
     build_interior_annihilator,
     build_matrix_M,
-    c_constants,
     factor_and_rank_checks,
     solve_interior_system,
     vartheta,
@@ -52,7 +51,6 @@ __all__ = [
     "binomial_valuation",
     "build_interior_annihilator",
     "build_matrix_M",
-    "c_constants",
     "delta",
     "dim_cusp",
     "eisenstein",

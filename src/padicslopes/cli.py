@@ -121,7 +121,6 @@ class Target:
     check: Callable
     pins: tuple[str, ...] = ()
     primes: tuple[int, ...] = (5, 7, 11, 13)
-    small_primes: bool = False  # whether p = 2, 3 are admissible
     shown: Callable = tuple
     notes: Callable = lambda records: []
 
@@ -278,10 +277,7 @@ _BELOW_RHO = _windowed(comb.below_rho_alphas)
 _RHO_CASE = _rho_shaped(comb.rho_case_rs)
 
 VERIFY_TARGETS = {
-    "lemma9": Target(
-        lambda p, args: [(p, args.a_max)], _check_lemma9,
-        primes=(2, 3, 5, 7, 11, 13), small_primes=True,
-    ),
+    "lemma9": Target(lambda p, args: [(p, args.a_max)], _check_lemma9, primes=(2, 3, 5, 7, 11, 13)),
     **{f"lemma{i}": Target(_GENERAL, _check_lemma(i), pins=("r", "alpha")) for i in (10, 11, 12)},
     **{f"lemma{i}": Target(_RHO_CASE, _check_lemma(i), pins=("r",), shown=_with_rho) for i in (13, 14, 15)},
     "lambda-system": Target(_lambda_cells, _check_lambda_system),
@@ -353,7 +349,7 @@ def cmd_verify(args) -> int:
         if getattr(args, pin) and pin not in target.pins:
             raise UsageError(f"target {name} does not take --{pin}")
     ps = _check_primes(args.p or list(target.primes))
-    if not target.small_primes and min(ps) <= 3:
+    if min(ps) <= 3 < min(target.primes):  # a target whose default primes are > 3 needs p > 3
         raise UsageError(f"target {name} needs primes > 3, got {min(ps)}")
     tasks = sorted((name, *cell) for p in ps for cell in target.cells(p, args))
     results = _pool_starmap(_verify_cell, tasks, args.jobs)

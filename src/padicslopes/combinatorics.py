@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .exactlinalg import bareiss_det, mat_mul_int, rank_mod_p
+from .exactlinalg import charpoly, mat_mul_int, rank_mod_p
 from .padic import _check_prime_gt3, integer_log, valuation
 
 
@@ -176,33 +176,8 @@ def lambda_identity_holds(p: int, alpha: int, nums: list[int], den: int) -> bool
 
 
 # ---------------------------------------------------------------------------
-# the constants C_l attached to a cell
+# integer numerators and the vartheta functional
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CConstants:
-    """C_l = Lambda_{rho'}(alpha, l) * C(r, alpha - l), l in [alpha-rho', alpha]."""
-
-    p: int
-    r: int
-    alpha: int
-    rho_prime: int
-    values: dict[int, Fraction]
-    lambda_values: dict[int, Fraction]
-
-    def __getitem__(self, l: int) -> Fraction:
-        return self.values[l]
-
-
-def c_constants(p: int, r: int, alpha: int) -> CConstants:
-    """The column constants of the finite-support identities, on a general
-    or a rho-case cell (see lambda_variant)."""
-    _check_prime_gt3(p)
-    _, rp = lambda_variant(p, r, alpha)
-    lam = lambda_values_by_differences(p, rp, alpha)
-    values = {l: lam[l] * comb0(r, alpha - l) for l in range(alpha - rp, alpha + 1)}
-    return CConstants(p=p, r=r, alpha=alpha, rho_prime=rp, values=values, lambda_values=lam)
 
 
 def _numerators(values: Mapping[int, Fraction | int], den: int) -> dict[int, int]:
@@ -321,6 +296,11 @@ def trinomial_revision_check(m: MatrixM) -> bool:
     return True
 
 
+def _carry_matrix(p: int, R: int, gamma: int) -> list[list[int]]:
+    """The R x R binomial-basis matrix (C(i(p-1)+gamma, j)) for i, j < R."""
+    return [[math.comb(i * (p - 1) + gamma, j) for j in range(R)] for i in range(R)]
+
+
 @dataclass(frozen=True)
 class FactorRankReport:
     """Exact checks on the square binomial-basis matrix of size R."""
@@ -333,7 +313,6 @@ class FactorRankReport:
     det_binomial: int
     det_expected: int
     det_matches_closed_form: bool
-    linear_power_value: int
     linear_power_agrees: bool
     full_rank_mod_p: bool
 
@@ -343,23 +322,23 @@ def factor_and_rank_checks(p: int, R: int, gamma: int) -> FactorRankReport:
     cofactor, the determinant closed form (p-1)^(R(R-1)/2), and full rank
     mod p of (C(i(p-1)+gamma, j)).
 
-    The report also compares against the linear-exponent power (p-1)^R; the
-    two agree only at R = 0 and R = 3, and both are units mod p, so the rank
-    conclusion is the same either way.
+    The determinant is (-1)^R times the constant term of the characteristic
+    polynomial.  The report also compares it against the linear-exponent
+    power (p-1)^R; the two agree only at R = 0 and R = 3, and both are units
+    mod p, so the rank conclusion is the same either way.
     """
     _check_prime_gt3(p)
     if R < 1 or gamma < 0:
         raise ValueError("need R >= 1 and gamma >= 0")
-    m3 = [[comb0(i * (p - 1) + gamma, j) for j in range(R)] for i in range(R)]
-    b = [[comb0(i * (p - 1), j) for j in range(R)] for i in range(R)]
+    m3 = _carry_matrix(p, R, gamma)
+    b = _carry_matrix(p, R, 0)
     u = [[comb0(gamma, j - i) for j in range(R)] for i in range(R)]
     factorization_ok = mat_mul_int(b, u) == m3
     unitriangular_ok = all(
         (u[i][j] == (1 if i == j else 0)) for i in range(R) for j in range(i + 1)
     )
-    det_b = bareiss_det(b)
+    det_b = (-1) ** R * charpoly(b)[0]
     expected = (p - 1) ** (R * (R - 1) // 2)
-    linear = (p - 1) ** R
     return FactorRankReport(
         p=p,
         R=R,
@@ -369,8 +348,7 @@ def factor_and_rank_checks(p: int, R: int, gamma: int) -> FactorRankReport:
         det_binomial=det_b,
         det_expected=expected,
         det_matches_closed_form=det_b == expected,
-        linear_power_value=linear,
-        linear_power_agrees=det_b == linear,
+        linear_power_agrees=det_b == (p - 1) ** R,
         full_rank_mod_p=rank_mod_p(m3, p) == R,
     )
 
@@ -394,16 +372,16 @@ def interior_rank_report(p: int, r: int, alpha: int) -> InteriorRankReport:
     R = len(rows)
     if R == 0:
         return InteriorRankReport(p, r, alpha, 0, 0, True, True)
-    cols = list(range(alpha - R + 1, alpha + 1))
-    m2 = [[comb0(i * (p - 1) + alpha, alpha - j) for j in cols] for i in rows]
     gamma = rows[0] * (p - 1) + alpha
-    m3 = [[comb0(i2 * (p - 1) + gamma, j2) for j2 in range(R)] for i2 in range(R)]
-    perm_ok = all(
-        m2[i2][j] == m3[i2][R - 1 - j] for i2 in range(R) for j in range(R)
-    )
-    return InteriorRankReport(
-        p, r, alpha, R, gamma, perm_ok, rank_mod_p(m2, p) == R
-    )
+    # Row i' of the submatrix, (C(n_i, k)) for k = R-1..0 with n_i = i(p-1)+alpha,
+    # is row i' of _carry_matrix(p, R, gamma) reversed iff C(n_i, k) =
+    # C(i'(p-1)+gamma, k) for k < R; for R >= 2 the k = 1 entries say
+    # n_i = i'(p-1)+gamma, i.e. the rows are consecutive.
+    consecutive = rows == list(range(rows[0], rows[0] + R))
+    # Reversing columns keeps the rank; rank_mod_p skips zero entries, and the
+    # high columns vanish mod p more often, so the submatrix's order is cheaper.
+    submatrix = [row[::-1] for row in _carry_matrix(p, R, gamma)]
+    return InteriorRankReport(p, r, alpha, R, gamma, consecutive, rank_mod_p(submatrix, p) == R)
 
 
 # ---------------------------------------------------------------------------
@@ -655,15 +633,21 @@ class DoubleSumReport:
 
 
 def verify_vanishing_double_sum(p: int, r: int, alpha: int) -> DoubleSumReport:
-    """sum_l C_l C(r-alpha+l, i(p-1)+l) = 0 for i = 1..rho', coefficient-wise."""
-    general_rho_prime(p, r, alpha)  # a rho-case cell has constants but no double sum
-    cc = c_constants(p, r, alpha)
-    sums = row_sums(p, r, alpha, cc.values, range(1, cc.rho_prime + 1))
+    """sum_l C_l C(r-alpha+l, i(p-1)+l) = 0 for i = 1..rho', coefficient-wise.
+
+    C_l = Lambda_rho'(alpha, l) C(r, alpha-l) = N_l / den over the raw Lambda
+    table (n, den = (p-1)^rho' rho'!), with N_l = n_(alpha-l) C(r, alpha-l).
+    """
+    rp = general_rho_prime(p, r, alpha)  # a rho-case cell has constants but no double sum
+    nums, den = lambda_raw_table(p, rp, alpha)
+    cols = {alpha - m: n * math.comb(r, m) for m, n in enumerate(nums)}
+    rows = range(1, rp + 1)
+    sums = {i: Fraction(s, den) for i, s in zip(rows, _row_sum_numerators(p, r, alpha, cols, rows))}
     return DoubleSumReport(
         p=p,
         r=r,
         alpha=alpha,
-        rho_prime=cc.rho_prime,
+        rho_prime=rp,
         row_sums=sums,
         holds=all(v == 0 for v in sums.values()),
     )

@@ -1,39 +1,10 @@
-"""Small exact linear-algebra helpers: integer determinants, characteristic
-polynomials and products, ranks mod p.  No floating point anywhere."""
+"""Small exact linear-algebra helpers for integer matrices: characteristic
+polynomials (whose constant term gives the determinant), products, and ranks
+mod p.  No floating point anywhere."""
 
 from __future__ import annotations
 
 from typing import Sequence
-
-
-def bareiss_det(mat: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free elimination.
-
-    Bareiss's algorithm: every division is exact in Z.
-    """
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [list(row) for row in mat]
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for s in range(k + 1, n):
-                if a[s][k] != 0:
-                    a[k], a[s] = a[s], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def rank_mod_p(mat: Sequence[Sequence[int]], p: int) -> int:

@@ -279,6 +279,8 @@ def integrality_checks(p: int, r: int, alpha: int) -> IntegralityReport:
 
 
 def report_to_dict(report: LemmaReport) -> dict:
+    # every witness of a report has lhs_val = v_p(X_0), so it is rendered once
+    v_x0 = format_rational(report.witnesses[0].lhs_val) if report.witnesses else None
     return {
         "lemma_id": report.lemma_id,
         "p": report.p,
@@ -293,7 +295,7 @@ def report_to_dict(report: LemmaReport) -> dict:
             {
                 "index": w.index,
                 "kind": w.kind,
-                "v_X0": format_rational(w.lhs_val),
+                "v_X0": v_x0,
                 "v_other": format_rational(w.rhs_val),
                 "margin": format_rational(w.margin),
                 "strict": w.strict,

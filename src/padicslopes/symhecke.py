@@ -392,16 +392,21 @@ def verify_T_expansion(sp: SurrogateParams, alpha: int) -> TExpansionReport:
     lhs = hecke_T(FormalSum.unit(h), sp)
 
     lifts = teichmuller_lifts(p, M)
-    rhs = FormalSum(p)
-    for mu in range(p):
-        rhs._insert((p, lifts[mu], 0, 1), _xi_sum_value(sp, alpha, lifts[mu], d))
     a_val = SymPoly.from_dict(
         t, p, M,
         {alpha: pow(p, alpha, q), alpha + d: -pow(p, alpha + d, q) % q},
         twist=Fraction(-t, 2),
     )
-    rhs._insert((1, 0, 0, p), a_val)
 
+    def expansion(offsets: list[int]) -> FormalSum:
+        """The right-hand side with the xi-sum of mu taken at offsets[mu]."""
+        out = FormalSum(p)
+        for mu in range(p):
+            out._insert((p, lifts[mu], 0, 1), _xi_sum_value(sp, alpha, lifts[mu], offsets[mu]))
+        out._insert((1, 0, 0, p), a_val)
+        return out
+
+    rhs = expansion([d] * p)
     matches = lhs == rhs
     mismatch = None
     if not matches:
@@ -413,13 +418,7 @@ def verify_T_expansion(sp: SurrogateParams, alpha: int) -> TExpansionReport:
     # the single-common-power form needs (-[mu])^delta = 1, so it applies to
     # mu != 0 when lcm(2, p-1) | delta; mu = 0 always needs the exact form
     applicable = d % 2 == 0 and d % (p - 1) == 0
-    combined = None
-    if applicable:
-        rhs2 = FormalSum(p)
-        for mu in range(p):
-            rhs2._insert((p, lifts[mu], 0, 1), _xi_sum_value(sp, alpha, lifts[mu], 0 if mu else d))
-        rhs2._insert((1, 0, 0, p), a_val)
-        combined = lhs == rhs2
+    combined = lhs == expansion([d] + [0] * (p - 1)) if applicable else None
     return TExpansionReport(
         sp=sp,
         alpha=alpha,

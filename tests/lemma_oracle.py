@@ -3,18 +3,50 @@
 Production (``padicslopes.lemma_checks``) computes every witness valuation
 from integers.  This module builds the witnesses as exact ``Fraction``s, the
 way the lemmas state them, and splits them with ``padic.valuation``; the
-column witnesses of lemmas 12 and 15 come from ``c_constants``.  It also
-keeps the cleared integrality identity, which production no longer
-evaluates because it is rho'! times the defining identity.  The tests
-compare the routes.
+column witnesses of lemmas 12 and 15 come from ``c_constants``, the
+constants C_l as Fractions (production reads them as integer numerators of
+the raw Lambda table).  It also keeps the cleared integrality identity,
+which production no longer evaluates because it is rho'! times the defining
+identity.  The tests compare the routes.
 """
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
-from padicslopes.combinatorics import c_constants, comb0, general_rho_prime, rho_case_rho_prime, rho_of
+from padicslopes.combinatorics import (
+    comb0,
+    general_rho_prime,
+    lambda_values_by_differences,
+    lambda_variant,
+    rho_case_rho_prime,
+    rho_of,
+)
 from padicslopes.lemma_checks import GENERAL_LEMMAS, RHO_LEMMAS, Witness, _report
 from padicslopes.padic import INFINITY, binomial_valuation, valuation
+
+
+@dataclass(frozen=True)
+class CConstants:
+    """C_l = Lambda_{rho'}(alpha, l) * C(r, alpha - l), l in [alpha-rho', alpha]."""
+
+    p: int
+    r: int
+    alpha: int
+    rho_prime: int
+    values: dict[int, Fraction]
+
+    def __getitem__(self, l: int) -> Fraction:
+        return self.values[l]
+
+
+def c_constants(p: int, r: int, alpha: int) -> CConstants:
+    """The column constants of the finite-support identities as Fractions, on
+    a general or a rho-case cell (see lambda_variant)."""
+    _, rp = lambda_variant(p, r, alpha)
+    lam = lambda_values_by_differences(p, rp, alpha)
+    values = {l: lam[l] * comb0(r, alpha - l) for l in range(alpha - rp, alpha + 1)}
+    return CConstants(p=p, r=r, alpha=alpha, rho_prime=rp, values=values)
 
 
 def generalized_binomial(top: int | Fraction, w: int) -> Fraction:

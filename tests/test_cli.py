@@ -181,6 +181,10 @@ class TestArgumentBoundary:
         assert run_cli(argv) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_small_primes_only_where_the_defaults_have_them(self, capsys):
+        assert run_cli(["verify", "lemma10", "--p", "3"]) == 2
+        assert "needs primes > 3" in capsys.readouterr().err
+
     def test_rho_annihilator_honours_r(self, tmp_path):
         out = tmp_path / "v.csv"
         assert run_cli(["verify", "rho-annihilator", "--p", "5", "--r", "15"], out) == 0

@@ -17,7 +17,6 @@ from padicslopes.combinatorics import (
     below_rho_rho_prime,
     build_interior_annihilator,
     build_matrix_M,
-    c_constants,
     comb0,
     ecal_of,
     general_alphas,
@@ -43,10 +42,11 @@ from padicslopes.combinatorics import (
     vartheta_profile,
     verify_vanishing_double_sum,
 )
+from padicslopes.exactlinalg import rank_mod_p
 from padicslopes.padic import valuation
 
 import lambda_oracle as oracle
-from lemma_oracle import generalized_binomial
+from lemma_oracle import c_constants, generalized_binomial
 from lambda_oracle import lambda_coefficients, lambda_defining_residual
 
 
@@ -203,6 +203,28 @@ class TestFactorAndRank:
         rep = interior_rank_report(5, 26, 2)
         assert rep.permutation_ok and rep.full_rank_mod_p
         assert rep.gamma == rep.R * 0 + interior_row_indices(5, 26, 2)[0] * 4 + 2
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_consecutive_rows_is_the_entrywise_comparison(self, p):
+        # permutation_ok tests that the interior rows are consecutive; this is the
+        # R x R comparison of the cell's submatrix m2 = (C(i(p-1)+alpha, alpha-j))
+        # with the reversed carry matrix, on the window and on rows with a gap
+        def entrywise(alpha, rows):
+            R, gamma = len(rows), rows[0] * (p - 1) + alpha
+            m2 = [[comb0(i * (p - 1) + alpha, alpha - j) for j in range(alpha - R + 1, alpha + 1)] for i in rows]
+            m3 = [[comb0(i * (p - 1) + gamma, j) for j in range(R)] for i in range(R)]
+            return all(a == b[::-1] for a, b in zip(m2, m3)), m2
+
+        for _, r, alpha in _window("matrix-entries", p, r=None, r_max=100):
+            rows = interior_row_indices(p, r, alpha)
+            if not rows:
+                continue
+            rep = interior_rank_report(p, r, alpha)
+            same, m2 = entrywise(alpha, rows)
+            assert rep.permutation_ok == same
+            assert rep.full_rank_mod_p == (rank_mod_p(m2, p) == len(rows))
+            gapped = rows[:1] + rows[2:]
+            assert entrywise(alpha, gapped)[0] == (gapped == list(range(gapped[0], gapped[0] + len(gapped))))
 
 
 class TestInteriorSystem:
@@ -502,3 +524,37 @@ class TestChecksCanFail:
         scaled = vartheta_profile(dataclasses.replace(sysm, row_values=times_p))
         assert scaled.zero_below_alpha and scaled.valuations_ok_up_to >= 2 * rho_of(p, r)
         assert not scaled.valuation_at_alpha_is_ecal
+
+    def test_double_sum_sees_a_perturbed_lambda_table(self, monkeypatch):
+        assert verify_vanishing_double_sum(5, 14, 3).holds
+        table = combinatorics.lambda_raw_table
+
+        def off_by_one(p, R, alpha):
+            nums, den = table(p, R, alpha)
+            return [nums[0] + 1, *nums[1:]], den
+
+        monkeypatch.setattr(combinatorics, "lambda_raw_table", off_by_one)
+        assert not verify_vanishing_double_sum(5, 14, 3).holds
+
+    def test_det_checks_see_a_perturbed_carry_matrix(self, monkeypatch):
+        rep = factor_and_rank_checks(5, 4, 2)
+        assert rep.det_matches_closed_form and rep.factorization_ok
+        carry = combinatorics._carry_matrix
+
+        def off_by_one(p, R, gamma):
+            m = carry(p, R, gamma)
+            if gamma == 0:  # b, the factor whose determinant is taken
+                m[R - 1][R - 1] += 1
+            return m
+
+        monkeypatch.setattr(combinatorics, "_carry_matrix", off_by_one)
+        rep = factor_and_rank_checks(5, 4, 2)
+        assert not rep.det_matches_closed_form and not rep.factorization_ok
+
+    def test_interior_rank_sees_a_gap_in_the_rows(self, monkeypatch):
+        assert interior_rank_report(5, 120, 2).permutation_ok
+        rows = combinatorics.interior_row_indices
+        monkeypatch.setattr(
+            combinatorics, "interior_row_indices", lambda *cell: [i for k, i in enumerate(rows(*cell)) if k != 1]
+        )
+        assert not interior_rank_report(5, 120, 2).permutation_ok

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from padicslopes import lemma_checks as lc
 from padicslopes.combinatorics import (
-    c_constants,
     general_alphas,
     lambda_identity_holds,
     lambda_raw_table,
@@ -27,7 +26,7 @@ from padicslopes.lemma_checks import (
 )
 from padicslopes.padic import INFINITY, valuation
 
-from lemma_oracle import cleared_identity_holds, verify_lemma_by_fractions, witness_values
+from lemma_oracle import c_constants, cleared_identity_holds, verify_lemma_by_fractions, witness_values
 
 
 def falling(a, n):
