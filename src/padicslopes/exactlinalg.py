@@ -8,7 +8,9 @@ from typing import Sequence
 
 
 def rank_mod_p(mat: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over F_p of an integer matrix, by Gaussian elimination mod p."""
+    """Rank over F_p of an integer matrix, by forward Gaussian elimination
+    mod p: only the rows below each pivot are reduced, since only the rank is
+    read."""
     rows = [[x % p for x in row] for row in mat]
     if not rows:
         return 0
@@ -23,8 +25,8 @@ def rank_mod_p(mat: Sequence[Sequence[int]], p: int) -> int:
         rows[rank], rows[piv] = rows[piv], rows[rank]
         inv = pow(rows[rank][col], -1, p)
         rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col]:
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
                 f = rows[i][col]
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
         rank += 1

@@ -4,6 +4,12 @@ Eisenstein series and the discriminant cusp form generate everything needed;
 the echelonized monomial basis of the cusp space gives integral Hecke
 matrices whose characteristic polynomials feed the Newton-polygon slope
 extraction.  Coefficients are exact (int or Fraction) throughout.
+
+Every product of two series is one integer multiplication (Kronecker
+substitution): the integer numerators are packed into fixed-width slots of
+one int each, multiplied, and read back slot by slot.  The slots are wide
+enough that no coefficient of the product overflows, so the result is exact.
+The schoolbook double loop is kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -51,22 +57,22 @@ class QExpansion:
 
     def __mul__(self, other: "QExpansion") -> "QExpansion":
         prec = min(self.prec, other.prec)
-        out = [0] * prec
-        for i, ci in enumerate(self.coeffs[:prec]):
-            if ci == 0:
-                continue
-            for j in range(prec - i):
-                cj = other.coeffs[j]
-                if cj:
-                    out[i + j] += ci * cj
+        a, den_a = _numerators(self.coeffs[:prec])
+        b, den_b = _numerators(other.coeffs[:prec])
+        out = _kronecker_product(a, b, prec)
+        den = den_a * den_b
+        if den != 1:
+            out = [Fraction(c, den) for c in out]
         return QExpansion(self.weight + other.weight, out, prec)
 
     def pow(self, e: int) -> "QExpansion":
-        result = QExpansion(0, [1] + [0] * (self.prec - 1), self.prec)
+        if e == 0:
+            return QExpansion(0, [1], self.prec)
+        result = None
         base = self
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if e > 1 else base
             e >>= 1
         return result
@@ -86,6 +92,53 @@ class QExpansion:
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
         return f"QExpansion(weight={self.weight}, prec={self.prec}, [{head}, ...])"
+
+
+def _numerators(coeffs: list) -> tuple[list[int], int]:
+    """Integer numerators of coeffs over their least common denominator."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _pack(coeffs: list[int], width: int) -> int:
+    """sum c_i 2^(8 width i): the positive and the negative parts are packed
+    as unsigned slots by one bytes join each, and subtracted."""
+    zero = bytes(width)
+    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in coeffs)
+    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _kronecker_product(a: list[int], b: list[int], n: int) -> list[int]:
+    """The first n coefficients of the product of the integer series a and b.
+
+    Each product coefficient is a sum of at most min(len) terms, so its
+    absolute value is below 2^(bits(max|a|) + bits(max|b|) + bits(min len));
+    one more bit holds the sign.  Slot j of the product's low n slots, read
+    unsigned, is c_j minus the borrow of the slots below it (1 exactly when
+    their sum is negative); adding the borrow back and reading the slot as
+    signed gives c_j.
+    """
+    if n == 0:
+        return []
+    bits = (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    width = (bits + 7) // 8
+    size = width * n
+    raw = ((_pack(a, width) * _pack(b, width)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    half = 1 << (8 * width - 1)
+    base = half << 1
+    out = []
+    borrow = 0
+    for i in range(0, size, width):
+        v = int.from_bytes(raw[i : i + width], "little") + borrow
+        borrow = v >= half
+        out.append(v - base if borrow else v)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -122,18 +175,21 @@ def eisenstein(k: int, prec: int) -> QExpansion:
 
 
 def delta(prec: int) -> QExpansion:
-    """The discriminant form q prod (1-q^n)^24, weight 12, integral."""
+    """The discriminant form q prod (1-q^n)^24, weight 12, integral.
+
+    prod (1-q^n)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2) (Jacobi), and three
+    squarings raise it to the 24th power."""
     if prec < 2:
         raise ValueError("prec must be >= 2")
-    eta = [0] * prec
-    eta[0] = 1
-    for n in range(1, prec):
-        # multiply by (1 - q^n)
-        for m in range(prec - 1, n - 1, -1):
-            eta[m] -= eta[m - n]
-    f = QExpansion(0, eta, prec)
-    d = f.pow(24).shift(1)
-    return QExpansion(12, d.coeffs, prec)
+    cube = [0] * prec
+    k = 0
+    while k * (k + 1) // 2 < prec:
+        cube[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        k += 1
+    f = QExpansion(0, cube, prec)
+    for _ in range(3):
+        f = f * f
+    return QExpansion(12, f.shift(1).coeffs, prec)
 
 
 def dim_cusp(k: int, level: int = 1) -> int:
@@ -168,7 +224,11 @@ def dim_cusp(k: int, level: int = 1) -> int:
 
 def miller_basis(k: int, prec: int) -> list[QExpansion]:
     """Echelon basis f_1..f_d of the level-1 weight-k cusp space:
-    f_i = q^i + O(q^(d+1)), integral, built from Delta^i E_4^a E_6^b."""
+    f_i = q^i + O(q^(d+1)), integral, built from Delta^i E_4^a_i E_6^b.
+
+    12i is 0 mod 4, so b = [k mod 4 != 0] is the same on every row and a_i
+    falls by 3 from row i to row i+1: one E_4^3 ladder climbs from
+    E_4^a_d E_6^b, and Delta^i takes one product per row."""
     if k % 2 or k < 12:
         raise ValueError("k must be even and >= 12")
     d = dim_cusp(k)
@@ -177,23 +237,26 @@ def miller_basis(k: int, prec: int) -> list[QExpansion]:
     if prec < d + 1:
         raise ValueError(f"prec {prec} too small for dimension {d}")
     e4 = eisenstein(4, prec)
-    e6 = eisenstein(6, prec)
+    b = 0 if k % 4 == 0 else 1
+    form = e4.pow((k - 12 * d - 6 * b) // 4)
+    if b:
+        form = form * eisenstein(6, prec)
+    e4_cubed = e4 * e4 * e4
+    rows = [form]  # E_4^a_i E_6^b for i = d, d-1, ..., 1
+    for _ in range(d - 1):
+        rows.append(rows[-1] * e4_cubed)
+    rows.reverse()
     dl = delta(prec)
-    rows: list[QExpansion] = []
-    dpow = QExpansion(0, [1], prec)
-    for i in range(1, d + 1):
-        dpow = dpow * dl
-        w = k - 12 * i
-        b = 0 if w % 4 == 0 else 1
-        a = (w - 6 * b) // 4
-        form = dpow * e4.pow(a)
-        if b:
-            form = form * e6
-        rows.append(QExpansion(k, form.coeffs, prec))
+    dpow = dl
+    for i in range(d):
+        if i:
+            dpow = dpow * dl
+        rows[i] = QExpansion(k, (dpow * rows[i]).coeffs, prec)
     # echelonize: leading coefficient of rows[i-1] at q^i is already 1
     for i in range(d, 0, -1):
         fi = rows[i - 1]
-        assert fi.a(i) == 1
+        if fi.a(i) != 1:
+            raise AssertionError(f"Miller basis row {i} has leading coefficient {fi.a(i)} (bug)")
         for j in range(i - 1, 0, -1):
             c = rows[j - 1].a(i)
             if c:

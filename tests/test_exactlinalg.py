@@ -1,6 +1,7 @@
 """Direct oracle tests for the exact linear-algebra kernels."""
 
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -42,20 +43,15 @@ def fraction_det(mat):
     return det
 
 
-def naive_rank_mod_p(mat, p):
-    rows = [[x % p for x in row] for row in mat]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col] * inv % p
-            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+def minor_rank_mod_p(mat, p):
+    """The largest r such that some r x r minor is nonzero mod p."""
+    n, m = len(mat), len(mat[0]) if mat else 0
+    for r in range(min(n, m), 0, -1):
+        for rows in combinations(range(n), r):
+            for cols in combinations(range(m), r):
+                if cofactor_det([[mat[i][j] for j in cols] for i in rows]) % p:
+                    return r
+    return 0
 
 
 def horner(coeffs, x):
@@ -73,9 +69,12 @@ def horner(coeffs, x):
         )
     ),
 )
+@example(5, [[5, 10], [0, 15]])
+@example(7, [[1, 2, 3], [2, 4, 6], [0, 1, 8], [1, 3, 11]])
+@example(3, [[0, 1, 2], [0, 2, 4], [0, 0, 0]])
 @settings(max_examples=200)
-def test_rank_mod_p_matches_naive_elimination(p, mat):
-    assert rank_mod_p(mat, p) == naive_rank_mod_p(mat, p)
+def test_rank_mod_p_matches_largest_nonzero_minor(p, mat):
+    assert rank_mod_p(mat, p) == minor_rank_mod_p(mat, p)
 
 
 @given(square(max_n=6))

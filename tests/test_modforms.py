@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from padicslopes import modforms
 from padicslopes.exactlinalg import mat_mul_int
 from padicslopes.modforms import (
     QExpansion,
@@ -15,6 +18,8 @@ from padicslopes.modforms import (
     slopes,
 )
 from padicslopes.padic import INFINITY, valuation
+
+from qexp_oracle import delta_by_eta, miller_basis_by_rows, schoolbook_mul
 
 
 def sigma(k, n):
@@ -64,6 +69,12 @@ class TestDelta:
         assert d.a(0) == 0 and d.a(1) == 1
         assert d.a(2) == -24
         assert d.a(5) == 4830
+
+    def test_matches_eta_product(self):
+        # Jacobi's identity cubed three times against the expanded eta product
+        ref = delta_by_eta(400).coeffs
+        for prec in range(2, 401):
+            assert delta(prec).coeffs == ref[:prec]
 
     def test_discriminant_identity(self):
         prec = 120
@@ -117,6 +128,20 @@ class TestMillerBasis:
     def test_prec_guard(self):
         with pytest.raises(ValueError):
             miller_basis(24, 2)
+
+    @pytest.mark.parametrize("p,k_max", [(2, 240), (5, 240), (59, 60)])
+    def test_ladder_matches_per_row_route(self, p, k_max):
+        # both parities of b = [k mod 4 != 0] at the precision hecke_matrix uses
+        for k in range(12, k_max + 1, 2):
+            if d := dim_cusp(k):
+                assert miller_basis(k, p * d + 1) == miller_basis_by_rows(k, p * d + 1)
+
+    def test_leading_coefficient_check_survives_optimization(self, monkeypatch):
+        # a raise, not an assert: python -O must not drop it
+        true_delta = modforms.delta
+        monkeypatch.setattr(modforms, "delta", lambda prec: true_delta(prec).scale(2))
+        with pytest.raises(AssertionError, match="row 1 has leading coefficient 2 \\(bug\\)"):
+            miller_basis(12, 10)
 
 
 class TestHeckeMatrix:
@@ -222,3 +247,58 @@ class TestQExpansionRing:
     def test_mul_exactness(self):
         a = QExpansion(0, [1, -1, 2], 3)
         assert (a * a).coeffs == [1, -2, 5]
+
+
+def _flatten(chunks):
+    return [c for chunk in chunks for c in chunk]
+
+
+# 0, units, and integers up to 10^6 and 10^40 in size, with runs of zeros
+coefficient = st.one_of(
+    st.integers(-1, 1), st.integers(-(10**6), 10**6), st.integers(-(10**40), 10**40)
+)
+integer_coeffs = st.lists(
+    st.one_of(st.lists(st.just(0), min_size=1, max_size=8), st.lists(coefficient, min_size=1, max_size=5)),
+    max_size=10,
+).map(_flatten)
+fraction_coeffs = st.lists(
+    st.one_of(st.just(0), st.fractions(-(10**6), 10**6, max_denominator=10**4)), max_size=30
+)
+
+
+def series(coeffs):
+    # leading zeros, then coeffs padded or truncated to an independent precision
+    return st.builds(
+        lambda weight, lead, cs, prec: QExpansion(weight, [0] * lead + cs, prec),
+        st.integers(0, 24),
+        st.integers(0, 6),
+        coeffs,
+        st.integers(0, 60),
+    )
+
+
+class TestKroneckerProduct:
+    @given(series(integer_coeffs), series(integer_coeffs))
+    @example(QExpansion(0, [1, -1, 2]), QExpansion(0, [1, -1, 2]))
+    @example(QExpansion(0, [0, 0, -5, 0, 0, 7], 6), QExpansion(4, [-(10**40)] * 9, 4))
+    @settings(max_examples=300)
+    def test_matches_schoolbook(self, f, g):
+        assert f * g == schoolbook_mul(f, g)
+
+    @given(series(fraction_coeffs), series(fraction_coeffs))
+    @settings(max_examples=150)
+    def test_fraction_coefficients(self, f, g):
+        assert f * g == schoolbook_mul(f, g)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_slot_width_is_tight(self, sign):
+        # every coefficient at the bound n (2^ka - 1)(2^kb - 1) with n = 2^kn - 1:
+        # the largest product coefficient needs ka + kb + kn bits and a sign bit,
+        # and some (ka, kb, kn) here put that width exactly on a byte boundary
+        for ka in range(1, 21):
+            for kb in (2, 3, 4):
+                for kn in (2, 3, 4):
+                    n = 2**kn - 1
+                    f = QExpansion(0, [sign * (2**ka - 1)] * n)
+                    g = QExpansion(0, [2**kb - 1] * n)
+                    assert f * g == schoolbook_mul(f, g)
