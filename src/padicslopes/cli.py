@@ -73,33 +73,81 @@ def _one_prime(ps: list[int], command: str) -> int:
     return _check_primes(ps)[0]
 
 
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get(OUT_DIR_ENV)
-    if base and not os.path.isabs(path):
-        return os.path.join(base, path)
-    return path
+def _write(args, header: list[str], rows: list[list], payload: dict, notes=()) -> None:
+    """Write a command's output, the only writer of CSV and JSON.
 
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+    ``--format json`` writes ``payload``; CSV writes ``header``, ``rows`` and
+    one ``# note`` line per note.  The text goes to ``--out`` (a relative path
+    is taken under $PADICSLOPES_OUT_DIR when that is set), else to stdout.
+    """
+    if args.format == "json":
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue() + "".join(f"# {note}\n" for note in notes)
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
+        with open(os.path.join(os.environ.get(OUT_DIR_ENV, ""), args.out), "w") as fh:
             fh.write(text)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _lemma_record(report: lc.LemmaReport) -> dict:
+    """The JSON record of a lemma report, witnesses included."""
+    # every witness of a report has lhs_val = v_p(X_0), so it is rendered once
+    v_x0 = format_rational(report.witnesses[0].lhs_val) if report.witnesses else None
+    return {
+        "lemma_id": report.lemma_id,
+        "p": report.p,
+        "r": report.r,
+        "alpha": report.alpha,
+        "rho": report.rho,
+        "rho_prime": report.rho_prime,
+        "verdict": report.verdict,
+        "checked": report.checked,
+        "min_margin": None if report.min_margin is None else format_rational(report.min_margin),
+        "witnesses": [
+            {
+                "index": w.index,
+                "kind": w.kind,
+                "v_X0": v_x0,
+                "v_other": format_rational(w.rhs_val),
+                "margin": format_rational(w.margin),
+                "strict": w.strict,
+            }
+            for w in report.witnesses
+        ],
+    }
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+PROFILE_HEADER = ["p", "k", "dim_old", "dim_new", "count_middle", "fraction_middle", "left_end", "right_end"]
+
+
+def _profile_record(table: ms.ProfileTable) -> dict:
+    """The JSON record of a middle-mass profile; its rows hold the CSV columns
+    of PROFILE_HEADER and the masses."""
+    return {
+        "p": table.p,
+        "include_newforms": table.include_newforms,
+        "cutoff": table.cutoff,
+        "rows": [
+            {
+                "p": row.p,
+                "k": row.k,
+                "dim_old": row.dim_old,
+                "dim_new": row.dim_new,
+                "count_middle": row.count_middle,
+                "fraction_middle": format_rational(row.fraction_middle),
+                "left_end": format_rational(row.left_end),
+                "right_end": format_rational(row.right_end),
+                "masses": [format_rational(m) for m in row.masses],
+            }
+            for row in table.rows
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +217,7 @@ def _double_sum_alphas(p: int, r: int) -> list[int]:
 def _check_lemma(lemma_id: int) -> Callable:
     def check(p, r, alpha=None):
         rep = lc.verify_lemma(lemma_id, p, r, alpha)
-        return rep.verdict, rep.checked, rep.min_margin, lc.report_to_dict(rep)
+        return rep.verdict, rep.checked, rep.min_margin, _lemma_record(rep)
 
     return check
 
@@ -352,30 +400,20 @@ def cmd_verify(args) -> int:
     if min(ps) <= 3 < min(target.primes):  # a target whose default primes are > 3 needs p > 3
         raise UsageError(f"target {name} needs primes > 3, got {min(ps)}")
     tasks = sorted((name, *cell) for p in ps for cell in target.cells(p, args))
+    if not tasks:
+        raise UsageError(f"no cells of target {name} in the requested window")
     results = _pool_starmap(_verify_cell, tasks, args.jobs)
-    rows = [row for row, _ in results]
     records = [rec for _, rec in results]
-
     failures = [rec for row, rec in results if row[4] == "fails"]
     rejected = [rec for rec in records if "rejected" in rec]
     notes = target.notes(records)
-    if args.format == "json":
-        payload = {"target": name, "records": records, "notes": notes,
-                   "verified": not failures}
-        _emit(_json_text(payload), args.out)
-    else:
-        text = _csv_text(VERIFY_HEADER, rows)
-        for note in notes:
-            text += f"# {note}\n"
-        _emit(text, args.out)
-    if failures:
-        for rec in failures:
-            sys.stderr.write(f"counterexample: {json.dumps(rec, sort_keys=True)}\n")
-        return 1
-    if rejected:
-        sys.stderr.write(f"invalid cell: {rejected[0]['cell']}: {rejected[0]['rejected']}\n")
-        return 2
-    return 0
+    payload = {"target": name, "records": records, "notes": notes, "verified": not failures}
+    _write(args, VERIFY_HEADER, [row for row, _ in results], payload, notes)
+    for rec in failures:
+        sys.stderr.write(f"counterexample: {json.dumps(rec, sort_keys=True)}\n")
+    for rec in rejected:
+        sys.stderr.write(f"invalid cell: {rec['cell']}: {rec['rejected']}\n")
+    return 1 if failures else 2 if rejected else 0
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +426,6 @@ def cmd_slopes(args) -> int:
     if not ks:
         raise UsageError("no even weights >= 4 in --k")
     tasks = [(p, k) for p in _check_primes(args.p) for k in ks]
-    header = ms.SLOPES_CSV_HEADER + (["approx_decimal"] if args.approx else [])
     rows = []
     records = []
     for (p, k), svals in zip(tasks, _pool_starmap(mf.slopes, tasks, args.jobs)):
@@ -398,10 +435,8 @@ def cmd_slopes(args) -> int:
             if args.approx:
                 row.append("~" + ("inf" if s == INFINITY else f"{float(s):.6f}"))
             rows.append(row)
-    if args.format == "json":
-        _emit(_json_text({"records": records}), args.out)
-    else:
-        _emit(_csv_text(header, rows), args.out)
+    header = ["p", "k", "slope"] + (["approx_decimal"] if args.approx else [])
+    _write(args, header, rows, {"records": records})
     return 0
 
 
@@ -412,16 +447,10 @@ def cmd_measure(args) -> int:
         max_dim=args.max_dim,
         starmap=lambda fn, tasks: _pool_starmap(fn, tasks, args.jobs),
     )
-    data = ms.profile_to_dict(table)
-    if args.format == "json":
-        _emit(_json_text(data), args.out)
-    else:
-        header = ms.PROFILE_CSV_HEADER + (["masses"] if args.dump_masses else [])
-        rows = [[";".join(row[h]) if h == "masses" else row[h] for h in header] for row in data["rows"]]
-        text = _csv_text(header, rows)
-        if table.cutoff:
-            text += f"# cutoff: {table.cutoff}\n"
-        _emit(text, args.out)
+    record = _profile_record(table)
+    header = PROFILE_HEADER + (["masses"] if args.dump_masses else [])
+    rows = [[";".join(row[h]) if h == "masses" else row[h] for h in header] for row in record["rows"]]
+    _write(args, header, rows, record, [f"cutoff: {table.cutoff}"] if table.cutoff else [])
     if table.cutoff:
         sys.stderr.write(f"resource guard: {table.cutoff}\n")
     return 0
@@ -429,16 +458,10 @@ def cmd_measure(args) -> int:
 
 def cmd_lambda(args) -> int:
     p = _one_prime(args.p, "lambda")
-    values = sorted(comb.lambda_values_by_differences(p, args.R, args.alpha).items())
-    if args.format == "json":
-        payload = {
-            "p": p, "R": args.R, "alpha": args.alpha,
-            "values": {str(b): format_rational(v) for b, v in values},
-        }
-        _emit(_json_text(payload), args.out)
-    else:
-        rows = [[b, format_rational(v)] for b, v in values]
-        _emit(_csv_text(["beta", "value"], rows), args.out)
+    values = [[b, format_rational(v)] for b, v in
+              sorted(comb.lambda_values_by_differences(p, args.R, args.alpha).items())]
+    payload = {"p": p, "R": args.R, "alpha": args.alpha, "values": {str(b): v for b, v in values}}
+    _write(args, ["beta", "value"], values, payload)
     return 0
 
 
@@ -524,7 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.out = _resolve_out(args.out)
     try:
         return args.func(args)
     except (UsageError, ValueError) as exc:

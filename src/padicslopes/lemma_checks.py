@@ -33,7 +33,6 @@ from .padic import (
     _check_prime_gt3,
     _vp,
     factorial_valuation,
-    format_rational,
     integer_log,
 )
 
@@ -174,7 +173,9 @@ class Lemma9Report:
 
 def sweep_lemma9_with_oracle(ps: Sequence[int], a_max: int) -> dict[int, Lemma9Report]:
     """Carry counts against an independent recurrence oracle, plus the log
-    bound, for every prime in ps and every 0 <= b <= a <= a_max.
+    bound, for every prime in ps and every 0 <= b <= a with 1 <= a <= a_max.
+    a = 0 lies outside the sweep (log_p 0 is undefined), so a_max < 1 would
+    check nothing and is a ValueError.
 
     The checked side is Kummer's carry count of b + (a-b).  The oracle never
     counts carries and never builds C(a, b): it walks b = 0..a along
@@ -182,6 +183,8 @@ def sweep_lemma9_with_oracle(ps: Sequence[int], a_max: int) -> dict[int, Lemma9R
     ratio C(a, b)/C(a, b-1) = (a-b+1)/b, reading v_p(n) for n <= a_max from
     a per-prime table.
     """
+    if a_max < 1:
+        raise ValueError(f"lemma 9 sweeps 1 <= a <= a_max, got a_max={a_max}")
     for p in ps:
         _check_prime(p)
     reports = {}
@@ -271,35 +274,3 @@ def integrality_checks(p: int, r: int, alpha: int) -> IntegralityReport:
         c_double_min_valuation=min(map(operator.sub, vnums, vfacts)),
         defining_identity_ok=lambda_identity_holds(p, alpha, nums, den),
     )
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def report_to_dict(report: LemmaReport) -> dict:
-    # every witness of a report has lhs_val = v_p(X_0), so it is rendered once
-    v_x0 = format_rational(report.witnesses[0].lhs_val) if report.witnesses else None
-    return {
-        "lemma_id": report.lemma_id,
-        "p": report.p,
-        "r": report.r,
-        "alpha": report.alpha,
-        "rho": report.rho,
-        "rho_prime": report.rho_prime,
-        "verdict": report.verdict,
-        "checked": report.checked,
-        "min_margin": None if report.min_margin is None else format_rational(report.min_margin),
-        "witnesses": [
-            {
-                "index": w.index,
-                "kind": w.kind,
-                "v_X0": v_x0,
-                "v_other": format_rational(w.rhs_val),
-                "margin": format_rational(w.margin),
-                "strict": w.strict,
-            }
-            for w in report.witnesses
-        ],
-    }

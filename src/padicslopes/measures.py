@@ -20,7 +20,6 @@ from .padic import (
     ExtendedValuation,
     _check_prime,
     _check_prime_gt3,
-    format_rational,
     integer_log,
     lower_hull,
 )
@@ -214,33 +213,3 @@ def middle_mass_profile(
         ks.append(k)
     rows = starmap(profile_row, [(p, k, include_newforms) for k in ks])
     return ProfileTable(p=p, include_newforms=include_newforms, rows=tuple(rows), cutoff=cutoff)
-
-
-PROFILE_CSV_HEADER = [
-    "p", "k", "dim_old", "dim_new", "count_middle", "fraction_middle", "left_end", "right_end",
-]
-
-
-def profile_to_dict(table: ProfileTable) -> dict:
-    return {
-        "p": table.p,
-        "include_newforms": table.include_newforms,
-        "cutoff": table.cutoff,
-        "rows": [
-            {
-                "p": row.p,
-                "k": row.k,
-                "dim_old": row.dim_old,
-                "dim_new": row.dim_new,
-                "count_middle": row.count_middle,
-                "fraction_middle": format_rational(row.fraction_middle),
-                "left_end": format_rational(row.left_end),
-                "right_end": format_rational(row.right_end),
-                "masses": [format_rational(m) for m in row.masses],
-            }
-            for row in table.rows
-        ],
-    }
-
-
-SLOPES_CSV_HEADER = ["p", "k", "slope"]

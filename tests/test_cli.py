@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import os
@@ -181,6 +182,29 @@ class TestArgumentBoundary:
         assert run_cli(argv) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "lemma13", "--p", "5", "--r-max", "3"],
+        ["verify", "lemma10", "--r-max", "0", "--format", "json"],
+        ["hecke-check", "--p", "5", "--t-max", "1"],
+    ])
+    def test_empty_sweep_exit_2(self, argv, tmp_path, capsys):
+        # a sweep with no cells verifies nothing, so it is an error, not a pass
+        out = tmp_path / "v.out"
+        assert run_cli(argv, out) == 2
+        assert not out.exists()
+        assert "error: no cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a_max", ["0", "-1"])
+    def test_lemma9_without_a_values_rejected(self, a_max, tmp_path, capsys):
+        csv_out, json_out = tmp_path / "v.csv", tmp_path / "v.json"
+        argv = ["verify", "lemma9", "--p", "5", "--a-max", a_max]
+        assert run_cli(argv, csv_out) == 2
+        assert csv_out.read_text().splitlines()[1:] == [f"lemma9,5,{a_max},,rejected,,0"]
+        assert f"invalid cell: [5, {a_max}]" in capsys.readouterr().err
+        assert run_cli([*argv, "--format", "json"], json_out) == 2
+        (record,) = json.loads(json_out.read_text())["records"]
+        assert record["cell"] == [5, int(a_max)] and "verdict" not in record
+
     def test_small_primes_only_where_the_defaults_have_them(self, capsys):
         assert run_cli(["verify", "lemma10", "--p", "3"]) == 2
         assert "needs primes > 3" in capsys.readouterr().err
@@ -293,12 +317,60 @@ class TestHeckeCheckCommand:
         assert run_cli(["verify", "double-sum", "--p", "5", "--r", "14", "--alpha", "2"], out) == 2
         assert "rejected" in out.read_text()
         assert "invalid cell" in capsys.readouterr().err
+        # every rejected cell gets its own stderr line
+        assert run_cli(["verify", "double-sum", "--p", "5", "--r", "14", "--alpha", "1..3"], out) == 2
+        assert out.read_text().splitlines()[1:] == [
+            "double-sum,5,14,1,rejected,,0", "double-sum,5,14,2,rejected,,0", "double-sum,5,14,3,holds,,2",
+        ]
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid cell: [5, 14, {a}]: general variant needs alpha > rho, got alpha={a}, rho=2" for a in (1, 2)
+        ]
 
     def test_integrality_rho_zero_cell_rejected(self, tmp_path, capsys):
         out = tmp_path / "v.csv"
         assert run_cli(["verify", "integrality", "--p", "5", "--r", "1", "--alpha", "0"], out) == 2
         assert out.read_text().splitlines() == [",".join(cli.VERIFY_HEADER), "integrality,5,1,0,rejected,,0"]
         assert "invalid cell: [5, 1, 0]" in capsys.readouterr().err
+
+
+class TestOneWriter:
+    """cli.py is the only module that serializes, and cli._write is the only
+    code that reads the output options or writes stdout or an output file."""
+
+    @staticmethod
+    def _serialization_uses(path):
+        """(use, enclosing function) for every serialization use in a module."""
+        uses = []
+
+        def visit(node, func):
+            if isinstance(node, ast.Import):
+                uses.extend((f"import {a.name}", func) for a in node.names if a.name in ("json", "csv"))
+            elif isinstance(node, ast.ImportFrom) and node.module in ("json", "csv"):
+                uses.append((f"import {node.module}", func))
+            elif isinstance(node, ast.ImportFrom):
+                uses.extend(("format_rational", func) for a in node.names if a.name == "format_rational")
+            elif isinstance(node, ast.Name) and node.id == "format_rational":
+                uses.append(("format_rational", func))
+            elif isinstance(node, ast.Attribute) and node.attr in ("format", "out", "environ", "stdout"):
+                uses.append((f".{node.attr}", func))
+            if isinstance(node, ast.FunctionDef):
+                func = node.name
+            for child in ast.iter_child_nodes(node):
+                visit(child, func)
+
+        with open(path) as fh:
+            visit(ast.parse(fh.read()), None)
+        return uses
+
+    def test_cli_is_the_only_serializer(self):
+        src = os.path.dirname(cli.__file__)
+        uses = {f: self._serialization_uses(os.path.join(src, f)) for f in os.listdir(src) if f.endswith(".py")}
+        cli_uses = uses.pop("cli.py")
+        assert {module: found for module, found in uses.items() if found} == {}
+        writer = [(use, func) for use, func in cli_uses if use.startswith(".")]
+        assert {func for _, func in writer} == {"_write"}
+        assert [use for use, _ in writer].count(".format") == 1
+        assert {use for use, _ in cli_uses} >= {"import json", "import csv", "format_rational"}
 
 
 class TestOutDirEnv:

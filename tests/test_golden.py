@@ -71,6 +71,12 @@ CASES += [
     ("hecke-check.json", "hecke-check --p 5 --t-max 3 --format json".split(), 0),
 ]
 
+# one case per command and format, replayed to stdout instead of --out
+STDOUT_CASES = [case for case in CASES if case[0] in {
+    f"{stem}.{fmt}" for stem in ("verify-det-factorization", "slopes", "measure-max-dim", "lambda", "hecke-check")
+    for fmt in ("csv", "json")
+}]
+
 
 def _run(argv, path):
     return main([*argv, "--out", str(path)])
@@ -82,6 +88,13 @@ def test_golden_output(name, argv, code, tmp_path):
     assert _run(argv, out) == code
     with open(os.path.join(GOLDEN, name), "rb") as fh:
         assert out.read_bytes() == fh.read()
+
+
+@pytest.mark.parametrize("name,argv,code", STDOUT_CASES, ids=[c[0] for c in STDOUT_CASES])
+def test_golden_stdout(name, argv, code, capsys):
+    assert main(argv) == code
+    with open(os.path.join(GOLDEN, name), "rb") as fh:
+        assert capsys.readouterr().out.encode() == fh.read()
 
 
 if __name__ == "__main__":

@@ -16,11 +16,10 @@ from padicslopes.combinatorics import (
     rho_of,
     rho_prime_of,
 )
-from padicslopes.cli import VERIFY_TARGETS
+from padicslopes.cli import VERIFY_TARGETS, _lemma_record
 from padicslopes.cli import main as cli_main
 from padicslopes.lemma_checks import (
     integrality_checks,
-    report_to_dict,
     sweep_lemma9_with_oracle,
     verify_lemma,
 )
@@ -157,6 +156,13 @@ class TestLemma9:
         reps = sweep_lemma9_with_oracle([2, 5], 150)
         assert all(r.verdict == "holds" for r in reps.values())
 
+    @pytest.mark.parametrize("a_max", [0, -3])
+    def test_empty_sweep_rejected(self, a_max):
+        # a = 0 is outside the sweep, so a_max < 1 would check nothing: a
+        # vacuous sweep must not read as "holds"
+        with pytest.raises(ValueError, match="a_max"):
+            sweep_lemma9_with_oracle([5], a_max)
+
 
 class TestIntegrality:
     @pytest.mark.parametrize("p,r,alpha", [(5, 14, 3), (5, 40, 9), (7, 60, 8), (11, 90, 9)])
@@ -254,7 +260,7 @@ class TestIntegerRouteAgainstOracle:
     def test_lemmas_match_fraction_route(self, cell):
         rep = verify_lemma(*cell)
         oracle = verify_lemma_by_fractions(*cell)
-        assert report_to_dict(rep) == report_to_dict(oracle)
+        assert _lemma_record(rep) == _lemma_record(oracle)
         assert rep == oracle
 
     def test_lemma9_matches_brute_division(self, monkeypatch):
@@ -400,9 +406,9 @@ class TestSerialization:
         import json as json_mod
 
         data = json_mod.loads(json_path.read_text())
-        assert data["records"] == [report_to_dict(rep)]
+        assert data["records"] == [_lemma_record(rep)]
         assert data["records"][0]["verdict"] == "holds"
 
     def test_infinite_margin_rendering(self):
-        d = report_to_dict(verify_lemma(10, 5, 40, 9))
+        d = _lemma_record(verify_lemma(10, 5, 40, 9))
         assert all(w["margin"] != "" for w in d["witnesses"])

@@ -9,9 +9,9 @@ from padicslopes.measures import (
     mass_in_middle,
     middle_mass_profile,
     oldform_slope_pair,
-    profile_to_dict,
     supersingularity_measure,
 )
+from padicslopes.cli import _profile_record
 from padicslopes.cli import main as cli_main
 from padicslopes.padic import INFINITY
 
@@ -177,7 +177,7 @@ class TestProfiles:
         row16 = [ln for ln in lines if ln.startswith("59,16")][0]
         assert row16.split(",")[4] == "2"
         assert "." not in row16  # exact rationals only
-        d = profile_to_dict(table)
+        d = _profile_record(table)
         assert d["rows"][-1]["count_middle"] == 2
         assert d["rows"][-1]["masses"] == ["1/15", "14/15"]
 
