@@ -1,6 +1,8 @@
 """Exact-arithmetic toolkit for p-adic binomial combinatorics, compact-
 induction Hecke operators, level-1 modular form slopes, and supersingularity
-measures.  Everything is computed over int/Fraction; no floating point."""
+measures.  Everything is exact and nothing is a float: integral quantities
+(q-expansions, Hecke matrices, characteristic polynomials) are ints, and
+Fractions appear only where a quantity is rational (slopes, masses, Lambda)."""
 
 from .combinatorics import (
     build_interior_annihilator,

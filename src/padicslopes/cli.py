@@ -407,7 +407,7 @@ def cmd_verify(args) -> int:
     failures = [rec for row, rec in results if row[4] == "fails"]
     rejected = [rec for rec in records if "rejected" in rec]
     notes = target.notes(records)
-    payload = {"target": name, "records": records, "notes": notes, "verified": not failures}
+    payload = {"target": name, "records": records, "notes": notes, "verified": not failures and not rejected}
     _write(args, VERIFY_HEADER, [row for row, _ in results], payload, notes)
     for rec in failures:
         sys.stderr.write(f"counterexample: {json.dumps(rec, sort_keys=True)}\n")

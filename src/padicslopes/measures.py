@@ -15,31 +15,16 @@ from fractions import Fraction
 from typing import Callable
 
 from .modforms import dim_cusp, slopes
-from .padic import (
-    INFINITY,
-    ExtendedValuation,
-    _check_prime,
-    _check_prime_gt3,
-    integer_log,
-    lower_hull,
-)
+from .padic import ExtendedValuation, _check_prime, _check_prime_gt3, integer_log
 
 
 def oldform_slope_pair(alpha: ExtendedValuation, k: int) -> tuple[Fraction, Fraction]:
-    """Root valuations of x^2 - a x + p^(k-1) with v_p(a) = alpha, via the
-    Newton polygon of the quadratic.  Handles a = 0 (alpha = INFINITY) and
-    the mid-slope case without case analysis; the pair always sums to k-1.
+    """Root valuations of x^2 - a x + p^(k-1) with v_p(a) = alpha: the
+    Newton polygon of the quadratic gives lo = min(alpha, (k-1)/2) and
+    hi = k-1-lo, a = 0 (alpha = INFINITY) included; the pair sums to k-1.
     """
-    points = [(0, Fraction(k - 1))]
-    if not isinstance(alpha, type(INFINITY)):
-        points.append((1, Fraction(alpha)))
-    points.append((2, Fraction(0)))
-    hull = lower_hull(points)
-    out: list[Fraction] = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        s = Fraction(y1 - y2, x2 - x1)
-        out.extend([s] * (x2 - x1))
-    return (min(out), max(out))
+    lo = Fraction(min(alpha, Fraction(k - 1, 2)))
+    return lo, k - 1 - lo
 
 
 @dataclass(frozen=True)

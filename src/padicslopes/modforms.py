@@ -3,28 +3,26 @@
 Eisenstein series and the discriminant cusp form generate everything needed;
 the echelonized monomial basis of the cusp space gives integral Hecke
 matrices whose characteristic polynomials feed the Newton-polygon slope
-extraction.  Coefficients are exact (int or Fraction) throughout.
+extraction.  Every coefficient is an int: E_4, E_6 and Delta are integral,
+and so is every product of them.
 
 Every product of two series is one integer multiplication (Kronecker
-substitution): the integer numerators are packed into fixed-width slots of
-one int each, multiplied, and read back slot by slot.  The slots are wide
+substitution): the coefficients are packed into fixed-width slots of one
+int each, multiplied, and read back slot by slot.  The slots are wide
 enough that no coefficient of the product overflows, so the result is exact.
 The schoolbook double loop is kept in the tests as the oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 from .exactlinalg import charpoly
 from .padic import INFINITY, ExtendedValuation, _check_prime, is_prime, newton_polygon
 
 
 class QExpansion:
-    """Truncated q-series sum a_n q^n, n < prec, with exact coefficients."""
+    """Truncated q-series sum a_n q^n, n < prec, with integer coefficients."""
 
     __slots__ = ("weight", "coeffs", "prec")
 
@@ -57,12 +55,7 @@ class QExpansion:
 
     def __mul__(self, other: "QExpansion") -> "QExpansion":
         prec = min(self.prec, other.prec)
-        a, den_a = _numerators(self.coeffs[:prec])
-        b, den_b = _numerators(other.coeffs[:prec])
-        out = _kronecker_product(a, b, prec)
-        den = den_a * den_b
-        if den != 1:
-            out = [Fraction(c, den) for c in out]
+        out = _kronecker_product(self.coeffs[:prec], other.coeffs[:prec], prec)
         return QExpansion(self.weight + other.weight, out, prec)
 
     def pow(self, e: int) -> "QExpansion":
@@ -92,12 +85,6 @@ class QExpansion:
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
         return f"QExpansion(weight={self.weight}, prec={self.prec}, [{head}, ...])"
-
-
-def _numerators(coeffs: list) -> tuple[list[int], int]:
-    """Integer numerators of coeffs over their least common denominator."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _pack(coeffs: list[int], width: int) -> int:
@@ -141,17 +128,6 @@ def _kronecker_product(a: list[int], b: list[int], n: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def bernoulli(n: int) -> Fraction:
-    """B_n by the standard recurrence (B_1 = -1/2 convention)."""
-    if n == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for j in range(n):
-        acc += math.comb(n + 1, j) * bernoulli(j)
-    return -acc / (n + 1)
-
-
 def _sigma_table(k: int, prec: int) -> list[int]:
     """sigma_k(n) for n < prec via the divisor sieve."""
     out = [0] * prec
@@ -163,15 +139,12 @@ def _sigma_table(k: int, prec: int) -> list[int]:
 
 
 def eisenstein(k: int, prec: int) -> QExpansion:
-    """Normalized E_k = 1 - (2k/B_k) sum sigma_(k-1)(n) q^n, exact."""
-    if k % 2 or k < 4:
-        raise ValueError("k must be even and >= 4")
-    factor = Fraction(-2 * k) / bernoulli(k)
-    sig = _sigma_table(k - 1, prec)
-    coeffs = [Fraction(1)] + [factor * sig[n] for n in range(1, prec)]
-    if all(c.denominator == 1 for c in coeffs):
-        coeffs = [int(c) for c in coeffs]
-    return QExpansion(k, coeffs, prec)
+    """E_4 = 1 + 240 sum sigma_3(n) q^n or E_6 = 1 - 504 sum sigma_5(n) q^n,
+    the two weights the Miller basis is built from."""
+    if k not in (4, 6):
+        raise ValueError(f"only E_4 and E_6 are provided, got k={k}")
+    factor = 240 if k == 4 else -504
+    return QExpansion(k, [1] + [factor * s for s in _sigma_table(k - 1, prec)[1:]], prec)
 
 
 def delta(prec: int) -> QExpansion:
@@ -210,15 +183,15 @@ def dim_cusp(k: int, level: int = 1) -> int:
     eps2 = 1 if p == 2 else (2 if p % 4 == 1 else 0)
     eps3 = 1 if p == 3 else (2 if p % 3 == 1 else 0)
     eps_inf = 2
-    g = Fraction(1) + Fraction(mu, 12) - Fraction(eps2, 4) - Fraction(eps3, 3) - Fraction(eps_inf, 2)
-    if g.denominator != 1:
+    # 12(g - 1) = mu - 3 eps2 - 4 eps3 - 6 eps_inf
+    g_minus_1, rem = divmod(mu - 3 * eps2 - 4 * eps3 - 6 * eps_inf, 12)
+    if rem:
         raise AssertionError("genus formula returned a non-integer (bug)")
-    g = int(g)
     if k == 2:
-        return g
+        return g_minus_1 + 1
     if k < 2:
         return 0
-    d = (k - 1) * (g - 1) + (k // 4) * eps2 + (k // 3) * eps3 + (k // 2 - 1) * eps_inf
+    d = (k - 1) * g_minus_1 + (k // 4) * eps2 + (k // 3) * eps3 + (k // 2 - 1) * eps_inf
     return max(d, 0)
 
 

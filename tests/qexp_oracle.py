@@ -1,14 +1,20 @@
 """Schoolbook routes for q-expansions, kept as independent oracles.
 
 Production (``padicslopes.modforms``) multiplies two series by one integer
-multiplication (Kronecker substitution), builds Delta from Jacobi's identity
-and the Miller basis from one E_4^3 ladder.  This module keeps the routes
-they replaced: the coefficient-by-coefficient double loop, the eta-product
-loop raised to the 24th power, and the per-row Delta^i E_4^a E_6^b basis.
+multiplication (Kronecker substitution), builds Delta from Jacobi's identity,
+E_4 and E_6 from their closed forms, the Miller basis from one E_4^3 ladder,
+and the genus of X_0(p) in integers.  This module keeps the routes they
+replaced: the coefficient-by-coefficient double loop, the eta-product loop
+raised to the 24th power, the Bernoulli recurrence and the general-weight
+E_k, the per-row Delta^i E_4^a E_6^b basis, and the rational genus formula.
 The tests compare the routes.
 """
 
-from padicslopes.modforms import QExpansion, delta, dim_cusp, eisenstein
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+from padicslopes.modforms import QExpansion, delta, dim_cusp
 
 
 def schoolbook_mul(f: QExpansion, g: QExpansion) -> QExpansion:
@@ -47,11 +53,43 @@ def delta_by_eta(prec: int) -> QExpansion:
     return QExpansion(12, power.shift(1).coeffs, prec)
 
 
+@lru_cache(maxsize=None)
+def bernoulli(n: int) -> Fraction:
+    """B_n by the standard recurrence (B_1 = -1/2 convention)."""
+    if n == 0:
+        return Fraction(1)
+    acc = Fraction(0)
+    for j in range(n):
+        acc += math.comb(n + 1, j) * bernoulli(j)
+    return -acc / (n + 1)
+
+
+def eisenstein_by_bernoulli(k: int, prec: int) -> QExpansion:
+    """Normalized E_k = 1 - (2k/B_k) sum sigma_(k-1)(n) q^n for even k >= 4,
+    with int coefficients where they are integral (k = 4, 6) and Fraction
+    coefficients otherwise."""
+    factor = Fraction(-2 * k) / bernoulli(k)
+    coeffs = [Fraction(1)]
+    for n in range(1, prec):
+        coeffs.append(factor * sum(d ** (k - 1) for d in range(1, n + 1) if n % d == 0))
+    if all(c.denominator == 1 for c in coeffs):
+        coeffs = [int(c) for c in coeffs]
+    return QExpansion(k, coeffs, prec)
+
+
+def genus_gamma0_rational(p: int) -> Fraction:
+    """g(X_0(p)) = 1 + mu/12 - eps2/4 - eps3/3 - eps_inf/2 over the rationals."""
+    eps2 = 1 if p == 2 else (2 if p % 4 == 1 else 0)
+    eps3 = 1 if p == 3 else (2 if p % 3 == 1 else 0)
+    mu, eps_inf = p + 1, 2
+    return Fraction(1) + Fraction(mu, 12) - Fraction(eps2, 4) - Fraction(eps3, 3) - Fraction(eps_inf, 2)
+
+
 def miller_basis_by_rows(k: int, prec: int) -> list[QExpansion]:
-    """The Miller basis with each row Delta^i E_4^a E_6^b built on its own,
-    then echelonized."""
+    """The Miller basis with each row Delta^i E_4^a E_6^b built on its own from
+    the Bernoulli-route E_4 and E_6, then echelonized."""
     d = dim_cusp(k)
-    e4, e6, dl = eisenstein(4, prec), eisenstein(6, prec), delta(prec)
+    e4, e6, dl = eisenstein_by_bernoulli(4, prec), eisenstein_by_bernoulli(6, prec), delta(prec)
     rows = []
     dpow = QExpansion(0, [1], prec)
     for i in range(1, d + 1):

@@ -202,8 +202,11 @@ class TestArgumentBoundary:
         assert csv_out.read_text().splitlines()[1:] == [f"lemma9,5,{a_max},,rejected,,0"]
         assert f"invalid cell: [5, {a_max}]" in capsys.readouterr().err
         assert run_cli([*argv, "--format", "json"], json_out) == 2
-        (record,) = json.loads(json_out.read_text())["records"]
+        payload = json.loads(json_out.read_text())
+        (record,) = payload["records"]
         assert record["cell"] == [5, int(a_max)] and "verdict" not in record
+        # a JSON reader that ignores the exit code must not read a rejected sweep as verified
+        assert payload["verified"] is False
 
     def test_small_primes_only_where_the_defaults_have_them(self, capsys):
         assert run_cli(["verify", "lemma10", "--p", "3"]) == 2

@@ -13,7 +13,20 @@ from padicslopes.measures import (
 )
 from padicslopes.cli import _profile_record
 from padicslopes.cli import main as cli_main
-from padicslopes.padic import INFINITY
+from padicslopes.padic import INFINITY, lower_hull
+
+
+def slope_pair_by_hull(alpha, k):
+    """The oldform pair read off the lower hull of (0, k-1), (1, alpha), (2, 0)."""
+    points = [(0, Fraction(k - 1))]
+    if alpha is not INFINITY:
+        points.append((1, Fraction(alpha)))
+    points.append((2, Fraction(0)))
+    hull = lower_hull(points)
+    out = []
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        out.extend([Fraction(y1 - y2, x2 - x1)] * (x2 - x1))
+    return min(out), max(out)
 
 
 class TestOldformPair:
@@ -31,6 +44,14 @@ class TestOldformPair:
 
     def test_zero_eigenvalue(self):
         assert oldform_slope_pair(INFINITY, 12) == (Fraction(11, 2), Fraction(11, 2))
+
+    def test_closed_form_matches_hull(self):
+        for k in range(2, 200, 2):
+            alphas = [INFINITY] + [Fraction(n, d) if d > 1 else n for n in range(3 * k) for d in (1, 2, 3)]
+            for alpha in alphas:
+                pair = oldform_slope_pair(alpha, k)
+                assert pair == slope_pair_by_hull(alpha, k)
+                assert all(type(s) is Fraction for s in pair)
 
 
 class TestMeasure:
