@@ -48,7 +48,10 @@ class QExpansion:
         return QExpansion(self.weight, [self.coeffs[n] + other.coeffs[n] for n in range(prec)], prec)
 
     def __sub__(self, other: "QExpansion") -> "QExpansion":
-        return self + other.scale(-1)
+        if self.weight != other.weight:
+            raise ValueError("cannot subtract forms of different weights")
+        prec = min(self.prec, other.prec)
+        return QExpansion(self.weight, [a - b for a, b in zip(self.coeffs, other.coeffs)], prec)
 
     def scale(self, s) -> "QExpansion":
         return QExpansion(self.weight, [c * s for c in self.coeffs], self.prec)

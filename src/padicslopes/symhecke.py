@@ -11,6 +11,13 @@ the same term iff they differ by right multiplication by an integral unit
 times a central power of p, and the canonical key is the column Hermite
 form [[p^a, c], [0, p^d]] with 0 <= c < p^a and minimal entry valuation 0,
 computed in closed form with one modular inverse.
+
+The action of g = [[a, b], [c, d]] is also closed form: the coefficient of
+x^n y^(t-n) in (a x + c y)^e (b x + d y)^(t-e) is the sum over i + j = n of
+C(e, i) a^i c^(e-i) C(t-e, j) b^j d^(t-e-j).  One call costs O(t) for the
+power lists of a, b, c, d mod p^M (the binomials come from a Pascal table
+cached per t) plus O((e+1)(t-e+1)) per nonzero coefficient f_e; zero
+powers are skipped, so an upper-triangular g on a two-term f costs O(t).
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .padic import _check_prime_gt3, teichmuller_lift, valuation
 
@@ -88,6 +96,8 @@ class SymPoly:
     twist: Fraction = Fraction(0)
 
     def __post_init__(self):
+        if self.M < 1 or self.degree < 0:
+            raise ValueError(f"need M >= 1 and degree >= 0, got M={self.M}, degree={self.degree}")
         if len(self.coeffs) != self.degree + 1:
             raise ValueError("coefficient vector must have length degree + 1")
         q = self.p**self.M
@@ -143,50 +153,65 @@ class SymPoly:
         return {e: c for e, c in enumerate(self.coeffs) if c}
 
 
+@lru_cache(maxsize=None)
+def _pascal(t: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..t of Pascal's triangle: _pascal(t)[n][k] = C(n, k)."""
+    rows = [(1,)]
+    for _ in range(t):
+        prev = rows[-1]
+        rows.append((1, *[prev[k] + prev[k + 1] for k in range(len(prev) - 1)], 1))
+    return tuple(rows)
+
+
+def _powers(x: int, t: int, q: int) -> list[int]:
+    """[x^0, ..., x^t] mod q for 0 <= x < q."""
+    if x < 2:
+        return [1] + [x] * t
+    out = [1]
+    for _ in range(t):
+        out.append(out[-1] * x % q)
+    return out
+
+
 def act(g: Matrix, f: SymPoly) -> SymPoly:
     """Row-substitution action: for g = [[a,b],[c,d]],
     (g.f)(x, y) = f(a x + c y, b x + d y), with the twist advanced by
     -v_p(det g_0) t/2 for g_0 = g / p^m, m the least entry valuation, so
     that the central power p^m acts trivially.
+
+    With f = sum_e f_e x^e y^(t-e), the term f_e contributes
+    C(e, i) a^i c^(e-i) C(t-e, j) b^j d^(t-e-j) f_e to the coefficient of
+    x^(i+j) y^(t-i-j), read off one power list per entry of g_0 mod
+    q = p^M and the Pascal table of t.  Products with a zero power are
+    skipped, and the sums are reduced mod q once, at the end.  Cost: O(t)
+    for the tables plus O((e+1)(t-e+1)) per nonzero f_e, which is O(t) when
+    c = 0; expanding every power of the two linear forms costs O(t^2).
     """
     _, g0 = _primitive(g, f.p)
     if g0 == IDENTITY:
         return f  # a central p^m: the coefficients are already reduced and the twist moves by 0
     a, b, c, d = g0
-    v0 = valuation(a * d - b * c, f.p)
-    q = f.p**f.M
-    a, b, c, d = a % q, b % q, c % q, d % q
-    t = f.degree
-    # powers of the two linear forms a x + c y and b x + d y
-    pow1 = [[1]]
-    pow2 = [[1]]
-    for _ in range(t):
-        prev = pow1[-1]
-        nxt = [0] * (len(prev) + 1)
-        for e, cf in enumerate(prev):
-            nxt[e + 1] = (nxt[e + 1] + cf * a) % q
-            nxt[e] = (nxt[e] + cf * c) % q
-        pow1.append(nxt)
-        prev = pow2[-1]
-        nxt = [0] * (len(prev) + 1)
-        for e, cf in enumerate(prev):
-            nxt[e + 1] = (nxt[e + 1] + cf * b) % q
-            nxt[e] = (nxt[e] + cf * d) % q
-        pow2.append(nxt)
+    p, t = f.p, f.degree
+    q = p**f.M
+    det = a * d - b * c
+    twist = f.twist if det % p else f.twist - Fraction(valuation(det, p) * t, 2)
+    pa, pb, pc, pd = [_powers(x % q, t, q) for x in g0]
+    binom = _pascal(t)
     out = [0] * (t + 1)
-    for e, cf in enumerate(f.coeffs):
-        if not cf:
+    for e, fe in enumerate(f.coeffs):
+        if not fe:
             continue
-        p1 = pow1[e]
-        p2 = pow2[t - e]
-        for e1, c1 in enumerate(p1):
-            if not c1:
-                continue
-            c1cf = c1 * cf
-            for e2, c2 in enumerate(p2):
-                if c2:
-                    out[e1 + e2] = (out[e1 + e2] + c1cf * c2) % q
-    return SymPoly(t, f.p, f.M, tuple(out), f.twist - Fraction(v0 * t, 2))
+        r = t - e
+        be, br = binom[e], binom[r]
+        right = [br[j] * pb[j] * pd[r - j] for j in range(r + 1)]
+        for i in range(e + 1):
+            u = pa[i] * pc[e - i]
+            if u:
+                u *= fe * be[i]
+                for n, w in enumerate(right, i):
+                    if w:
+                        out[n] += u * w
+    return SymPoly(t, p, f.M, tuple([x % q for x in out]), twist)
 
 
 @dataclass(frozen=True, order=True)
@@ -279,7 +304,14 @@ class FormalSum:
         return out
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + other.scale(-1)
+        out = FormalSum(self.p, self.terms)
+        for rep, v in other.terms.items():
+            w = out.terms[rep] - v if rep in out.terms else v.scale(-1)
+            if w.is_zero():
+                out.terms.pop(rep, None)
+            else:
+                out.terms[rep] = w
+        return out
 
     def scale(self, s: int) -> "FormalSum":
         out = FormalSum(self.p)
@@ -330,8 +362,10 @@ def h_polys(sp: SurrogateParams, alpha: int) -> tuple[SymPoly, SymPoly]:
     return h, hstar
 
 
-def teichmuller_lifts(p: int, M: int) -> list[int]:
-    return [teichmuller_lift(mu, p, M) for mu in range(p)]
+@lru_cache(maxsize=None)
+def teichmuller_lifts(p: int, M: int) -> tuple[int, ...]:
+    """The Teichmuller lifts of 0, ..., p-1 mod p^M, computed once per (p, M)."""
+    return tuple([teichmuller_lift(mu, p, M) for mu in range(p)])
 
 
 def hecke_T(s: FormalSum, sp: SurrogateParams) -> FormalSum:

@@ -254,6 +254,8 @@ class TestQExpansionRing:
     def test_weight_checks(self):
         with pytest.raises(ValueError):
             eisenstein(4, 5) + eisenstein(6, 5)
+        with pytest.raises(ValueError):
+            eisenstein(4, 5) - eisenstein(6, 5)
 
     def test_truncation_on_multiply(self):
         a = QExpansion(4, [1, 2, 3], 3)
@@ -316,6 +318,16 @@ class TestKroneckerProduct:
                     f = QExpansion(0, [sign * (2**ka - 1)] * n)
                     g = QExpansion(0, [2**kb - 1] * n)
                     assert f * g == schoolbook_mul(f, g)
+
+
+class TestSubtraction:
+    @given(series(integer_coeffs), series(integer_coeffs), st.integers(-3, 3))
+    @settings(max_examples=200)
+    def test_one_pass_matches_add_of_negation(self, f, g, s):
+        g = QExpansion(f.weight, g.coeffs, g.prec)
+        diff = f - g.scale(s)
+        assert diff == f + g.scale(-s)
+        assert diff.prec == min(f.prec, g.prec)
 
 
 class TestIntegerOnly:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from padicslopes import symhecke
 from padicslopes.combinatorics import build_interior_annihilator, ecal_of
-from padicslopes.padic import valuation
+from padicslopes.padic import teichmuller_lift, valuation
 from padicslopes.symhecke import (
     IDENTITY,
     CosetRep,
@@ -21,6 +22,7 @@ from padicslopes.symhecke import (
     teichmuller_lifts,
     verify_T_expansion,
 )
+from symhecke_oracle import act_by_expansion
 
 
 def theta_divides(coeffs, t, p, modulus, power=1):
@@ -113,6 +115,110 @@ class TestAction:
         g1 = (2, 1, 0, 3)
         g2 = (1, 4, 5, 1)
         assert act(g1, act(g2, f)) == act(mat_mul(g1, g2), f)
+
+
+def _random_entry(rng, p):
+    """A nonzero int, negative half the time and p-divisible half the time."""
+    return rng.randint(1, 60) * p ** rng.choice((0, 0, 1, 2)) * rng.choice((1, -1))
+
+
+def _oracle_cases(seed=29, count=600):
+    """Seeded (g, f) pairs: g lower triangular, upper triangular, diagonal or
+    full, with negative and p-divisible entries and c a unit or not; t in
+    0..12, M in 1..20, f sparse or dense, twists zero or not."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        t, M = rng.randint(0, 12), rng.randint(1, 20)
+        q = p**M
+        a, b, c, d = (_random_entry(rng, p) for _ in range(4))
+        shape = rng.choice(("lower", "upper", "diagonal", "full", "full"))
+        if shape in ("upper", "diagonal"):
+            c = 0
+        if shape in ("lower", "diagonal"):
+            b = 0
+        g = (a, b, c, d)
+        if a * d - b * c == 0:
+            continue
+        if rng.random() < 0.5:  # sparse: one or two terms
+            support = rng.sample(range(t + 1), min(t + 1, rng.randint(1, 2)))
+            coeffs = tuple(rng.randrange(1, q) if e in support else 0 for e in range(t + 1))
+        else:
+            coeffs = tuple(rng.randrange(q) for _ in range(t + 1))
+        twist = Fraction(rng.randint(-6, 6), 2)
+        cases.append((g, SymPoly(t, p, M, coeffs, twist)))
+    return cases
+
+
+def _mismatches(cases):
+    return [(g, f) for g, f in cases if act(g, f) != act_by_expansion(g, f)]
+
+
+class TestActOracle:
+    """The closed-form act against the nested-loop expansion in
+    tests/symhecke_oracle.py.  hecke_T never sends c != 0, and both sides of
+    verify_T_expansion pass through act, so this is the backstop."""
+
+    def test_cases_cover_the_shapes(self):
+        cases = _oracle_cases()
+        assert any(g[1] == 0 and g[2] % f.p for g, f in cases)  # lower, c a unit
+        assert any(g[2] and g[2] % f.p == 0 for g, f in cases)  # c p-divisible
+        assert any(all(g) and min(g) < 0 for g, f in cases)  # full, negative
+        assert {f.degree for g, f in cases} == set(range(13))
+        assert {f.M for g, f in cases} == set(range(1, 21))
+        assert any(f.twist for g, f in cases)
+
+    def test_matches_oracle(self):
+        assert _mismatches(_oracle_cases()) == []
+
+    @pytest.mark.parametrize("n,k", [(1, 0), (4, 1), (7, 3), (12, 6)])
+    def test_sees_one_binomial_off_by_one(self, monkeypatch, n, k):
+        pascal = symhecke._pascal
+
+        def off_by_one(t):
+            rows = [list(row) for row in pascal(t)]
+            if n <= t:
+                rows[n][k] += 1
+            return rows
+
+        monkeypatch.setattr(symhecke, "_pascal", off_by_one)
+        assert _mismatches(_oracle_cases())
+
+
+class TestSymPolyValidation:
+    @pytest.mark.parametrize("M", [0, -1])
+    def test_rejects_precision_below_one(self, M):
+        with pytest.raises(ValueError):
+            SymPoly(2, 5, M, (1, 2, 3))
+
+    def test_rejects_negative_degree(self):
+        with pytest.raises(ValueError):
+            SymPoly(-1, 5, 3, ())
+
+    def test_smallest_valid(self):
+        f = SymPoly(0, 5, 1, (7,))
+        assert f.coeffs == (2,)
+
+
+class TestLiftCache:
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_tuple_of_lifts_shared_across_calls(self, p):
+        for M in range(1, 21):
+            lifts = teichmuller_lifts(p, M)
+            assert type(lifts) is tuple
+            assert lifts == tuple(teichmuller_lift(mu, p, M) for mu in range(p))
+            assert teichmuller_lifts(p, M) is lifts
+
+    def test_hecke_T_cold_and_warm(self):
+        sp = SurrogateParams(p=7, t=6, delta=2)
+        h, _ = h_polys(sp, 1)
+        teichmuller_lifts.cache_clear()
+        cold = hecke_T(FormalSum.unit(h), sp)
+        assert teichmuller_lifts.cache_info().currsize == 1
+        warm = hecke_T(FormalSum.unit(h), sp)
+        assert teichmuller_lifts.cache_info().hits >= 1
+        assert cold == warm
 
 
 class TestHPolys:
@@ -426,6 +532,26 @@ class TestModuleRelation:
             lhs = FormalSum.single(g2, act(h, w)).act(g1)
             rhs = FormalSum.single(mat_mul(mat_mul(g1, g2), h), w)
             assert lhs == rhs
+
+
+class TestFormalSumArithmetic:
+    def test_sub_is_add_of_negation(self):
+        rng = random.Random(37)
+        sp = SurrogateParams(p=5, t=3, delta=1)
+        q = 5**sp.M
+        keys = [IDENTITY, (5, 0, 0, 1), (1, 0, 0, 5), (5, 2, 0, 1)]
+
+        def rand_sum():
+            s = FormalSum(5)
+            for g in rng.sample(keys, 3):
+                s._insert(g, SymPoly(3, 5, sp.M, tuple(rng.randrange(q) for _ in range(4))))
+            return s
+
+        for _ in range(20):
+            s1, s2 = rand_sum(), rand_sum()
+            assert s1 - s2 == s1 + s2.scale(-1)
+            assert len(s1 - s1) == 0
+            assert (s1 - s2) + s2 == s1
 
 
 class TestDumpFormat:
