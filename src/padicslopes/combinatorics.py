@@ -4,7 +4,9 @@ The engine of the verification suite: the Lambda coefficient systems defined
 by a polynomial identity in the binomial basis, the rectangular binomial
 matrices attached to a parameter cell (p, r, alpha), the interior annihilator
 systems they generate, and the finite-support identities those systems
-satisfy.  All arithmetic is exact (int / Fraction); nothing is approximated.
+satisfy.  Every check runs in int, over one common denominator per table or
+system; a Fraction is built only where a public function returns a rational.
+Nothing is approximated.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .exactlinalg import charpoly, mat_mul_int, rank_mod_p
-from .padic import _check_prime_gt3, integer_log, valuation
+from .padic import _check_prime_gt3, integer_log
 
 
 def comb0(n: int, k: int) -> int:
@@ -180,43 +182,32 @@ def lambda_identity_holds(p: int, alpha: int, nums: list[int], den: int) -> bool
 # ---------------------------------------------------------------------------
 
 
-def _numerators(values: Mapping[int, Fraction | int], den: int) -> dict[int, int]:
-    """{key: values[key] * den} for a den that every value's denominator divides."""
-    return {k: v.numerator * (den // v.denominator) for k, v in values.items()}
+def _vartheta_sums(D: Mapping[int, int], p: int, w_max: int) -> list[int]:
+    """[vartheta_0(D), ..., vartheta_(w_max)(D)] for integer D, in one pass.
 
-
-def _over_common_denominator(values: Mapping[int, Fraction | int]) -> tuple[dict[int, int], int]:
-    """(numerators, den) with den the lcm of the values' denominators."""
-    den = math.lcm(*(v.denominator for v in values.values()))
-    return _numerators(values, den), den
-
-
-def _vartheta_numerators(D: Mapping[int, Fraction | int], p: int, w_max: int) -> tuple[list[int], int]:
-    """([S_0, ..., S_(w_max)], den) with vartheta_w(D) = S_w / den, in one pass.
-
-    den is the lcm of D's denominators.  Each C(i(p-1), w) comes from
-    C(i(p-1), w-1) by the falling-factorial ratio (top - w + 1) / w, which
-    divides exactly for any integer top; negative tops give the generalized
-    binomial.
+    Each C(i(p-1), w) comes from C(i(p-1), w-1) by the falling-factorial
+    ratio (top - w + 1) / w, which divides exactly for any integer top;
+    negative tops give the generalized binomial.
     """
-    nums, den = _over_common_denominator(D)
-    coefs = [n for n in nums.values() if n]
-    tops = [i * (p - 1) for i, n in nums.items() if n]
+    coefs = [n for n in D.values() if n]
+    tops = [i * (p - 1) for i, n in D.items() if n]
     binoms = [1] * len(coefs)
     sums = []
     for w in range(w_max + 1):
         if w:
             binoms = [b * (t - w + 1) // w for b, t in zip(binoms, tops)]
         sums.append(sum(map(operator.mul, coefs, binoms)))
-    return sums, den
+    return sums
 
 
 def vartheta(D: Mapping[int, Fraction | int], w: int, p: int) -> Fraction:
-    """sum_i D_i C(i(p-1), w) with the generalized binomial for negative i."""
+    """sum_i D_i C(i(p-1), w) with the generalized binomial for negative i,
+    summed in integers over the lcm of D's denominators."""
     if w < 0:
         raise ValueError("w must be nonnegative")
-    sums, den = _vartheta_numerators(D, p, w)
-    return Fraction(sums[w], den)
+    den = math.lcm(*(v.denominator for v in D.values()))
+    nums = {i: v.numerator * (den // v.denominator) for i, v in D.items()}
+    return Fraction(_vartheta_sums(nums, p, w)[w], den)
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +396,6 @@ def _row_sum_numerators(p: int, r: int, alpha: int, nums: Mapping[int, int], row
     return out
 
 
-def row_sums(p: int, r: int, alpha: int, cols: Mapping[int, Fraction], rows) -> dict[int, Fraction]:
-    """{i: sum_l C_l C(r-alpha+l, i(p-1)+l)} for i in rows: the cell's
-    binomial system applied to the column constants cols = {l: C_l}.
-
-    The C_l become integer numerators over their lcm once; each row is an
-    integer sum, divided by that lcm once.
-    """
-    nums, den = _over_common_denominator(cols)
-    return {i: Fraction(s, den) for i, s in zip(rows, _row_sum_numerators(p, r, alpha, nums, rows))}
-
-
 @functools.lru_cache(maxsize=16)
 def _step_differences(p: int, size: int) -> tuple[tuple[int, ...], ...]:
     """rows[k][j] = (Delta^k C((p-1)i, j)) at i = 0, for j, k < size.
@@ -435,9 +415,9 @@ def _step_differences(p: int, size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _interior_solution(p: int, r: int, alpha: int, targets: Mapping[int, int]) -> dict[int, Fraction]:
-    """Constants C_l (l in (alpha-R, alpha]) with
-    sum_l C_l C(r-alpha+l, i(p-1)+l) = targets[i] on every interior row i.
+def _interior_solution(p: int, r: int, alpha: int, targets: Mapping[int, int]) -> tuple[dict[int, int], int]:
+    """({l: N_l}, den) for the constants C_l = N_l / den (l in (alpha-R, alpha])
+    with sum_l C_l C(r-alpha+l, i(p-1)+l) = targets[i] on every interior row i.
 
     Trinomial revision turns row i into sum_m c'_m C(n_i, m) = y_i with
     n_i = i(p-1)+alpha, c'_m = C_(alpha-m) / C(r, m) and
@@ -453,8 +433,8 @@ def _interior_solution(p: int, r: int, alpha: int, targets: Mapping[int, int]) -
     The solve runs in integers: with L = lcm C(r, n_i) and
     E = (p-1)^(R(R-1)/2), d_k and c'_k have denominators dividing
     L (p-1)^(k+...+R-1), so their multiples by L E are integers and every
-    division by (p-1)^k in the back-substitution is exact.  A remainder
-    raises.
+    division by (p-1)^k in the back-substitution is exact, and
+    N_l = c'_(alpha-l) C(r, alpha-l) L E over den = L E.  A remainder raises.
     """
     rows = interior_row_indices(p, r, alpha)
     R = len(rows)
@@ -472,30 +452,33 @@ def _interior_solution(p: int, r: int, alpha: int, targets: Mapping[int, int]) -
     cprime = [0] * R
     for m in range(R - 1, -1, -1):
         cprime[m] = d[m] - sum(map(operator.mul, shifts[1 : R - m], cprime[m + 1 :]))
-    return {alpha - m: Fraction(cprime[m] * math.comb(r, m), den) for m in range(R - 1, -1, -1)}
+    return {alpha - m: cprime[m] * math.comb(r, m) for m in range(R - 1, -1, -1)}, den
 
 
 def solve_interior_system(p: int, r: int, alpha: int, u: int) -> dict[int, Fraction]:
     """Exact solution of the unit-target interior system: constants C_l with
     sum_l C_l C(r-alpha+l, i(p-1)+l) = [i == u] p^ecal on interior rows."""
+    _check_prime_gt3(p)
     rows = interior_row_indices(p, r, alpha)
     if u not in rows:
         raise ValueError(f"u={u} is not an interior row of (p={p}, r={r}, alpha={alpha})")
-    ecal = ecal_of(p, r)
-    sol = _interior_solution(p, r, alpha, {u: p**ecal})
-    for i, s in row_sums(p, r, alpha, sol, rows).items():
-        if s != (p**ecal if i == u else 0):
+    target = p ** ecal_of(p, r)
+    nums, den = _interior_solution(p, r, alpha, {u: target})
+    for i, s in zip(rows, _row_sum_numerators(p, r, alpha, nums, rows)):
+        if s != (target * den if i == u else 0):
             raise AssertionError("interior system solution failed verification (bug)")
-    return sol
+    return {l: Fraction(n, den) for l, n in nums.items()}
 
 
 @dataclass(frozen=True)
 class AnnihilatorSystem:
-    """A solved instance of the interior annihilator identity.
+    """A solved instance of the interior annihilator identity, in integers.
 
-    column_constants maps l to C_l; row_values maps i to the coefficient
-    D_i(r) of the right-hand side; boundary_values maps boundary rows i to
-    the absorbed coefficients D'_i.  ``target`` describes the right side.
+    column_numerators maps l to N_l and boundary_numerators maps boundary
+    rows i to N'_i, so that C_l = N_l / den are the column constants and
+    D'_i = N'_i / den the absorbed coefficients; row_values maps i to the
+    integer coefficient D_i(r) of the right-hand side.  ``target``
+    describes the right side.
     """
 
     p: int
@@ -503,22 +486,31 @@ class AnnihilatorSystem:
     alpha: int
     ecal: int
     target: str
-    column_constants: dict[int, Fraction]
-    row_values: dict[int, Fraction]
-    boundary_values: dict[int, Fraction]
+    den: int
+    column_numerators: dict[int, int]
+    row_values: dict[int, int]
+    boundary_numerators: dict[int, int]
+
+    @property
+    def column_constants(self) -> dict[int, Fraction]:
+        """{l: C_l}."""
+        return {l: Fraction(n, self.den) for l, n in self.column_numerators.items()}
+
+    @property
+    def boundary_values(self) -> dict[int, Fraction]:
+        """{i: D'_i} on the boundary rows."""
+        return {i: Fraction(n, self.den) for i, n in self.boundary_numerators.items()}
 
     def residual(self) -> dict[int, Fraction]:
         """lhs - rhs per row, lhs being the row sum of the column constants
         plus the boundary value; identically zero iff the identity holds.
-        Every row of the cell is evaluated, in integers over the lcm of all
-        the denominators."""
-        parts = (self.column_constants, self.boundary_values, self.row_values)
-        den = math.lcm(*(v.denominator for part in parts for v in part.values()))
-        cols, boundary, rhs = (_numerators(part, den) for part in parts)
-        rows = all_row_indices(self.p, self.r, self.alpha)
+        Every row of the cell is evaluated, in integers over den."""
+        p, r, alpha, den = self.p, self.r, self.alpha, self.den
+        boundary, rhs = self.boundary_numerators, self.row_values
+        rows = all_row_indices(p, r, alpha)
         out = {}
-        for i, s in zip(rows, _row_sum_numerators(self.p, self.r, self.alpha, cols, rows)):
-            d = s + boundary.get(i, 0) - rhs.get(i, 0)
+        for i, s in zip(rows, _row_sum_numerators(p, r, alpha, self.column_numerators, rows)):
+            d = s + boundary.get(i, 0) - den * rhs.get(i, 0)
             if d:
                 out[i] = Fraction(d, den)
         return out
@@ -554,14 +546,12 @@ def _annihilator(p: int, r: int, alpha: int, offset: int, monomial: str) -> Anni
     ecal = ecal_of(p, r)
     targets = _theta_monomial_targets(p, alpha, ecal, offset)
     interior = set(interior_row_indices(p, r, alpha))
-    cols = _interior_solution(p, r, alpha, {i: t for i, t in targets.items() if i in interior})
+    cols, den = _interior_solution(p, r, alpha, {i: t for i, t in targets.items() if i in interior})
     for l in range(alpha - rho_of(p, r), alpha - len(interior) + 1):
-        cols.setdefault(l, Fraction(0))
+        cols.setdefault(l, 0)
     rows = [i for i in all_row_indices(p, r, alpha) if i not in interior]
-    nums, den = _over_common_denominator(cols)
     boundary = {
-        i: Fraction(targets.get(i, 0) * den - s, den)
-        for i, s in zip(rows, _row_sum_numerators(p, r, alpha, nums, rows))
+        i: targets.get(i, 0) * den - s for i, s in zip(rows, _row_sum_numerators(p, r, alpha, cols, rows))
     }
     return AnnihilatorSystem(
         p=p,
@@ -569,22 +559,24 @@ def _annihilator(p: int, r: int, alpha: int, offset: int, monomial: str) -> Anni
         alpha=alpha,
         ecal=ecal,
         target=f"p^{ecal} * theta^{alpha} * {monomial}",
-        column_constants=cols,
-        row_values={i: Fraction(t) for i, t in targets.items()},
-        boundary_values=boundary,
+        den=den,
+        column_numerators=cols,
+        row_values=targets,
+        boundary_numerators=boundary,
     )
 
 
 @dataclass(frozen=True)
 class ThetaProfile:
-    """Valuations of vartheta_w over the annihilator's row family."""
+    """Valuations of vartheta_w over the annihilator's row family; values
+    maps w to the integer vartheta_w(D) for w = 0..w_max."""
 
     alpha: int
     ecal: int
     zero_below_alpha: bool
     valuation_at_alpha_is_ecal: bool
     valuations_ok_up_to: int
-    values: dict[int, Fraction]
+    values: dict[int, int]
 
 
 def vartheta_profile(system: AnnihilatorSystem, w_max: int | None = None) -> ThetaProfile:
@@ -593,10 +585,8 @@ def vartheta_profile(system: AnnihilatorSystem, w_max: int | None = None) -> The
     p, alpha, ecal = system.p, system.alpha, system.ecal
     if w_max is None:
         w_max = 2 * rho_of(p, system.r)
-    sums, den = _vartheta_numerators(system.row_values, p, w_max)
-    vals = {w: Fraction(s, den) for w, s in enumerate(sums)}
-    # v_p(S_w / den) >= ecal  <=>  p^(ecal + v_p(den)) divides S_w (also for S_w = 0)
-    unit = p ** (ecal + valuation(den, p))
+    sums = _vartheta_sums(system.row_values, p, w_max)
+    unit = p**ecal  # v_p(S_w) >= ecal  <=>  unit divides S_w (also for S_w = 0)
     zero_below = all(s == 0 for s in sums[:alpha])
     at_alpha = alpha <= w_max and sums[alpha] % unit == 0 and sums[alpha] % (unit * p) != 0
     ok_up_to = -1
@@ -604,18 +594,18 @@ def vartheta_profile(system: AnnihilatorSystem, w_max: int | None = None) -> The
         if sums[w] % unit:
             break
         ok_up_to = w
-    return ThetaProfile(alpha, ecal, zero_below, at_alpha, ok_up_to, vals)
+    return ThetaProfile(alpha, ecal, zero_below, at_alpha, ok_up_to, dict(enumerate(sums)))
 
 
-def rho_zero_row_identity(system: AnnihilatorSystem) -> tuple[Fraction, Fraction, bool]:
+def rho_zero_row_identity(system: AnnihilatorSystem) -> tuple[int, int, bool]:
     """(D_0, vartheta_rho(D), exact?) for the rho-case annihilator.
 
     The exact identity is D_0 (1-p)^rho = vartheta_rho(D): the theta-expansion
     contributes the unit (1-p)^rho, which reduces to 1 mod p.
     """
     rho = system.alpha
-    d0 = system.row_values.get(0, Fraction(0))
-    th = vartheta(system.row_values, rho, system.p)
+    d0 = system.row_values.get(0, 0)
+    th = _vartheta_sums(system.row_values, system.p, rho)[rho]
     return d0, th, d0 * (1 - system.p) ** rho == th
 
 

@@ -62,6 +62,8 @@ class QExpansion:
         return QExpansion(self.weight + other.weight, out, prec)
 
     def pow(self, e: int) -> "QExpansion":
+        if e < 0:
+            raise ValueError(f"need an exponent e >= 0, got {e}")
         if e == 0:
             return QExpansion(0, [1], self.prec)
         result = None
@@ -298,4 +300,4 @@ def slopes(p: int, k: int) -> list[ExtendedValuation]:
     if ord0 == hm.d:
         return out
     np = newton_polygon(cp[ord0:], p)
-    return sorted(np.slope_list()) + out
+    return np.slope_list() + out

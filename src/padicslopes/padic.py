@@ -149,7 +149,9 @@ def binomial_valuation(a: int, b: int, p: int) -> int:
 
 
 def integer_log(p: int, n: int) -> int:
-    """floor(log_p(n)) for n >= 1: the largest e with p^e <= n."""
+    """floor(log_p(n)) for p >= 2 and n >= 1: the largest e with p^e <= n."""
+    if p < 2:
+        raise ValueError(f"need a base p >= 2, got {p}")
     if n < 1:
         raise ValueError("n must be >= 1")
     e = 0
@@ -228,17 +230,11 @@ def newton_polygon(coeffs: Sequence[int | Fraction], p: int) -> NewtonPolygon:
         raise ValueError("leading coefficient must be nonzero")
     points = [(i, Fraction(valuation(c, p))) for i, c in enumerate(coeffs) if c != 0]
     hull = lower_hull(points)
-    slopes: list[tuple[Fraction, int]] = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        slopes.append((Fraction(y1 - y2, x2 - x1), x2 - x1))
-    slopes.sort(key=lambda sm: sm[0])
-    merged: list[tuple[Fraction, int]] = []
-    for s, m in slopes:
-        if merged and merged[-1][0] == s:
-            merged[-1] = (s, merged[-1][1] + m)
-        else:
-            merged.append((s, m))
-    return NewtonPolygon(tuple(hull), tuple(merged))
+    # strict turns only, so the segment slopes strictly increase left to right:
+    # their negatives, the root valuations, are distinct and ascend right to left
+    segments = list(zip(hull, hull[1:]))[::-1]
+    slopes = tuple((Fraction(y1 - y2, x2 - x1), x2 - x1) for (x1, y1), (x2, y2) in segments)
+    return NewtonPolygon(tuple(hull), slopes)
 
 
 def format_rational(x: int | Fraction | Infinity) -> str:

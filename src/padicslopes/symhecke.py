@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import _check_prime_gt3, teichmuller_lift, valuation
+from .padic import _check_prime, _check_prime_gt3, _vp, teichmuller_lift
 
 Matrix = tuple[int, int, int, int]  # ((a, b), (c, d)) row-major
 
@@ -47,12 +47,12 @@ IDENTITY = (1, 0, 0, 1)
 
 
 def _primitive(g: Matrix, p: int) -> tuple[int, Matrix]:
-    """(m, g / p^m) for the largest power p^m dividing every entry of g."""
-    if not all(isinstance(e, int) for e in g):
-        raise TypeError(f"group elements have int entries, got {g!r}")
+    """(m, g / p^m) for the largest power p^m dividing every entry of g, for a
+    p the caller has checked; math.gcd raises TypeError on a non-int entry."""
+    n = math.gcd(*g)
     if g[0] * g[3] - g[1] * g[2] == 0:
         raise ZeroDivisionError("matrix must be invertible")
-    m = valuation(math.gcd(*g), p)
+    m = _vp(n, p)
     pm = p**m
     return m, tuple(e // pm for e in g)
 
@@ -96,6 +96,7 @@ class SymPoly:
     twist: Fraction = Fraction(0)
 
     def __post_init__(self):
+        _check_prime(self.p)
         if self.M < 1 or self.degree < 0:
             raise ValueError(f"need M >= 1 and degree >= 0, got M={self.M}, degree={self.degree}")
         if len(self.coeffs) != self.degree + 1:
@@ -194,7 +195,7 @@ def act(g: Matrix, f: SymPoly) -> SymPoly:
     p, t = f.p, f.degree
     q = p**f.M
     det = a * d - b * c
-    twist = f.twist if det % p else f.twist - Fraction(valuation(det, p) * t, 2)
+    twist = f.twist if det % p else f.twist - Fraction(_vp(det, p) * t, 2)
     pa, pb, pc, pd = [_powers(x % q, t, q) for x in g0]
     binom = _pascal(t)
     out = [0] * (t + 1)
@@ -238,13 +239,15 @@ def coset_decompose(g: Matrix, p: int) -> tuple[CosetRep, Matrix]:
     valuation s gives c_val; h = rep^(-1) g is then p^m times an integral
     unit, and every division below is exact.
     """
+    _check_prime(p)
     m, (a, b, c, d) = _primitive(g, p)
-    vc, vd = valuation(c, p), valuation(d, p)
-    if vd <= vc:  # INFINITY compares greater than any integer
-        s, top, low = vd, b, d
+    # c and d are not both 0; a zero entry never has the least valuation
+    if d and (not c or _vp(d, p) <= _vp(c, p)):
+        top, low = b, d
     else:
-        s, top, low = vc, a, c
-    a_exp = valuation(a * d - b * c, p) - s
+        top, low = a, c
+    s = _vp(low, p)
+    a_exp = _vp(a * d - b * c, p) - s
     pa, ps, pm = p**a_exp, p**s, p**m
     c_val = top * pow(low // ps, -1, pa) % pa
     pas = pa * ps

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 from argparse import Namespace
@@ -11,6 +12,7 @@ from padicslopes import combinatorics
 from padicslopes.cli import VERIFY_TARGETS
 from padicslopes.combinatorics import (
     _forward_differences,
+    _row_sum_numerators,
     _step_differences,
     all_row_indices,
     below_rho_alphas,
@@ -36,7 +38,6 @@ from padicslopes.combinatorics import (
     rho_of,
     rho_prime_of,
     rho_zero_row_identity,
-    row_sums,
     solve_interior_system,
     vartheta,
     vartheta_profile,
@@ -250,6 +251,12 @@ class TestInteriorSystem:
         with pytest.raises(ValueError):
             solve_interior_system(5, 26, 2, -3)
 
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_rejects_p_outside_hypotheses(self, p):
+        # p = 1 never leaves interior_row_indices' scan; p = 4 is not prime
+        with pytest.raises(ValueError, match="prime > 3"):
+            solve_interior_system(p, 10, 0, 0)
+
     def test_inexact_division_raises(self, monkeypatch):
         # one more in the last difference leaves a remainder mod (p-1)^(R-1)
         differences = combinatorics._forward_differences
@@ -454,13 +461,13 @@ class TestIntegerRouteAgainstOracle:
         for alpha in alphas:
             sysm = build_interior_annihilator(p, r, alpha)
             cols, rhs, boundary = oracle.annihilator(p, r, alpha)
-            for got, want in ((sysm.column_constants, cols), (sysm.row_values, rhs),
-                              (sysm.boundary_values, boundary)):
+            for got, want, kind in ((sysm.column_constants, cols, Fraction), (sysm.row_values, rhs, int),
+                                    (sysm.boundary_values, boundary, Fraction)):
                 assert list(got.items()) == list(want.items())
-                assert all(type(v) is Fraction for v in got.values())
+                assert all(type(v) is kind for v in got.values())
             rows = all_row_indices(p, r, alpha)
-            want = {i: oracle.row_sum(p, r, alpha, cols, i) for i in rows}
-            assert row_sums(p, r, alpha, cols, rows) == want
+            sums = _row_sum_numerators(p, r, alpha, sysm.column_numerators, rows)
+            assert [Fraction(s, sysm.den) for s in sums] == [oracle.row_sum(p, r, alpha, cols, i) for i in rows]
             prof = vartheta_profile(sysm)
             assert list(prof.values.items()) == [
                 (w, oracle.vartheta(rhs, w, p)) for w in range(2 * rho_of(p, r) + 1)
@@ -497,7 +504,8 @@ class TestChecksCanFail:
     def test_residual_sees_every_perturbation(self, p, r, alpha):
         sysm = build_interior_annihilator(p, r, alpha)
         assert sysm.residual() == {}
-        for field in ("column_constants", "boundary_values"):
+        # +-1 on a numerator moves a constant by 1/den, the least step over den
+        for field in ("column_numerators", "boundary_numerators"):
             values = getattr(sysm, field)
             assert values
             for key in values:
@@ -558,3 +566,33 @@ class TestChecksCanFail:
             combinatorics, "interior_row_indices", lambda *cell: [i for k, i in enumerate(rows(*cell)) if k != 1]
         )
         assert not interior_rank_report(5, 120, 2).permutation_ok
+
+
+class TestFractionOnlyAtTheEdge:
+    # the public builders that return a rational; every check below them runs in int
+    PUBLIC = {
+        "lambda_values_by_differences", "vartheta", "solve_interior_system",
+        "column_constants", "boundary_values", "residual", "verify_vanishing_double_sum",
+    }
+
+    def test_fraction_built_only_by_public_report_builders(self):
+        with open(combinatorics.__file__) as fh:
+            tree = ast.parse(fh.read())
+        callers = set()
+
+        def visit(node, owner):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fraction":
+                callers.add(owner)
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+
+        visit(tree, None)
+        assert callers and callers <= self.PUBLIC, callers - self.PUBLIC
+
+    def test_annihilator_fields_are_integers(self):
+        sysm = build_interior_annihilator(5, 26, 2)
+        for field in ("column_numerators", "row_values", "boundary_numerators"):
+            assert all(type(v) is int for v in getattr(sysm, field).values()), field
+        assert type(sysm.den) is int and sysm.den > 0

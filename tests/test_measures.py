@@ -112,6 +112,10 @@ class TestSupportBound:
         b = support_bound(101, 14)
         assert b.left_end == Fraction(1, 102)
 
+    def test_rejects_p_below_two(self):
+        with pytest.raises(ValueError):
+            support_bound(1, 10)
+
     def test_complementarity(self):
         for p, k in [(5, 12), (7, 100), (59, 16)]:
             b = support_bound(p, k)

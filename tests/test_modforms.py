@@ -266,6 +266,11 @@ class TestQExpansionRing:
         a = QExpansion(0, [1, -1, 2], 3)
         assert (a * a).coeffs == [1, -2, 5]
 
+    def test_pow_rejects_negative_exponent(self):
+        # e >>= 1 stays at -1, so a negative exponent would never end the loop
+        with pytest.raises(ValueError):
+            eisenstein(4, 10).pow(-1)
+
 
 def _flatten(chunks):
     return [c for chunk in chunks for c in chunk]

@@ -112,6 +112,12 @@ class TestBinomialValuation:
         b = b % (a + 1)
         assert binomial_valuation(a, b, p) == brute_valuation(math.comb(a, b), p)
 
+    @pytest.mark.parametrize("p", [1, 0, -2])
+    def test_integer_log_rejects_base_below_two(self, p):
+        # p^e never exceeds n for p < 2, so the loop would not end
+        with pytest.raises(ValueError, match="base p >= 2"):
+            integer_log(p, 10)
+
     @given(st.integers(min_value=1, max_value=2000), st.sampled_from(PRIMES))
     def test_carry_bound(self, a, p):
         bound = integer_log(p, a)
@@ -209,6 +215,22 @@ class TestNewtonPolygon:
                 poly[i] -= root * poly[i + 1]
         got = newton_polygon(poly, p).slope_list()
         assert sorted(got) == sorted(Fraction(c) for c, _ in factors)
+
+    @given(
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(0, 3),
+        st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=10),
+        st.integers(1, 10**6),
+    )
+    @settings(max_examples=200)
+    def test_slopes_strictly_ascending_and_complete(self, p, ord0, body, lead):
+        # strict hull turns leave no equal slopes to merge and no order to fix
+        poly = [0] * ord0 + body + [lead]
+        nz = next(i for i, c in enumerate(poly) if c)
+        np = newton_polygon(poly, p)
+        vals = [s for s, _ in np.slopes]
+        assert all(a < b for a, b in zip(vals, vals[1:]))
+        assert sum(m for _, m in np.slopes) == len(poly) - 1 - nz
 
     def test_multiplicities_sum(self):
         # x^2(x - 5)(x - 1): two roots at 0 drop out of the slope multiset

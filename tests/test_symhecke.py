@@ -196,6 +196,11 @@ class TestSymPolyValidation:
         with pytest.raises(ValueError):
             SymPoly(-1, 5, 3, ())
 
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_rejects_non_prime(self, p):
+        with pytest.raises(ValueError, match="prime"):
+            SymPoly(2, p, 3, (1, 2, 3))
+
     def test_smallest_valid(self):
         f = SymPoly(0, 5, 1, (7,))
         assert f.coeffs == (2,)
@@ -306,6 +311,18 @@ class TestCosets:
     def test_rejects_fraction_entries(self):
         with pytest.raises(TypeError):
             coset_decompose((Fraction(1, 5), 2, 3, 7), 5)
+
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_rejects_non_prime(self, p):
+        with pytest.raises(ValueError, match="prime"):
+            coset_decompose((4, 1, 0, 1), p)
+
+    @pytest.mark.parametrize("g", [(3, 5, 0, 25), (2, 3, 0, 1), (25, 7, 10, 0), (1, 1, 5, 0)])
+    def test_zero_bottom_entry(self, g):
+        # primitive g with c = 0 or d = 0: the other bottom entry sets d_exp
+        rep, h = coset_decompose(g, 5)
+        assert mat_mul(rep.matrix(), h) == g
+        assert rep.d_exp == valuation(g[2] or g[3], 5)
 
     def test_canonical_form_invariants(self):
         rep, _ = coset_decompose((50, 7, 0, 10), 5)
