@@ -18,6 +18,12 @@ C(e, i) a^i c^(e-i) C(t-e, j) b^j d^(t-e-j).  One call costs O(t) for the
 power lists of a, b, c, d mod p^M (the binomials come from a Pascal table
 cached per t) plus O((e+1)(t-e+1)) per nonzero coefficient f_e; zero
 powers are skipped, so an upper-triangular g on a two-term f costs O(t).
+
+T makes one action per (term, mu): inserting g . (k . v) under the key of
+g acts once, by h k, where h is the clean-up that coset_decompose returns.
+This is exact because h = p^m U with U in GL_2(Z_p), so h k has the content
+of k and the twists of h and k add.  Outputs of act and of the SymPoly
+arithmetic are built without re-validation; the public constructor checks.
 """
 
 from __future__ import annotations
@@ -124,31 +130,27 @@ class SymPoly:
         if self.twist != other.twist:
             raise ValueError(f"twist mismatch: {self.twist} vs {other.twist}")
 
+    def _derived(self, coeffs: tuple[int, ...], twist: Fraction) -> "SymPoly":
+        """A SymPoly of this degree, p and M, built without validation: for
+        results of act and the arithmetic below, whose p was checked when
+        self was built and whose coeffs are already reduced mod p^M."""
+        out = object.__new__(SymPoly)
+        out.__dict__.update(degree=self.degree, p=self.p, M=self.M, coeffs=coeffs, twist=twist)
+        return out
+
     def __add__(self, other: "SymPoly") -> "SymPoly":
         self._compatible(other)
         q = self.p**self.M
-        return SymPoly(
-            self.degree, self.p, self.M,
-            tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs)),
-            self.twist,
-        )
+        return self._derived(tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs)), self.twist)
 
     def __sub__(self, other: "SymPoly") -> "SymPoly":
         self._compatible(other)
         q = self.p**self.M
-        return SymPoly(
-            self.degree, self.p, self.M,
-            tuple((a - b) % q for a, b in zip(self.coeffs, other.coeffs)),
-            self.twist,
-        )
+        return self._derived(tuple((a - b) % q for a, b in zip(self.coeffs, other.coeffs)), self.twist)
 
     def scale(self, s: int) -> "SymPoly":
         q = self.p**self.M
-        return SymPoly(
-            self.degree, self.p, self.M,
-            tuple(c * s % q for c in self.coeffs),
-            self.twist,
-        )
+        return self._derived(tuple(c * s % q for c in self.coeffs), self.twist)
 
     def sparse(self) -> dict[int, int]:
         return {e: c for e, c in enumerate(self.coeffs) if c}
@@ -212,7 +214,7 @@ def act(g: Matrix, f: SymPoly) -> SymPoly:
                 for n, w in enumerate(right, i):
                     if w:
                         out[n] += u * w
-    return SymPoly(t, p, f.M, tuple([x % q for x in out]), twist)
+    return f._derived(tuple([x % q for x in out]), twist)
 
 
 @dataclass(frozen=True, order=True)
@@ -284,11 +286,20 @@ class FormalSum:
     def unit(cls, value: SymPoly) -> "FormalSum":
         return cls.single(IDENTITY, value)
 
-    def _insert(self, g, value: SymPoly) -> None:
+    def _insert(self, g, value: SymPoly, k: Matrix = IDENTITY) -> None:
+        """Add the term g . (k . value), as act(h k, value) under the key of g.
+
+        coset_decompose writes g = rep h with h = p^m U, U an integral unit,
+        so h k = p^m (U k) has the content of k and v_p(det U k) =
+        v_p(det k_0): the twists of h and k add, and act(h, act(k, value))
+        = act(h k, value).  Two actions do not compose like this in
+        general: act((p,0,0,1), act((1,0,0,p), v)) moves the twist by -t
+        and scales the coefficients by p^t, while act((p,0,0,p), v) = v.
+        """
         if value.is_zero():
             return
         rep, h = coset_decompose(g, self.p)
-        w = act(h, value)
+        w = act(mat_mul(h, k), value)
         if rep in self.terms:
             w = self.terms[rep] + w
         if w.is_zero():
@@ -374,16 +385,22 @@ def teichmuller_lifts(p: int, M: int) -> tuple[int, ...]:
 def hecke_T(s: FormalSum, sp: SurrogateParams) -> FormalSum:
     """The double-coset operator: each term gamma . v maps to
     sum_mu gamma [[p,[mu]],[0,1]] . ([[1,-[mu]],[0,p]] v)
-          + gamma [[1,0],[0,p]] . ([[p,0],[0,1]] v)."""
+          + gamma [[1,0],[0,p]] . ([[p,0],[0,1]] v).
+
+    Each of the p + 1 images costs one act: _insert fuses the inner matrix
+    with the key's clean-up h.  For gamma = 1 the fused matrix is
+    [[1,-mu],[0,p]], so the Teichmuller lift cancels."""
     p, M = sp.p, sp.M
+    if s.p != p:
+        raise ValueError(f"formal sum at p={s.p} given to T at p={p}")
     lifts = teichmuller_lifts(p, M)
     out = FormalSum(p)
     for rep, v in s.terms.items():
         gamma = rep.matrix()
         for mu in range(p):
             lift = lifts[mu]
-            out._insert(mat_mul(gamma, (p, lift, 0, 1)), act((1, -lift, 0, p), v))
-        out._insert(mat_mul(gamma, (1, 0, 0, p)), act((p, 0, 0, 1), v))
+            out._insert(mat_mul(gamma, (p, lift, 0, 1)), v, (1, -lift, 0, p))
+        out._insert(mat_mul(gamma, (1, 0, 0, p)), v, (p, 0, 0, 1))
     return out
 
 
@@ -406,13 +423,15 @@ def _xi_sum_value(sp: SurrogateParams, alpha: int, lift: int, offset: int) -> Sy
     (-[mu])^delta = 1."""
     p, M, t, d = sp.p, sp.M, sp.t, sp.delta
     q = p**M
-    u = -lift % q
+    n = t - alpha
+    pu, pp = _powers(-lift % q, n, q), _powers(p, n, q)
+    binom = _pascal(t)
     entries: dict[int, int] = {}
-    for xi in range(t - alpha + 1):
-        c = math.comb(t - alpha, xi) * pow(u, t - alpha - xi, q)
-        if xi <= t - alpha - d:
-            c -= math.comb(t - alpha - d, xi) * pow(u, t - alpha - offset - xi, q)
-        coeff = c * pow(p, xi, q) % q
+    for xi in range(n + 1):
+        c = binom[n][xi] * pu[n - xi]
+        if xi <= n - d:
+            c -= binom[n - d][xi] * pu[n - offset - xi]
+        coeff = c * pp[xi] % q
         if coeff:
             entries[t - xi] = coeff
     return SymPoly.from_dict(t, p, M, entries, twist=Fraction(-t, 2))

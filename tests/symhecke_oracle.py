@@ -1,16 +1,47 @@
-"""The nested-loop action on SymPoly, kept as an independent oracle.
+"""Routes replaced in ``padicslopes.symhecke``, kept as independent oracles.
 
-Production (``padicslopes.symhecke.act``) reads each coefficient of
-(a x + c y)^e (b x + d y)^(t-e) off the binomial closed form.  This module
-keeps the route it replaced: every power of the two linear forms expanded
-in full, one product at a time, reduced mod p^M after every step.  The
+Production ``act`` reads each coefficient of (a x + c y)^e (b x + d y)^(t-e)
+off the binomial closed form; ``act_by_expansion`` keeps the route it
+replaced: every power of the two linear forms expanded in full, one product
+at a time, reduced mod p^M after every step.
+
+Production ``hecke_T`` makes one action per (term, mu), fusing the inner
+matrix with the coset clean-up; ``hecke_T_two_step`` keeps the two actions
+apart: the inner matrix first, then the clean-up h of the new key.  The
 tests compare the routes.
 """
 
 from fractions import Fraction
 
 from padicslopes.padic import valuation
-from padicslopes.symhecke import IDENTITY, Matrix, SymPoly, _primitive
+from padicslopes.symhecke import (
+    IDENTITY,
+    FormalSum,
+    Matrix,
+    SurrogateParams,
+    SymPoly,
+    _primitive,
+    act,
+    mat_mul,
+    teichmuller_lifts,
+)
+
+
+def hecke_T_two_step(s: FormalSum, sp: SurrogateParams) -> FormalSum:
+    """T with the inner action applied before insertion: each term
+    gamma . v maps to sum_mu gamma [[p,[mu]],[0,1]] . ([[1,-[mu]],[0,p]] v)
+    + gamma [[1,0],[0,p]] . ([[p,0],[0,1]] v), and inserting each image
+    acts once more by the h of its key."""
+    p, M = sp.p, sp.M
+    lifts = teichmuller_lifts(p, M)
+    out = FormalSum(p)
+    for rep, v in s.terms.items():
+        gamma = rep.matrix()
+        for mu in range(p):
+            lift = lifts[mu]
+            out._insert(mat_mul(gamma, (p, lift, 0, 1)), act((1, -lift, 0, p), v))
+        out._insert(mat_mul(gamma, (1, 0, 0, p)), act((p, 0, 0, 1), v))
+    return out
 
 
 def act_by_expansion(g: Matrix, f: SymPoly) -> SymPoly:

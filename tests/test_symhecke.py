@@ -22,7 +22,7 @@ from padicslopes.symhecke import (
     teichmuller_lifts,
     verify_T_expansion,
 )
-from symhecke_oracle import act_by_expansion
+from symhecke_oracle import act_by_expansion, hecke_T_two_step
 
 
 def theta_divides(coeffs, t, p, modulus, power=1):
@@ -374,6 +374,11 @@ class TestHeckeOperator:
         expected._insert((1, 0, 0, p), value)
         assert got == expected
 
+    def test_rejects_sum_at_other_prime(self):
+        s = FormalSum.unit(SymPoly(4, 5, 7, (1, 2, 3, 4, 5)))
+        with pytest.raises(ValueError, match="p=5"):
+            hecke_T(s, SurrogateParams(p=7, t=4, delta=1))
+
     def test_linearity(self):
         random.seed(5)
         sp = SurrogateParams(p=5, t=5, delta=2)
@@ -413,6 +418,148 @@ class TestHeckeOperator:
             s = rand_sum()
             g = random.choice(gens)
             assert hecke_T(s.act(g), sp) == hecke_T(s, sp).act(g)
+
+
+def _random_keyed_sums(seed=41, per_prime=4):
+    """Seeded (sp, s) pairs for p in {5, 7, 11, 13} and t <= 12: s has one
+    to three terms with keys built as products of (p,0,0,1), (1,0,0,p),
+    (p,c,0,1) and (0,1,1,0), dense or one-term values, and one nonzero
+    twist per sum (terms sharing a key must share a twist)."""
+    rng = random.Random(seed)
+    cases = []
+    for p in (5, 7, 11, 13):
+        for _ in range(per_prime):
+            sp = SurrogateParams(p=p, t=rng.randint(1, 12), delta=rng.randint(1, 3))
+            t, q = sp.t, p**sp.M
+            twist = Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 4)), 2)
+            s = FormalSum(p)
+            for _ in range(rng.randint(1, 3)):
+                g = IDENTITY
+                for _ in range(rng.randint(1, 3)):
+                    gen = rng.choice(((p, 0, 0, 1), (1, 0, 0, p), (p, rng.randrange(p * p), 0, 1), (0, 1, 1, 0)))
+                    g = mat_mul(g, gen)
+                if rng.random() < 0.5:
+                    coeffs = tuple(rng.randrange(q) for _ in range(t + 1))
+                else:
+                    e0 = rng.randint(0, t)
+                    coeffs = tuple(rng.randrange(1, q) if e == e0 else 0 for e in range(t + 1))
+                s._insert(g, SymPoly(t, p, sp.M, coeffs, twist))
+            cases.append((sp, s))
+    return cases
+
+
+def _inner_matrices(gamma, p, lifts):
+    """(g, k) for the p + 1 images of a term at key gamma: T inserts
+    g . (k . v)."""
+    yield from ((mat_mul(gamma, (p, lift, 0, 1)), (1, -lift, 0, p)) for lift in lifts)
+    yield mat_mul(gamma, (1, 0, 0, p)), (p, 0, 0, 1)
+
+
+class TestFusedHecke:
+    """hecke_T makes one action per (term, mu) by fusing the inner matrix k
+    with the clean-up h of the new key; hecke_T_two_step in
+    tests/symhecke_oracle.py acts by k and then by h."""
+
+    def test_cases_cover_keys_and_twists(self):
+        cases = _random_keyed_sums()
+        reps = [rep for _, s in cases for rep in s.terms]
+        assert any(rep.a_exp and rep.c_val for rep in reps)
+        assert any(rep.d_exp for rep in reps)
+        assert all(v.twist for _, s in cases for v in s.terms.values())
+        assert {sp.p for sp, _ in cases} == {5, 7, 11, 13}
+
+    def test_matches_two_step(self):
+        for sp, s in _random_keyed_sums():
+            once = hecke_T(s, sp)
+            assert once == hecke_T_two_step(s, sp)
+            assert hecke_T(once, sp) == hecke_T_two_step(hecke_T_two_step(s, sp), sp)
+
+    def test_clean_up_composes_with_the_inner_matrix(self):
+        # h = p^m U with U an integral unit, so h k has the content of k
+        for sp, s in _random_keyed_sums():
+            lifts = teichmuller_lifts(sp.p, sp.M)
+            for terms in (s.terms, hecke_T(s, sp).terms):
+                for rep, v in terms.items():
+                    for g, k in _inner_matrices(rep.matrix(), sp.p, lifts):
+                        _, h = coset_decompose(g, sp.p)
+                        assert act(h, act(k, v)) == act(mat_mul(h, k), v)
+
+    def test_scalings_do_not_compose(self):
+        # the restriction in _insert's docstring: (p,0,0,1)(1,0,0,p) is
+        # central and acts trivially, but the two steps scale by p^t
+        f = SymPoly(4, 5, 7, (1, 2, 3, 4, 5), Fraction(1, 2))
+        two_steps = act((5, 0, 0, 1), act((1, 0, 0, 5), f))
+        assert act(mat_mul((5, 0, 0, 1), (1, 0, 0, 5)), f) == f
+        assert two_steps.twist == f.twist - 4
+        assert two_steps.coeffs == tuple(c * 5**4 % 5**7 for c in f.coeffs)
+
+    def test_one_act_per_image(self, monkeypatch):
+        calls = []
+        counted = symhecke.act
+
+        def counting(g, f):
+            calls.append(g)
+            return counted(g, f)
+
+        monkeypatch.setattr(symhecke, "act", counting)
+        for sp, s in _random_keyed_sums(per_prime=2):
+            calls.clear()
+            hecke_T(s, sp)
+            assert len(calls) == (sp.p + 1) * len(s)
+
+    def test_internal_results_skip_validation(self, monkeypatch):
+        rng = random.Random(43)
+        sp = SurrogateParams(p=7, t=6, delta=2)
+        q = 7**sp.M
+        fs = [SymPoly(6, 7, sp.M, tuple(rng.randrange(q) for _ in range(7))) for _ in range(100)]
+        checks = []
+        monkeypatch.setattr(symhecke, "_check_prime", checks.append)
+        for f in fs:
+            g = tuple(rng.randint(-50, 50) or 1 for _ in range(4))
+            if g[0] * g[3] != g[1] * g[2]:
+                out = act(g, f)
+                out.scale(3) + out - out
+        assert checks == []
+        SymPoly(6, 7, sp.M, fs[0].coeffs)
+        assert checks == [7]
+
+
+def _insert_fusing(fuse):
+    """FormalSum._insert with the fused matrix act(fuse(h, k), value)."""
+
+    def _insert(self, g, value, k=IDENTITY):
+        if value.is_zero():
+            return
+        rep, h = coset_decompose(g, self.p)
+        w = act(fuse(h, k), value)
+        if rep in self.terms:
+            w = self.terms[rep] + w
+        if w.is_zero():
+            self.terms.pop(rep, None)
+        else:
+            self.terms[rep] = w
+
+    return _insert
+
+
+class TestFusionMutations:
+    """verify_T_expansion sees a wrongly fused action.  It cannot see a
+    fusion that drops h: the xi-sum side inserts through the same _insert,
+    so both sides lose the same clean-up, and so does hecke_T_two_step.
+    TestModuleRelation and test_equivariance catch that mutant."""
+
+    sp = SurrogateParams(5, 8, 4)
+
+    def test_control(self, monkeypatch):
+        monkeypatch.setattr(FormalSum, "_insert", _insert_fusing(mat_mul))
+        assert verify_T_expansion(self.sp, 3).matches
+
+    @pytest.mark.parametrize(
+        "fuse", [lambda h, k: mat_mul(k, h), lambda h, k: h], ids=["wrong-order", "ignores-k"]
+    )
+    def test_mutant_fails(self, monkeypatch, fuse):
+        monkeypatch.setattr(FormalSum, "_insert", _insert_fusing(fuse))
+        assert not verify_T_expansion(self.sp, 3).matches
 
 
 class TestTExpansion:
