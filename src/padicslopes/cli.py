@@ -73,6 +73,14 @@ def _one_prime(ps: list[int], command: str) -> int:
     return _check_primes(ps)[0]
 
 
+def _even_weights(ks: list[int]) -> list[int]:
+    """The even weights >= 4 in ks; none at all is a usage error."""
+    evens = [k for k in ks if k % 2 == 0 and k >= 4]
+    if not evens:
+        raise UsageError("no even weights >= 4 in --k")
+    return evens
+
+
 def _write(args, header: list[str], rows: list[list], payload: dict, notes=()) -> None:
     """Write a command's output, the only writer of CSV and JSON.
 
@@ -422,9 +430,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_slopes(args) -> int:
-    ks = [k for k in args.k if k % 2 == 0 and k >= 4]
-    if not ks:
-        raise UsageError("no even weights >= 4 in --k")
+    ks = _even_weights(args.k)
     tasks = [(p, k) for p in _check_primes(args.p) for k in ks]
     rows = []
     records = []
@@ -441,8 +447,10 @@ def cmd_slopes(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    p = _one_prime(args.p, "measure")
+    ks = _even_weights(args.k)
     table = ms.middle_mass_profile(
-        _one_prime(args.p, "measure"), args.k[0], args.k[-1],
+        p, ks[0], ks[-1],
         include_newforms=args.include_newforms,
         max_dim=args.max_dim,
         starmap=lambda fn, tasks: _pool_starmap(fn, tasks, args.jobs),

@@ -216,27 +216,14 @@ def vartheta(D: Mapping[int, Fraction | int], w: int, p: int) -> Fraction:
 
 
 def interior_row_indices(p: int, r: int, alpha: int) -> list[int]:
-    """All i with i(p-1) + alpha strictly between rho and r - rho."""
+    """All i >= 0 with i(p-1) + alpha strictly between rho and r - rho."""
     rho = rho_of(p, r)
-    lo, hi = rho, r - rho
-    out = []
-    i = 0
-    while i * (p - 1) + alpha <= hi:
-        if lo < i * (p - 1) + alpha < hi:
-            out.append(i)
-        i += 1
-    return out
+    return list(range(max(0, (rho - alpha) // (p - 1) + 1), -((alpha + rho - r) // (p - 1))))
 
 
 def all_row_indices(p: int, r: int, alpha: int) -> list[int]:
-    """All i with 0 <= i(p-1) + alpha <= r."""
-    out = []
-    i = -(alpha // (p - 1))
-    while i * (p - 1) + alpha <= r:
-        if i * (p - 1) + alpha >= 0:
-            out.append(i)
-        i += 1
-    return out
+    """All i with 0 <= i(p-1) + alpha <= r, in increasing order."""
+    return list(range(-(alpha // (p - 1)), (r - alpha) // (p - 1) + 1))
 
 
 @dataclass(frozen=True)
@@ -260,12 +247,17 @@ class MatrixM:
         return len(self.col_indices)
 
 
+def _check_matrix_cell(p: int, r: int, alpha: int) -> None:
+    """The cells of the binomial matrices: p > 3, and a below-rho cell or alpha = rho."""
+    _check_prime_gt3(p)
+    if alpha != rho_of(p, r):
+        below_rho_rho_prime(p, r, alpha)
+
+
 def build_matrix_M(p: int, r: int, alpha: int) -> MatrixM:
     """A below-rho cell or alpha = rho; rows may be empty (legal), columns number rho + 1."""
-    _check_prime_gt3(p)
+    _check_matrix_cell(p, r, alpha)
     rho = rho_of(p, r)
-    if alpha != rho:
-        below_rho_rho_prime(p, r, alpha)
     rows = interior_row_indices(p, r, alpha)
     cols = list(range(alpha - rho, alpha + 1))
     entries = tuple(
@@ -358,7 +350,9 @@ class InteriorRankReport:
 def interior_rank_report(p: int, r: int, alpha: int) -> InteriorRankReport:
     """Full-rank-mod-p check for the right square submatrix of the cell's
     carry matrix (C(i(p-1)+alpha, alpha-j)), plus the reindexing that turns
-    it into (C(i'(p-1)+gamma, j')) with gamma = i_min(p-1) + alpha."""
+    it into (C(i'(p-1)+gamma, j')) with gamma = i_min(p-1) + alpha.  The cell
+    is checked as in build_matrix_M."""
+    _check_matrix_cell(p, r, alpha)
     rows = interior_row_indices(p, r, alpha)
     R = len(rows)
     if R == 0:

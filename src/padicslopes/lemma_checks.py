@@ -18,6 +18,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .combinatorics import (
+    all_row_indices,
     general_rho_prime,
     lambda_identity_holds,
     lambda_raw_table,
@@ -130,20 +131,16 @@ def verify_lemma(lemma_id: int, p: int, r: int, alpha: int | None = None) -> Lem
     witnesses: list[Witness] = []
 
     if lemma_id in (10, 13):
-        # rows below zero: i < 0 with i(p-1)+alpha >= 0
-        i = -1
-        while i * (p - 1) + alpha >= 0:
+        # the rows below zero, from -1 down
+        for i in reversed([i for i in all_row_indices(p, r, alpha) if i < 0]):
             v = _core_valuation(p, r, alpha, rp, i) - i * (p - 1)
             witnesses.append(Witness(i, "X_i", v0, v, v0 < v))
-            i -= 1
     elif lemma_id in (11, 14):
         lo_excl = rp * (p - 1) + alpha if lemma_id == 11 else rho * p
-        i = 0
-        while i * (p - 1) + alpha <= r:
+        for i in all_row_indices(p, r, alpha):
             if i * (p - 1) + alpha > lo_excl:
                 v = _core_valuation(p, r, alpha, rp, i) + i * (p - 1) + 2 * alpha - r
                 witnesses.append(Witness(i, "X_i_star", v0, v, v0 < v))
-            i += 1
     else:  # 12, 15
         nums, _ = lambda_raw_table(p, rp, alpha)
         vden = factorial_valuation(rp, p)  # v_p((p-1)^rho' rho'!)

@@ -22,8 +22,9 @@ powers are skipped, so an upper-triangular g on a two-term f costs O(t).
 T makes one action per (term, mu): inserting g . (k . v) under the key of
 g acts once, by h k, where h is the clean-up that coset_decompose returns.
 This is exact because h = p^m U with U in GL_2(Z_p), so h k has the content
-of k and the twists of h and k add.  Outputs of act and of the SymPoly
-arithmetic are built without re-validation; the public constructor checks.
+of k and the twists of h and k add.  Outputs of act, of the SymPoly
+arithmetic and the xi-sum values of verify_T_expansion are built without
+re-validation; the public constructor checks.
 """
 
 from __future__ import annotations
@@ -132,8 +133,9 @@ class SymPoly:
 
     def _derived(self, coeffs: tuple[int, ...], twist: Fraction) -> "SymPoly":
         """A SymPoly of this degree, p and M, built without validation: for
-        results of act and the arithmetic below, whose p was checked when
-        self was built and whose coeffs are already reduced mod p^M."""
+        results of act, the arithmetic below and the xi-sum values, whose p
+        was checked when self was built and whose coeffs are already reduced
+        mod p^M."""
         out = object.__new__(SymPoly)
         out.__dict__.update(degree=self.degree, p=self.p, M=self.M, coeffs=coeffs, twist=twist)
         return out
@@ -299,7 +301,10 @@ class FormalSum:
         if value.is_zero():
             return
         rep, h = coset_decompose(g, self.p)
-        w = act(mat_mul(h, k), value)
+        self._accumulate(rep, act(mat_mul(h, k), value))
+
+    def _accumulate(self, rep: CosetRep, w: SymPoly) -> None:
+        """Add w to the term under rep, dropping the term if it becomes zero."""
         if rep in self.terms:
             w = self.terms[rep] + w
         if w.is_zero():
@@ -308,31 +313,20 @@ class FormalSum:
             self.terms[rep] = w
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
+        if other.p != self.p:
+            raise ValueError(f"formal sums at p={self.p} and p={other.p}")
         out = FormalSum(self.p, self.terms)
         for rep, v in other.terms.items():
-            w = out.terms[rep] + v if rep in out.terms else v
-            if w.is_zero():
-                out.terms.pop(rep, None)
-            else:
-                out.terms[rep] = w
+            out._accumulate(rep, v)
         return out
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
-        out = FormalSum(self.p, self.terms)
-        for rep, v in other.terms.items():
-            w = out.terms[rep] - v if rep in out.terms else v.scale(-1)
-            if w.is_zero():
-                out.terms.pop(rep, None)
-            else:
-                out.terms[rep] = w
-        return out
+        return self + other.scale(-1)
 
     def scale(self, s: int) -> "FormalSum":
         out = FormalSum(self.p)
         for rep, v in self.terms.items():
-            w = v.scale(s)
-            if not w.is_zero():
-                out.terms[rep] = w
+            out._accumulate(rep, v.scale(s))
         return out
 
     def act(self, g: Matrix) -> "FormalSum":
@@ -414,9 +408,10 @@ class TExpansionReport:
     first_mismatch: str | None
 
 
-def _xi_sum_value(sp: SurrogateParams, alpha: int, lift: int, offset: int) -> SymPoly:
-    """The xi-sum expansion of x^a (-[mu] x + p y)^(t-a) - x^(a+d)(...)^(t-a-d)
-    with the coefficient of x^(t-xi) y^xi written as
+def _xi_sum_value(sp: SurrogateParams, alpha: int, lift: int, offset: int) -> tuple[int, ...]:
+    """The coefficients mod p^M of the xi-sum expansion of
+    x^a (-[mu] x + p y)^(t-a) - x^(a+d)(...)^(t-a-d), with the coefficient of
+    x^(t-xi) y^xi written as
     ((-[mu])^(t-a-xi) C(t-a, xi) - (-[mu])^(t-a-offset-xi) C(t-a-d, xi)) p^xi.
     offset = delta is the exact expansion; offset = 0 is the combined form
     with a single common power of (-[mu]), equal to it only when
@@ -426,15 +421,13 @@ def _xi_sum_value(sp: SurrogateParams, alpha: int, lift: int, offset: int) -> Sy
     n = t - alpha
     pu, pp = _powers(-lift % q, n, q), _powers(p, n, q)
     binom = _pascal(t)
-    entries: dict[int, int] = {}
+    coeffs = [0] * (t + 1)
     for xi in range(n + 1):
         c = binom[n][xi] * pu[n - xi]
         if xi <= n - d:
             c -= binom[n - d][xi] * pu[n - offset - xi]
-        coeff = c * pp[xi] % q
-        if coeff:
-            entries[t - xi] = coeff
-    return SymPoly.from_dict(t, p, M, entries, twist=Fraction(-t, 2))
+        coeffs[t - xi] = c * pp[xi] % q
+    return tuple(coeffs)
 
 
 def verify_T_expansion(sp: SurrogateParams, alpha: int) -> TExpansionReport:
@@ -455,10 +448,12 @@ def verify_T_expansion(sp: SurrogateParams, alpha: int) -> TExpansionReport:
     )
 
     def expansion(offsets: list[int]) -> FormalSum:
-        """The right-hand side with the xi-sum of mu taken at offsets[mu]."""
+        """The right-hand side with the xi-sum of mu taken at offsets[mu]; the
+        xi-sum values share a_val's degree, p, M and twist."""
         out = FormalSum(p)
         for mu in range(p):
-            out._insert((p, lifts[mu], 0, 1), _xi_sum_value(sp, alpha, lifts[mu], offsets[mu]))
+            coeffs = _xi_sum_value(sp, alpha, lifts[mu], offsets[mu])
+            out._insert((p, lifts[mu], 0, 1), a_val._derived(coeffs, a_val.twist))
         out._insert((1, 0, 0, p), a_val)
         return out
 

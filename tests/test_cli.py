@@ -92,6 +92,13 @@ class TestMeasureCommand:
         data = json.loads(out.read_text())
         assert data["rows"][0]["masses"].count("5/11") == 3
 
+    @pytest.mark.parametrize("k", ["3", "13", "1..3"])
+    def test_no_even_weight_exit_2(self, k, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert run_cli(["measure", "--p", "5", "--k", k], out) == 2
+        assert "no even weights >= 4 in --k" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resource_guard_loud(self, tmp_path, capsys):
         out = tmp_path / "m.csv"
         assert run_cli(["measure", "--p", "5", "--k", "12..200", "--max-dim", "2"], out) == 0

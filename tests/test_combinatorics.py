@@ -205,6 +205,13 @@ class TestFactorAndRank:
         assert rep.permutation_ok and rep.full_rank_mod_p
         assert rep.gamma == rep.R * 0 + interior_row_indices(5, 26, 2)[0] * 4 + 2
 
+    @pytest.mark.parametrize("cell", [(1, 10, 0), (4, 60, 2), (5, 60, 99)])
+    def test_interior_rank_rejects_cells_build_matrix_M_rejects(self, cell):
+        # p = 1 (p - 1 = 0 in the row window), p = 4 (not prime), alpha above rho
+        for build in (build_matrix_M, interior_rank_report):
+            with pytest.raises(ValueError):
+                build(*cell)
+
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_consecutive_rows_is_the_entrywise_comparison(self, p):
         # permutation_ok tests that the interior rows are consecutive; this is the
@@ -339,17 +346,18 @@ class TestRhoAnnihilator:
 
 
 class TestRowIndexing:
-    @given(st.sampled_from([5, 7, 11, 13]), st.integers(10, 120), st.integers(0, 12))
-    @settings(max_examples=80)
-    def test_windows_consistent(self, p, r, alpha):
-        rho = rho_of(p, r)
-        interior = interior_row_indices(p, r, alpha)
-        full = all_row_indices(p, r, alpha)
-        assert set(interior) <= set(full)
-        for i in full:
-            assert 0 <= i * (p - 1) + alpha <= r
-        for i in interior:
-            assert rho < i * (p - 1) + alpha < r - rho
+    def test_windows_consistent(self):
+        # each window against a filter over a wider i range; p = 2 and 3 reach the
+        # windows through lemmas 10, 11, 13 and 14, and alpha runs past r
+        for p in (2, 3, 5, 7, 11, 13):
+            for r in range(1, 61):
+                rho = rho_of(p, r)
+                for alpha in range(r + 13):
+                    full = [i for i in range(-alpha - 2, r + 3) if 0 <= i * (p - 1) + alpha <= r]
+                    assert all_row_indices(p, r, alpha) == full
+                    assert interior_row_indices(p, r, alpha) == [
+                        i for i in full if i >= 0 and rho < i * (p - 1) + alpha < r - rho
+                    ]
 
 
 def _window(name, p, **grid):

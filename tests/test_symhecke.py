@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from fractions import Fraction
 
@@ -379,6 +381,41 @@ class TestHeckeOperator:
         with pytest.raises(ValueError, match="p=5"):
             hecke_T(s, SurrogateParams(p=7, t=4, delta=1))
 
+    def test_sums_at_different_primes_do_not_merge(self):
+        s5 = FormalSum.unit(SymPoly(2, 5, 3, (1, 2, 3)))
+        s7 = FormalSum.unit(SymPoly(2, 7, 3, (1, 2, 3)))
+        for combine in (FormalSum.__add__, FormalSum.__sub__):
+            with pytest.raises(ValueError, match="p=5 and p=7"):
+                combine(s5, s7)
+
+    def test_terms_written_only_by_init_and_accumulate(self):
+        # every merge goes through FormalSum._accumulate
+        tree = ast.parse(inspect.getsource(FormalSum))
+        writers = set()
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                        target = node.value
+                    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                        target = node
+                    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and \
+                            node.func.attr in ("pop", "update", "clear", "setdefault", "popitem"):
+                        target = node.func.value
+                    else:
+                        continue
+                    if isinstance(target, ast.Attribute) and target.attr == "terms":
+                        writers.add(fn.name)
+        assert writers == {"__init__", "_accumulate"}
+
+    def test_difference_and_scaling(self):
+        f = SymPoly(3, 5, 6, (1, 2, 3, 4))
+        s = FormalSum.single((5, 1, 0, 1), f) + FormalSum.single((1, 0, 0, 5), f)
+        assert len(s) == 2
+        assert s + s == s.scale(2)
+        assert s - s.scale(2) == s.scale(-1)
+        assert len(s - s) == 0 and len(s.scale(5**6)) == 0
+
     def test_linearity(self):
         random.seed(5)
         sp = SurrogateParams(p=5, t=5, delta=2)
@@ -523,6 +560,17 @@ class TestFusedHecke:
         SymPoly(6, 7, sp.M, fs[0].coeffs)
         assert checks == [7]
 
+    def test_expansion_validates_only_its_inputs(self, monkeypatch):
+        # h, h* and a_val are built through the public constructor, once per cell;
+        # the xi-sum values are derived from a_val
+        built = []
+        post_init = SymPoly.__post_init__
+        monkeypatch.setattr(SymPoly, "__post_init__", lambda self: built.append(self) or post_init(self))
+        sp = SurrogateParams(p=7, t=8, delta=6)
+        rep = verify_T_expansion(sp, 2)
+        assert rep.matches and rep.combined_form_applicable
+        assert len(built) == 3
+
 
 def _insert_fusing(fuse):
     """FormalSum._insert with the fused matrix act(fuse(h, k), value)."""
@@ -531,13 +579,7 @@ def _insert_fusing(fuse):
         if value.is_zero():
             return
         rep, h = coset_decompose(g, self.p)
-        w = act(fuse(h, k), value)
-        if rep in self.terms:
-            w = self.terms[rep] + w
-        if w.is_zero():
-            self.terms.pop(rep, None)
-        else:
-            self.terms[rep] = w
+        self._accumulate(rep, act(fuse(h, k), value))
 
     return _insert
 
