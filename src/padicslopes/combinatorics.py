@@ -7,16 +7,21 @@ systems they generate, and the finite-support identities those systems
 satisfy.  Every check runs in int, over one common denominator per table or
 system; a Fraction is built only where a public function returns a rational.
 Nothing is approximated.
+
+Every binomial row of a cell (the rows of M, the row sums of the interior and
+double-sum systems, the rows of the carry matrices) comes from one exact ratio
+recurrence, _binomial_row: one math.comb call per row, then each entry from the
+last by an exact division.  The per-entry math.comb routes are the tests' oracle.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Mapping
 
 from .exactlinalg import charpoly, mat_mul_int, rank_mod_p
@@ -28,6 +33,26 @@ def comb0(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def _binomial_row(n: int, k: int, length: int, top_step: int = 1) -> list[int]:
+    """[C(n + top_step t, k + t) for t < length] for n, k >= 0 and top_step 1
+    (a diagonal) or 0 (a row), with C(N, K) = 0 for K > N.
+
+    One math.comb call, then each entry from the last by an exact division:
+    C(N+1, K+1) = C(N, K)(N+1)/(K+1) on a diagonal, C(N, K+1) =
+    C(N, K)(N-K)/(K+1) on a row.  A run whose first entry has K > N is zero
+    throughout.
+    """
+    if k > n or length <= 0:
+        return [0] * length
+    c = math.comb(n, k)
+    out = [c]
+    tops = range(n + 1, n + length) if top_step else range(n - k, n - k - length + 1, -1)
+    for a, b in zip(tops, range(k + 1, k + length)):
+        c = c * a // b
+        out.append(c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -260,28 +285,32 @@ def build_matrix_M(p: int, r: int, alpha: int) -> MatrixM:
     rho = rho_of(p, r)
     rows = interior_row_indices(p, r, alpha)
     cols = list(range(alpha - rho, alpha + 1))
-    entries = tuple(
-        tuple(comb0(r - alpha + j, i * (p - 1) + j) for j in cols) for i in rows
-    )
+    # row i is one diagonal: top r - alpha + j and bottom i(p-1) + j > 0 step together
+    entries = tuple(tuple(_binomial_row(r - rho, i * (p - 1) + alpha - rho, rho + 1)) for i in rows)
     return MatrixM(p, r, alpha, tuple(rows), tuple(cols), entries)
 
 
 def trinomial_revision_check(m: MatrixM) -> bool:
     """Per-entry trinomial revision:
-    C(r-a+j, i(p-1)+j) * C(r, a-j) = C(r, i(p-1)+a) * C(i(p-1)+a, a-j)."""
+    C(r-a+j, i(p-1)+j) * C(r, a-j) = C(r, i(p-1)+a) * C(i(p-1)+a, a-j).
+
+    The right side is computed entry by entry with math.comb, a route
+    independent of the ratio recurrence that built the entries."""
     r, a = m.r, m.alpha
+    ks = [a - j for j in m.col_indices]  # 0..rho, descending
+    c_rk = [math.comb(r, k) for k in ks]  # constant down each column
     for i, row in zip(m.row_indices, m.entries):
         n = i * (m.p - 1) + a
-        c_rn = comb0(r, n)  # constant along the row
-        for j, e in zip(m.col_indices, row):
-            if e * comb0(r, a - j) != c_rn * comb0(n, a - j):
-                return False
+        c_rn = math.comb(r, n)  # constant along the row; 0 <= n <= r on interior rows
+        rhs = map(operator.mul, repeat(c_rn), map(math.comb, repeat(n), ks))
+        if list(map(operator.mul, row, c_rk)) != list(rhs):
+            return False
     return True
 
 
 def _carry_matrix(p: int, R: int, gamma: int) -> list[list[int]]:
     """The R x R binomial-basis matrix (C(i(p-1)+gamma, j)) for i, j < R."""
-    return [[math.comb(i * (p - 1) + gamma, j) for j in range(R)] for i in range(R)]
+    return [_binomial_row(i * (p - 1) + gamma, 0, R, top_step=0) for i in range(R)]
 
 
 @dataclass(frozen=True)
@@ -377,16 +406,18 @@ def interior_rank_report(p: int, r: int, alpha: int) -> InteriorRankReport:
 def _row_sum_numerators(p: int, r: int, alpha: int, nums: Mapping[int, int], rows) -> list[int]:
     """[sum_l N_l C(r-alpha+l, i(p-1)+l) for i in rows] for integer column
     numerators nums = {l: N_l}.  A column with r-alpha+l < 0 is zero on every
-    row, and row i meets only the columns with i(p-1)+l >= 0."""
-    cols = sorted((l, n) for l, n in nums.items() if n and l >= alpha - r)
-    ls = [l for l, _ in cols]
-    ns = [n for _, n in cols]
-    tops = [r - alpha + l for l in ls]
+    row, and row i meets only the columns with i(p-1)+l >= 0.
+
+    The columns run over one range of l, a missing l counting as N_l = 0, so
+    the binomials of a row are one diagonal from _binomial_row."""
+    lo = max(min(nums, default=0), alpha - r)
+    ns = [nums.get(l, 0) for l in range(lo, max(nums, default=lo - 1) + 1)]
     out = []
     for i in rows:
         k = i * (p - 1)
-        j = bisect.bisect_left(ls, -k)
-        out.append(sum(map(operator.mul, ns[j:], map(math.comb, tops[j:], [k + l for l in ls[j:]]))))
+        j = max(0, -k - lo)  # the first column with i(p-1)+l >= 0
+        diagonal = _binomial_row(r - alpha + lo + j, k + lo + j, len(ns) - j)
+        out.append(sum(map(operator.mul, ns[j:], diagonal)))
     return out
 
 
@@ -622,6 +653,7 @@ def verify_vanishing_double_sum(p: int, r: int, alpha: int) -> DoubleSumReport:
     C_l = Lambda_rho'(alpha, l) C(r, alpha-l) = N_l / den over the raw Lambda
     table (n, den = (p-1)^rho' rho'!), with N_l = n_(alpha-l) C(r, alpha-l).
     """
+    _check_prime_gt3(p)
     rp = general_rho_prime(p, r, alpha)  # a rho-case cell has constants but no double sum
     nums, den = lambda_raw_table(p, rp, alpha)
     cols = {alpha - m: n * math.comb(r, m) for m, n in enumerate(nums)}

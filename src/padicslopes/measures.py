@@ -88,6 +88,7 @@ class SupportBound:
 
 
 def support_bound(p: int, k: int) -> SupportBound:
+    _check_prime(p)
     if k < 3:
         raise ValueError("k must be >= 3")
     left = Fraction(1, p + 1) + Fraction(integer_log(p, k - 1), k - 1)

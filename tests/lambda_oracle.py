@@ -10,6 +10,10 @@ Production evaluates the annihilator path (row sums, the interior solve,
 vartheta) in integers over one common denominator per cell.  The
 term-by-term Fraction formulas for the same quantities are kept at the end
 of this module, and the tests compare the two.
+
+Production builds every binomial row of a cell by one exact ratio
+recurrence (``combinatorics._binomial_row``).  The per-entry routes, one
+math.comb call per entry, are kept here as well.
 """
 
 import math
@@ -182,3 +186,32 @@ def annihilator(p: int, r: int, alpha: int) -> tuple[dict, dict, dict]:
         if i not in interior
     }
     return cols, targets, boundary
+
+
+# ---------------------------------------------------------------------------
+# the binomial rows of a cell, one math.comb call per entry
+# ---------------------------------------------------------------------------
+
+
+def matrix_M_entries(p: int, r: int, alpha: int) -> tuple[tuple[int, ...], ...]:
+    """The entries C(r-alpha+j, i(p-1)+j) of the cell's matrix M, over its
+    interior rows i and columns j in [alpha - rho, alpha]."""
+    rho = rho_of(p, r)
+    cols = range(alpha - rho, alpha + 1)
+    return tuple(
+        tuple(comb0(r - alpha + j, i * (p - 1) + j) for j in cols) for i in interior_row_indices(p, r, alpha)
+    )
+
+
+def carry_matrix(p: int, R: int, gamma: int) -> list[list[int]]:
+    """The R x R matrix (C(i(p-1)+gamma, j)) for i, j < R."""
+    return [[math.comb(i * (p - 1) + gamma, j) for j in range(R)] for i in range(R)]
+
+
+def row_sum_numerators(p: int, r: int, alpha: int, nums: dict[int, int], rows) -> list[int]:
+    """[sum_l N_l C(r-alpha+l, i(p-1)+l) for i in rows], a column with
+    r-alpha+l < 0 being zero on every row."""
+    return [
+        sum(n * comb0(r - alpha + l, i * (p - 1) + l) for l, n in nums.items() if r - alpha + l >= 0)
+        for i in rows
+    ]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from padicslopes import combinatorics
 from padicslopes.cli import VERIFY_TARGETS
 from padicslopes.combinatorics import (
+    _binomial_row,
     _forward_differences,
     _row_sum_numerators,
     _step_differences,
@@ -316,6 +317,12 @@ class TestIdentity88:
         rep = verify_vanishing_double_sum(5, 14, 3)
         assert rho_of(5, 14) == 2 and rep.rho_prime == 2
 
+    @pytest.mark.parametrize("p", [-1, 0, 4])
+    def test_rejects_p_before_the_cell(self, p):
+        # rho_of divides by p + 1, and (4, 20, 3) fails the cell check too: p comes first
+        with pytest.raises(ValueError, match=f"prime > 3, got {p}"):
+            verify_vanishing_double_sum(p, 20, 3)
+
 
 class TestRhoAnnihilator:
     @pytest.mark.parametrize("p,rho", [(5, 2), (5, 5), (7, 3), (11, 2), (13, 4)])
@@ -502,7 +509,98 @@ class TestIntegerRouteAgainstOracle:
         assert vartheta(D, w, 5) == oracle.vartheta(D, w, 5)
 
 
+class TestRowKernelAgainstOracle:
+    """The ratio-recurrence rows against one math.comb call per entry, on every
+    cell of the matrix-entries, interior-annihilator, double-sum and
+    rho-annihilator windows at p in {5, 7, 11, 13}, r <= 120, and on every row
+    of all_row_indices, negative rows included."""
+
+    def test_kernel_against_comb(self):
+        for n in range(40):
+            for k in range(45):
+                for length in range(12):
+                    assert _binomial_row(n, k, length) == [comb0(n + t, k + t) for t in range(length)]
+                    assert _binomial_row(n, k, length, top_step=0) == [comb0(n, k + t) for t in range(length)]
+
+    def test_matrix_and_carry_rows(self):
+        cells = _target_cells("matrix-entries")
+        assert cells == _target_cells("interior-annihilator")
+        for p, r, alpha in sorted(cells):
+            assert build_matrix_M(p, r, alpha).entries == oracle.matrix_M_entries(p, r, alpha)
+            rows = interior_row_indices(p, r, alpha)
+            if rows:  # the carry matrix interior_rank_report reads
+                R, gamma = len(rows), rows[0] * (p - 1) + alpha
+                assert combinatorics._carry_matrix(p, R, gamma) == oracle.carry_matrix(p, R, gamma)
+
+    def test_row_sums_of_the_annihilators(self):
+        for p, r, alpha in sorted(_target_cells("interior-annihilator") | _target_cells("rho-annihilator")):
+            nums = build_interior_annihilator(p, r, alpha).column_numerators
+            rows = all_row_indices(p, r, alpha)
+            assert _row_sum_numerators(p, r, alpha, nums, rows) == oracle.row_sum_numerators(p, r, alpha, nums, rows)
+
+    def test_row_sums_of_the_double_sums(self):
+        for p, r, alpha in sorted(_target_cells("double-sum")):
+            nums, _ = lambda_raw_table(p, general_rho_prime(p, r, alpha), alpha)
+            cols = {alpha - m: n * math.comb(r, m) for m, n in enumerate(nums)}
+            rows = all_row_indices(p, r, alpha)
+            assert _row_sum_numerators(p, r, alpha, cols, rows) == oracle.row_sum_numerators(p, r, alpha, cols, rows)
+
+    @pytest.mark.parametrize("p", _SHAPE_PRIMES)
+    def test_empty_interior(self, p):
+        # (p, p, 0): rho = 1, and no i(p-1) lies strictly between 1 and p - 1
+        assert interior_row_indices(p, p, 0) == []
+        assert build_matrix_M(p, p, 0).entries == () == oracle.matrix_M_entries(p, p, 0)
+        nums = {-1: 3, 0: -2}
+        rows = all_row_indices(p, p, 0)
+        assert _row_sum_numerators(p, p, 0, nums, []) == []
+        assert _row_sum_numerators(p, p, 0, nums, rows) == oracle.row_sum_numerators(p, p, 0, nums, rows)
+
+    @pytest.mark.parametrize(
+        "nums",
+        [
+            {-8: 5, -7: 0, -6: 0, -2: 0, 3: -11, 5: 0},  # zero numerators inside the range
+            {-8: 5, 3: -11},  # the same columns, the zeros left out
+            {-200: 4, -90: 1, 5: 2},  # columns with r - alpha + l < 0
+            {0: 0},
+            {},
+        ],
+    )
+    def test_zero_and_missing_numerators(self, nums):
+        p, r, alpha = 7, 100, 5
+        rows = list(range(-3, 20))  # rows 16..19 start above their top: i(p-1) > r - alpha
+        assert _row_sum_numerators(p, r, alpha, nums, rows) == oracle.row_sum_numerators(p, r, alpha, nums, rows)
+
+    def test_diagonal_starting_above_its_top_is_zero(self):
+        assert _binomial_row(10, 11, 6) == [0] * 6
+        assert _binomial_row(10, 11, 6, top_step=0) == [0] * 6
+        # (r - alpha)/(p - 1) = 9.5: rows 10, 11 and 15 meet only K > N
+        assert _row_sum_numerators(5, 40, 2, {-1: 3, 0: 4, 1: 5, 2: 6}, [10, 11, 15]) == [0, 0, 0]
+
+    def test_one_math_comb_per_row(self, monkeypatch):
+        # the rows are built by the recurrence, not one math.comb call per entry
+        calls = []
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda n, k: calls.append((n, k)) or comb(n, k))
+        m = build_matrix_M(5, 200, 20)
+        assert len(calls) == m.nrows == 33 and m.ncols == 34
+        calls.clear()
+        assert len(combinatorics._carry_matrix(5, 12, 7)) == len(calls) == 12
+        calls.clear()
+        rows = all_row_indices(5, 200, 20)
+        _row_sum_numerators(5, 200, 20, {l: l + 14 for l in range(-13, 21)}, rows)
+        assert len(calls) == len(rows) == 51
+
+
 _SMALL_CELLS = [(5, 26, 2), (7, 33, 1), (5, 47, 0), (5, 15, 2), (7, 53, 4)]
+
+
+def _ratio_off_by_one(n, k, length, top_step=1):
+    """The row kernel with one more in every ratio's numerator."""
+    row = _binomial_row(n, k, min(length, 1), top_step)
+    tops = range(n + 1, n + length) if top_step else range(n - k, n - k - length + 1, -1)
+    for a, b in zip(tops, range(k + 1, k + length)):
+        row.append(row[-1] * (a + 1) // b)
+    return row
 
 
 class TestChecksCanFail:
@@ -566,6 +664,28 @@ class TestChecksCanFail:
         monkeypatch.setattr(combinatorics, "_carry_matrix", off_by_one)
         rep = factor_and_rank_checks(5, 4, 2)
         assert not rep.det_matches_closed_form and not rep.factorization_ok
+
+    def test_matrix_entries_see_the_row_kernel(self, monkeypatch):
+        check = VERIFY_TARGETS["matrix-entries"].check
+        grid = [cell for p in _SHAPE_PRIMES for cell in _window("matrix-entries", p, r=None, r_max=200)]
+        monkeypatch.setattr(combinatorics, "_binomial_row", _ratio_off_by_one)
+        failing = next(cell for cell in grid if check(*cell)[0] == "fails")
+        monkeypatch.undo()
+        assert check(*failing)[0] == "holds"
+
+    def test_double_sum_sees_the_row_kernel(self, monkeypatch):
+        cells = [cell for p in _SHAPE_PRIMES for cell in _window("double-sum", p, r=None, r_max=60)]
+        monkeypatch.setattr(combinatorics, "_binomial_row", _ratio_off_by_one)
+        failing = next(cell for cell in cells if not verify_vanishing_double_sum(*cell).holds)
+        monkeypatch.undo()
+        assert verify_vanishing_double_sum(*failing).holds
+
+    def test_interior_solve_sees_the_row_kernel(self, monkeypatch):
+        u = interior_row_indices(5, 26, 2)[0]
+        solve_interior_system(5, 26, 2, u)
+        monkeypatch.setattr(combinatorics, "_binomial_row", _ratio_off_by_one)
+        with pytest.raises(AssertionError, match="failed verification"):
+            solve_interior_system(5, 26, 2, u)
 
     def test_interior_rank_sees_a_gap_in_the_rows(self, monkeypatch):
         assert interior_rank_report(5, 120, 2).permutation_ok

@@ -116,6 +116,16 @@ class TestSupportBound:
         with pytest.raises(ValueError):
             support_bound(1, 10)
 
+    @pytest.mark.parametrize("p,k", [(4, 13), (6, 40), (-1, 13)])
+    def test_rejects_p_not_prime(self, p, k):
+        # the bound's 1/(p+1) and log_p exist for these p too; -1 divides by zero
+        with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+            support_bound(p, k)
+
+    @pytest.mark.parametrize("p,left", [(2, Fraction(1, 3) + Fraction(3, 12)), (3, Fraction(1, 4) + Fraction(2, 12))])
+    def test_small_primes_stay_legal(self, p, left):
+        assert support_bound(p, 13).left_end == left
+
     def test_complementarity(self):
         for p, k in [(5, 12), (7, 100), (59, 16)]:
             b = support_bound(p, k)
