@@ -179,6 +179,13 @@ def lambda_values_by_differences(p: int, R: int, alpha: int) -> dict[int, Fracti
     return {alpha - m: Fraction(nums[m], den) for m in range(R + 1)}
 
 
+def _column_numerators(r: int, alpha: int, nums: list[int]) -> dict[int, int]:
+    """{l: N_l} with N_l = n_(alpha-l) C(r, alpha-l) over a raw Lambda table
+    (nums, den): the column constant C_l = Lambda(alpha, l) C(r, alpha-l) of
+    a cell is N_l / den, for l in [alpha-R, alpha]."""
+    return {alpha - m: n * c for m, (n, c) in enumerate(zip(nums, _binomial_row(r, 0, len(nums), top_step=0)))}
+
+
 def lambda_identity_holds(p: int, alpha: int, nums: list[int], den: int) -> bool:
     """Exact proof of the defining identity for a raw table (nums, den):
     sum_m nums[m] C((p-1)X + alpha, m) = den C(R - X, R) with R = len(nums)-1.
@@ -226,8 +233,9 @@ def _vartheta_sums(D: Mapping[int, int], p: int, w_max: int) -> list[int]:
 
 
 def vartheta(D: Mapping[int, Fraction | int], w: int, p: int) -> Fraction:
-    """sum_i D_i C(i(p-1), w) with the generalized binomial for negative i,
-    summed in integers over the lcm of D's denominators."""
+    """sum_i D_i C(i(p-1), w) for a prime p > 3, with the generalized binomial
+    for negative i, summed in integers over the lcm of D's denominators."""
+    _check_prime_gt3(p)
     if w < 0:
         raise ValueError("w must be nonnegative")
     den = math.lcm(*(v.denominator for v in D.values()))
@@ -372,30 +380,26 @@ class InteriorRankReport:
     alpha: int
     R: int
     gamma: int
-    permutation_ok: bool
     full_rank_mod_p: bool
 
 
 def interior_rank_report(p: int, r: int, alpha: int) -> InteriorRankReport:
     """Full-rank-mod-p check for the right square submatrix of the cell's
-    carry matrix (C(i(p-1)+alpha, alpha-j)), plus the reindexing that turns
-    it into (C(i'(p-1)+gamma, j')) with gamma = i_min(p-1) + alpha.  The cell
-    is checked as in build_matrix_M."""
+    carry matrix (C(i(p-1)+alpha, alpha-j)), read through the reindexing that
+    turns it into (C(i'(p-1)+gamma, j')) with gamma = i_min(p-1) + alpha.
+    The cell is checked as in build_matrix_M."""
     _check_matrix_cell(p, r, alpha)
     rows = interior_row_indices(p, r, alpha)
     R = len(rows)
     if R == 0:
-        return InteriorRankReport(p, r, alpha, 0, 0, True, True)
+        return InteriorRankReport(p, r, alpha, 0, 0, True)
     gamma = rows[0] * (p - 1) + alpha
-    # Row i' of the submatrix, (C(n_i, k)) for k = R-1..0 with n_i = i(p-1)+alpha,
-    # is row i' of _carry_matrix(p, R, gamma) reversed iff C(n_i, k) =
-    # C(i'(p-1)+gamma, k) for k < R; for R >= 2 the k = 1 entries say
-    # n_i = i'(p-1)+gamma, i.e. the rows are consecutive.
-    consecutive = rows == list(range(rows[0], rows[0] + R))
+    # Row i' of the submatrix, (C(n_i, k)) for k = R-1..0, is row i' of _carry_matrix(p, R, gamma)
+    # reversed: the interior rows are one range, so n_i = i(p-1)+alpha = i'(p-1)+gamma.
     # Reversing columns keeps the rank; rank_mod_p skips zero entries, and the
     # high columns vanish mod p more often, so the submatrix's order is cheaper.
     submatrix = [row[::-1] for row in _carry_matrix(p, R, gamma)]
-    return InteriorRankReport(p, r, alpha, R, gamma, consecutive, rank_mod_p(submatrix, p) == R)
+    return InteriorRankReport(p, r, alpha, R, gamma, rank_mod_p(submatrix, p) == R)
 
 
 # ---------------------------------------------------------------------------
@@ -648,15 +652,14 @@ class DoubleSumReport:
 
 
 def verify_vanishing_double_sum(p: int, r: int, alpha: int) -> DoubleSumReport:
-    """sum_l C_l C(r-alpha+l, i(p-1)+l) = 0 for i = 1..rho', coefficient-wise.
-
-    C_l = Lambda_rho'(alpha, l) C(r, alpha-l) = N_l / den over the raw Lambda
-    table (n, den = (p-1)^rho' rho'!), with N_l = n_(alpha-l) C(r, alpha-l).
+    """sum_l C_l C(r-alpha+l, i(p-1)+l) = 0 for i = 1..rho', coefficient-wise,
+    with C_l = N_l / den from _column_numerators over the raw Lambda table
+    (n, den = (p-1)^rho' rho'!).
     """
     _check_prime_gt3(p)
     rp = general_rho_prime(p, r, alpha)  # a rho-case cell has constants but no double sum
     nums, den = lambda_raw_table(p, rp, alpha)
-    cols = {alpha - m: n * math.comb(r, m) for m, n in enumerate(nums)}
+    cols = _column_numerators(r, alpha, nums)
     rows = range(1, rp + 1)
     sums = {i: Fraction(s, den) for i, s in zip(rows, _row_sum_numerators(p, r, alpha, cols, rows))}
     return DoubleSumReport(

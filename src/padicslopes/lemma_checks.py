@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
 from .combinatorics import (
+    _column_numerators,
     all_row_indices,
     general_rho_prime,
     lambda_identity_holds,
@@ -42,41 +43,29 @@ RHO_LEMMAS = (13, 14, 15)
 
 
 @dataclass(frozen=True)
-class Witness:
-    index: int
-    kind: str
-    lhs_val: ExtendedValuation
-    rhs_val: ExtendedValuation
-    strict: bool
-    margin: ExtendedValuation = field(init=False)
-
-    def __post_init__(self):
-        margin = INFINITY if self.rhs_val is INFINITY else self.rhs_val - self.lhs_val
-        object.__setattr__(self, "margin", margin)
-
-
-@dataclass(frozen=True)
 class LemmaReport:
+    """One lemma on one cell: v_x0 = v_p(X_0) < v_other at every (index,
+    v_other) witness, v_other an int or INFINITY; v_x0 and the witness kind are
+    kept once.  min_margin is the least v_other - v_x0 (None for an empty
+    window: "vacuous"), and the verdict is "holds" iff min_margin > 0."""
+
     lemma_id: int
     p: int
     r: int | None
     alpha: int | None
     rho: int | None
     rho_prime: int | None
-    witnesses: tuple[Witness, ...]
+    kind: str
+    v_x0: int
+    witnesses: tuple[tuple[int, ExtendedValuation], ...]
     verdict: str  # "holds" | "fails" | "vacuous"
     checked: int
     min_margin: ExtendedValuation | None
 
 
-def _report(lemma_id, p, r, alpha, rho, rp, witnesses) -> LemmaReport:
-    if not witnesses:
-        verdict = "vacuous"
-    elif all(w.strict for w in witnesses):
-        verdict = "holds"
-    else:
-        verdict = "fails"
-    finite = [w.margin for w in witnesses if w.margin is not INFINITY]
+def _report(lemma_id, p, r, alpha, rho, rp, kind, v0, witnesses) -> LemmaReport:
+    min_margin = min((v - v0 for _, v in witnesses), default=None)
+    verdict = "vacuous" if min_margin is None else "holds" if min_margin > 0 else "fails"
     return LemmaReport(
         lemma_id=lemma_id,
         p=p,
@@ -84,10 +73,12 @@ def _report(lemma_id, p, r, alpha, rho, rp, witnesses) -> LemmaReport:
         alpha=alpha,
         rho=rho,
         rho_prime=rp,
+        kind=kind,
+        v_x0=v0,
         witnesses=tuple(witnesses),
         verdict=verdict,
         checked=len(witnesses),
-        min_margin=min(finite) if finite else INFINITY if witnesses else None,
+        min_margin=min_margin,
     )
 
 
@@ -128,29 +119,24 @@ def verify_lemma(lemma_id: int, p: int, r: int, alpha: int | None = None) -> Lem
         raise ValueError(f"unknown lemma id {lemma_id}")
 
     v0 = _carries(alpha, r - alpha, p)
-    witnesses: list[Witness] = []
-
-    if lemma_id in (10, 13):
-        # the rows below zero, from -1 down
-        for i in reversed([i for i in all_row_indices(p, r, alpha) if i < 0]):
-            v = _core_valuation(p, r, alpha, rp, i) - i * (p - 1)
-            witnesses.append(Witness(i, "X_i", v0, v, v0 < v))
+    rows = all_row_indices(p, r, alpha)
+    if lemma_id in (10, 13):  # the rows below zero, from -1 down
+        kind = "X_i"
+        witnesses = [(i, _core_valuation(p, r, alpha, rp, i) - i * (p - 1)) for i in reversed(rows) if i < 0]
     elif lemma_id in (11, 14):
+        kind = "X_i_star"
         lo_excl = rp * (p - 1) + alpha if lemma_id == 11 else rho * p
-        for i in all_row_indices(p, r, alpha):
-            if i * (p - 1) + alpha > lo_excl:
-                v = _core_valuation(p, r, alpha, rp, i) + i * (p - 1) + 2 * alpha - r
-                witnesses.append(Witness(i, "X_i_star", v0, v, v0 < v))
+        witnesses = [
+            (i, _core_valuation(p, r, alpha, rp, i) + i * (p - 1) + 2 * alpha - r)
+            for i in rows if i * (p - 1) + alpha > lo_excl
+        ]
     else:  # 12, 15
-        nums, _ = lambda_raw_table(p, rp, alpha)
+        kind = "C_l_p^l"
+        cols = _column_numerators(r, alpha, lambda_raw_table(p, rp, alpha)[0])
         vden = factorial_valuation(rp, p)  # v_p((p-1)^rho' rho'!)
-        lo = alpha - rp if lemma_id == 12 else 1
-        for l in range(lo, alpha + 1):
-            n = nums[alpha - l] * math.comb(r, alpha - l)
-            v = INFINITY if n == 0 else _vp(n, p) - vden + l
-            witnesses.append(Witness(l, "C_l_p^l", v0, v, v0 < v))
-
-    return _report(lemma_id, p, r, alpha, rho, rp, witnesses)
+        ls = range(alpha - rp if lemma_id == 12 else 1, alpha + 1)
+        witnesses = [(l, INFINITY if cols[l] == 0 else _vp(cols[l], p) - vden + l) for l in ls]
+    return _report(lemma_id, p, r, alpha, rho, rp, kind, v0, witnesses)
 
 
 # ---------------------------------------------------------------------------

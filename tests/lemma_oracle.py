@@ -22,8 +22,8 @@ from padicslopes.combinatorics import (
     rho_case_rho_prime,
     rho_of,
 )
-from padicslopes.lemma_checks import GENERAL_LEMMAS, RHO_LEMMAS, Witness, _report
-from padicslopes.padic import INFINITY, binomial_valuation, valuation
+from padicslopes.lemma_checks import GENERAL_LEMMAS, RHO_LEMMAS, _report
+from padicslopes.padic import binomial_valuation, valuation
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,8 @@ def witness_values(p: int, r: int, alpha: int, rho_prime: int, i: int) -> tuple[
 
 def verify_lemma_by_fractions(lemma_id: int, p: int, r: int, alpha: int | None = None):
     """``verify_lemma`` over exact rationals: the same windows, with each
-    witness built as a Fraction and its valuation split by ``valuation``."""
+    witness built as a Fraction and its valuation split by ``valuation``, in
+    the report that ``_report`` builds."""
     rho = rho_of(p, r)
     if lemma_id in GENERAL_LEMMAS:
         rp = general_rho_prime(p, r, alpha)
@@ -99,27 +100,25 @@ def verify_lemma_by_fractions(lemma_id: int, p: int, r: int, alpha: int | None =
     v0 = binomial_valuation(r, alpha, p)
     witnesses = []
     if lemma_id in (10, 13):
+        kind = "X_i"
         i = -1
         while i * (p - 1) + alpha >= 0:
-            v = valuation(witness_values(p, r, alpha, rp, i)[0], p)
-            witnesses.append(Witness(i, "X_i", v0, v, v0 < v))
+            witnesses.append((i, valuation(witness_values(p, r, alpha, rp, i)[0], p)))
             i -= 1
     elif lemma_id in (11, 14):
+        kind = "X_i_star"
         lo_excl = rp * (p - 1) + alpha if lemma_id == 11 else rho * p
         i = 0
         while i * (p - 1) + alpha <= r:
             if i * (p - 1) + alpha > lo_excl:
-                v = valuation(witness_values(p, r, alpha, rp, i)[1], p)
-                witnesses.append(Witness(i, "X_i_star", v0, v, v0 < v))
+                witnesses.append((i, valuation(witness_values(p, r, alpha, rp, i)[1], p)))
             i += 1
     else:
+        kind = "C_l_p^l"
         cols = c_constants(p, r, alpha)
         for l in range(alpha - rp if lemma_id == 12 else 1, alpha + 1):
-            v = valuation(cols[l], p)
-            if v is not INFINITY:
-                v = v + l
-            witnesses.append(Witness(l, "C_l_p^l", v0, v, v0 < v))
-    return _report(lemma_id, p, r, alpha, rho, rp, witnesses)
+            witnesses.append((l, valuation(cols[l], p) + l))  # INFINITY absorbs + l
+    return _report(lemma_id, p, r, alpha, rho, rp, kind, v0, witnesses)
 
 
 def cleared_identity_holds(p: int, alpha: int, nums: list[int], den: int) -> bool:

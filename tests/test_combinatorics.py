@@ -12,6 +12,7 @@ from padicslopes import combinatorics
 from padicslopes.cli import VERIFY_TARGETS
 from padicslopes.combinatorics import (
     _binomial_row,
+    _column_numerators,
     _forward_differences,
     _row_sum_numerators,
     _step_differences,
@@ -115,6 +116,13 @@ class TestCConstants:
             )
             assert lhs == generalized_binomial(rp - x, rp)
 
+    @pytest.mark.parametrize("p,r,alpha", [(5, 20, 4), (7, 40, 6), (11, 60, 6), (5, 19, 3)])
+    def test_column_numerators_against_fractions(self, p, r, alpha):
+        # the integer numerators N_l over den that lemmas 12, 15 and the double sum read
+        cc = c_constants(p, r, alpha)
+        nums, den = lambda_raw_table(p, cc.rho_prime, alpha)
+        assert {l: Fraction(n, den) for l, n in _column_numerators(r, alpha, nums).items()} == cc.values
+
     def test_cleared_values_integral(self):
         cc = c_constants(5, 20, 4)
         for l, c in cc.values.items():
@@ -145,6 +153,11 @@ class TestVartheta:
         # claim: zero for 0 <= w < alpha
         sys = build_interior_annihilator(5, 20, 1)
         assert vartheta(sys.row_values, 0, 5) == 0
+
+    @pytest.mark.parametrize("p", [-1, 0, 2, 4])
+    def test_rejects_p_outside_the_hypotheses(self, p):
+        with pytest.raises(ValueError, match="prime > 3"):
+            vartheta({1: Fraction(1), 2: Fraction(3)}, 2, p)
 
 
 class TestMatrixM:
@@ -203,7 +216,7 @@ class TestFactorAndRank:
 
     def test_interior_rank(self):
         rep = interior_rank_report(5, 26, 2)
-        assert rep.permutation_ok and rep.full_rank_mod_p
+        assert rep.full_rank_mod_p
         assert rep.gamma == rep.R * 0 + interior_row_indices(5, 26, 2)[0] * 4 + 2
 
     @pytest.mark.parametrize("cell", [(1, 10, 0), (4, 60, 2), (5, 60, 99)])
@@ -215,9 +228,9 @@ class TestFactorAndRank:
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_consecutive_rows_is_the_entrywise_comparison(self, p):
-        # permutation_ok tests that the interior rows are consecutive; this is the
-        # R x R comparison of the cell's submatrix m2 = (C(i(p-1)+alpha, alpha-j))
-        # with the reversed carry matrix, on the window and on rows with a gap
+        # interior_rank_report reads the cell's submatrix m2 = (C(i(p-1)+alpha, alpha-j))
+        # as the reversed carry matrix; the R x R comparison holds exactly when the
+        # rows are consecutive, which every interior window of the sweep is
         def entrywise(alpha, rows):
             R, gamma = len(rows), rows[0] * (p - 1) + alpha
             m2 = [[comb0(i * (p - 1) + alpha, alpha - j) for j in range(alpha - R + 1, alpha + 1)] for i in rows]
@@ -228,10 +241,10 @@ class TestFactorAndRank:
             rows = interior_row_indices(p, r, alpha)
             if not rows:
                 continue
-            rep = interior_rank_report(p, r, alpha)
+            assert rows == list(range(rows[0], rows[0] + len(rows)))
             same, m2 = entrywise(alpha, rows)
-            assert rep.permutation_ok == same
-            assert rep.full_rank_mod_p == (rank_mod_p(m2, p) == len(rows))
+            assert same
+            assert interior_rank_report(p, r, alpha).full_rank_mod_p == (rank_mod_p(m2, p) == len(rows))
             gapped = rows[:1] + rows[2:]
             assert entrywise(alpha, gapped)[0] == (gapped == list(range(gapped[0], gapped[0] + len(gapped))))
 
@@ -686,14 +699,6 @@ class TestChecksCanFail:
         monkeypatch.setattr(combinatorics, "_binomial_row", _ratio_off_by_one)
         with pytest.raises(AssertionError, match="failed verification"):
             solve_interior_system(5, 26, 2, u)
-
-    def test_interior_rank_sees_a_gap_in_the_rows(self, monkeypatch):
-        assert interior_rank_report(5, 120, 2).permutation_ok
-        rows = combinatorics.interior_row_indices
-        monkeypatch.setattr(
-            combinatorics, "interior_row_indices", lambda *cell: [i for k, i in enumerate(rows(*cell)) if k != 1]
-        )
-        assert not interior_rank_report(5, 120, 2).permutation_ok
 
 
 class TestFractionOnlyAtTheEdge:

@@ -37,11 +37,15 @@ def falling(a, n):
 
 class TestWitnessValues:
     def test_X0_is_central_binomial(self):
-        # every witness compares against v_p(X_0) with X_0 = C(r, alpha)
-        for lemma in (10, 11, 12):
+        # every witness compares against v_p(X_0) with X_0 = C(r, alpha), kept
+        # once per report, as is the witness kind
+        for lemma, kind in ((10, "X_i"), (11, "X_i_star"), (12, "C_l_p^l")):
             rep = verify_lemma(lemma, 5, 40, 9)
             assert rep.witnesses
-            assert all(w.lhs_val == valuation(math.comb(40, 9), 5) for w in rep.witnesses)
+            assert rep.v_x0 == valuation(math.comb(40, 9), 5)
+            assert rep.kind == kind
+            record = _lemma_record(rep)
+            assert {(w["v_X0"], w["kind"]) for w in record["witnesses"]} == {(str(rep.v_x0), kind)}
 
     def test_eq133_ratio(self):
         # general variant, i = -j < 0:
@@ -78,9 +82,9 @@ class TestWitnessValues:
 
     def test_column_witness(self):
         # the column witness at l = alpha is v_p(C_l p^l)
-        (w,) = [w for w in verify_lemma(12, 5, 40, 9).witnesses if w.index == 9]
-        assert w.kind == "C_l_p^l"
-        assert w.rhs_val == valuation(c_constants(5, 40, 9)[9] * 5**9, 5)
+        rep = verify_lemma(12, 5, 40, 9)
+        assert rep.kind == "C_l_p^l"
+        assert dict(rep.witnesses)[9] == valuation(c_constants(5, 40, 9)[9] * 5**9, 5)
 
     def test_window_validation(self):
         for lemma in (10, 11, 12):
@@ -92,26 +96,38 @@ class TestVerifyLemma:
     def test_lemma10_strict(self):
         rep = verify_lemma(10, 5, 40, 9)
         assert rep.verdict == "holds"
-        assert all(w.strict for w in rep.witnesses)
-        assert all(w.index < 0 for w in rep.witnesses)
+        assert all(v > rep.v_x0 for _, v in rep.witnesses)
+        assert all(w["strict"] for w in _lemma_record(rep)["witnesses"])
+        assert all(i < 0 for i, _ in rep.witnesses)
+
+    def test_lemma10_fails_at_p2(self):
+        # lemma 10 runs at any prime; at p = 2 the row i = -1 ties with X_0
+        rep = verify_lemma(10, 2, 6, 3)
+        assert rep.verdict == "fails"
+        assert rep.min_margin == 0
+        assert rep.witnesses[0] == (-1, rep.v_x0)
+        first = _lemma_record(rep)["witnesses"][0]
+        assert first["index"] == -1
+        assert first["strict"] is False
+        assert first["margin"] == "0"
 
     def test_lemma11_window(self):
         rep = verify_lemma(11, 5, 40, 9)
         assert rep.verdict == "holds"
         rp = rho_prime_of(5, 40, 9)
-        for w in rep.witnesses:
-            assert rp * 4 + 9 < w.index * 4 + 9 <= 40
+        for i, _ in rep.witnesses:
+            assert rp * 4 + 9 < i * 4 + 9 <= 40
 
     def test_lemma12_full_column_range(self):
         rep = verify_lemma(12, 5, 40, 9)
         rp = rho_prime_of(5, 40, 9)
         assert rep.verdict == "holds"
-        assert [w.index for w in rep.witnesses] == list(range(9 - rp, 10))
+        assert [i for i, _ in rep.witnesses] == list(range(9 - rp, 10))
 
     def test_lemma13_excludes_zero_index(self):
         rep = verify_lemma(13, 5, 25)  # rho=4
         assert rep.verdict == "holds"
-        assert all(w.index < 0 for w in rep.witnesses)
+        assert all(i < 0 for i, _ in rep.witnesses)
 
     def test_lemma13_vacuous_when_narrow(self):
         rep = verify_lemma(13, 5, 19)  # rho=3 < p-1: no admissible i
@@ -121,7 +137,7 @@ class TestVerifyLemma:
     def test_lemma15_excludes_l0(self):
         # at l = 0 both sides have equal valuation, so the window starts at 1
         rep = verify_lemma(15, 5, 19)
-        assert [w.index for w in rep.witnesses] == [1, 2, 3]
+        assert [l for l, _ in rep.witnesses] == [1, 2, 3]
         p, r, rho = 5, 19, 3
         cc = c_constants(p, r, rho)
         v0 = valuation(math.comb(r, rho), p)
@@ -351,11 +367,20 @@ class TestPrimeValidation:
 
 class TestMarginsStored:
     def test_margins_are_fields(self):
+        # min_margin is a field computed once; each record margin is v_other - v_X0
         rep = verify_lemma(12, 5, 40, 9)
-        for w in rep.witnesses:
-            assert w.__dict__["margin"] == w.rhs_val - w.lhs_val
-        assert rep.__dict__["min_margin"] == min(w.margin for w in rep.witnesses)
+        margins = [v - rep.v_x0 for _, v in rep.witnesses]
+        assert [w["margin"] for w in _lemma_record(rep)["witnesses"]] == [str(m) for m in margins]
+        assert rep.__dict__["min_margin"] == min(margins)
         assert verify_lemma(13, 5, 19).min_margin is None  # vacuous: no witness
+
+    def test_infinite_valuation_orders_above_every_margin(self):
+        # a zero witness has v_other = INFINITY: its margin is INFINITY and strict
+        rep = lc._report(12, 5, 40, 9, 6, 6, "C_l_p^l", 1, [(3, INFINITY), (4, 4)])
+        assert (rep.verdict, rep.min_margin) == ("holds", 3)
+        assert [(w["margin"], w["strict"]) for w in _lemma_record(rep)["witnesses"]] == [("inf", True), ("3", True)]
+        only = lc._report(12, 5, 40, 9, 6, 6, "C_l_p^l", 1, [(3, INFINITY)])
+        assert (only.verdict, only.min_margin) == ("holds", INFINITY)
 
 
 def _sweep(name, ps, r_max):
