@@ -430,10 +430,13 @@ def cmd_verify(args) -> int:
 
 def cmd_slopes(args) -> int:
     ks = _even_weights(args.k)
-    tasks = [(p, k) for p in _check_primes(args.p) for k in ks]
+    tasks = [(p, group) for p in _check_primes(args.p) for group in mf.dimension_groups(ks)]
+    found = {}
+    for (p, group), results in zip(tasks, _pool_starmap(mf.sweep_slopes, tasks, args.jobs)):
+        found.update(((p, k), svals) for k, svals in zip(group, results))
     rows = []
     records = []
-    for (p, k), svals in zip(tasks, _pool_starmap(mf.slopes, tasks, args.jobs)):
+    for (p, k), svals in sorted(found.items()):
         records.append({"p": p, "k": k, "slopes": [format_rational(s) for s in svals]})
         for s in svals:
             row = [p, k, format_rational(s)]

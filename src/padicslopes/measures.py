@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .modforms import dim_cusp, slopes
+from .modforms import dim_cusp, dimension_groups, slopes, sweep_slopes
 from .padic import ExtendedValuation, _check_prime, _check_prime_gt3, integer_log
 
 
@@ -52,8 +52,12 @@ def supersingularity_measure(p: int, k: int, include_newforms: bool = False) -> 
     if k % 2 or k < 4:
         raise ValueError("k must be even and >= 4")
     _check_prime(p)
+    return _measure(p, k, slopes(p, k), include_newforms)
+
+
+def _measure(p: int, k: int, level1: list[ExtendedValuation], include_newforms: bool) -> SlopeMeasure:
+    """The measure of one weight from its level-1 slopes."""
     masses: list[Fraction] = []
-    level1 = slopes(p, k) if k >= 12 else []
     for alpha in level1:
         lo, hi = oldform_slope_pair(alpha, k)
         masses.append(lo / (k - 1))
@@ -121,8 +125,8 @@ def is_regular(p: int, k_max: int | None = None) -> RegularityReport:
     top = p + 1 if k_max is None else k_max
     ks = tuple(k for k in range(12, top + 1) if k % 2 == 0)
     witnesses = []
-    for k in ks:
-        for s in slopes(p, k):
+    for k, level1 in zip(ks, sweep_slopes(p, ks)):
+        for s in level1:
             if s > 0:
                 witnesses.append((k, s))
     return RegularityReport(
@@ -155,22 +159,25 @@ class ProfileTable:
     cutoff: str | None  # set when the resource guard stopped the sweep
 
 
-def profile_row(p: int, k: int, include_newforms: bool = False) -> ProfileRow:
-    """The middle-interval mass count of one weight."""
-    measure = supersingularity_measure(p, k, include_newforms)
-    bound = support_bound(p, k)
-    count, frac = mass_in_middle(measure, bound)
-    return ProfileRow(
-        p=p,
-        k=k,
-        dim_old=measure.oldform_count,
-        dim_new=measure.newform_count,
-        count_middle=count,
-        fraction_middle=frac,
-        left_end=bound.left_end,
-        right_end=bound.right_end,
-        masses=measure.masses,
-    )
+def profile_rows(p: int, ks: list[int], include_newforms: bool = False) -> list[ProfileRow]:
+    """The middle-interval mass counts of the weights ks, in order."""
+    rows = []
+    for k, level1 in zip(ks, sweep_slopes(p, ks)):
+        measure = _measure(p, k, level1, include_newforms)
+        bound = support_bound(p, k)
+        count, frac = mass_in_middle(measure, bound)
+        rows.append(ProfileRow(
+            p=p,
+            k=k,
+            dim_old=measure.oldform_count,
+            dim_new=measure.newform_count,
+            count_middle=count,
+            fraction_middle=frac,
+            left_end=bound.left_end,
+            right_end=bound.right_end,
+            masses=measure.masses,
+        ))
+    return rows
 
 
 def middle_mass_profile(
@@ -185,10 +192,12 @@ def middle_mass_profile(
 
     ``max_dim`` is a resource guard on the cusp-space dimension; exceeding it
     stops the sweep with an explicit cutoff marker instead of truncating
-    silently.  The weights are listed up to the cutoff first, and
-    ``starmap(profile_row, tasks)`` computes their rows in order (a process
-    pool's starmap works too).
+    silently.  The weights are listed up to the cutoff first and split into
+    groups of one dimension (``dimension_groups``); ``starmap(profile_rows,
+    tasks)`` computes the rows of each group (a process pool's starmap works
+    too), and the rows are put back in weight order.
     """
+    _check_prime(p)
     ks = []
     cutoff = None
     for k in range(max(4, k_min + (k_min % 2)), k_max + 1, 2):
@@ -197,5 +206,6 @@ def middle_mass_profile(
             cutoff = f"max_dim guard: dim S_{k} = {d} > {max_dim}"
             break
         ks.append(k)
-    rows = starmap(profile_row, [(p, k, include_newforms) for k in ks])
+    chunks = starmap(profile_rows, [(p, group, include_newforms) for group in dimension_groups(ks)])
+    rows = sorted((row for chunk in chunks for row in chunk), key=lambda row: row.k)
     return ProfileTable(p=p, include_newforms=include_newforms, rows=tuple(rows), cutoff=cutoff)

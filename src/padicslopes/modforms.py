@@ -3,14 +3,21 @@
 Eisenstein series and the discriminant cusp form generate everything needed;
 the echelonized monomial basis of the cusp space gives integral Hecke
 matrices whose characteristic polynomials feed the Newton-polygon slope
-extraction.  Every coefficient is an int: E_4, E_6 and Delta are integral,
-and so is every product of them.
+extraction.  Every coefficient is an int: E_4, E_6, Delta, 1/Delta' (with
+Delta' = Delta/q) and J = E_4^3/Delta' = q j are integral, and so is every
+product of them.
 
 Every product of two series is one integer multiplication (Kronecker
 substitution): the coefficients are packed into fixed-width slots of one
 int each, multiplied, and read back slot by slot.  The slots are wide
 enough that no coefficient of the product overflows, so the result is exact.
 The schoolbook double loop is kept in the tests as the oracle.
+
+The Miller basis rows Delta^i E_4^a_i E_6^b = q^i h_i come from one chain
+h_i = h_(i+1) J, about d products for dimension d.  A weight sweep
+(``sweep_slopes``) builds J, Delta'^d, E_4 and E_6 once per dimension and
+shares them among the weights of that dimension; nothing is cached between
+calls.
 """
 
 from __future__ import annotations
@@ -154,22 +161,42 @@ def eisenstein(k: int, prec: int) -> QExpansion:
     return QExpansion(k, [1] + [factor * s for s in _sigma_table(k - 1, prec)[1:]], prec)
 
 
-def delta(prec: int) -> QExpansion:
-    """The discriminant form q prod (1-q^n)^24, weight 12, integral.
+def _delta_prime(n: int, inverse: bool = False) -> QExpansion:
+    """Delta' = Delta/q = prod (1-q^m)^24 mod q^n, or 1/Delta' when ``inverse``.
 
-    prod (1-q^n)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2) (Jacobi), and three
-    squarings raise it to the 24th power."""
+    Jacobi's identity prod (1-q^m)^3 = sum_t (-1)^t (2t+1) q^(t(t+1)/2) has
+    one term per triangular number below n.  Its inverse u follows from the
+    same terms: u_0 = 1 and u_m = -sum_(t >= 1) (-1)^t (2t+1) u_(m - t(t+1)/2),
+    about sqrt(2m) terms per coefficient.  Three squarings raise either
+    series to the 8th power."""
+    terms = []
+    t = 0
+    while t * (t + 1) // 2 < n:
+        terms.append((t * (t + 1) // 2, (-1) ** t * (2 * t + 1)))
+        t += 1
+    f = [0] * n
+    if inverse:
+        f[0] = 1
+        for m in range(1, n):
+            acc = 0
+            for e, c in terms[1:]:
+                if e > m:
+                    break
+                acc -= c * f[m - e]
+            f[m] = acc
+    else:
+        for e, c in terms:
+            f[e] = c
+    for _ in range(3):
+        f = _kronecker_product(f, f, n)
+    return QExpansion(-12 if inverse else 12, f, n)
+
+
+def delta(prec: int) -> QExpansion:
+    """The discriminant form Delta = q Delta', weight 12, integral."""
     if prec < 2:
         raise ValueError("prec must be >= 2")
-    cube = [0] * prec
-    k = 0
-    while k * (k + 1) // 2 < prec:
-        cube[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
-        k += 1
-    f = QExpansion(0, cube, prec)
-    for _ in range(3):
-        f = f * f
-    return QExpansion(12, f.shift(1).coeffs, prec)
+    return QExpansion(12, [0] + _delta_prime(prec - 1).coeffs, prec)
 
 
 def dim_cusp(k: int, level: int = 1) -> int:
@@ -204,11 +231,13 @@ def dim_cusp(k: int, level: int = 1) -> int:
 
 def miller_basis(k: int, prec: int) -> list[QExpansion]:
     """Echelon basis f_1..f_d of the level-1 weight-k cusp space:
-    f_i = q^i + O(q^(d+1)), integral, built from Delta^i E_4^a_i E_6^b.
+    f_i = q^i + O(q^(d+1)), integral, built from g_i = Delta^i E_4^a_i E_6^b.
 
     12i is 0 mod 4, so b = [k mod 4 != 0] is the same on every row and a_i
-    falls by 3 from row i to row i+1: one E_4^3 ladder climbs from
-    E_4^a_d E_6^b, and Delta^i takes one product per row."""
+    falls by 3 from row i to row i+1.  So g_i = q^i h_i with one chain
+    h_i = h_(i+1) J from h_d = Delta'^d E_4^a_d E_6^b, where Delta' = Delta/q
+    and J = E_4^3/Delta' = q j = 1 + 744q + 196884q^2 + ... is integral, so
+    each row costs one product (see ``_miller_bases`` for the precision)."""
     if k % 2 or k < 12:
         raise ValueError("k must be even and >= 12")
     d = dim_cusp(k)
@@ -216,32 +245,50 @@ def miller_basis(k: int, prec: int) -> list[QExpansion]:
         return []
     if prec < d + 1:
         raise ValueError(f"prec {prec} too small for dimension {d}")
-    e4 = eisenstein(4, prec)
-    b = 0 if k % 4 == 0 else 1
-    form = e4.pow((k - 12 * d - 6 * b) // 4)
-    if b:
-        form = form * eisenstein(6, prec)
-    e4_cubed = e4 * e4 * e4
-    rows = [form]  # E_4^a_i E_6^b for i = d, d-1, ..., 1
-    for _ in range(d - 1):
-        rows.append(rows[-1] * e4_cubed)
-    rows.reverse()
-    dl = delta(prec)
-    dpow = dl
-    for i in range(d):
-        if i:
-            dpow = dpow * dl
-        rows[i] = QExpansion(k, (dpow * rows[i]).coeffs, prec)
-    # echelonize: leading coefficient of rows[i-1] at q^i is already 1
-    for i in range(d, 0, -1):
-        fi = rows[i - 1]
-        if fi.a(i) != 1:
-            raise AssertionError(f"Miller basis row {i} has leading coefficient {fi.a(i)} (bug)")
-        for j in range(i - 1, 0, -1):
-            c = rows[j - 1].a(i)
-            if c:
-                rows[j - 1] = rows[j - 1] - fi.scale(c)
-    return rows
+    return next(_miller_bases(d, [k], prec))
+
+
+def _q_j(n: int) -> QExpansion:
+    """J = E_4^3/Delta' = q j = 1 + 744q + 196884q^2 + ... mod q^n, integral
+    because 1/Delta' is."""
+    return eisenstein(4, n).pow(3) * _delta_prime(n, inverse=True)
+
+
+def _miller_bases(d: int, ks: list[int], prec: int):
+    """Yield miller_basis(k, prec) for each weight k in ks, all of dimension d >= 1.
+
+    g_i = q^i h_i is needed mod q^prec, so h_i is needed mod q^(prec - i);
+    h_1 = h_2 J = ... is needed mod q^(prec - 1) and every h_i feeds it, so
+    the whole chain runs mod q^(prec - 1).  J, Delta'^d, E_4 and E_6 are
+    built once for all of ks, and so is each start h_d = Delta'^d E_4^a E_6^b
+    (a <= 2, b <= 1)."""
+    n = prec - 1
+    e4, e6 = eisenstein(4, n), eisenstein(6, n)
+    qj = _q_j(n)
+    starts = {(0, 0): _delta_prime(n).pow(d)}
+
+    def start(a: int, b: int) -> QExpansion:
+        if (a, b) not in starts:
+            starts[a, b] = start(a - 1, b) * e4 if a else start(a, b - 1) * e6
+        return starts[a, b]
+
+    for k in ks:
+        b = 0 if k % 4 == 0 else 1
+        h = start((k - 12 * d - 6 * b) // 4, b)
+        chain = [h]  # h_d, h_(d-1), ..., h_1
+        for _ in range(d - 1):
+            chain.append(chain[-1] * qj)
+        rows = [QExpansion(k, [0] * i + hi.coeffs[: prec - i], prec) for i, hi in enumerate(reversed(chain), 1)]
+        # echelonize: leading coefficient of rows[i-1] at q^i is already 1
+        for i in range(d, 0, -1):
+            fi = rows[i - 1]
+            if fi.a(i) != 1:
+                raise AssertionError(f"Miller basis row {i} has leading coefficient {fi.a(i)} (bug)")
+            for j in range(i - 1, 0, -1):
+                c = rows[j - 1].a(i)
+                if c:
+                    rows[j - 1] = rows[j - 1] - fi.scale(c)
+        yield rows
 
 
 @dataclass(frozen=True)
@@ -277,23 +324,54 @@ def hecke_operator(f: QExpansion, p: int) -> QExpansion:
 def hecke_matrix(p: int, k: int) -> HeckeMatrix:
     """Integral matrix of T_p on the weight-k Miller basis."""
     _check_prime(p)
-    d = dim_cusp(k)
+    return next(_hecke_matrices(p, [k]))
+
+
+def _hecke_matrices(p: int, ks: list[int]):
+    """Yield hecke_matrix(p, k) for each weight k in ks, all of one
+    dimension d, from one set of basis series at precision p d + 1."""
+    d = dim_cusp(ks[0])
     if d == 0:
-        return HeckeMatrix(p=p, k=k, d=0, entries=())
-    prec = p * d + 1
-    basis = miller_basis(k, prec)
-    entries = []
-    for f in basis:
-        tf = hecke_operator(f, p)
-        entries.append(tuple(tf.a(j) for j in range(1, d + 1)))
-    return HeckeMatrix(p=p, k=k, d=d, entries=tuple(entries))
+        for k in ks:
+            yield HeckeMatrix(p=p, k=k, d=0, entries=())
+        return
+    for k, basis in zip(ks, _miller_bases(d, ks, p * d + 1)):
+        entries = []
+        for f in basis:
+            tf = hecke_operator(f, p)
+            entries.append(tuple(tf.a(j) for j in range(1, d + 1)))
+        yield HeckeMatrix(p=p, k=k, d=d, entries=tuple(entries))
+
+
+def dimension_groups(ks: list[int]) -> list[list[int]]:
+    """The weights ks grouped by d = dim S_k, ascending in d, each group in
+    the order of ks.  dim S_k dips at k = 2 mod 12, so the groups of an
+    ascending sweep interleave: a caller that wants rows by weight sorts."""
+    groups: dict[int, list[int]] = {}
+    for k in ks:
+        groups.setdefault(dim_cusp(k), []).append(k)
+    return [groups[d] for d in sorted(groups)]
 
 
 def slopes(p: int, k: int) -> list[ExtendedValuation]:
     """Multiset (ascending list) of p-adic valuations of the T_p eigenvalues
     on the weight-k level-1 cusp space: the Newton polygon slopes of the
     characteristic polynomial, with INFINITY entries for zero eigenvalues."""
-    hm = hecke_matrix(p, k)
+    return _slopes(hecke_matrix(p, k))
+
+
+def sweep_slopes(p: int, ks: list[int]) -> list[list[ExtendedValuation]]:
+    """[slopes(p, k) for k in ks]: the weights of one dimension d share
+    one J, Delta'^d, E_4 and E_6 (see ``_miller_bases``)."""
+    _check_prime(p)
+    found = {}
+    for group in dimension_groups(ks):
+        for hm in _hecke_matrices(p, group):
+            found[hm.k] = _slopes(hm)
+    return [found[k] for k in ks]
+
+
+def _slopes(hm: HeckeMatrix) -> list[ExtendedValuation]:
     if hm.d == 0:
         return []
     cp = hm.charpoly()
@@ -301,5 +379,5 @@ def slopes(p: int, k: int) -> list[ExtendedValuation]:
     out: list[ExtendedValuation] = [INFINITY] * ord0
     if ord0 == hm.d:
         return out
-    np = newton_polygon(cp[ord0:], p)
+    np = newton_polygon(cp[ord0:], hm.p)
     return np.slope_list() + out

@@ -264,11 +264,12 @@ class TestArgumentBoundary:
         assert run_cli(["verify", "lemma9", "--p", "2,3", "--a-max", "20", "--jobs", "8"], out) == 0
         assert run_cli(["verify", "lemma9", "--p", "2", "--a-max", "20", "--jobs", "8"], out) == 0
         assert sizes == [3, 2]
-        # slopes and measure share the pool out by weight, in sorted order
+        # slopes and measure share the pool out by (p, dim S_k) group, and write rows by weight
         serial, pooled = tmp_path / "a.csv", tmp_path / "b.csv"
         for argv, pools in [
-            (["slopes", "--p", "2,5", "--k", "12..40", "--approx"], [3]),
-            (["measure", "--p", "59", "--k", "12..20", "--include-newforms"], [3]),
+            (["slopes", "--p", "2,5", "--k", "12..40", "--approx"], [3]),  # 2 primes x d in 0..3
+            (["slopes", "--p", "5", "--k", "24..28"], [2]),  # d = 2, 1, 2
+            (["measure", "--p", "59", "--k", "12..20", "--include-newforms"], [2]),  # d in 0..1
             (["measure", "--p", "5", "--k", "12..200", "--max-dim", "2", "--dump-masses"], [3]),
             (["slopes", "--p", "5", "--k", "12", "--format", "json"], []),
         ]:
@@ -278,6 +279,20 @@ class TestArgumentBoundary:
             assert run_cli([*argv, "--jobs", "8"], pooled) == 0
             assert sizes == pools
             assert pooled.read_bytes() == serial.read_bytes()
+
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--p", "5", "--k", "12..60", "--dump-masses"],
+        ["slopes", "--p", "5,59", "--k", "12..50"],
+    ])
+    def test_weight_sweeps_same_bytes_on_a_pool(self, argv, tmp_path):
+        serial, pooled = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli([*argv, "--jobs", "1"], serial) == 0
+        assert run_cli([*argv, "--jobs", "2"], pooled) == 0
+        assert pooled.read_bytes() == serial.read_bytes()
+        cells = [tuple(map(int, line.split(",")[:2])) for line in serial.read_text().splitlines()[1:]]
+        assert cells == sorted(cells)
+        assert {k for _, k in cells} >= {26, 38, 50}  # weights where dim S_k dips below its neighbours
 
 
 class TestHeckeCheckCommand:

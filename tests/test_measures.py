@@ -197,6 +197,17 @@ class TestProfiles:
             if r.dim_new:
                 assert r.count_middle >= r.dim_new
 
+    def test_rejects_p_not_prime(self):
+        with pytest.raises(ValueError):
+            middle_mass_profile(4, 4, 2)
+
+    def test_rows_match_per_weight_measures(self):
+        # the weights are computed in groups of one dimension and put back in weight order
+        table = middle_mass_profile(7, 4, 64, include_newforms=True)
+        assert [r.k for r in table.rows] == list(range(4, 65, 2))
+        for r in table.rows:
+            assert r.masses == supersingularity_measure(7, r.k, include_newforms=True).masses
+
     def test_resource_guard(self):
         table = middle_mass_profile(5, 12, 400, max_dim=3)
         assert table.cutoff is not None

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -26,6 +29,7 @@ from qexp_oracle import (
     genus_gamma0_rational,
     miller_basis_by_rows,
     schoolbook_mul,
+    schoolbook_pow,
 )
 
 
@@ -145,19 +149,68 @@ class TestMillerBasis:
         with pytest.raises(ValueError):
             miller_basis(24, 2)
 
-    @pytest.mark.parametrize("p,k_max", [(2, 240), (5, 240), (59, 60)])
-    def test_ladder_matches_per_row_route(self, p, k_max):
-        # both parities of b = [k mod 4 != 0] at the precision hecke_matrix uses
-        for k in range(12, k_max + 1, 2):
+    @pytest.mark.parametrize("p,k_min,k_max", [(2, 12, 240), (5, 12, 240), (59, 12, 60), (5, 300, 300)])
+    def test_jchain_matches_per_row_route(self, p, k_min, k_max):
+        # both parities of b = [k mod 4 != 0] at the precision hecke_matrix uses, up to d = 25
+        for k in range(k_min, k_max + 1, 2):
             if d := dim_cusp(k):
                 assert miller_basis(k, p * d + 1) == miller_basis_by_rows(k, p * d + 1)
 
-    def test_leading_coefficient_check_survives_optimization(self, monkeypatch):
+    @pytest.mark.parametrize("d,prec", [(1, 60), (2, 11), (4, 237), (7, 36)])
+    def test_shared_series_serve_every_weight_of_a_dimension(self, d, prec):
+        # the weights of one dimension in scrambled order share J, Delta'^d and the starts
+        ks = [k for k in range(12 * d + 14, 12 * d - 2, -2) if dim_cusp(k) == d]
+        assert len(ks) == 6
+        ks = ks[1::2] + ks[::2]
+        assert list(modforms._miller_bases(d, ks, prec)) == [miller_basis_by_rows(k, prec) for k in ks]
+
+    def test_product_count(self, monkeypatch):
+        # J, Delta' and 1/Delta' cost 9 products, Delta'^25 six, the chain 24
+        calls = []
+        true_product = modforms._kronecker_product
+
+        def counting(a, b, n):
+            calls.append(n)
+            return true_product(a, b, n)
+
+        monkeypatch.setattr(modforms, "_kronecker_product", counting)
+        miller_basis(300, 126)
+        assert len(calls) <= 40
+
+    def test_leading_coefficient_check_survives_optimization(self):
         # a raise, not an assert: python -O must not drop it
-        true_delta = modforms.delta
-        monkeypatch.setattr(modforms, "delta", lambda prec: true_delta(prec).scale(2))
-        with pytest.raises(AssertionError, match="row 1 has leading coefficient 2 \\(bug\\)"):
-            miller_basis(12, 10)
+        script = (
+            "from padicslopes import modforms\n"
+            "true_q_j = modforms._q_j\n"
+            "modforms._q_j = lambda n: true_q_j(n).scale(2)\n"
+            "try:\n"
+            "    modforms.miller_basis(24, 10)\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(modforms.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert out.stdout == "Miller basis row 1 has leading coefficient 2 (bug)\n"
+
+
+class TestJ:
+    def test_first_coefficients(self):
+        assert modforms._q_j(6).coeffs == [1, 744, 196884, 21493760, 864299970, 20245856256]
+
+    def test_times_delta_prime_is_e4_cubed(self):
+        prec = 300
+        delta_prime = QExpansion(12, delta(prec + 1).coeffs[1:], prec)
+        assert schoolbook_mul(modforms._q_j(prec), delta_prime) == schoolbook_pow(eisenstein(4, prec), 3)
+
+    def test_inverse_delta_prime(self):
+        # the sparse recurrence against the schoolbook product, and the 24-coloured partition counts
+        inverse = modforms._delta_prime(200, inverse=True)
+        assert inverse.coeffs[:6] == [1, 24, 324, 3200, 25650, 176256]
+        assert schoolbook_mul(inverse, modforms._delta_prime(200)).coeffs == [1] + [0] * 199
 
 
 class TestHeckeMatrix:
