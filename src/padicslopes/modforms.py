@@ -237,7 +237,9 @@ def miller_basis(k: int, prec: int) -> list[QExpansion]:
     falls by 3 from row i to row i+1.  So g_i = q^i h_i with one chain
     h_i = h_(i+1) J from h_d = Delta'^d E_4^a_d E_6^b, where Delta' = Delta/q
     and J = E_4^3/Delta' = q j = 1 + 744q + 196884q^2 + ... is integral, so
-    each row costs one product (see ``_miller_bases`` for the precision)."""
+    each row costs one product.  g_i is needed mod q^prec, so h_i only mod
+    q^(prec - i); h_1 needs prec - 1 coefficients and every h_i feeds it
+    through the chain, so the whole chain runs mod q^(prec - 1)."""
     if k % 2 or k < 12:
         raise ValueError("k must be even and >= 12")
     d = dim_cusp(k)
@@ -255,13 +257,9 @@ def _q_j(n: int) -> QExpansion:
 
 
 def _miller_bases(d: int, ks: list[int], prec: int):
-    """Yield miller_basis(k, prec) for each weight k in ks, all of dimension d >= 1.
-
-    g_i = q^i h_i is needed mod q^prec, so h_i is needed mod q^(prec - i);
-    h_1 = h_2 J = ... is needed mod q^(prec - 1) and every h_i feeds it, so
-    the whole chain runs mod q^(prec - 1).  J, Delta'^d, E_4 and E_6 are
-    built once for all of ks, and so is each start h_d = Delta'^d E_4^a E_6^b
-    (a <= 2, b <= 1)."""
+    """Yield miller_basis(k, prec) for each weight k in ks, all of dimension
+    d >= 1.  J, Delta'^d, E_4 and E_6 are built once for all of ks, and so is
+    each start h_d = Delta'^d E_4^a E_6^b (a <= 2, b <= 1)."""
     n = prec - 1
     e4, e6 = eisenstein(4, n), eisenstein(6, n)
     qj = _q_j(n)
@@ -331,16 +329,11 @@ def _hecke_matrices(p: int, ks: list[int]):
     """Yield hecke_matrix(p, k) for each weight k in ks, all of one
     dimension d, from one set of basis series at precision p d + 1."""
     d = dim_cusp(ks[0])
-    if d == 0:
-        for k in ks:
-            yield HeckeMatrix(p=p, k=k, d=0, entries=())
-        return
-    for k, basis in zip(ks, _miller_bases(d, ks, p * d + 1)):
-        entries = []
-        for f in basis:
-            tf = hecke_operator(f, p)
-            entries.append(tuple(tf.a(j) for j in range(1, d + 1)))
-        yield HeckeMatrix(p=p, k=k, d=d, entries=tuple(entries))
+    bases = _miller_bases(d, ks, p * d + 1) if d else ([] for _ in ks)
+    for k, basis in zip(ks, bases):
+        # T_p f has precision d + 1: its coefficients a_1..a_d are the row
+        entries = tuple(tuple(hecke_operator(f, p).coeffs[1:]) for f in basis)
+        yield HeckeMatrix(p=p, k=k, d=d, entries=entries)
 
 
 def dimension_groups(ks: list[int]) -> list[list[int]]:
