@@ -169,17 +169,16 @@ def _delta_prime(n: int, inverse: bool = False) -> QExpansion:
     same terms: u_0 = 1 and u_m = -sum_(t >= 1) (-1)^t (2t+1) u_(m - t(t+1)/2),
     about sqrt(2m) terms per coefficient.  Three squarings raise either
     series to the 8th power."""
-    terms = []
-    t = 0
+    terms = []  # the terms with t >= 1; both series start 1 + ...
+    t = 1
     while t * (t + 1) // 2 < n:
         terms.append((t * (t + 1) // 2, (-1) ** t * (2 * t + 1)))
         t += 1
-    f = [0] * n
+    f = [1] + [0] * (n - 1)
     if inverse:
-        f[0] = 1
         for m in range(1, n):
             acc = 0
-            for e, c in terms[1:]:
+            for e, c in terms:
                 if e > m:
                     break
                 acc -= c * f[m - e]

@@ -3,11 +3,11 @@
 Production (``padicslopes.modforms``) multiplies two series by one integer
 multiplication (Kronecker substitution), builds Delta from Jacobi's identity,
 E_4 and E_6 from their closed forms, the Miller basis from one chain of
-products by J = E_4^3/Delta' = q j, and the genus of X_0(p) in integers.  This module keeps the routes they
-replaced: the coefficient-by-coefficient double loop, the eta-product loop
-raised to the 24th power, the Bernoulli recurrence and the general-weight
-E_k, the per-row Delta^i E_4^a E_6^b basis, and the rational genus formula.
-The tests compare the routes.
+products by J = E_4^3/Delta' = q j, and the genus of X_0(p) in integers.
+This module keeps the routes they replaced: the coefficient-by-coefficient
+double loop, the eta-product loop raised to the 24th power, the Bernoulli
+recurrence and the general-weight E_k, the per-row Delta^i E_4^a E_6^b
+basis, and the rational genus formula.  The tests compare the routes.
 """
 
 import math

@@ -280,7 +280,6 @@ class TestArgumentBoundary:
             assert sizes == pools
             assert pooled.read_bytes() == serial.read_bytes()
 
-
     @pytest.mark.parametrize("argv", [
         ["measure", "--p", "5", "--k", "12..60", "--dump-masses"],
         ["slopes", "--p", "5,59", "--k", "12..50"],
