@@ -81,15 +81,16 @@ def _even_weights(ks: list[int]) -> list[int]:
     return evens
 
 
-def _write(args, header: list[str], rows: list[list], payload: dict, notes=()) -> None:
+def _write(args, header: list[str], rows: list[list], payload: Callable[[], dict], notes=()) -> None:
     """Write a command's output, the only writer of CSV and JSON.
 
-    ``--format json`` writes ``payload``; CSV writes ``header``, ``rows`` and
-    one ``# note`` line per note.  The text goes to ``--out`` (a relative path
-    is taken under $PADICSLOPES_OUT_DIR when that is set), else to stdout.
+    ``--format json`` writes the dict ``payload()``, so only JSON output
+    builds it; CSV writes ``header``, ``rows`` and one ``# note`` line per
+    note.  The text goes to ``--out`` (a relative path is taken under
+    $PADICSLOPES_OUT_DIR when that is set), else to stdout.
     """
     if args.format == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload(), indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -168,8 +169,11 @@ class Target:
 
     ``cells(p, args)`` lists the cells of one prime, honouring the pins named
     in ``pins``; ``check(*cell)`` returns (verdict, checked, margin or None,
-    JSON record) and raises ValueError for a cell outside the hypotheses.
-    ``shown(cell)`` gives the p, r and alpha columns of the CSV row.
+    item) and raises ValueError for a cell outside the hypotheses.  The item
+    is the cell's JSON record, or a lemma report that ``_record`` turns into
+    one only when a record is needed (JSON output or a failing cell).
+    ``shown(cell)`` gives the p, r and alpha columns of the CSV row, and
+    ``notes(items)`` the notes of a sweep from the items of all its cells.
     """
 
     cells: Callable
@@ -177,7 +181,7 @@ class Target:
     pins: tuple[str, ...] = ()
     primes: tuple[int, ...] = (5, 7, 11, 13)
     shown: Callable = tuple
-    notes: Callable = lambda records: []
+    notes: Callable = lambda items: []
 
 
 def _identity(name: str, ok: bool, checked: int, margin=None, **fields) -> tuple:
@@ -224,7 +228,7 @@ def _double_sum_alphas(p: int, r: int) -> list[int]:
 def _check_lemma(lemma_id: int) -> Callable:
     def check(p, r, alpha=None):
         rep = lc.verify_lemma(lemma_id, p, r, alpha)
-        return rep.verdict, rep.checked, rep.min_margin, _lemma_record(rep)
+        return rep.verdict, rep.checked, rep.min_margin, rep
 
     return check
 
@@ -371,8 +375,14 @@ def _columns(values: tuple) -> list:
     return list(values[:3]) + [""] * (3 - len(values[:3]))
 
 
-def _verify_cell(name: str, *cell) -> tuple[list, dict]:
-    """Run one verification cell; returns (csv row, json record).
+def _record(item) -> dict:
+    """The JSON record of a check result's item."""
+    return _lemma_record(item) if isinstance(item, lc.LemmaReport) else item
+
+
+def _verify_cell(name: str, *cell) -> tuple[list, dict | lc.LemmaReport]:
+    """Run one verification cell; returns (csv row, item), the item a JSON
+    record or a lemma report (see ``Target``).
 
     Module-level so multiprocessing can pickle it; every check is pure.
     Cells that violate a module precondition (possible when --r/--alpha pin
@@ -380,12 +390,12 @@ def _verify_cell(name: str, *cell) -> tuple[list, dict]:
     """
     target = VERIFY_TARGETS[name]
     try:
-        verdict, checked, margin, record = target.check(*cell)
+        verdict, checked, margin, item = target.check(*cell)
     except ValueError as exc:
         row = [name, *_columns(cell), "rejected", "", 0]
         return row, {"target": name, "cell": list(cell), "rejected": str(exc)}
     margin = "" if margin is None else format_rational(margin)
-    return [name, *_columns(target.shown(cell)), verdict, margin, checked], record
+    return [name, *_columns(target.shown(cell)), verdict, margin, checked], item
 
 
 def _pool_starmap(fn: Callable, tasks: list[tuple], jobs: int) -> list:
@@ -409,12 +419,17 @@ def cmd_verify(args) -> int:
     tasks = sorted((name, *cell) for p in ps for cell in target.cells(p, args))
     if not tasks:
         raise UsageError(f"no cells of target {name} in the requested window")
+    lc.clear_table_memos()  # no invocation reads another's tables
     results = _pool_starmap(_verify_cell, tasks, args.jobs)
-    records = [rec for _, rec in results]
-    failures = [rec for row, rec in results if row[4] == "fails"]
-    rejected = [rec for rec in records if "rejected" in rec]
-    notes = target.notes(records)
-    payload = {"target": name, "records": records, "notes": notes, "verified": not failures and not rejected}
+    failures = [_record(item) for row, item in results if row[4] == "fails"]
+    rejected = [item for row, item in results if row[4] == "rejected"]
+    notes = target.notes([item for _, item in results])
+    verified = not failures and not rejected
+
+    def payload():
+        records = [_record(item) for _, item in results]
+        return {"target": name, "records": records, "notes": notes, "verified": verified}
+
     _write(args, VERIFY_HEADER, [row for row, _ in results], payload, notes)
     for rec in failures:
         sys.stderr.write(f"counterexample: {json.dumps(rec, sort_keys=True)}\n")
@@ -444,7 +459,7 @@ def cmd_slopes(args) -> int:
                 row.append("~" + ("inf" if s == INFINITY else f"{float(s):.6f}"))
             rows.append(row)
     header = ["p", "k", "slope"] + (["approx_decimal"] if args.approx else [])
-    _write(args, header, rows, {"records": records})
+    _write(args, header, rows, lambda: {"records": records})
     return 0
 
 
@@ -460,7 +475,7 @@ def cmd_measure(args) -> int:
     record = _profile_record(table)
     header = PROFILE_HEADER + (["masses"] if args.dump_masses else [])
     rows = [[";".join(row[h]) if h == "masses" else row[h] for h in header] for row in record["rows"]]
-    _write(args, header, rows, record, [f"cutoff: {table.cutoff}"] if table.cutoff else [])
+    _write(args, header, rows, lambda: record, [f"cutoff: {table.cutoff}"] if table.cutoff else [])
     if table.cutoff:
         sys.stderr.write(f"resource guard: {table.cutoff}\n")
     return 0
@@ -471,7 +486,7 @@ def cmd_lambda(args) -> int:
     values = [[b, format_rational(v)] for b, v in
               sorted(comb.lambda_values_by_differences(p, args.R, args.alpha).items())]
     payload = {"p": p, "R": args.R, "alpha": args.alpha, "values": {str(b): v for b, v in values}}
-    _write(args, ["beta", "value"], values, payload)
+    _write(args, ["beta", "value"], values, lambda: payload)
     return 0
 
 

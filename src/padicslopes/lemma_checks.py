@@ -7,10 +7,17 @@ and Legendre's formula, never a rational number) and record per-index
 witnesses, so a "holds" verdict is an exhaustive exact computation, never an
 estimate.  Vacuous windows are reported as such rather than silently passing.
 The prime is validated once, at each public entry point.
+
+A raw Lambda table depends on (p, rho', alpha) only, not on r, so a sweep
+meets each one on many cells.  Lemmas 12 and 15 read it from a bounded memo,
+and integrality_checks memoizes the facts it draws from it.  Both memos
+build tables through this module's global lambda_raw_table, so a patch or a
+trace of that name sees every real build; clear_table_memos empties them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -40,6 +47,23 @@ from .padic import (
 
 GENERAL_LEMMAS = (10, 11, 12)
 RHO_LEMMAS = (13, 14, 15)
+# Cells come sorted by (p, r, alpha) and the cells sharing a table lie a few
+# r apart, so a small memo holds every reuse: at p in {5, 7, 11, 13} and
+# r <= 400 a size of 64 already builds each of the 2,339 tables once.
+TABLE_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
+def _lambda_table(p: int, R: int, alpha: int) -> tuple[list[int], int]:
+    """lambda_raw_table(p, R, alpha), built once while it stays in the memo;
+    callers only read it."""
+    return lambda_raw_table(p, R, alpha)
+
+
+def clear_table_memos() -> None:
+    """Forget every memoized Lambda table and the integrality facts drawn from it."""
+    _lambda_table.cache_clear()
+    _integrality_facts.cache_clear()
 
 
 @dataclass(frozen=True)
@@ -132,7 +156,7 @@ def verify_lemma(lemma_id: int, p: int, r: int, alpha: int | None = None) -> Lem
         ]
     else:  # 12, 15
         kind = "C_l_p^l"
-        cols = _column_numerators(r, alpha, lambda_raw_table(p, rp, alpha)[0])
+        cols = _column_numerators(r, alpha, _lambda_table(p, rp, alpha)[0])
         vden = factorial_valuation(rp, p)  # v_p((p-1)^rho' rho'!)
         ls = range(alpha - rp if lemma_id == 12 else 1, alpha + 1)
         witnesses = [(l, INFINITY if cols[l] == 0 else _vp(cols[l], p) - vden + l) for l in ls]
@@ -244,16 +268,29 @@ def integrality_checks(p: int, r: int, alpha: int) -> IntegralityReport:
     """
     _check_prime_gt3(p)
     variant, rp = lambda_variant(p, r, alpha)
-    nums, den = lambda_raw_table(p, rp, alpha)  # Lambda(alpha, alpha-m) = nums[m]/den
-    vnums = [INFINITY if n == 0 else _vp(n, p) for n in nums]
-    vfacts = list(accumulate((_vp(m, p) for m in range(1, rp + 1)), initial=0))  # v_p(m!)
+    c_prime, c_double, identity_ok = _integrality_facts(p, rp, alpha)
     return IntegralityReport(
         p=p,
         r=r,
         alpha=alpha,
         rho_prime=rp,
         variant=variant,
-        c_prime_min_valuation=min(vnums) - vfacts[rp],
-        c_double_min_valuation=min(map(operator.sub, vnums, vfacts)),
-        defining_identity_ok=lambda_identity_holds(p, alpha, nums, den),
+        c_prime_min_valuation=c_prime,
+        c_double_min_valuation=c_double,
+        defining_identity_ok=identity_ok,
+    )
+
+
+@functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
+def _integrality_facts(p: int, rp: int, alpha: int) -> tuple[ExtendedValuation, ExtendedValuation, bool]:
+    """(min v_p(C'_l), min v_p(C''_j), defining identity proved) of the raw
+    table (p, rho', alpha): what integrality_checks reads of it, computed once
+    while it stays in the memo."""
+    nums, den = lambda_raw_table(p, rp, alpha)  # Lambda(alpha, alpha-m) = nums[m]/den
+    vnums = [INFINITY if n == 0 else _vp(n, p) for n in nums]
+    vfacts = list(accumulate((_vp(m, p) for m in range(1, rp + 1)), initial=0))  # v_p(m!)
+    return (
+        min(vnums) - vfacts[rp],
+        min(map(operator.sub, vnums, vfacts)),
+        lambda_identity_holds(p, alpha, nums, den),
     )

@@ -60,8 +60,9 @@ def test_criterion_2_lambda_system():
 
 
 def _verify(name, primes=PS, **grid):
-    """(cell, verdict, checked, margin, record) for every cell that the verify
-    table lists for ``name`` over ``primes`` on ``grid``, judged by its check."""
+    """(cell, verdict, checked, margin, item) for every cell that the verify
+    table lists for ``name`` over ``primes`` on ``grid``, judged by its check;
+    the item is a JSON record, or a lemma report for the lemma targets."""
     target = VERIFY_TARGETS[name]
     args = Namespace(r=None, alpha=None, **grid)
     return [(cell, *target.check(*cell)) for p in primes for cell in target.cells(p, args)]

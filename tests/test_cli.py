@@ -9,6 +9,7 @@ from argparse import Namespace
 import pytest
 
 from padicslopes import cli
+from padicslopes import lemma_checks as lc
 from padicslopes.cli import main
 
 
@@ -149,10 +150,47 @@ class TestVerifyCommand:
         assert run_cli(["slopes", "--p", "5", "--k", "13"]) == 2
 
     def test_jobs_determinism(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli(["verify", "lemma10", "--p", "5", "--r-max", "80", "--jobs", "3"], a)
-        run_cli(["verify", "lemma10", "--p", "5", "--r-max", "80", "--jobs", "1"], b)
-        assert a.read_bytes() == b.read_bytes()
+        a, b = tmp_path / "a.out", tmp_path / "b.out"
+        for argv in (
+            ["lemma10", "--p", "5", "--r-max", "80"],
+            ["lemma12", "--p", "5,7", "--r-max", "80", "--format", "json"],
+            ["integrality", "--p", "5,7", "--r-max", "80"],
+            ["integrality", "--p", "5", "--r-max", "80", "--format", "json"],
+        ):
+            assert run_cli(["verify", *argv, "--jobs", "3"], a) == 0
+            assert run_cli(["verify", *argv, "--jobs", "1"], b) == 0
+            assert a.read_bytes() == b.read_bytes()
+
+    def test_lemma_records_built_only_for_json(self, tmp_path, monkeypatch):
+        built = []
+        record = cli._lemma_record
+        monkeypatch.setattr(cli, "_lemma_record", lambda rep: built.append(rep) or record(rep))
+        argv = ["verify", "lemma12", "--p", "5", "--r-max", "60"]
+        csv_out, json_out = tmp_path / "v.csv", tmp_path / "v.json"
+        assert run_cli(argv, csv_out) == 0
+        assert built == []
+        assert run_cli([*argv, "--format", "json"], json_out) == 0
+        cells = [tuple(map(int, line.split(",")[1:4])) for line in csv_out.read_text().splitlines()[1:]]
+        assert [(rep.p, rep.r, rep.alpha) for rep in built] == cells
+        assert json.loads(json_out.read_text())["records"] == [record(rep) for rep in built]
+
+    def test_lemma_counterexample_reported_in_full(self, tmp_path, capsys, monkeypatch):
+        # one lemma cell is made to fail: exit 1, and stderr carries that
+        # cell's whole record, witnesses included, though the output is CSV
+        target = cli.VERIFY_TARGETS["lemma12"]
+        bad_cell = (5, 40, 9)
+        bad = dataclasses.replace(lc.verify_lemma(12, *bad_cell), verdict="fails")
+
+        def check(*cell):
+            return ("fails", bad.checked, bad.min_margin, bad) if cell == bad_cell else target.check(*cell)
+
+        monkeypatch.setitem(cli.VERIFY_TARGETS, "lemma12", dataclasses.replace(target, check=check))
+        out = tmp_path / "v.csv"
+        assert run_cli(["verify", "lemma12", "--p", "5", "--r", "39..41"], out) == 1
+        record = cli._lemma_record(bad)
+        assert len(record["witnesses"]) == bad.checked > 0
+        assert capsys.readouterr().err.splitlines() == [f"counterexample: {json.dumps(record, sort_keys=True)}"]
+        assert f"lemma12,5,40,9,fails,{bad.min_margin},{bad.checked}" in out.read_text().splitlines()
 
 
 class TestArgumentBoundary:

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from padicslopes import lemma_checks as lc
 from padicslopes.combinatorics import (
     general_alphas,
+    general_rho_prime,
     lambda_identity_holds,
     lambda_raw_table,
     lambda_values_by_differences,
+    lambda_variant,
     rho_case_rs,
     rho_of,
     rho_prime_of,
@@ -384,7 +386,7 @@ class TestMarginsStored:
 
 
 def _sweep(name, ps, r_max):
-    """(verdict, checked, margin, record) of every cell the verify table lists."""
+    """(verdict, checked, margin, report) of every cell the verify table lists."""
     target = VERIFY_TARGETS[name]
     args = Namespace(r=None, alpha=None, r_max=r_max)
     return [target.check(*cell) for p in ps for cell in target.cells(p, args)]
@@ -410,6 +412,43 @@ class TestSweeps:
         verdicts = [verdict for verdict, _, _, _ in _sweep("lemma13", [5], 60)]
         assert "vacuous" in verdicts
         assert "fails" not in verdicts
+
+
+class TestTableMemo:
+    """Each invocation builds each raw Lambda table (p, rho', alpha) once and
+    reads no table of another invocation."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        keys = []
+        monkeypatch.setattr(lc, "lambda_raw_table", lambda *key: keys.append(key) or lambda_raw_table(*key))
+        return keys
+
+    @pytest.mark.parametrize("name,table_key", [
+        ("lemma12", lambda p, r, alpha: (p, general_rho_prime(p, r, alpha), alpha)),
+        ("integrality", lambda p, r, alpha: (p, lambda_variant(p, r, alpha)[1], alpha)),
+    ])
+    def test_one_build_per_table(self, name, table_key, monkeypatch, tmp_path):
+        cells = VERIFY_TARGETS[name].cells(5, Namespace(r=None, alpha=None, r_max=200))
+        built = self._count_builds(monkeypatch)
+        assert cli_main(["verify", name, "--p", "5", "--r-max", "200", "--jobs", "1", "--out", str(tmp_path / "v")]) == 0
+        assert sorted(built) == sorted({table_key(*cell) for cell in cells})
+        assert len(built) < len(cells)
+
+    def test_no_table_outlives_its_invocation(self, monkeypatch, tmp_path):
+        argv = ["verify", "integrality", "--p", "5", "--r", "40", "--alpha", "9", "--out", str(tmp_path / "v")]
+        assert cli_main(argv) == 0
+        assert cli_main(["verify", "lemma12", *argv[2:]]) == 0
+
+        def corrupted(p, R, alpha):
+            nums, den = lambda_raw_table(p, R, alpha)
+            return [nums[0], nums[1] - 1, *nums[2:]], den
+
+        monkeypatch.setattr(lc, "lambda_raw_table", corrupted)
+        assert cli_main(argv) == 1  # the defining identity fails on the corrupted table
+        built = self._count_builds(monkeypatch)
+        assert cli_main(["verify", "lemma12", *argv[2:]]) == 0
+        assert built == [(5, general_rho_prime(5, 40, 9), 9)]
 
 
 class TestSerialization:
