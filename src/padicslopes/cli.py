@@ -419,7 +419,8 @@ def cmd_verify(args) -> int:
     tasks = sorted((name, *cell) for p in ps for cell in target.cells(p, args))
     if not tasks:
         raise UsageError(f"no cells of target {name} in the requested window")
-    lc.clear_table_memos()  # no invocation reads another's tables
+    lc.clear_table_memos()  # no invocation reads another's tables or rank verdicts
+    comb.clear_rank_memo()
     results = _pool_starmap(_verify_cell, tasks, args.jobs)
     failures = [_record(item) for row, item in results if row[4] == "fails"]
     rejected = [item for row, item in results if row[4] == "rejected"]

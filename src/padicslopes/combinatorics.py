@@ -77,10 +77,18 @@ def ecal_of(p: int, r: int) -> int:
 
 # The four cell shapes, all under the paper's p > 3 (the callers guard p): each has
 # one validator, which returns rho' or raises ValueError, and one window of its cells.
+# A validator only rejects p < 2, before its first division by p or p + 1; the
+# primality test stays with the callers, off the per-cell path.
+
+
+def _check_base(p: int) -> None:
+    if p < 2:
+        raise ValueError(f"need p >= 2, got p={p}")
 
 
 def general_rho_prime(p: int, r: int, alpha: int) -> int:
     """General cell: rho < alpha with rho' >= 1."""
+    _check_base(p)
     rho, rp = rho_of(p, r), rho_prime_of(p, r, alpha)
     if alpha <= rho:
         raise ValueError(f"general variant needs alpha > rho, got alpha={alpha}, rho={rho}")
@@ -97,6 +105,7 @@ def general_alphas(p: int, r: int) -> list[int]:
 
 def rho_case_rho_prime(p: int, r: int, alpha: int) -> int:
     """Rho-case cell: r = rho(p+1)+1 and alpha = rho >= 1; rho' = rho."""
+    _check_base(p)
     rho = rho_of(p, r)
     if r != rho * (p + 1) + 1 or alpha != rho or rho < 1:
         raise ValueError(f"rho case needs r = rho(p+1)+1 and alpha = rho >= 1, got r={r}, alpha={alpha}")
@@ -110,6 +119,7 @@ def rho_case_rs(p: int, r_max: int) -> range:
 
 def below_rho_rho_prime(p: int, r: int, alpha: int) -> int:
     """Below-rho cell: 0 <= alpha < rho."""
+    _check_base(p)
     if not 0 <= alpha < rho_of(p, r):
         raise ValueError(f"need 0 <= alpha < rho = {rho_of(p, r)}, got alpha={alpha}")
     return rho_prime_of(p, r, alpha)
@@ -122,6 +132,7 @@ def below_rho_alphas(p: int, r: int) -> range:
 
 def rho_annihilator_rho_prime(p: int, r: int, alpha: int) -> int:
     """Annihilator rho-shape: r = rho(p+1)+p-2 and alpha = rho >= 1; rho' = rho."""
+    _check_base(p)
     rho = rho_of(p, r)
     if r != rho * (p + 1) + p - 2 or alpha != rho or rho < 1:
         raise ValueError(f"rho annihilator needs r = rho(p+1)+p-2, alpha = rho >= 1; got r={r}, alpha={alpha}")
@@ -135,6 +146,7 @@ def rho_annihilator_rs(p: int, r_max: int) -> range:
 
 def lambda_variant(p: int, r: int, alpha: int) -> tuple[str, int]:
     """("rho_case", rho') at alpha = rho, which needs a rho-case cell, else ("general", rho')."""
+    _check_base(p)
     if alpha == rho_of(p, r):
         return "rho_case", rho_case_rho_prime(p, r, alpha)
     return "general", general_rho_prime(p, r, alpha)
@@ -396,10 +408,32 @@ def interior_rank_report(p: int, r: int, alpha: int) -> InteriorRankReport:
     gamma = rows[0] * (p - 1) + alpha
     # Row i' of the submatrix, (C(n_i, k)) for k = R-1..0, is row i' of _carry_matrix(p, R, gamma)
     # reversed: the interior rows are one range, so n_i = i(p-1)+alpha = i'(p-1)+gamma.
-    # Reversing columns keeps the rank; rank_mod_p skips zero entries, and the
-    # high columns vanish mod p more often, so the submatrix's order is cheaper.
+    # The verdict depends on (p, R, gamma) only, so a sweep reads it from a memo.
+    return InteriorRankReport(p, r, alpha, R, gamma, _carry_full_rank(p, R, gamma))
+
+
+# Cells come sorted by (p, r, alpha) and the cells sharing a carry matrix lie
+# close together, so a small memo holds every reuse: at p in {5, 7, 11, 13}
+# an LRU of any size from 16 up builds each of the 248 keys of r <= 100 and
+# the 636 of r <= 200 once.
+RANK_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=RANK_MEMO_SIZE)
+def _carry_full_rank(p: int, R: int, gamma: int) -> bool:
+    """Whether the reversed-column _carry_matrix(p, R, gamma) has rank R mod p.
+
+    Reversing columns keeps the rank; rank_mod_p skips zero entries, and the
+    high columns vanish mod p more often, so the reversed order is cheaper.
+    _carry_matrix and rank_mod_p are read as module globals at each miss, so
+    a patch or a trace of either name sees every real elimination."""
     submatrix = [row[::-1] for row in _carry_matrix(p, R, gamma)]
-    return InteriorRankReport(p, r, alpha, R, gamma, rank_mod_p(submatrix, p) == R)
+    return rank_mod_p(submatrix, p) == R
+
+
+def clear_rank_memo() -> None:
+    """Forget every memoized carry-matrix rank verdict."""
+    _carry_full_rank.cache_clear()
 
 
 # ---------------------------------------------------------------------------

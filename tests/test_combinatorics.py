@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import json
 import math
 from argparse import Namespace
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicslopes import combinatorics
-from padicslopes.cli import VERIFY_TARGETS
+from padicslopes.cli import VERIFY_TARGETS, main
 from padicslopes.combinatorics import (
     _binomial_row,
     _column_numerators,
@@ -249,6 +250,42 @@ class TestFactorAndRank:
             assert entrywise(alpha, gapped)[0] == (gapped == list(range(gapped[0], gapped[0] + len(gapped))))
 
 
+class TestCarryRankMemo:
+    """verify matrix-entries eliminates each carry matrix (p, R, gamma) once
+    per invocation, and no verdict outlives its invocation."""
+
+    def test_rank_conjunct_can_fail(self, tmp_path, capsys, monkeypatch):
+        argv = ["verify", "matrix-entries", "--p", "5", "--r-max", "40", "--format", "json"]
+        out = tmp_path / "v.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        rank = combinatorics.rank_mod_p
+        monkeypatch.setattr(combinatorics, "rank_mod_p", lambda mat, p: rank(mat, p) - 1)
+        # the first run filled the memo; the second reads the patch, so verify empties it at entry
+        assert main([*argv, "--out", str(out)]) == 1
+        records = json.loads(out.read_text())["records"]
+        assert any(rec["rank_R"] >= 1 for rec in records)
+        assert all(rec["holds"] == (rec["rank_R"] == 0) for rec in records)
+        assert capsys.readouterr().err.count("counterexample: ") == sum(rec["rank_R"] >= 1 for rec in records)
+
+    def test_one_elimination_per_carry_matrix(self, tmp_path, monkeypatch):
+        argv = ["verify", "matrix-entries", "--p", "5,7,11,13", "--r-max", "100"]
+        keys = set()
+        for p in (5, 7, 11, 13):
+            for _, r, alpha in _window("matrix-entries", p, r=None, r_max=100):
+                rows = interior_row_indices(p, r, alpha)
+                if rows:
+                    keys.add((p, len(rows), rows[0] * (p - 1) + alpha))
+        calls = []
+        rank = combinatorics.rank_mod_p
+        monkeypatch.setattr(combinatorics, "rank_mod_p", lambda mat, p: calls.append(p) or rank(mat, p))
+        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
+        assert main([*argv, "--jobs", "1", "--out", str(serial)]) == 0
+        assert len(calls) == len(keys) == 248
+        monkeypatch.undo()
+        assert main([*argv, "--jobs", "2", "--out", str(pooled)]) == 0
+        assert pooled.read_bytes() == serial.read_bytes()
+
+
 class TestInteriorSystem:
     def test_unit_target_example(self):
         # p=5, r=26: k=28, rho=4, ecal = floor(log_5 27) = 2, scale p^2 = 25
@@ -473,6 +510,17 @@ class TestCellShapes:
         assert _target_cells("rho-annihilator") == _rho_window(rho_annihilator_rs)
         assert _target_cells("integrality") == general | rho_case
         assert _target_cells("double-sum") <= general
+
+    @pytest.mark.parametrize("p", [-1, 0, 1])
+    @pytest.mark.parametrize(
+        "validator",
+        [general_rho_prime, rho_case_rho_prime, below_rho_rho_prime, rho_annihilator_rho_prime, lambda_variant],
+    )
+    def test_validators_reject_p_below_2(self, validator, p):
+        # before the first division by p or p + 1: no ZeroDivisionError, and no
+        # rho' from a p = 1 cell such as below_rho_rho_prime(1, 5, 1)
+        with pytest.raises(ValueError, match="p >= 2"):
+            validator(p, 5, 1)
 
 
 class TestIntegerRouteAgainstOracle:
