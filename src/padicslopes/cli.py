@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
+from . import _memo
 from . import combinatorics as comb
 from . import lemma_checks as lc
 from . import measures as ms
@@ -35,11 +36,14 @@ class UsageError(Exception):
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """'5,7,5' -> [5, 7]: sorted, without repeats."""
+    """'5,7,5' -> [5, 7]: sorted, without repeats, and not empty."""
     try:
-        return sorted({int(tok) for tok in text.split(",") if tok})
+        values = sorted({int(tok) for tok in text.split(",") if tok})
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty integer list {text!r}")
+    return values
 
 
 def _parse_range(text: str) -> list[int]:
@@ -168,7 +172,8 @@ class Target:
     """One verify target.
 
     ``cells(p, args)`` lists the cells of one prime, honouring the pins named
-    in ``pins``; ``check(*cell)`` returns (verdict, checked, margin or None,
+    in ``pins`` and reading the window bounds named in ``bounds`` (keys of
+    BOUND_DEFAULTS); ``check(*cell)`` returns (verdict, checked, margin or None,
     item) and raises ValueError for a cell outside the hypotheses.  The item
     is the cell's JSON record, or a lemma report that ``_record`` turns into
     one only when a record is needed (JSON output or a failing cell).
@@ -179,6 +184,7 @@ class Target:
     cells: Callable
     check: Callable
     pins: tuple[str, ...] = ()
+    bounds: tuple[str, ...] = ("r_max",)
     primes: tuple[int, ...] = (5, 7, 11, 13)
     shown: Callable = tuple
     notes: Callable = lambda items: []
@@ -335,15 +341,20 @@ _GENERAL = _windowed(comb.general_alphas)
 _BELOW_RHO = _windowed(comb.below_rho_alphas)
 _RHO_CASE = _rho_shaped(comb.rho_case_rs)
 
+# the window bounds of verify and hecke-check, each read by the targets that name it
+BOUND_DEFAULTS = {"r_max": 200, "a_max": 2000, "R_max": 12, "alpha_max": 60, "t_max": 8, "delta_max": 4}
+
 VERIFY_TARGETS = {
-    "lemma9": Target(lambda p, args: [(p, args.a_max)], _check_lemma9, primes=(2, 3, 5, 7, 11, 13)),
+    "lemma9": Target(
+        lambda p, args: [(p, args.a_max)], _check_lemma9, bounds=("a_max",), primes=(2, 3, 5, 7, 11, 13),
+    ),
     **{f"lemma{i}": Target(_GENERAL, _check_lemma(i), pins=("r", "alpha")) for i in (10, 11, 12)},
     **{f"lemma{i}": Target(_RHO_CASE, _check_lemma(i), pins=("r",), shown=_with_rho) for i in (13, 14, 15)},
-    "lambda-system": Target(_lambda_cells, _check_lambda_system),
+    "lambda-system": Target(_lambda_cells, _check_lambda_system, bounds=("R_max", "alpha_max")),
     "matrix-entries": Target(_BELOW_RHO, _check_matrix_entries, pins=("r", "alpha")),
     "det-factorization": Target(
         lambda p, args: [(p, R, g) for R in range(1, args.R_max + 1) for g in (0, 1, 2, 5, 11)],
-        _check_det_factorization, notes=_det_notes,
+        _check_det_factorization, bounds=("R_max",), notes=_det_notes,
     ),
     "interior-annihilator": Target(_BELOW_RHO, _check_interior_annihilator, pins=("r", "alpha")),
     "double-sum": Target(_windowed(_double_sum_alphas), _check_double_sum, pins=("r", "alpha")),
@@ -352,7 +363,7 @@ VERIFY_TARGETS = {
     ),
     "integrality": Target(_windowed(_integrality_alphas), _check_integrality, pins=("r", "alpha")),
     "hecke": Target(
-        _hecke_cells, _check_hecke, primes=(5, 7),
+        _hecke_cells, _check_hecke, bounds=("t_max", "delta_max"), primes=(5, 7),
         shown=lambda cell: (cell[0], cell[1], f"{cell[2]}/{cell[3]}"),
     ),
 }
@@ -410,17 +421,18 @@ def _pool_starmap(fn: Callable, tasks: list[tuple], jobs: int) -> list:
 def cmd_verify(args) -> int:
     name = TARGET_ALIASES.get(args.target, args.target)
     target = VERIFY_TARGETS[name]
-    for pin in ("r", "alpha"):
-        if getattr(args, pin) and pin not in target.pins:
-            raise UsageError(f"target {name} does not take --{pin}")
+    for opt in ("r", "alpha", *BOUND_DEFAULTS):
+        if getattr(args, opt, None) is not None and opt not in target.pins + target.bounds:
+            raise UsageError(f"target {name} does not take --{opt.replace('_', '-')}")
+    for bound in target.bounds:
+        if getattr(args, bound) is None:
+            setattr(args, bound, BOUND_DEFAULTS[bound])
     ps = _check_primes(args.p or list(target.primes))
     if min(ps) <= 3 < min(target.primes):  # a target whose default primes are > 3 needs p > 3
         raise UsageError(f"target {name} needs primes > 3, got {min(ps)}")
     tasks = sorted((name, *cell) for p in ps for cell in target.cells(p, args))
     if not tasks:
         raise UsageError(f"no cells of target {name} in the requested window")
-    lc.clear_table_memos()  # no invocation reads another's tables or rank verdicts
-    comb.clear_rank_memo()
     results = _pool_starmap(_verify_cell, tasks, args.jobs)
     failures = [_record(item) for row, item in results if row[4] == "fails"]
     rejected = [item for row, item in results if row[4] == "rejected"]
@@ -511,6 +523,10 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--jobs", type=_parse_jobs, default=1,
                             help="worker processes, at most the CPU count and the number of cells")
 
+    def bounds(sp, *names):  # None: cmd_verify fills the default of a bound the target reads
+        for dest in names:
+            sp.add_argument("--" + dest.replace("_", "-"), type=int, default=None)
+
     v = sub.add_parser("verify", help="run an identity or lemma sweep")
     v.add_argument(
         "target",
@@ -524,12 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(targets that take no pin exit with 2)")
     v.add_argument("--alpha", type=_parse_range, default=None,
                    help="pin specific alpha values (invalid cells are reported)")
-    v.add_argument("--r-max", type=int, default=200)
-    v.add_argument("--a-max", type=int, default=2000)
-    v.add_argument("--R-max", type=int, default=12)
-    v.add_argument("--alpha-max", type=int, default=60)
-    v.add_argument("--t-max", type=int, default=8)
-    v.add_argument("--delta-max", type=int, default=4)
+    bounds(v, *BOUND_DEFAULTS)
     common(v)
     v.set_defaults(func=cmd_verify)
 
@@ -562,8 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     h = sub.add_parser("hecke-check", help="Hecke expansion identity grid")
     h.add_argument("--p", type=_parse_int_list, default=None)
-    h.add_argument("--t-max", type=int, default=8)
-    h.add_argument("--delta-max", type=int, default=4)
+    bounds(h, "t_max", "delta_max")
     common(h)
     h.set_defaults(func=cmd_verify, target="hecke", r=None, alpha=None)
 
@@ -573,6 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _memo.reset()  # no invocation reads another's memoized tables or verdicts
     try:
         return args.func(args)
     except (UsageError, ValueError) as exc:

@@ -12,11 +12,14 @@ Every binomial row of a cell (the rows of M, the row sums of the interior and
 double-sum systems, the rows of the carry matrices) comes from one exact ratio
 recurrence, _binomial_row: one math.comb call per row, then each entry from the
 last by an exact division.  The per-entry math.comb routes are the tests' oracle.
+
+The carry-matrix rank verdicts and the step-difference tables of the interior
+solve are bounded memos registered in _memo, which empties them once per
+invocation.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -24,6 +27,7 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Mapping
 
+from ._memo import memo
 from .exactlinalg import charpoly, mat_mul_int, rank_mod_p
 from .padic import _check_prime_gt3, integer_log
 
@@ -419,7 +423,7 @@ def interior_rank_report(p: int, r: int, alpha: int) -> InteriorRankReport:
 RANK_MEMO_SIZE = 256
 
 
-@functools.lru_cache(maxsize=RANK_MEMO_SIZE)
+@memo(maxsize=RANK_MEMO_SIZE)
 def _carry_full_rank(p: int, R: int, gamma: int) -> bool:
     """Whether the reversed-column _carry_matrix(p, R, gamma) has rank R mod p.
 
@@ -429,11 +433,6 @@ def _carry_full_rank(p: int, R: int, gamma: int) -> bool:
     a patch or a trace of either name sees every real elimination."""
     submatrix = [row[::-1] for row in _carry_matrix(p, R, gamma)]
     return rank_mod_p(submatrix, p) == R
-
-
-def clear_rank_memo() -> None:
-    """Forget every memoized carry-matrix rank verdict."""
-    _carry_full_rank.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +458,7 @@ def _row_sum_numerators(p: int, r: int, alpha: int, nums: Mapping[int, int], row
     return out
 
 
-@functools.lru_cache(maxsize=16)
+@memo(maxsize=16)
 def _step_differences(p: int, size: int) -> tuple[tuple[int, ...], ...]:
     """rows[k][j] = (Delta^k C((p-1)i, j)) at i = 0, for j, k < size.
 

@@ -10,20 +10,21 @@ The prime is validated once, at each public entry point.
 
 A raw Lambda table depends on (p, rho', alpha) only, not on r, so a sweep
 meets each one on many cells.  Lemmas 12 and 15 read it from a bounded memo,
-and integrality_checks memoizes the facts it draws from it.  Both memos
-build tables through this module's global lambda_raw_table, so a patch or a
-trace of that name sees every real build; clear_table_memos empties them.
+and integrality_checks memoizes the facts it draws from it.  Both memos are
+registered in _memo, which empties them per invocation, and build tables
+through this module's global lambda_raw_table, so a patch or a trace of that
+name sees every real build.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Sequence
 
+from ._memo import memo
 from .combinatorics import (
     _column_numerators,
     all_row_indices,
@@ -53,17 +54,11 @@ RHO_LEMMAS = (13, 14, 15)
 TABLE_MEMO_SIZE = 256
 
 
-@functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
+@memo(maxsize=TABLE_MEMO_SIZE)
 def _lambda_table(p: int, R: int, alpha: int) -> tuple[list[int], int]:
     """lambda_raw_table(p, R, alpha), built once while it stays in the memo;
     callers only read it."""
     return lambda_raw_table(p, R, alpha)
-
-
-def clear_table_memos() -> None:
-    """Forget every memoized Lambda table and the integrality facts drawn from it."""
-    _lambda_table.cache_clear()
-    _integrality_facts.cache_clear()
 
 
 @dataclass(frozen=True)
@@ -281,7 +276,7 @@ def integrality_checks(p: int, r: int, alpha: int) -> IntegralityReport:
     )
 
 
-@functools.lru_cache(maxsize=TABLE_MEMO_SIZE)
+@memo(maxsize=TABLE_MEMO_SIZE)
 def _integrality_facts(p: int, rp: int, alpha: int) -> tuple[ExtendedValuation, ExtendedValuation, bool]:
     """(min v_p(C'_l), min v_p(C''_j), defining identity proved) of the raw
     table (p, rho', alpha): what integrality_checks reads of it, computed once

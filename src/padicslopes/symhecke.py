@@ -16,8 +16,10 @@ The action of g = [[a, b], [c, d]] is also closed form: the coefficient of
 x^n y^(t-n) in (a x + c y)^e (b x + d y)^(t-e) is the sum over i + j = n of
 C(e, i) a^i c^(e-i) C(t-e, j) b^j d^(t-e-j).  One call costs O(t) for the
 power lists of a, b, c, d mod p^M (the binomials come from a Pascal table
-cached per t) plus O((e+1)(t-e+1)) per nonzero coefficient f_e; zero
-powers are skipped, so an upper-triangular g on a two-term f costs O(t).
+per t) plus O((e+1)(t-e+1)) per nonzero coefficient f_e; zero powers are
+skipped, so an upper-triangular g on a two-term f costs O(t).  The Pascal
+tables and the Teichmuller lifts per (p, M) are bounded memos registered in
+_memo, which empties them once per invocation.
 
 T makes one action per (term, mu): inserting g . (k . v) under the key of
 g acts once, by h k, where h is the clean-up that coset_decompose returns.
@@ -32,8 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
+from ._memo import memo
 from .padic import _check_prime, _check_prime_gt3, _vp, teichmuller_lift
 
 Matrix = tuple[int, int, int, int]  # ((a, b), (c, d)) row-major
@@ -158,7 +160,7 @@ class SymPoly:
         return {e: c for e, c in enumerate(self.coeffs) if c}
 
 
-@lru_cache(maxsize=None)
+@memo(maxsize=256)
 def _pascal(t: int) -> tuple[tuple[int, ...], ...]:
     """Rows 0..t of Pascal's triangle: _pascal(t)[n][k] = C(n, k)."""
     rows = [(1,)]
@@ -370,9 +372,9 @@ def h_polys(sp: SurrogateParams, alpha: int) -> tuple[SymPoly, SymPoly]:
     return h, hstar
 
 
-@lru_cache(maxsize=None)
+@memo(maxsize=256)
 def teichmuller_lifts(p: int, M: int) -> tuple[int, ...]:
-    """The Teichmuller lifts of 0, ..., p-1 mod p^M, computed once per (p, M)."""
+    """The Teichmuller lifts of 0, ..., p-1 mod p^M, memoized per (p, M)."""
     return tuple([teichmuller_lift(mu, p, M) for mu in range(p)])
 
 

@@ -200,6 +200,8 @@ class TestArgumentBoundary:
         ["verify", "lemma10", "--p", "5", "--r", "40..30"],
         ["verify", "lemma10", "--p", "5", "--jobs", "0"],
         ["lambda", "--p", "5", "--R", "1", "--alpha", "7", "--jobs", "2"],
+        ["slopes", "--p", ",", "--k", "12"],
+        ["verify", "lemma10", "--p", ",", "--r-max", "8"],
     ])
     def test_malformed_values_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -208,7 +210,7 @@ class TestArgumentBoundary:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_malformed_list_exit_2_from_console(self):
-        for bad in (["--p", "5", "--k", "12..14,16"], ["--p", "5,x", "--k", "12"]):
+        for bad in (["--p", "5", "--k", "12..14,16"], ["--p", "5,x", "--k", "12"], ["--p", ",", "--k", "12"]):
             proc = run_console(["slopes", *bad])
             assert proc.returncode == 2
             assert "Traceback" not in proc.stderr
@@ -222,6 +224,11 @@ class TestArgumentBoundary:
         ["verify", "hecke", "--p", "5", "--r", "3"],
         ["measure", "--p", "5,7", "--k", "12"],
         ["lambda", "--p", "5,7", "--R", "1", "--alpha", "7"],
+        # a window bound the target does not read
+        ["verify", "lemma9", "--p", "5", "--r-max", "0"],
+        ["verify", "lambda-system", "--p", "5", "--R-max", "1", "--alpha-max", "2", "--r-max", "0"],
+        ["verify", "lemma10", "--p", "5", "--r-max", "8", "--a-max", "10"],
+        ["verify", "hecke", "--p", "5", "--delta-max", "2", "--R-max", "3"],
     ])
     def test_unsupported_pins_and_extra_primes_exit_2(self, argv, capsys):
         assert run_cli(argv) == 2
@@ -274,9 +281,9 @@ class TestArgumentBoundary:
 
     def test_repeated_primes_deduplicated(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for target in ("lemma10", "lemma9"):
-            assert run_cli(["verify", target, "--p", "5,5", "--r-max", "40", "--a-max", "20"], a) == 0
-            assert run_cli(["verify", target, "--p", "5", "--r-max", "40", "--a-max", "20"], b) == 0
+        for target, bound in (("lemma10", ["--r-max", "40"]), ("lemma9", ["--a-max", "20"])):
+            assert run_cli(["verify", target, "--p", "5,5", *bound], a) == 0
+            assert run_cli(["verify", target, "--p", "5", *bound], b) == 0
             assert a.read_bytes() == b.read_bytes()
 
     def test_pool_size_capped(self, tmp_path, monkeypatch):

@@ -1,0 +1,61 @@
+"""The memo registry: every per-invocation cache of the package is a bounded
+memo registered in ``_memo``, and one ``reset()`` empties them all."""
+
+import ast
+import os
+
+from padicslopes import _memo, cli
+from padicslopes.cli import main
+
+SRC = os.path.dirname(cli.__file__)
+
+
+def _cache_uses(source: str) -> list[str]:
+    """The lru_cache, functools.cache and cache_clear uses in a module's source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [a.name for a in node.names if a.name in ("lru_cache", "cache")]
+        elif isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache_clear"):
+            found.append(node.attr)
+        elif isinstance(node, ast.Attribute) and node.attr == "cache" and getattr(node.value, "id", None) == "functools":
+            found.append("functools.cache")
+        elif isinstance(node, ast.Name) and node.id == "lru_cache":
+            found.append(node.id)
+    return found
+
+
+def test_no_cache_outside_the_registry():
+    uses = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py") and name != "_memo.py":
+            with open(os.path.join(SRC, name)) as fh:
+                uses[name] = _cache_uses(fh.read())
+    assert {name: found for name, found in uses.items() if found} == {}
+    # the guard sees each spelling
+    assert _cache_uses("import functools\n@functools.lru_cache(maxsize=None)\ndef f(): pass\nf.cache_clear()") == [
+        "lru_cache", "cache_clear",
+    ]
+    assert _cache_uses("from functools import cache, lru_cache\n@functools.cache\ndef f(): pass") == [
+        "cache", "lru_cache", "functools.cache",
+    ]
+
+
+def test_every_memo_registered_and_bounded():
+    names = sorted(f"{m.__module__}.{m.__name__}" for m in _memo.MEMOS)
+    assert names == [
+        "padicslopes.combinatorics._carry_full_rank",
+        "padicslopes.combinatorics._step_differences",
+        "padicslopes.lemma_checks._integrality_facts",
+        "padicslopes.lemma_checks._lambda_table",
+        "padicslopes.symhecke._pascal",
+        "padicslopes.symhecke.teichmuller_lifts",
+    ]
+    assert all(m.cache_parameters()["maxsize"] is not None for m in _memo.MEMOS)
+
+
+def test_every_subcommand_starts_with_empty_memos(tmp_path):
+    assert main(["verify", "lemma12", "--p", "5", "--r-max", "60", "--out", str(tmp_path / "v.csv")]) == 0
+    assert cli.lc._lambda_table.cache_info().currsize > 0
+    assert main(["slopes", "--p", "5", "--k", "12", "--out", str(tmp_path / "s.csv")]) == 0
+    assert [m.cache_info().currsize for m in _memo.MEMOS] == [0] * len(_memo.MEMOS)
