@@ -424,6 +424,8 @@ def cmd_verify(args) -> int:
     for opt in ("r", "alpha", *BOUND_DEFAULTS):
         if getattr(args, opt, None) is not None and opt not in target.pins + target.bounds:
             raise UsageError(f"target {name} does not take --{opt.replace('_', '-')}")
+    if args.r is not None and args.r_max is not None:  # the cells would ignore --r-max
+        raise UsageError(f"target {name} takes --r or --r-max, not both")
     for bound in target.bounds:
         if getattr(args, bound) is None:
             setattr(args, bound, BOUND_DEFAULTS[bound])

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Sequence
 
 from ._memo import memo
@@ -41,6 +41,7 @@ from .padic import (
     _carries,
     _check_prime,
     _check_prime_gt3,
+    _digit_sums,
     _vp,
     factorial_valuation,
     integer_log,
@@ -173,17 +174,35 @@ class Lemma9Report:
     violations: tuple[tuple[int, int], ...]  # (a, b) pairs
 
 
+def _drop_row(sums: list[int], a: int) -> list[int]:
+    """[s_p(b) + s_p(a-b) - s_p(a) for b in 0..a], from the digit-sum table
+    sums: (p-1) times the carry count of b + (a-b), for every b at once."""
+    return list(map(operator.sub, map(operator.add, sums[: a + 1], sums[a::-1]), repeat(sums[a])))
+
+
+def _oracle_row(scaled_vp: list[int], a: int) -> list[int]:
+    """[(p-1) v_p(C(a, b)) for b in 0..a] along the recurrence
+    v(C(a, b)) = v(C(a, b-1)) + v(a-b+1) - v(b), from scaled_vp[n] =
+    (p-1) v_p(n): no digit is read and nothing is divided."""
+    return list(accumulate(map(operator.sub, scaled_vp[a:0:-1], scaled_vp[1 : a + 1]), initial=0))
+
+
 def sweep_lemma9_with_oracle(ps: Sequence[int], a_max: int) -> dict[int, Lemma9Report]:
     """Carry counts against an independent recurrence oracle, plus the log
     bound, for every prime in ps and every 0 <= b <= a with 1 <= a <= a_max.
     a = 0 lies outside the sweep (log_p 0 is undefined), so a_max < 1 would
     check nothing and is a ValueError.
 
-    The checked side is Kummer's carry count of b + (a-b).  The oracle never
-    counts carries and never builds C(a, b): it walks b = 0..a along
-    v(C(a, b)) = v(C(a, b-1)) + v(a-b+1) - v(b), the valuation of the exact
-    ratio C(a, b)/C(a, b-1) = (a-b+1)/b, reading v_p(n) for n <= a_max from
-    a per-prime table.
+    The sweep runs by rows, one per a, and scales both sides by p-1.  The
+    checked side is Kummer's carry count of b + (a-b) in digit-sum form,
+    (p-1) carries = s_p(b) + s_p(a-b) - s_p(a), read from one base-p
+    digit-sum table per prime (padic._digit_sums, read here as a module
+    global).  The oracle never reads a digit and never builds C(a, b): it
+    accumulates v(C(a, b)) = v(C(a, b-1)) + v(a-b+1) - v(b), the valuation
+    of the exact ratio C(a, b)/C(a, b-1) = (a-b+1)/b, over a per-prime table
+    of (p-1) v_p(n) for n <= a_max.  Rows are compared whole, and the bound
+    by the row's largest entry; only a row that disagrees or exceeds the
+    bound is walked pair by pair, so violations keep their (a, b) order.
     """
     if a_max < 1:
         raise ValueError(f"lemma 9 sweeps 1 <= a <= a_max, got a_max={a_max}")
@@ -191,28 +210,26 @@ def sweep_lemma9_with_oracle(ps: Sequence[int], a_max: int) -> dict[int, Lemma9R
         _check_prime(p)
     reports = {}
     for p in ps:
-        vp = [0] + [_vp(n, p) for n in range(1, a_max + 1)]
+        sums = _digit_sums(p, a_max)
+        scaled_vp = [0] + [(p - 1) * _vp(n, p) for n in range(1, a_max + 1)]
         violations: list[tuple[int, int]] = []
-        vmax = 0
+        top = 0  # the largest entry of any row: p-1 times the largest carry count
         checked = 0
         for a in range(1, a_max + 1):
-            bound = integer_log(p, a)
-            direct = 0
-            for b in range(a + 1):
-                if b:
-                    direct += vp[a - b + 1] - vp[b]
-                carries = _carries(b, a - b, p)
-                if carries != direct or carries > bound:
-                    violations.append((a, b))
-                if carries > vmax:
-                    vmax = carries
+            limit = (p - 1) * integer_log(p, a)
+            drops = _drop_row(sums, a)
+            oracle = _oracle_row(scaled_vp, a)
+            row_top = max(drops)
+            if drops != oracle or row_top > limit:
+                violations += [(a, b) for b, (d, o) in enumerate(zip(drops, oracle)) if d != o or d > limit]
+            top = max(top, row_top)
             checked += a + 1
         reports[p] = Lemma9Report(
             p=p,
             a_max=a_max,
             checked=checked,
             verdict="holds" if not violations else "fails",
-            max_valuation_seen=vmax,
+            max_valuation_seen=top // (p - 1),
             violations=tuple(violations[:100]),
         )
     return reports

@@ -137,6 +137,18 @@ def _carries(x: int, y: int, p: int) -> int:
     return carries
 
 
+def _digit_sums(p: int, n_max: int) -> list[int]:
+    """[s_p(n) for n in 0..n_max], s_p the base-p digit sum (p unchecked).
+
+    By Kummer, (p-1)·carries(x, y) = s_p(x) + s_p(y) - s_p(x + y), so one
+    table gives every carry count of sums up to n_max.
+    """
+    sums = [0] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        sums[n] = sums[n // p] + n % p
+    return sums
+
+
 def binomial_valuation(a: int, b: int, p: int) -> int:
     """v_p(C(a, b)) as the number of base-p carries when adding b and a-b.
 

@@ -36,8 +36,8 @@ def test_criterion_1_lemma9_sweep():
         assert rep.verdict == "holds", f"lemma 9 fails at p={p}: {rep.violations[:3]}"
         assert rep.checked == sum(a + 1 for a in range(1, 2001))
     _report(1, time.time() - t0, "<60s",
-            "carry count = recurrence valuation v(C(a,b-1)) + v(a-b+1) - v(b) <= floor(log_p a) "
-            f"on {6 * reports[2].checked} triples")
+            "digit-sum carry count (s_p(b)+s_p(a-b)-s_p(a))/(p-1) = recurrence valuation "
+            f"v(C(a,b-1)) + v(a-b+1) - v(b) <= floor(log_p a) on {6 * reports[2].checked} triples")
 
 
 def test_criterion_2_lambda_system():

@@ -229,6 +229,9 @@ class TestArgumentBoundary:
         ["verify", "lambda-system", "--p", "5", "--R-max", "1", "--alpha-max", "2", "--r-max", "0"],
         ["verify", "lemma10", "--p", "5", "--r-max", "8", "--a-max", "10"],
         ["verify", "hecke", "--p", "5", "--delta-max", "2", "--R-max", "3"],
+        # a pinned --r next to the --r-max it would ignore
+        ["verify", "lemma10", "--p", "5", "--r", "40", "--alpha", "9", "--r-max", "0"],
+        ["verify", "lemma13", "--p", "5", "--r", "19", "--r-max", "400"],
     ])
     def test_unsupported_pins_and_extra_primes_exit_2(self, argv, capsys):
         assert run_cli(argv) == 2

@@ -25,7 +25,7 @@ from padicslopes.lemma_checks import (
     sweep_lemma9_with_oracle,
     verify_lemma,
 )
-from padicslopes.padic import INFINITY, valuation
+from padicslopes.padic import INFINITY, _carries, valuation
 
 from lemma_oracle import c_constants, cleared_identity_holds, verify_lemma_by_fractions, witness_values
 
@@ -264,6 +264,15 @@ ORACLE_CELLS = {
 }
 
 
+def _power_edges(p):
+    """a = p^e - 1 and a = p^e for every p^e <= 3000."""
+    out, q = [], p
+    while q <= 3000:
+        out += [q - 1, q]
+        q *= p
+    return out
+
+
 def _brute_valuation(n, p):
     v = 0
     while n % p == 0:
@@ -283,16 +292,42 @@ class TestIntegerRouteAgainstOracle:
 
     def test_lemma9_matches_brute_division(self, monkeypatch):
         ps, a_max = (2, 3, 5, 7, 11, 13), 150
-        brute = {}
-        for p in ps:
-            brute[p] = {(a, b): _brute_valuation(math.comb(a, b), p) for a in range(1, a_max + 1) for b in range(a + 1)}
         reports = sweep_lemma9_with_oracle(ps, a_max)
         for p in ps:
+            sums = lc._digit_sums(p, a_max)
+            brute = {}
+            for a in range(1, a_max + 1):
+                brute[a] = [_brute_valuation(math.comb(a, b), p) for b in range(a + 1)]
+                # the checked digit-sum row, compared with brute division on every pair
+                assert lc._drop_row(sums, a) == [(p - 1) * v for v in brute[a]]
             assert reports[p].verdict == "holds"
-            assert reports[p].max_valuation_seen == max(brute[p].values())
-        # the recurrence oracle, compared with brute division on every pair
-        monkeypatch.setattr(lc, "_carries", lambda x, y, p: _brute_valuation(math.comb(x + y, x), p))
+            assert reports[p].max_valuation_seen == max(map(max, brute.values()))
+
+        # the recurrence oracle against brute division: s_p(n) = n - (p-1) v_p(n!)
+        # (Legendre) with v_p(n!) by dividing 1..n, so this table's rows are
+        # (p-1) v_p(C(a, b)) by brute division
+        def brute_digit_sums(p, n_max):
+            vfact = [0]
+            for n in range(1, n_max + 1):
+                vfact.append(vfact[-1] + _brute_valuation(n, p))
+            return [n - (p - 1) * vfact[n] for n in range(n_max + 1)]
+
+        built = []
+        monkeypatch.setattr(lc, "_digit_sums", lambda p, n_max: built.append(p) or brute_digit_sums(p, n_max))
         assert sweep_lemma9_with_oracle(ps, a_max) == reports
+        assert built == list(ps)  # the sweep read the patched table, once per prime
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((2, 3, 5, 7, 11, 13)), st.integers(1, 3000))
+    def test_digit_sum_row_is_the_carry_count(self, p, a):
+        assert lc._drop_row(lc._digit_sums(p, a), a) == [(p - 1) * _carries(b, a - b, p) for b in range(a + 1)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_digit_sum_rows_at_powers(self, p):
+        # a = p^e - 1 adds without a carry; a = p^e carries the most
+        sums = lc._digit_sums(p, 3000)
+        for a in _power_edges(p):
+            assert lc._drop_row(sums, a) == [(p - 1) * _carries(b, a - b, p) for b in range(a + 1)]
 
 
 class TestChecksCanFail:
@@ -326,15 +361,40 @@ class TestChecksCanFail:
         assert not rep.holds
 
     def test_lemma9_reports_a_wrong_carry_count(self, monkeypatch):
-        carries = lc._carries
+        digit_sums = lc._digit_sums
 
-        def off_by_one(x, y, p):
-            return carries(x, y, p) + ((x, y) == (7, 30))
+        def corrupted(p, n_max):
+            sums = digit_sums(p, n_max)
+            sums[37] += 1
+            return sums
 
-        monkeypatch.setattr(lc, "_carries", off_by_one)
+        monkeypatch.setattr(lc, "_digit_sums", corrupted)
         rep = sweep_lemma9_with_oracle([5], 60)[5]
         assert rep.verdict == "fails"
-        assert rep.violations == ((37, 7),)
+        # s_5(37) enters the row of (a, b) once for each of b, a-b that is 37,
+        # and leaves it once if a is 37
+        expected = [
+            (a, b) for a in range(1, 61) for b in range(a + 1)
+            if (b == 37) + (a - b == 37) != (a == 37)
+        ]
+        assert rep.violations == tuple(expected[:100])  # first (37, 1)
+
+    def test_lemma9_reports_a_broken_bound(self, monkeypatch):
+        # with floor(log_p a) taken as 0, every pair with a carry breaks the bound
+        monkeypatch.setattr(lc, "integer_log", lambda p, a: 0)
+        rep = sweep_lemma9_with_oracle([5], 60)[5]
+        assert rep.verdict == "fails"
+        expected = [(a, b) for a in range(1, 61) for b in range(a + 1) if _carries(b, a - b, 5)]
+        assert rep.violations == tuple(expected[:100])  # first (5, 1)
+        assert rep.max_valuation_seen == 2
+
+    def test_lemma9_reports_a_wrong_oracle_valuation(self, monkeypatch):
+        vp = lc._vp
+        monkeypatch.setattr(lc, "_vp", lambda n, p: vp(n, p) + (n == 25))
+        rep = sweep_lemma9_with_oracle([5], 60)[5]
+        assert rep.verdict == "fails"
+        # the oracle reads v(25) first at (25, 1), through v(a-b+1)
+        assert rep.violations[0] == (25, 1)
 
 
 class TestPrimeValidation:
