@@ -47,10 +47,10 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _parse_range(text: str) -> list[int]:
-    """'12' or '12..40' (inclusive, nonempty)."""
+    """'12' or '12..40' (inclusive, nonempty; both bounds given)."""
+    lo, dots, hi = text.partition("..")
     try:
-        lo, _, hi = text.partition("..")
-        values = list(range(int(lo), int(hi or lo) + 1))
+        values = list(range(int(lo), int(hi if dots else lo) + 1))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad range {text!r}") from exc
     if not values:
@@ -258,9 +258,8 @@ def _check_lambda_system(p, R, alpha):
 
 def _check_matrix_entries(p, r, alpha):
     m = comb.build_matrix_M(p, r, alpha)
-    rank = comb.interior_rank_report(p, r, alpha)
-    ok = comb.trinomial_revision_check(m) and rank.full_rank_mod_p
-    return _identity("matrix-entries", ok, m.nrows * m.ncols, p=p, r=r, alpha=alpha, rank_R=rank.R)
+    ok = comb.trinomial_revision_check(m) and comb.interior_full_rank(m)
+    return _identity("matrix-entries", ok, m.nrows * m.ncols, p=p, r=r, alpha=alpha, rank_R=m.nrows)
 
 
 def _check_det_factorization(p, R, gamma):

@@ -296,17 +296,12 @@ class MatrixM:
         return len(self.col_indices)
 
 
-def _check_matrix_cell(p: int, r: int, alpha: int) -> None:
-    """The cells of the binomial matrices: p > 3, and a below-rho cell or alpha = rho."""
-    _check_prime_gt3(p)
-    if alpha != rho_of(p, r):
-        below_rho_rho_prime(p, r, alpha)
-
-
 def build_matrix_M(p: int, r: int, alpha: int) -> MatrixM:
     """A below-rho cell or alpha = rho; rows may be empty (legal), columns number rho + 1."""
-    _check_matrix_cell(p, r, alpha)
+    _check_prime_gt3(p)
     rho = rho_of(p, r)
+    if alpha != rho:
+        below_rho_rho_prime(p, r, alpha)
     rows = interior_row_indices(p, r, alpha)
     cols = list(range(alpha - rho, alpha + 1))
     # row i is one diagonal: top r - alpha + j and bottom i(p-1) + j > 0 step together
@@ -389,31 +384,17 @@ def factor_and_rank_checks(p: int, R: int, gamma: int) -> FactorRankReport:
     )
 
 
-@dataclass(frozen=True)
-class InteriorRankReport:
-    p: int
-    r: int
-    alpha: int
-    R: int
-    gamma: int
-    full_rank_mod_p: bool
+def interior_full_rank(m: MatrixM) -> bool:
+    """Whether the right square submatrix (C(i(p-1)+alpha, alpha-j)) of the
+    cell's carry matrix has full rank R = m.nrows mod p (true for R = 0).
 
-
-def interior_rank_report(p: int, r: int, alpha: int) -> InteriorRankReport:
-    """Full-rank-mod-p check for the right square submatrix of the cell's
-    carry matrix (C(i(p-1)+alpha, alpha-j)), read through the reindexing that
-    turns it into (C(i'(p-1)+gamma, j')) with gamma = i_min(p-1) + alpha.
-    The cell is checked as in build_matrix_M."""
-    _check_matrix_cell(p, r, alpha)
-    rows = interior_row_indices(p, r, alpha)
-    R = len(rows)
-    if R == 0:
-        return InteriorRankReport(p, r, alpha, 0, 0, True)
-    gamma = rows[0] * (p - 1) + alpha
-    # Row i' of the submatrix, (C(n_i, k)) for k = R-1..0, is row i' of _carry_matrix(p, R, gamma)
-    # reversed: the interior rows are one range, so n_i = i(p-1)+alpha = i'(p-1)+gamma.
-    # The verdict depends on (p, R, gamma) only, so a sweep reads it from a memo.
-    return InteriorRankReport(p, r, alpha, R, gamma, _carry_full_rank(p, R, gamma))
+    Row i' of the submatrix, (C(n_i, k)) for k = R-1..0, is row i' of
+    _carry_matrix(p, R, gamma) reversed, with gamma = i_min(p-1) + alpha: the
+    interior rows are one range, so n_i = i(p-1)+alpha = i'(p-1)+gamma.  The
+    verdict depends on (p, R, gamma) only, so a sweep reads it from a memo."""
+    if not m.nrows:
+        return True
+    return _carry_full_rank(m.p, m.nrows, m.row_indices[0] * (m.p - 1) + m.alpha)
 
 
 # Cells come sorted by (p, r, alpha) and the cells sharing a carry matrix lie
@@ -631,7 +612,7 @@ def _annihilator(p: int, r: int, alpha: int, offset: int, monomial: str) -> Anni
 @dataclass(frozen=True)
 class ThetaProfile:
     """Valuations of vartheta_w over the annihilator's row family; values
-    maps w to the integer vartheta_w(D) for w = 0..w_max."""
+    maps w to the integer vartheta_w(D) for w = 0..2 rho."""
 
     alpha: int
     ecal: int
@@ -641,16 +622,15 @@ class ThetaProfile:
     values: dict[int, int]
 
 
-def vartheta_profile(system: AnnihilatorSystem, w_max: int | None = None) -> ThetaProfile:
+def vartheta_profile(system: AnnihilatorSystem) -> ThetaProfile:
     """Check vartheta_w(D(r)) = 0 for w < alpha, = p^ecal-unit at w = alpha,
-    and v_p >= ecal for alpha <= w <= w_max (default 2 rho)."""
+    and v_p >= ecal for alpha <= w <= 2 rho."""
     p, alpha, ecal = system.p, system.alpha, system.ecal
-    if w_max is None:
-        w_max = 2 * rho_of(p, system.r)
+    w_max = 2 * rho_of(p, system.r)
     sums = _vartheta_sums(system.row_values, p, w_max)
     unit = p**ecal  # v_p(S_w) >= ecal  <=>  unit divides S_w (also for S_w = 0)
     zero_below = all(s == 0 for s in sums[:alpha])
-    at_alpha = alpha <= w_max and sums[alpha] % unit == 0 and sums[alpha] % (unit * p) != 0
+    at_alpha = sums[alpha] % unit == 0 and sums[alpha] % (unit * p) != 0
     ok_up_to = -1
     for w in range(alpha, w_max + 1):
         if sums[w] % unit:

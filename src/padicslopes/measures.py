@@ -159,27 +159,6 @@ class ProfileTable:
     cutoff: str | None  # set when the resource guard stopped the sweep
 
 
-def profile_rows(p: int, ks: list[int], include_newforms: bool = False) -> list[ProfileRow]:
-    """The middle-interval mass counts of the weights ks, in order."""
-    rows = []
-    for k, level1 in zip(ks, sweep_slopes(p, ks)):
-        measure = _measure(p, k, level1, include_newforms)
-        bound = support_bound(p, k)
-        count, frac = mass_in_middle(measure, bound)
-        rows.append(ProfileRow(
-            p=p,
-            k=k,
-            dim_old=measure.oldform_count,
-            dim_new=measure.newform_count,
-            count_middle=count,
-            fraction_middle=frac,
-            left_end=bound.left_end,
-            right_end=bound.right_end,
-            masses=measure.masses,
-        ))
-    return rows
-
-
 def middle_mass_profile(
     p: int,
     k_min: int,
@@ -193,9 +172,9 @@ def middle_mass_profile(
     ``max_dim`` is a resource guard on the cusp-space dimension; exceeding it
     stops the sweep with an explicit cutoff marker instead of truncating
     silently.  The weights are listed up to the cutoff first and split into
-    groups of one dimension (``dimension_groups``); ``starmap(profile_rows,
-    tasks)`` computes the rows of each group (a process pool's starmap works
-    too), and the rows are put back in weight order.
+    groups of one dimension (``dimension_groups``); ``starmap(sweep_slopes,
+    tasks)`` computes the level-1 slopes of each group (a process pool's
+    starmap works too), and the rows are built from them in weight order.
     """
     _check_prime(p)
     ks = []
@@ -206,6 +185,24 @@ def middle_mass_profile(
             cutoff = f"max_dim guard: dim S_{k} = {d} > {max_dim}"
             break
         ks.append(k)
-    chunks = starmap(profile_rows, [(p, group, include_newforms) for group in dimension_groups(ks)])
-    rows = sorted((row for chunk in chunks for row in chunk), key=lambda row: row.k)
+    groups = dimension_groups(ks)
+    level1 = {}
+    for group, results in zip(groups, starmap(sweep_slopes, [(p, group) for group in groups])):
+        level1.update(zip(group, results))
+    rows = []
+    for k in ks:
+        measure = _measure(p, k, level1[k], include_newforms)
+        bound = support_bound(p, k)
+        count, frac = mass_in_middle(measure, bound)
+        rows.append(ProfileRow(
+            p=p,
+            k=k,
+            dim_old=measure.oldform_count,
+            dim_new=measure.newform_count,
+            count_middle=count,
+            fraction_middle=frac,
+            left_end=bound.left_end,
+            right_end=bound.right_end,
+            masses=measure.masses,
+        ))
     return ProfileTable(p=p, include_newforms=include_newforms, rows=tuple(rows), cutoff=cutoff)

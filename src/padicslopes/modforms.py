@@ -82,12 +82,6 @@ class QExpansion:
             e >>= 1
         return result
 
-    def shift(self, n: int) -> "QExpansion":
-        """Multiply by q^n for n >= 0 (weight unchanged: bookkeeping helper)."""
-        if n < 0:
-            raise ValueError(f"need a shift n >= 0, got {n}")
-        return QExpansion(self.weight, [0] * n + self.coeffs[: self.prec - n], self.prec)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QExpansion)

@@ -1,8 +1,10 @@
 """Rational routes for the valuation lemmas, kept as independent oracles.
 
 Production (``padicslopes.lemma_checks``) computes every witness valuation
-from integers.  This module builds the witnesses as exact ``Fraction``s, the
-way the lemmas state them, and splits them with ``padic.valuation``; the
+from integers, and v_p(X_0) by Kummer's carry count.  This module builds the
+witnesses as exact ``Fraction``s, the way the lemmas state them, and splits
+them with ``padic.valuation``; v_p(X_0) = v_p(C(r, alpha)) is split the same
+way from ``math.comb``, so no carry count is shared with production.  The
 column witnesses of lemmas 12 and 15 come from ``c_constants``, the
 constants C_l as Fractions (production reads them as integer numerators of
 the raw Lambda table).  It also keeps the cleared integrality identity,
@@ -23,7 +25,7 @@ from padicslopes.combinatorics import (
     rho_of,
 )
 from padicslopes.lemma_checks import GENERAL_LEMMAS, RHO_LEMMAS, _report
-from padicslopes.padic import binomial_valuation, valuation
+from padicslopes.padic import valuation
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ def verify_lemma_by_fractions(lemma_id: int, p: int, r: int, alpha: int | None =
     else:
         raise ValueError(f"unknown lemma id {lemma_id}")
 
-    v0 = binomial_valuation(r, alpha, p)
+    v0 = valuation(math.comb(r, alpha), p)
     witnesses = []
     if lemma_id in (10, 13):
         kind = "X_i"

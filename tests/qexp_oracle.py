@@ -50,7 +50,7 @@ def delta_by_eta(prec: int) -> QExpansion:
         for m in range(prec - 1, n - 1, -1):
             eta[m] -= eta[m - n]
     power = schoolbook_pow(QExpansion(0, eta, prec), 24)
-    return QExpansion(12, power.shift(1).coeffs, prec)
+    return QExpansion(12, [0] + power.coeffs[: prec - 1], prec)
 
 
 @lru_cache(maxsize=None)

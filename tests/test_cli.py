@@ -202,6 +202,8 @@ class TestArgumentBoundary:
         ["lambda", "--p", "5", "--R", "1", "--alpha", "7", "--jobs", "2"],
         ["slopes", "--p", ",", "--k", "12"],
         ["verify", "lemma10", "--p", ",", "--r-max", "8"],
+        ["slopes", "--p", "5", "--k", "12.."],
+        ["verify", "lemma10", "--p", "5", "--r", "40.."],
     ])
     def test_malformed_values_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

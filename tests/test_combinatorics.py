@@ -28,7 +28,7 @@ from padicslopes.combinatorics import (
     general_rho_prime,
     trinomial_revision_check,
     factor_and_rank_checks,
-    interior_rank_report,
+    interior_full_rank,
     interior_row_indices,
     lambda_identity_holds,
     lambda_raw_table,
@@ -215,21 +215,26 @@ class TestFactorAndRank:
             assert rep.det_matches_closed_form
             assert rep.full_rank_mod_p
 
-    def test_interior_rank(self):
-        rep = interior_rank_report(5, 26, 2)
-        assert rep.full_rank_mod_p
-        assert rep.gamma == rep.R * 0 + interior_row_indices(5, 26, 2)[0] * 4 + 2
+    def test_interior_rank(self, monkeypatch):
+        m = build_matrix_M(5, 26, 2)
+        assert m.row_indices == (1, 2, 3, 4)
+        assert interior_full_rank(m)
+        # R and gamma = i_min(p-1) + alpha come from the matrix; no rows, no elimination
+        keys = []
+        monkeypatch.setattr(combinatorics, "_carry_full_rank", lambda *key: keys.append(key) or True)
+        assert interior_full_rank(m) and interior_full_rank(build_matrix_M(5, 5, 0))
+        assert keys == [(5, 4, 1 * 4 + 2)]
 
     @pytest.mark.parametrize("cell", [(1, 10, 0), (4, 60, 2), (5, 60, 99)])
     def test_interior_rank_rejects_cells_build_matrix_M_rejects(self, cell):
-        # p = 1 (p - 1 = 0 in the row window), p = 4 (not prime), alpha above rho
-        for build in (build_matrix_M, interior_rank_report):
-            with pytest.raises(ValueError):
-                build(*cell)
+        # p = 1 (p - 1 = 0 in the row window), p = 4 (not prime), alpha above rho;
+        # the rank check reads only a MatrixM, so it never sees such a cell
+        with pytest.raises(ValueError):
+            build_matrix_M(*cell)
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_consecutive_rows_is_the_entrywise_comparison(self, p):
-        # interior_rank_report reads the cell's submatrix m2 = (C(i(p-1)+alpha, alpha-j))
+        # interior_full_rank reads the cell's submatrix m2 = (C(i(p-1)+alpha, alpha-j))
         # as the reversed carry matrix; the R x R comparison holds exactly when the
         # rows are consecutive, which every interior window of the sweep is
         def entrywise(alpha, rows):
@@ -245,7 +250,7 @@ class TestFactorAndRank:
             assert rows == list(range(rows[0], rows[0] + len(rows)))
             same, m2 = entrywise(alpha, rows)
             assert same
-            assert interior_rank_report(p, r, alpha).full_rank_mod_p == (rank_mod_p(m2, p) == len(rows))
+            assert interior_full_rank(build_matrix_M(p, r, alpha)) == (rank_mod_p(m2, p) == len(rows))
             gapped = rows[:1] + rows[2:]
             assert entrywise(alpha, gapped)[0] == (gapped == list(range(gapped[0], gapped[0] + len(gapped))))
 
@@ -267,6 +272,15 @@ class TestCarryRankMemo:
         assert all(rec["holds"] == (rec["rank_R"] == 0) for rec in records)
         assert capsys.readouterr().err.count("counterexample: ") == sum(rec["rank_R"] >= 1 for rec in records)
 
+    def test_interior_rows_derived_once_per_cell(self, tmp_path, monkeypatch):
+        calls = []
+        rows_of = combinatorics.interior_row_indices
+        monkeypatch.setattr(combinatorics, "interior_row_indices", lambda *cell: calls.append(cell) or rows_of(*cell))
+        out = tmp_path / "v.csv"
+        assert main(["verify", "matrix-entries", "--p", "5", "--r-max", "40", "--jobs", "1", "--out", str(out)]) == 0
+        cells = [tuple(map(int, row.split(",")[1:4])) for row in out.read_text().splitlines()[1:]]
+        assert calls == cells and len(cells) > 100
+
     def test_one_elimination_per_carry_matrix(self, tmp_path, monkeypatch):
         argv = ["verify", "matrix-entries", "--p", "5,7,11,13", "--r-max", "100"]
         keys = set()
@@ -275,12 +289,14 @@ class TestCarryRankMemo:
                 rows = interior_row_indices(p, r, alpha)
                 if rows:
                     keys.add((p, len(rows), rows[0] * (p - 1) + alpha))
-        calls = []
-        rank = combinatorics.rank_mod_p
+        calls, built = [], []
+        rank, carry = combinatorics.rank_mod_p, combinatorics._carry_matrix
         monkeypatch.setattr(combinatorics, "rank_mod_p", lambda mat, p: calls.append(p) or rank(mat, p))
+        monkeypatch.setattr(combinatorics, "_carry_matrix", lambda *key: built.append(key) or carry(*key))
         serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
         assert main([*argv, "--jobs", "1", "--out", str(serial)]) == 0
         assert len(calls) == len(keys) == 248
+        assert len(built) == 248 and set(built) == keys
         monkeypatch.undo()
         assert main([*argv, "--jobs", "2", "--out", str(pooled)]) == 0
         assert pooled.read_bytes() == serial.read_bytes()
@@ -589,7 +605,7 @@ class TestRowKernelAgainstOracle:
         for p, r, alpha in sorted(cells):
             assert build_matrix_M(p, r, alpha).entries == oracle.matrix_M_entries(p, r, alpha)
             rows = interior_row_indices(p, r, alpha)
-            if rows:  # the carry matrix interior_rank_report reads
+            if rows:  # the carry matrix interior_full_rank reads
                 R, gamma = len(rows), rows[0] * (p - 1) + alpha
                 assert combinatorics._carry_matrix(p, R, gamma) == oracle.carry_matrix(p, R, gamma)
 

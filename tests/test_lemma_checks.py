@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicslopes import lemma_checks as lc
+from padicslopes import padic
 from padicslopes.combinatorics import (
     general_alphas,
     general_rho_prime,
@@ -359,6 +360,16 @@ class TestChecksCanFail:
         rep = integrality_checks(5, 40, 9)
         assert not rep.defining_identity_ok
         assert not rep.holds
+
+    def test_oracle_does_not_share_the_carry_kernel(self, monkeypatch):
+        # an off-by-one carry count moves production's v_p(X_0) but not the oracle's
+        assert verify_lemma(10, 5, 40, 9) == verify_lemma_by_fractions(10, 5, 40, 9)
+        carries = _carries
+        for module in (padic, lc):
+            monkeypatch.setattr(module, "_carries", lambda x, y, p: carries(x, y, p) + 1)
+        rep, oracle = verify_lemma(10, 5, 40, 9), verify_lemma_by_fractions(10, 5, 40, 9)
+        assert rep.v_x0 == oracle.v_x0 + 1
+        assert rep != oracle
 
     def test_lemma9_reports_a_wrong_carry_count(self, monkeypatch):
         digit_sums = lc._digit_sums

@@ -324,14 +324,6 @@ class TestQExpansionRing:
         with pytest.raises(ValueError):
             eisenstein(4, 10).pow(-1)
 
-    def test_shift(self):
-        e4 = eisenstein(4, 5)
-        assert e4.shift(0) == e4
-        assert e4.shift(2).coeffs == [0, 0, 1, 240, 2160]
-        # [0] * n is empty for n < 0, so the series came back unchanged
-        with pytest.raises(ValueError):
-            e4.shift(-1)
-
 
 def _flatten(chunks):
     return [c for chunk in chunks for c in chunk]
