@@ -103,9 +103,13 @@ def _write(args, header: list[str], rows: list[list], payload: Callable[[], dict
         text = buf.getvalue() + "".join(f"# {note}\n" for note in notes)
     if args.out is None:
         sys.stdout.write(text)
-    else:
-        with open(os.path.join(os.environ.get(OUT_DIR_ENV, ""), args.out), "w") as fh:
+        return
+    path = os.path.join(os.environ.get(OUT_DIR_ENV, ""), args.out)
+    try:
+        with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:  # exit 2, not the counterexample code 1
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _lemma_record(report: lc.LemmaReport) -> dict:
@@ -284,13 +288,7 @@ def _det_notes(records: list[dict]) -> list[str]:
 
 def _check_interior_annihilator(p, r, alpha):
     sysm = comb.build_interior_annihilator(p, r, alpha)
-    prof = comb.vartheta_profile(sysm)
-    ok = (
-        not sysm.residual()
-        and prof.zero_below_alpha
-        and prof.valuation_at_alpha_is_ecal
-        and prof.valuations_ok_up_to >= 2 * comb.rho_of(p, r)
-    )
+    ok = not sysm.residual() and comb.vartheta_profile(sysm).holds
     return _identity("interior-annihilator", ok, len(sysm.row_values), p=p, r=r, alpha=alpha)
 
 
@@ -459,10 +457,7 @@ def cmd_verify(args) -> int:
 
 def cmd_slopes(args) -> int:
     ks = _even_weights(args.k)
-    tasks = [(p, group) for p in _check_primes(args.p) for group in mf.dimension_groups(ks)]
-    found = {}
-    for (p, group), results in zip(tasks, _pool_starmap(mf.sweep_slopes, tasks, args.jobs)):
-        found.update(((p, k), svals) for k, svals in zip(group, results))
+    found = mf.slope_table(_check_primes(args.p), ks, lambda fn, tasks: _pool_starmap(fn, tasks, args.jobs))
     rows = []
     records = []
     for (p, k), svals in sorted(found.items()):

@@ -458,9 +458,10 @@ def _step_differences(p: int, size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _interior_solution(p: int, r: int, alpha: int, targets: Mapping[int, int]) -> tuple[dict[int, int], int]:
+def _interior_solution(p: int, r: int, alpha: int, rows, targets: Mapping[int, int]) -> tuple[dict[int, int], int]:
     """({l: N_l}, den) for the constants C_l = N_l / den (l in (alpha-R, alpha])
-    with sum_l C_l C(r-alpha+l, i(p-1)+l) = targets[i] on every interior row i.
+    with sum_l C_l C(r-alpha+l, i(p-1)+l) = targets.get(i, 0) on every row i
+    of rows, which are the cell's interior rows (interior_row_indices).
 
     Trinomial revision turns row i into sum_m c'_m C(n_i, m) = y_i with
     n_i = i(p-1)+alpha, c'_m = C_(alpha-m) / C(r, m) and
@@ -479,7 +480,6 @@ def _interior_solution(p: int, r: int, alpha: int, targets: Mapping[int, int]) -
     division by (p-1)^k in the back-substitution is exact, and
     N_l = c'_(alpha-l) C(r, alpha-l) L E over den = L E.  A remainder raises.
     """
-    rows = interior_row_indices(p, r, alpha)
     R = len(rows)
     binoms_r = [math.comb(r, i * (p - 1) + alpha) for i in rows]
     den = math.lcm(*binoms_r) * (p - 1) ** (R * (R - 1) // 2)
@@ -506,7 +506,7 @@ def solve_interior_system(p: int, r: int, alpha: int, u: int) -> dict[int, Fract
     if u not in rows:
         raise ValueError(f"u={u} is not an interior row of (p={p}, r={r}, alpha={alpha})")
     target = p ** ecal_of(p, r)
-    nums, den = _interior_solution(p, r, alpha, {u: target})
+    nums, den = _interior_solution(p, r, alpha, rows, {u: target})
     for i, s in zip(rows, _row_sum_numerators(p, r, alpha, nums, rows)):
         if s != (target * den if i == u else 0):
             raise AssertionError("interior system solution failed verification (bug)")
@@ -545,15 +545,16 @@ class AnnihilatorSystem:
         return {i: Fraction(n, self.den) for i, n in self.boundary_numerators.items()}
 
     def residual(self) -> dict[int, Fraction]:
-        """lhs - rhs per row, lhs being the row sum of the column constants
-        plus the boundary value; identically zero iff the identity holds.
-        Every row of the cell is evaluated, in integers over den."""
-        p, r, alpha, den = self.p, self.r, self.alpha, self.den
-        boundary, rhs = self.boundary_numerators, self.row_values
-        rows = all_row_indices(p, r, alpha)
+        """lhs - rhs per interior row, lhs being the row sum of the column
+        constants, in integers over den; identically zero iff the identity
+        holds.  A boundary row needs no sum: its numerator is den D_i minus
+        that same sum, so it vanishes by construction (the tests check the
+        boundary numerators against an independent Fraction route)."""
+        p, r, alpha, den, rhs = self.p, self.r, self.alpha, self.den, self.row_values
+        rows = interior_row_indices(p, r, alpha)
         out = {}
         for i, s in zip(rows, _row_sum_numerators(p, r, alpha, self.column_numerators, rows)):
-            d = s + boundary.get(i, 0) - den * rhs.get(i, 0)
+            d = s - den * rhs.get(i, 0)
             if d:
                 out[i] = Fraction(d, den)
         return out
@@ -588,11 +589,10 @@ def _annihilator(p: int, r: int, alpha: int, offset: int, monomial: str) -> Anni
     the remaining rows absorb the difference as boundary coefficients."""
     ecal = ecal_of(p, r)
     targets = _theta_monomial_targets(p, alpha, ecal, offset)
-    interior = set(interior_row_indices(p, r, alpha))
-    cols, den = _interior_solution(p, r, alpha, {i: t for i, t in targets.items() if i in interior})
-    for l in range(alpha - rho_of(p, r), alpha - len(interior) + 1):
-        cols.setdefault(l, 0)
-    rows = [i for i in all_row_indices(p, r, alpha) if i not in interior]
+    interior = interior_row_indices(p, r, alpha)
+    cols, den = _interior_solution(p, r, alpha, interior, targets)
+    cols.update(dict.fromkeys(range(alpha - rho_of(p, r), alpha - len(interior) + 1), 0))  # unsolved columns
+    rows = sorted(set(all_row_indices(p, r, alpha)).difference(interior))
     boundary = {
         i: targets.get(i, 0) * den - s for i, s in zip(rows, _row_sum_numerators(p, r, alpha, cols, rows))
     }
@@ -620,6 +620,13 @@ class ThetaProfile:
     valuation_at_alpha_is_ecal: bool
     valuations_ok_up_to: int
     values: dict[int, int]
+
+    @property
+    def holds(self) -> bool:
+        """Zero below alpha, a p^ecal-unit at alpha, and divisible by p^ecal
+        through w = 2 rho, the last key of values."""
+        exact_to_alpha = self.zero_below_alpha and self.valuation_at_alpha_is_ecal
+        return exact_to_alpha and self.valuations_ok_up_to == max(self.values)
 
 
 def vartheta_profile(system: AnnihilatorSystem) -> ThetaProfile:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .modforms import dim_cusp, dimension_groups, slopes, sweep_slopes
+from .modforms import dim_cusp, slope_table, slopes
 from .padic import ExtendedValuation, _check_prime, _check_prime_gt3, integer_log
 
 
@@ -124,11 +124,8 @@ def is_regular(p: int, k_max: int | None = None) -> RegularityReport:
     _check_prime_gt3(p)
     top = p + 1 if k_max is None else k_max
     ks = tuple(k for k in range(12, top + 1) if k % 2 == 0)
-    witnesses = []
-    for k, level1 in zip(ks, sweep_slopes(p, ks)):
-        for s in level1:
-            if s > 0:
-                witnesses.append((k, s))
+    table = slope_table([p], ks)
+    witnesses = [(k, s) for k in ks for s in table[p, k] if s > 0]
     return RegularityReport(
         p=p,
         k_range=ks,
@@ -169,14 +166,15 @@ def middle_mass_profile(
 ) -> ProfileTable:
     """Per-weight middle-interval mass counts over even k in [k_min, k_max].
 
-    ``max_dim`` is a resource guard on the cusp-space dimension; exceeding it
-    stops the sweep with an explicit cutoff marker instead of truncating
-    silently.  The weights are listed up to the cutoff first and split into
-    groups of one dimension (``dimension_groups``); ``starmap(sweep_slopes,
-    tasks)`` computes the level-1 slopes of each group (a process pool's
-    starmap works too), and the rows are built from them in weight order.
+    ``max_dim`` >= 0 is a resource guard on the cusp-space dimension;
+    exceeding it stops the sweep with an explicit cutoff marker instead of
+    truncating silently.  The weights are listed up to the cutoff first;
+    ``slope_table`` computes their level-1 slopes, passing ``starmap`` on (a
+    process pool's starmap works too), and the rows are built from them in
+    weight order.
     """
-    _check_prime(p)
+    if max_dim < 0:
+        raise ValueError(f"max_dim must be >= 0, got {max_dim}")
     ks = []
     cutoff = None
     for k in range(max(4, k_min + (k_min % 2)), k_max + 1, 2):
@@ -185,13 +183,10 @@ def middle_mass_profile(
             cutoff = f"max_dim guard: dim S_{k} = {d} > {max_dim}"
             break
         ks.append(k)
-    groups = dimension_groups(ks)
-    level1 = {}
-    for group, results in zip(groups, starmap(sweep_slopes, [(p, group) for group in groups])):
-        level1.update(zip(group, results))
+    level1 = slope_table([p], ks, starmap)
     rows = []
     for k in ks:
-        measure = _measure(p, k, level1[k], include_newforms)
+        measure = _measure(p, k, level1[p, k], include_newforms)
         bound = support_bound(p, k)
         count, frac = mass_in_middle(measure, bound)
         rows.append(ProfileRow(

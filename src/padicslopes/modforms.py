@@ -14,14 +14,15 @@ enough that no coefficient of the product overflows, so the result is exact.
 The schoolbook double loop is kept in the tests as the oracle.
 
 The Miller basis rows Delta^i E_4^a_i E_6^b = q^i h_i come from one chain
-h_i = h_(i+1) J, about d products for dimension d.  A weight sweep
-(``sweep_slopes``) builds J, Delta'^d, E_4 and E_6 once per dimension and
-shares them among the weights of that dimension; nothing is cached between
-calls.
+h_i = h_(i+1) J, about d products for dimension d.  Every weight sweep
+(``slope_table``) groups its weights by dimension once and builds J,
+Delta'^d, E_4 and E_6 once per (p, d) task, shared among the weights of that
+dimension; nothing is cached between calls.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .exactlinalg import charpoly
@@ -329,16 +330,6 @@ def _hecke_matrices(p: int, ks: list[int]):
         yield HeckeMatrix(p=p, k=k, d=d, entries=entries)
 
 
-def dimension_groups(ks: list[int]) -> list[list[int]]:
-    """The weights ks grouped by d = dim S_k, ascending in d, each group in
-    the order of ks.  dim S_k dips at k = 2 mod 12, so the groups of an
-    ascending sweep interleave: a caller that wants rows by weight sorts."""
-    groups: dict[int, list[int]] = {}
-    for k in ks:
-        groups.setdefault(dim_cusp(k), []).append(k)
-    return [groups[d] for d in sorted(groups)]
-
-
 def slopes(p: int, k: int) -> list[ExtendedValuation]:
     """Multiset (ascending list) of p-adic valuations of the T_p eigenvalues
     on the weight-k level-1 cusp space: the Newton polygon slopes of the
@@ -346,15 +337,27 @@ def slopes(p: int, k: int) -> list[ExtendedValuation]:
     return _slopes(hecke_matrix(p, k))
 
 
-def sweep_slopes(p: int, ks: list[int]) -> list[list[ExtendedValuation]]:
-    """[slopes(p, k) for k in ks]: the weights of one dimension d share
-    one J, Delta'^d, E_4 and E_6 (see ``_miller_bases``)."""
-    _check_prime(p)
-    found = {}
-    for group in dimension_groups(ks):
-        for hm in _hecke_matrices(p, group):
-            found[hm.k] = _slopes(hm)
-    return [found[k] for k in ks]
+def slope_table(ps, ks, starmap=itertools.starmap) -> dict[tuple[int, int], list[ExtendedValuation]]:
+    """{(p, k): slopes(p, k)} for every prime p in ps and weight k in ks.
+
+    The weights are grouped by d = dim S_k once; one task (p, group) per prime
+    and dimension goes through ``starmap`` (a process pool's starmap works
+    too), and its weights share one J, Delta'^d, E_4 and E_6 (``_miller_bases``)."""
+    for p in ps:
+        _check_prime(p)
+    groups: dict[int, list[int]] = {}
+    for k in ks:
+        groups.setdefault(dim_cusp(k), []).append(k)
+    tasks = [(p, groups[d]) for p in ps for d in sorted(groups)]
+    table = {}
+    for (p, group), results in zip(tasks, starmap(_group_slopes, tasks)):
+        table.update(((p, k), svals) for k, svals in zip(group, results))
+    return table
+
+
+def _group_slopes(p: int, ks: list[int]) -> list[list[ExtendedValuation]]:
+    """[slopes(p, k) for k in ks], the weights ks all of one dimension."""
+    return [_slopes(hm) for hm in _hecke_matrices(p, ks)]
 
 
 def _slopes(hm: HeckeMatrix) -> list[ExtendedValuation]:

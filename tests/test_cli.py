@@ -204,12 +204,25 @@ class TestArgumentBoundary:
         ["verify", "lemma10", "--p", ",", "--r-max", "8"],
         ["slopes", "--p", "5", "--k", "12.."],
         ["verify", "lemma10", "--p", "5", "--r", "40.."],
+        ["measure", "--p", "5", "--k", "12", "--max-dim", "-1"],
     ])
     def test_malformed_values_exit_2(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "Traceback" not in capsys.readouterr().err
+        # argparse exits on a value it cannot parse; main returns 2 on one the library rejects
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["missing/x.csv", "."])
+    def test_unwritable_out_exit_2(self, where, tmp_path, capsys):
+        # a missing directory or a directory as the file: a usage error, not the counterexample code 1
+        out = tmp_path / where
+        assert run_cli(["slopes", "--p", "5", "--k", "12"], out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and len(err.splitlines()) == 1
 
     def test_malformed_list_exit_2_from_console(self):
         for bad in (["--p", "5", "--k", "12..14,16"], ["--p", "5,x", "--k", "12"], ["--p", ",", "--k", "12"]):

@@ -680,41 +680,53 @@ def _ratio_off_by_one(n, k, length, top_step=1):
     return row
 
 
+# two cells of the annihilator rho-shape r = rho(p+1)+p-2, alpha = rho
+_RHO_SHAPE_CELLS = [(5, 27, 4), (7, 29, 3)]
+
+
+def _plus_minus_one(values):
+    """Every copy of the dict values with one entry moved by +1 or -1."""
+    for key in values:
+        for delta in (1, -1):
+            yield key, delta, {**values, key: values[key] + delta}
+
+
 class TestChecksCanFail:
     """Each exact check rejects a system that is off by one anywhere."""
 
-    @pytest.mark.parametrize("p,r,alpha", _SMALL_CELLS)
+    @pytest.mark.parametrize("p,r,alpha", _SMALL_CELLS + _RHO_SHAPE_CELLS)
     def test_residual_sees_every_perturbation(self, p, r, alpha):
         sysm = build_interior_annihilator(p, r, alpha)
         assert sysm.residual() == {}
         # +-1 on a numerator moves a constant by 1/den, the least step over den
-        for field in ("column_numerators", "boundary_numerators"):
-            values = getattr(sysm, field)
-            assert values
-            for key in values:
-                for delta in (1, -1):
-                    bad = dict(values)
-                    bad[key] += delta
-                    assert dataclasses.replace(sysm, **{field: bad}).residual(), (field, key, delta)
+        assert sysm.column_numerators
+        for key, delta, bad in _plus_minus_one(sysm.column_numerators):
+            assert dataclasses.replace(sysm, column_numerators=bad).residual(), (key, delta)
+
+    @pytest.mark.parametrize("p,r,alpha", _SMALL_CELLS + _RHO_SHAPE_CELLS)
+    def test_oracle_sees_every_boundary_perturbation(self, p, r, alpha):
+        # the residual sums interior rows only, where a boundary row vanishes by
+        # construction; the boundary numerators are checked against the oracle
+        sysm = build_interior_annihilator(p, r, alpha)
+        want = oracle.annihilator(p, r, alpha)[2]
+        assert sysm.boundary_values == want
+        assert sysm.boundary_numerators
+        for key, delta, bad in _plus_minus_one(sysm.boundary_numerators):
+            assert dataclasses.replace(sysm, boundary_numerators=bad).boundary_values != want, (key, delta)
 
     @pytest.mark.parametrize("p,r,alpha", _SMALL_CELLS)
     def test_profile_sees_a_perturbed_row_value(self, p, r, alpha):
         sysm = build_interior_annihilator(p, r, alpha)
-
-        def exact(prof):
-            return (prof.zero_below_alpha and prof.valuation_at_alpha_is_ecal
-                    and prof.valuations_ok_up_to >= 2 * rho_of(p, r))
-
-        assert exact(vartheta_profile(sysm))
+        assert vartheta_profile(sysm).holds
         for i in sysm.row_values:
             bad = dict(sysm.row_values)
             bad[i] += 1
-            assert not exact(vartheta_profile(dataclasses.replace(sysm, row_values=bad))), i
+            assert not vartheta_profile(dataclasses.replace(sysm, row_values=bad)).holds, i
         # p D has the zeros and the lower bounds of D, but valuation ecal + 1 at alpha
         times_p = {i: p * d for i, d in sysm.row_values.items()}
         scaled = vartheta_profile(dataclasses.replace(sysm, row_values=times_p))
         assert scaled.zero_below_alpha and scaled.valuations_ok_up_to >= 2 * rho_of(p, r)
-        assert not scaled.valuation_at_alpha_is_ecal
+        assert not scaled.valuation_at_alpha_is_ecal and not scaled.holds
 
     def test_double_sum_sees_a_perturbed_lambda_table(self, monkeypatch):
         assert verify_vanishing_double_sum(5, 14, 3).holds
@@ -763,6 +775,24 @@ class TestChecksCanFail:
         monkeypatch.setattr(combinatorics, "_binomial_row", _ratio_off_by_one)
         with pytest.raises(AssertionError, match="failed verification"):
             solve_interior_system(5, 26, 2, u)
+
+
+class TestOneSumPerRow:
+    def test_interior_annihilator_sums_each_row_once(self, monkeypatch, capsys):
+        # the boundary rows are summed once, to build their numerators, and the
+        # residual sums the interior rows only
+        argv = ["verify", "interior-annihilator", "--p", "5,7,11,13", "--r-max", "60", "--jobs", "1"]
+        summed = []
+        row_sums = combinatorics._row_sum_numerators
+
+        def counting(p, r, alpha, nums, rows):
+            summed.append(len(rows))
+            return row_sums(p, r, alpha, nums, rows)
+
+        monkeypatch.setattr(combinatorics, "_row_sum_numerators", counting)
+        assert main(argv) == 0
+        cells = [line.split(",")[1:4] for line in capsys.readouterr().out.splitlines()[1:]]
+        assert sum(summed) == sum(len(all_row_indices(*map(int, cell))) for cell in cells) == 5590
 
 
 class TestFractionOnlyAtTheEdge:

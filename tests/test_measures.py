@@ -213,6 +213,15 @@ class TestProfiles:
         assert table.cutoff is not None
         assert table.rows and table.rows[-1].k < 400
 
+    def test_resource_guard_rejects_a_negative_max_dim(self):
+        # every dim S_k >= 0 exceeds -1, so the sweep would stop at its first weight
+        with pytest.raises(ValueError, match="max_dim"):
+            middle_mass_profile(5, 12, 20, max_dim=-1)
+        # max_dim 0 keeps the weights with no cusp forms: 4..10 and 14
+        table = middle_mass_profile(5, 4, 10, max_dim=0)
+        assert [r.k for r in table.rows] == [4, 6, 8, 10] and table.cutoff is None
+        assert [r.k for r in middle_mass_profile(5, 14, 14, max_dim=0).rows] == [14]
+
     def test_csv_and_json(self, tmp_path):
         table = middle_mass_profile(59, 12, 16)
         csv_path = tmp_path / "profile.csv"

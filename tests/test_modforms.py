@@ -18,6 +18,7 @@ from padicslopes.modforms import (
     hecke_matrix,
     hecke_operator,
     miller_basis,
+    slope_table,
     slopes,
 )
 from padicslopes.padic import INFINITY, is_prime, valuation
@@ -301,6 +302,19 @@ class TestSlopes:
     def test_count_matches_dimension(self):
         for p, k in [(2, 36), (5, 48)]:
             assert len(slopes(p, k)) == dim_cusp(k)
+
+    def test_slope_table_deals_one_task_per_prime_and_dimension(self):
+        ks = list(range(12, 41, 2))  # d = 1, 0, 1, 1, 1, 1, 2, 1, 2, 2, 2, 2, 3, 2, 3: interleaved
+        tasks = []
+
+        def recording(fn, calls):
+            tasks.extend(calls)
+            return [fn(*call) for call in calls]
+
+        table = slope_table([5, 7], ks, recording)
+        assert [(p, dim_cusp(group[0])) for p, group in tasks] == [(p, d) for p in (5, 7) for d in range(4)]
+        assert all(len({dim_cusp(k) for k in group}) == 1 for _, group in tasks)
+        assert table == {(p, k): slopes(p, k) for p in (5, 7) for k in ks}
 
 
 class TestQExpansionRing:
