@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import multiprocessing
@@ -85,15 +86,21 @@ def _even_weights(ks: list[int]) -> list[int]:
     return evens
 
 
-def _write(args, header: list[str], rows: list[list], payload: Callable[[], dict], notes=()) -> None:
+def _write(args, header: list[str], rows: list[list] | Callable, payload: Callable[[], dict], notes=()) -> None:
     """Write a command's output, the only writer of CSV and JSON.
 
     ``--format json`` writes the dict ``payload()``, so only JSON output
     builds it; CSV writes ``header``, ``rows`` and one ``# note`` line per
-    note.  The text goes to ``--out`` (a relative path is taken under
-    $PADICSLOPES_OUT_DIR when that is set), else to stdout.
+    note.  ``rows`` may instead be a function of whether the output is JSON
+    that returns (rows, notes): ``verify`` runs its sweep there, so that a
+    CSV sweep keeps only the items it prints.  The text goes to ``--out`` (a
+    relative path is taken under $PADICSLOPES_OUT_DIR when that is set),
+    else to stdout.
     """
-    if args.format == "json":
+    as_json = args.format == "json"
+    if callable(rows):
+        rows, notes = rows(as_json)
+    if as_json:
         text = json.dumps(payload(), indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
@@ -182,7 +189,9 @@ class Target:
     is the cell's JSON record, or a lemma report that ``_record`` turns into
     one only when a record is needed (JSON output or a failing cell).
     ``shown(cell)`` gives the p, r and alpha columns of the CSV row, and
-    ``notes(items)`` the notes of a sweep from the items of all its cells.
+    ``notes(items)``, if set, the notes of a sweep from the items of all its
+    cells.  ``key(cell)`` names what a cell's check memoizes: under --jobs
+    the cells of one key go to one worker.
     """
 
     cells: Callable
@@ -191,7 +200,8 @@ class Target:
     bounds: tuple[str, ...] = ("r_max",)
     primes: tuple[int, ...] = (5, 7, 11, 13)
     shown: Callable = tuple
-    notes: Callable = lambda items: []
+    notes: Callable | None = None
+    key: Callable = tuple
 
 
 def _identity(name: str, ok: bool, checked: int, margin=None, **fields) -> tuple:
@@ -224,6 +234,17 @@ def _rho_shaped(rs: Callable) -> Callable:
 
 def _with_rho(cell: tuple) -> tuple:
     return (*cell, comb.rho_of(*cell))
+
+
+def _table_key(cell: tuple) -> tuple:
+    """(p, rho', alpha) of the raw Lambda table that an integrality, lemma12
+    or lemma15 cell reads: rho' = alpha = rho in the rho case.  It only
+    groups cells, so an invalid cell needs no check here."""
+    p, r, *alpha = cell
+    rho = comb.rho_of(p, r)
+    if not alpha or alpha[0] == rho:
+        return p, rho, rho
+    return p, comb.rho_prime_of(p, r, alpha[0]), alpha[0]
 
 
 def _integrality_alphas(p: int, r: int) -> list[int]:
@@ -345,8 +366,10 @@ VERIFY_TARGETS = {
     "lemma9": Target(
         lambda p, args: [(p, args.a_max)], _check_lemma9, bounds=("a_max",), primes=(2, 3, 5, 7, 11, 13),
     ),
-    **{f"lemma{i}": Target(_GENERAL, _check_lemma(i), pins=("r", "alpha")) for i in (10, 11, 12)},
-    **{f"lemma{i}": Target(_RHO_CASE, _check_lemma(i), pins=("r",), shown=_with_rho) for i in (13, 14, 15)},
+    **{f"lemma{i}": Target(_GENERAL, _check_lemma(i), pins=("r", "alpha")) for i in (10, 11)},
+    "lemma12": Target(_GENERAL, _check_lemma(12), pins=("r", "alpha"), key=_table_key),
+    **{f"lemma{i}": Target(_RHO_CASE, _check_lemma(i), pins=("r",), shown=_with_rho) for i in (13, 14)},
+    "lemma15": Target(_RHO_CASE, _check_lemma(15), pins=("r",), shown=_with_rho, key=_table_key),
     "lambda-system": Target(_lambda_cells, _check_lambda_system, bounds=("R_max", "alpha_max")),
     "matrix-entries": Target(_BELOW_RHO, _check_matrix_entries, pins=("r", "alpha")),
     "det-factorization": Target(
@@ -358,7 +381,7 @@ VERIFY_TARGETS = {
     "rho-annihilator": Target(
         _rho_shaped(comb.rho_annihilator_rs), _check_rho_annihilator, pins=("r",), shown=_with_rho,
     ),
-    "integrality": Target(_windowed(_integrality_alphas), _check_integrality, pins=("r", "alpha")),
+    "integrality": Target(_windowed(_integrality_alphas), _check_integrality, pins=("r", "alpha"), key=_table_key),
     "hecke": Target(
         _hecke_cells, _check_hecke, bounds=("t_max", "delta_max"), primes=(5, 7),
         shown=lambda cell: (cell[0], cell[1], f"{cell[2]}/{cell[3]}"),
@@ -388,9 +411,11 @@ def _record(item) -> dict:
     return _lemma_record(item) if isinstance(item, lc.LemmaReport) else item
 
 
-def _verify_cell(name: str, *cell) -> tuple[list, dict | lc.LemmaReport]:
+def _verify_cell(name: str, keep: bool, *cell) -> tuple[list, dict | lc.LemmaReport | None]:
     """Run one verification cell; returns (csv row, item), the item a JSON
-    record or a lemma report (see ``Target``).
+    record or a lemma report (see ``Target``).  Unless ``keep``, a holds or
+    vacuous cell returns None for its item, so that neither the results nor
+    the pool's pipe carry what a CSV sweep never prints.
 
     Module-level so multiprocessing can pickle it; every check is pure.
     Cells that violate a module precondition (possible when --r/--alpha pin
@@ -403,16 +428,39 @@ def _verify_cell(name: str, *cell) -> tuple[list, dict | lc.LemmaReport]:
         row = [name, *_columns(cell), "rejected", "", 0]
         return row, {"target": name, "cell": list(cell), "rejected": str(exc)}
     margin = "" if margin is None else format_rational(margin)
+    if not keep and verdict in ("holds", "vacuous"):
+        item = None
     return [name, *_columns(target.shown(cell)), verdict, margin, checked], item
 
 
-def _pool_starmap(fn: Callable, tasks: list[tuple], jobs: int) -> list:
-    """[fn(*task) for task in tasks], in order, on up to ``jobs`` processes."""
+def _run_group(fn: Callable, tasks: list[tuple]) -> list:
+    """[fn(*task) for task in tasks]: one pool task, a whole key group."""
+    return [fn(*t) for t in tasks]
+
+
+def _pool_starmap(fn: Callable, tasks: list[tuple], jobs: int, key: Callable | None = None) -> list:
+    """[fn(*task) for task in tasks], in order, on up to ``jobs`` processes.
+
+    The tasks sharing a ``key(task)`` go to one worker together (without a
+    key each task is its own group), so a worker's memo builds each key once;
+    the results are put back in task order.
+    """
     size = min(jobs, os.cpu_count() or 1, len(tasks))
     if size > 1:
-        with multiprocessing.Pool(size) as pool:
-            return pool.starmap(fn, tasks, chunksize=min(64, -(-len(tasks) // size)))
-    return [fn(*t) for t in tasks]
+        groups: dict = {}
+        for index, task in enumerate(tasks):
+            groups.setdefault(key(task) if key else index, []).append(index)
+        size = min(size, len(groups))
+    if size <= 1:
+        return [fn(*t) for t in tasks]
+    dealt = [(fn, [tasks[i] for i in group]) for group in groups.values()]
+    with multiprocessing.Pool(size) as pool:
+        done = pool.starmap(_run_group, dealt, chunksize=min(64, -(-len(dealt) // size)))
+    results = [None] * len(tasks)
+    for group, out in zip(groups.values(), done):
+        for index, result in zip(group, out):
+            results[index] = result
+    return results
 
 
 def cmd_verify(args) -> int:
@@ -429,20 +477,25 @@ def cmd_verify(args) -> int:
     ps = _check_primes(args.p or list(target.primes))
     if min(ps) <= 3 < min(target.primes):  # a target whose default primes are > 3 needs p > 3
         raise UsageError(f"target {name} needs primes > 3, got {min(ps)}")
-    tasks = sorted((name, *cell) for p in ps for cell in target.cells(p, args))
-    if not tasks:
+    cells = sorted(cell for p in ps for cell in target.cells(p, args))
+    if not cells:
         raise UsageError(f"no cells of target {name} in the requested window")
-    results = _pool_starmap(_verify_cell, tasks, args.jobs)
-    failures = [_record(item) for row, item in results if row[4] == "fails"]
-    rejected = [item for row, item in results if row[4] == "rejected"]
-    notes = target.notes([item for _, item in results])
-    verified = not failures and not rejected
+    results, notes = [], []
+
+    def sweep(as_json: bool) -> tuple[list, list]:
+        keep = as_json or target.notes is not None  # else only fails and rejected cells keep their items
+        results.extend(_pool_starmap(functools.partial(_verify_cell, name, keep), cells, args.jobs, target.key))
+        notes.extend(target.notes([item for _, item in results]) if target.notes else [])
+        return [row for row, _ in results], notes
 
     def payload():
         records = [_record(item) for _, item in results]
+        verified = all(row[4] not in ("fails", "rejected") for row, _ in results)
         return {"target": name, "records": records, "notes": notes, "verified": verified}
 
-    _write(args, VERIFY_HEADER, [row for row, _ in results], payload, notes)
+    _write(args, VERIFY_HEADER, sweep, payload)
+    failures = [_record(item) for row, item in results if row[4] == "fails"]
+    rejected = [item for row, item in results if row[4] == "rejected"]
     for rec in failures:
         sys.stderr.write(f"counterexample: {json.dumps(rec, sort_keys=True)}\n")
     for rec in rejected:

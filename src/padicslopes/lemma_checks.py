@@ -2,23 +2,30 @@
 
 Each lemma asserts strict p-adic valuation inequalities v_p(X_0) < v_p(.)
 over a finite index window attached to a parameter cell.  The checks here
-compute every valuation exactly from integers (binomials, Lambda numerators
-and Legendre's formula, never a rational number) and record per-index
-witnesses, so a "holds" verdict is an exhaustive exact computation, never an
-estimate.  Vacuous windows are reported as such rather than silently passing.
-The prime is validated once, at each public entry point.
+compute every valuation exactly from integers, never a rational number, and
+record per-index witnesses, so a "holds" verdict is an exhaustive exact
+computation, never an estimate.  Vacuous windows are reported as such rather
+than silently passing.  The prime is validated once, at each public entry
+point.
+
+Every witness valuation is a sum of table lookups.  By Kummer,
+(p-1) v_p(C(a+b, a)) = s_p(a) + s_p(b) - s_p(a+b), so the binomials of lemmas
+10, 11, 13 and 14 are read from one base-p digit-sum table (padic._digit_sums,
+the table lemma 9 reads), and the column witnesses of lemmas 12 and 15 add
+one such carry count to v_p(Lambda(alpha, l) p^l).  The route that builds
+each binomial and Lambda column numerator and divides out p is kept in
+tests/lemma_oracle.py as an oracle.
 
 A raw Lambda table depends on (p, rho', alpha) only, not on r, so a sweep
-meets each one on many cells.  Lemmas 12 and 15 read it from a bounded memo,
-and integrality_checks memoizes the facts it draws from it.  Both memos are
-registered in _memo, which empties them per invocation, and build tables
-through this module's global lambda_raw_table, so a patch or a trace of that
-name sees every real build.
+meets each one on many cells.  Lemmas 12 and 15 read the valuations of its
+entries from a bounded memo, and integrality_checks memoizes the facts it
+draws from it.  The memos are registered in _memo, which empties them per
+invocation, and build tables through this module's globals lambda_raw_table
+and _digit_sums, so a patch or a trace of those names sees every real build.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from itertools import accumulate, repeat
@@ -26,7 +33,6 @@ from typing import Sequence
 
 from ._memo import memo
 from .combinatorics import (
-    _column_numerators,
     all_row_indices,
     general_rho_prime,
     lambda_identity_holds,
@@ -51,15 +57,27 @@ GENERAL_LEMMAS = (10, 11, 12)
 RHO_LEMMAS = (13, 14, 15)
 # Cells come sorted by (p, r, alpha) and the cells sharing a table lie a few
 # r apart, so a small memo holds every reuse: at p in {5, 7, 11, 13} and
-# r <= 400 a size of 64 already builds each of the 2,339 tables once.
+# r <= 400 a size of 64 already builds each table once (2,339 integrality
+# keys, 2,163 lemma-12 keys).
 TABLE_MEMO_SIZE = 256
 
 
 @memo(maxsize=TABLE_MEMO_SIZE)
-def _lambda_table(p: int, R: int, alpha: int) -> tuple[list[int], int]:
-    """lambda_raw_table(p, R, alpha), built once while it stays in the memo;
-    callers only read it."""
-    return lambda_raw_table(p, R, alpha)
+def _lambda_table(p: int, R: int, alpha: int) -> list[ExtendedValuation]:
+    """[v_p(Lambda_R(alpha, l) p^l) for l = alpha - m, m in 0..R] over the raw
+    table (n, den) = lambda_raw_table(p, R, alpha): v_p(n_m) - v_p(R!) + l,
+    or INFINITY where n_m = 0 ((p-1)^R is a unit).  Built once per key while
+    it stays in the memo."""
+    nums, _ = lambda_raw_table(p, R, alpha)
+    vden = factorial_valuation(R, p)
+    return [INFINITY if n == 0 else _vp(n, p) - vden + alpha - m for m, n in enumerate(nums)]
+
+
+@memo(maxsize=64)
+def _digit_sum_table(p: int, bits: int) -> list[int]:
+    """[s_p(n) for n < 2^bits]: the digit sums every cell with r < 2^bits
+    reads, one table per prime and bit length of r."""
+    return _digit_sums(p, (1 << bits) - 1)
 
 
 @dataclass(frozen=True)
@@ -102,12 +120,21 @@ def _report(lemma_id, p, r, alpha, rho, rp, kind, v0, witnesses) -> LemmaReport:
     )
 
 
-def _core_valuation(p: int, r: int, alpha: int, rp: int, i: int) -> ExtendedValuation:
-    """v_p(C(r, i(p-1)+alpha) C(rho'-i, rho')), the common factor of X_i and
-    X_i*; a negative top uses C(-n, w) = (-1)^w C(n+w-1, w)."""
-    top = rp - i
-    core = math.comb(r, i * (p - 1) + alpha) * math.comb(top if top >= 0 else rp - top - 1, rp)
-    return INFINITY if core == 0 else _vp(core, p)
+def _core_valuation(sums: list[int], p: int, r: int, alpha: int, rp: int, i: int) -> ExtendedValuation:
+    """v_p(C(r, n) C(rho'-i, rho')) with n = i(p-1)+alpha in [0, r], the
+    common factor of X_i and X_i*, as two carry counts read from the digit
+    sums s_p: C(rho'+t, rho') at i = -t <= 0, and C(i-1, rho') up to sign at
+    i > rho', since a negative top has C(-m, w) = (-1)^w C(m+w-1, w).  The
+    core is 0 exactly when 0 < i <= rho'.  On a valid cell no index read
+    exceeds r."""
+    if i <= 0:
+        drop = sums[rp] + sums[-i] - sums[rp - i]
+    elif i > rp:
+        drop = sums[rp] + sums[i - 1 - rp] - sums[i - 1]
+    else:
+        return INFINITY
+    n = i * (p - 1) + alpha
+    return (sums[n] + sums[r - n] - sums[r] + drop) // (p - 1)
 
 
 def verify_lemma(lemma_id: int, p: int, r: int, alpha: int | None = None) -> LemmaReport:
@@ -119,9 +146,11 @@ def verify_lemma(lemma_id: int, p: int, r: int, alpha: int | None = None) -> Lem
 
     With core = C(r, i(p-1)+alpha) C(rho'-i, rho'), the row witnesses are
     X_i = p^(-i(p-1)) core and X_i* = p^(i(p-1)+2 alpha-r) core; the column
-    witnesses are C_l p^l with C_l = Lambda(alpha, l) C(r, alpha-l), whose
-    valuation is v_p(n_(alpha-l) C(r, alpha-l)) - v_p(rho'!) over the raw
-    Lambda table (n, (p-1)^rho' rho'!).
+    witnesses are C_l p^l with C_l = Lambda(alpha, l) C(r, alpha-l).  Every
+    valuation is additive: v_p(core) is two carry counts over the digit-sum
+    table of p (see _core_valuation), and v_p(C_l p^l) is the memoized
+    v_p(Lambda(alpha, l) p^l) of the key (p, rho', alpha) plus the carry count
+    of C(r, alpha-l).  v_p(X_0) = v_p(C(r, alpha)) is padic._carries.
     """
     if lemma_id in (12, 15):
         _check_prime_gt3(p)
@@ -139,23 +168,26 @@ def verify_lemma(lemma_id: int, p: int, r: int, alpha: int | None = None) -> Lem
         raise ValueError(f"unknown lemma id {lemma_id}")
 
     v0 = _carries(alpha, r - alpha, p)
-    rows = all_row_indices(p, r, alpha)
+    sums = _digit_sum_table(p, r.bit_length())
+    q = p - 1
     if lemma_id in (10, 13):  # the rows below zero, from -1 down
         kind = "X_i"
-        witnesses = [(i, _core_valuation(p, r, alpha, rp, i) - i * (p - 1)) for i in reversed(rows) if i < 0]
+        witnesses = [
+            (i, _core_valuation(sums, p, r, alpha, rp, i) - i * q)
+            for i in reversed(all_row_indices(p, r, alpha)) if i < 0
+        ]
     elif lemma_id in (11, 14):
         kind = "X_i_star"
-        lo_excl = rp * (p - 1) + alpha if lemma_id == 11 else rho * p
+        lo_excl = rp * q + alpha if lemma_id == 11 else rho * p
         witnesses = [
-            (i, _core_valuation(p, r, alpha, rp, i) + i * (p - 1) + 2 * alpha - r)
-            for i in rows if i * (p - 1) + alpha > lo_excl
+            (i, _core_valuation(sums, p, r, alpha, rp, i) + i * q + 2 * alpha - r)
+            for i in all_row_indices(p, r, alpha) if i * q + alpha > lo_excl
         ]
-    else:  # 12, 15
+    else:  # 12, 15: l = alpha - m
         kind = "C_l_p^l"
-        cols = _column_numerators(r, alpha, _lambda_table(p, rp, alpha)[0])
-        vden = factorial_valuation(rp, p)  # v_p((p-1)^rho' rho'!)
-        ls = range(alpha - rp if lemma_id == 12 else 1, alpha + 1)
-        witnesses = [(l, INFINITY if cols[l] == 0 else _vp(cols[l], p) - vden + l) for l in ls]
+        vlam, sr = _lambda_table(p, rp, alpha), sums[r]
+        m_top = rp if lemma_id == 12 else alpha - 1
+        witnesses = [(alpha - m, vlam[m] + (sums[m] + sums[r - m] - sr) // q) for m in range(m_top, -1, -1)]
     return _report(lemma_id, p, r, alpha, rho, rp, kind, v0, witnesses)
 
 

@@ -1,15 +1,24 @@
-"""Rational routes for the valuation lemmas, kept as independent oracles.
+"""Independent routes for the valuation lemmas, kept as oracles.
 
-Production (``padicslopes.lemma_checks``) computes every witness valuation
-from integers, and v_p(X_0) by Kummer's carry count.  This module builds the
-witnesses as exact ``Fraction``s, the way the lemmas state them, and splits
-them with ``padic.valuation``; v_p(X_0) = v_p(C(r, alpha)) is split the same
-way from ``math.comb``, so no carry count is shared with production.  The
-column witnesses of lemmas 12 and 15 come from ``c_constants``, the
-constants C_l as Fractions (production reads them as integer numerators of
-the raw Lambda table).  It also keeps the cleared integrality identity,
-which production no longer evaluates because it is rho'! times the defining
-identity.  The tests compare the routes.
+Production (``padicslopes.lemma_checks``) adds every witness valuation up
+from table lookups: Kummer's carry counts over one base-p digit-sum table,
+plus the memoized valuations of each raw Lambda table, and v_p(X_0) by the
+scalar carry count.  This module keeps two other routes, built into the
+report that ``_report`` builds, so the tests can compare whole reports:
+
+- ``verify_lemma_by_vp`` builds each witness as an integer, the binomial
+  core C(r, n) C(rho'-i, rho') with ``math.comb`` and the column numerators
+  of ``combinatorics._column_numerators`` over the raw Lambda table, and
+  divides out p with ``padic._vp``: production's route before it turned
+  additive.
+- ``verify_lemma_by_fractions`` builds the witnesses as exact ``Fraction``s,
+  the way the lemmas state them, and splits them with ``padic.valuation``;
+  v_p(X_0) = v_p(C(r, alpha)) is split the same way from ``math.comb``, so
+  no carry count is shared with production.  Its column witnesses come from
+  ``c_constants``, the constants C_l as Fractions.
+
+It also keeps the cleared integrality identity, which production no longer
+evaluates because it is rho'! times the defining identity.
 """
 
 import math
@@ -17,15 +26,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from padicslopes.combinatorics import (
+    _column_numerators,
+    all_row_indices,
     comb0,
     general_rho_prime,
+    lambda_raw_table,
     lambda_values_by_differences,
     lambda_variant,
     rho_case_rho_prime,
     rho_of,
 )
 from padicslopes.lemma_checks import GENERAL_LEMMAS, RHO_LEMMAS, _report
-from padicslopes.padic import valuation
+from padicslopes.padic import INFINITY, _carries, _vp, factorial_valuation, valuation
 
 
 @dataclass(frozen=True)
@@ -86,18 +98,22 @@ def witness_values(p: int, r: int, alpha: int, rho_prime: int, i: int) -> tuple[
     return xi, xis
 
 
+def _lemma_cell(lemma_id: int, p: int, r: int, alpha: int | None) -> tuple[int, int, int]:
+    """(rho, alpha, rho') of a lemma's cell; lemmas 13-15 take alpha = rho."""
+    rho = rho_of(p, r)
+    if lemma_id in GENERAL_LEMMAS:
+        return rho, alpha, general_rho_prime(p, r, alpha)
+    if lemma_id in RHO_LEMMAS:
+        alpha = rho if alpha is None else alpha
+        return rho, alpha, rho_case_rho_prime(p, r, alpha)
+    raise ValueError(f"unknown lemma id {lemma_id}")
+
+
 def verify_lemma_by_fractions(lemma_id: int, p: int, r: int, alpha: int | None = None):
     """``verify_lemma`` over exact rationals: the same windows, with each
     witness built as a Fraction and its valuation split by ``valuation``, in
     the report that ``_report`` builds."""
-    rho = rho_of(p, r)
-    if lemma_id in GENERAL_LEMMAS:
-        rp = general_rho_prime(p, r, alpha)
-    elif lemma_id in RHO_LEMMAS:
-        alpha = rho if alpha is None else alpha
-        rp = rho_case_rho_prime(p, r, alpha)
-    else:
-        raise ValueError(f"unknown lemma id {lemma_id}")
+    rho, alpha, rp = _lemma_cell(lemma_id, p, r, alpha)
 
     v0 = valuation(math.comb(r, alpha), p)
     witnesses = []
@@ -120,6 +136,41 @@ def verify_lemma_by_fractions(lemma_id: int, p: int, r: int, alpha: int | None =
         cols = c_constants(p, r, alpha)
         for l in range(alpha - rp if lemma_id == 12 else 1, alpha + 1):
             witnesses.append((l, valuation(cols[l], p) + l))  # INFINITY absorbs + l
+    return _report(lemma_id, p, r, alpha, rho, rp, kind, v0, witnesses)
+
+
+def core_valuation_by_vp(p: int, r: int, alpha: int, rho_prime: int, i: int):
+    """v_p(C(r, i(p-1)+alpha) C(rho'-i, rho')) by building the product; a
+    negative top uses C(-n, w) = (-1)^w C(n+w-1, w)."""
+    top = rho_prime - i
+    core = math.comb(r, i * (p - 1) + alpha) * math.comb(top if top >= 0 else rho_prime - top - 1, rho_prime)
+    return INFINITY if core == 0 else _vp(core, p)
+
+
+def verify_lemma_by_vp(lemma_id: int, p: int, r: int, alpha: int | None = None):
+    """``verify_lemma`` with every witness built as an integer and its
+    valuation taken by ``_vp``: the same windows, v_p(X_0) by the carry
+    count, in the report that ``_report`` builds."""
+    rho, alpha, rp = _lemma_cell(lemma_id, p, r, alpha)
+
+    v0 = _carries(alpha, r - alpha, p)
+    rows = all_row_indices(p, r, alpha)
+    if lemma_id in (10, 13):
+        kind = "X_i"
+        witnesses = [(i, core_valuation_by_vp(p, r, alpha, rp, i) - i * (p - 1)) for i in reversed(rows) if i < 0]
+    elif lemma_id in (11, 14):
+        kind = "X_i_star"
+        lo_excl = rp * (p - 1) + alpha if lemma_id == 11 else rho * p
+        witnesses = [
+            (i, core_valuation_by_vp(p, r, alpha, rp, i) + i * (p - 1) + 2 * alpha - r)
+            for i in rows if i * (p - 1) + alpha > lo_excl
+        ]
+    else:
+        kind = "C_l_p^l"
+        cols = _column_numerators(r, alpha, lambda_raw_table(p, rp, alpha)[0])
+        vden = factorial_valuation(rp, p)  # v_p((p-1)^rho' rho'!)
+        ls = range(alpha - rp if lemma_id == 12 else 1, alpha + 1)
+        witnesses = [(l, INFINITY if cols[l] == 0 else _vp(cols[l], p) - vden + l) for l in ls]
     return _report(lemma_id, p, r, alpha, rho, rp, kind, v0, witnesses)
 
 

@@ -343,6 +343,56 @@ class TestArgumentBoundary:
             assert sizes == pools
             assert pooled.read_bytes() == serial.read_bytes()
 
+    @pytest.mark.parametrize("target", ["integrality", "lemma12", "lemma15"])
+    def test_key_groups_same_bytes_on_a_pool(self, target, tmp_path):
+        serial, pooled = tmp_path / "a.out", tmp_path / "b.out"
+        for fmt in ("csv", "json"):
+            argv = ["verify", target, "--p", "5,7,11,13", "--r-max", "200", "--format", fmt]
+            assert run_cli([*argv, "--jobs", "1"], serial) == 0
+            assert run_cli([*argv, "--jobs", "2"], pooled) == 0
+            assert pooled.read_bytes() == serial.read_bytes()
+
+    def test_counterexamples_same_on_a_pool(self, tmp_path, capsys, monkeypatch):
+        # one v_p(n_m) of every key table off by one: the pool's workers,
+        # forked after the patch, fail the same cells with the same records
+        table = lc._lambda_table
+        monkeypatch.setattr(lc, "_lambda_table", lambda *key: [v - (m == 1) for m, v in enumerate(table(*key))])
+        lines = {}
+        for jobs in ("1", "2"):
+            assert run_cli(["verify", "lemma12", "--p", "5,7", "--r-max", "60", "--jobs", jobs], tmp_path / "v") == 1
+            lines[jobs] = capsys.readouterr().err.splitlines()
+        assert lines["1"] == lines["2"]
+        assert lines["1"] and all(line.startswith("counterexample: ") for line in lines["1"])
+
+    def test_pool_deals_whole_key_groups(self, monkeypatch):
+        dealt = []
+
+        class RecordingPool:
+            def __init__(self, size):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, tasks, chunksize=1):
+                dealt.extend(group for _, group in tasks)
+                return [fn(*t) for t in tasks]
+
+        tasks = [(n, 7) for n in range(40)]  # keys n % 3 interleave in task order
+        key = lambda task: task[0] % 3
+        serial = [divmod(*t) for t in tasks]
+        assert cli._pool_starmap(divmod, tasks, 2, key) == serial  # on a real pool
+        monkeypatch.setattr(cli.multiprocessing, "Pool", RecordingPool)
+        assert cli._pool_starmap(divmod, tasks, 2, key) == serial
+        assert [[key(t) for t in group] for group in dealt] == [[k] * len(group) for k, group in enumerate(dealt)]
+        assert sorted(t for group in dealt for t in group) == tasks
+        dealt.clear()
+        assert cli._pool_starmap(divmod, tasks, 2) == serial  # no key: one task per group
+        assert dealt == [[t] for t in tasks]
+
     @pytest.mark.parametrize("argv", [
         ["measure", "--p", "5", "--k", "12..60", "--dump-masses"],
         ["slopes", "--p", "5,59", "--k", "12..50"],

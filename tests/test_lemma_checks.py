@@ -3,18 +3,20 @@ from argparse import Namespace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from padicslopes import lemma_checks as lc
 from padicslopes import padic
 from padicslopes.combinatorics import (
+    all_row_indices,
     general_alphas,
     general_rho_prime,
     lambda_identity_holds,
     lambda_raw_table,
     lambda_values_by_differences,
     lambda_variant,
+    rho_case_rho_prime,
     rho_case_rs,
     rho_of,
     rho_prime_of,
@@ -28,7 +30,14 @@ from padicslopes.lemma_checks import (
 )
 from padicslopes.padic import INFINITY, _carries, valuation
 
-from lemma_oracle import c_constants, cleared_identity_holds, verify_lemma_by_fractions, witness_values
+from lemma_oracle import (
+    c_constants,
+    cleared_identity_holds,
+    core_valuation_by_vp,
+    verify_lemma_by_fractions,
+    verify_lemma_by_vp,
+    witness_values,
+)
 
 
 def falling(a, n):
@@ -331,6 +340,63 @@ class TestIntegerRouteAgainstOracle:
             assert lc._drop_row(sums, a) == [(p - 1) * _carries(b, a - b, p) for b in range(a + 1)]
 
 
+def _edge_rs(p, r_max):
+    """r = p^e - 1, p^e and p^e + 1 for every p^e <= r_max."""
+    out, q = [], p
+    while q <= r_max:
+        out += [q - 1, q, q + 1]
+        q *= p
+    return out
+
+
+@st.composite
+def _valid_cells(draw, lemma=None):
+    """(lemma, p, r, alpha, rho') of a valid cell, r often at a p^e edge."""
+    lemma = lemma or draw(st.sampled_from((10, 11, 12, 13, 14, 15)))
+    p = draw(st.sampled_from((5, 7, 11, 13) if lemma in (12, 15) else (2, 3, 5, 7, 11, 13)))
+    if lemma in (13, 14, 15):
+        rs = list(rho_case_rs(p, 1500))
+        edges = [r for r in rs if any(abs(r - e) <= p for e in _edge_rs(p, 1500))]
+        r = draw(st.sampled_from(edges) | st.sampled_from(rs))
+        return lemma, p, r, rho_of(p, r), rho_case_rho_prime(p, r, rho_of(p, r))
+    r = draw(st.sampled_from(_edge_rs(p, 1200)) | st.integers(p + 2, 1200))
+    alphas = general_alphas(p, r)
+    assume(alphas)
+    alpha = draw(st.sampled_from(alphas))
+    return lemma, p, r, alpha, general_rho_prime(p, r, alpha)
+
+
+class TestAdditiveRouteAgainstVpRoute:
+    """Production adds witness valuations up from digit sums and the key
+    memo; the oracle builds each witness as an integer and divides out p."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_valid_cells())
+    def test_every_witness_matches(self, cell):
+        lemma, p, r, alpha, _ = cell
+        assert verify_lemma(lemma, p, r, alpha) == verify_lemma_by_vp(lemma, p, r, alpha)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_valid_cells(lemma=10) | _valid_cells(lemma=13))
+    def test_core_valuation_on_every_row(self, cell):
+        # every row of the cell, the zero cores 0 < i <= rho' and the
+        # negative tops i > rho' included, from a table that stops at r
+        _, p, r, alpha, rp = cell
+        sums = lc._digit_sums(p, r)
+        rows = all_row_indices(p, r, alpha)
+        assert [lc._core_valuation(sums, p, r, alpha, rp, i) for i in rows] == [
+            core_valuation_by_vp(p, r, alpha, rp, i) for i in rows
+        ]
+
+    def test_core_cases(self):
+        # (5, 40, 9) has rho' = 6 and rows -2..7: two row kinds around the zero cores
+        sums = lc._digit_sums(5, 40)
+        cores = {i: lc._core_valuation(sums, 5, 40, 9, 6, i) for i in all_row_indices(5, 40, 9)}
+        assert [i for i, v in cores.items() if v == INFINITY] == list(range(1, 7))
+        assert cores == {i: core_valuation_by_vp(5, 40, 9, 6, i) for i in cores}
+        assert min(cores) < 0 and max(cores) > 6
+
+
 class TestChecksCanFail:
     @pytest.mark.parametrize("p,r,alpha", [(5, 40, 9), (7, 25, 3), (11, 90, 9), (13, 200, 15)])
     def test_identity_detects_numerator_off_by_one(self, p, r, alpha):
@@ -370,6 +436,31 @@ class TestChecksCanFail:
         rep, oracle = verify_lemma(10, 5, 40, 9), verify_lemma_by_fractions(10, 5, 40, 9)
         assert rep.v_x0 == oracle.v_x0 + 1
         assert rep != oracle
+
+    def test_lemma12_reports_an_off_by_one_table_valuation(self, monkeypatch):
+        # (5, 8, 2) has rho' = 1 and its least margin, 1, at l = 1, read from
+        # the key memo's entry m = alpha - l = 1
+        assert verify_lemma_by_vp(12, 5, 8, 2).min_margin == 1
+        table = lc._lambda_table
+        monkeypatch.setattr(lc, "_lambda_table", lambda *key: [v - (m == 1) for m, v in enumerate(table(*key))])
+        rep = verify_lemma(12, 5, 8, 2)
+        assert (rep.verdict, rep.min_margin) == ("fails", 0)
+
+    def test_lemma11_reports_a_wrong_digit_sum(self, monkeypatch):
+        # s_5(12) enters the witness of (5, 12, 3) at i = 2 once, negatively, as
+        # s_p(r): one unit more floors its quotient by p-1 one lower, and the
+        # cell's only margin is 1
+        assert verify_lemma_by_vp(11, 5, 12, 3).min_margin == 1  # the memo stays empty until the patch
+        digit_sums = lc._digit_sums
+
+        def corrupted(p, n_max):
+            sums = digit_sums(p, n_max)
+            sums[12] += 1
+            return sums
+
+        monkeypatch.setattr(lc, "_digit_sums", corrupted)
+        rep = verify_lemma(11, 5, 12, 3)
+        assert (rep.verdict, rep.min_margin) == ("fails", 0)
 
     def test_lemma9_reports_a_wrong_carry_count(self, monkeypatch):
         digit_sums = lc._digit_sums

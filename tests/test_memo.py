@@ -3,9 +3,11 @@ memo registered in ``_memo``, and one ``reset()`` empties them all."""
 
 import ast
 import os
+from argparse import Namespace
 
 from padicslopes import _memo, cli
 from padicslopes.cli import main
+from padicslopes.combinatorics import rho_prime_of
 
 SRC = os.path.dirname(cli.__file__)
 
@@ -46,6 +48,7 @@ def test_every_memo_registered_and_bounded():
     assert names == [
         "padicslopes.combinatorics._carry_full_rank",
         "padicslopes.combinatorics._step_differences",
+        "padicslopes.lemma_checks._digit_sum_table",
         "padicslopes.lemma_checks._integrality_facts",
         "padicslopes.lemma_checks._lambda_table",
         "padicslopes.symhecke._pascal",
@@ -59,3 +62,14 @@ def test_every_subcommand_starts_with_empty_memos(tmp_path):
     assert cli.lc._lambda_table.cache_info().currsize > 0
     assert main(["slopes", "--p", "5", "--k", "12", "--out", str(tmp_path / "s.csv")]) == 0
     assert [m.cache_info().currsize for m in _memo.MEMOS] == [0] * len(_memo.MEMOS)
+
+
+def test_lambda_table_built_once_per_key(tmp_path):
+    # one build per distinct (p, rho', alpha) of the sweep's cells
+    ps = (5, 7, 11, 13)
+    window = Namespace(r=None, alpha=None, r_max=400)
+    cells = [cell for p in ps for cell in cli.VERIFY_TARGETS["lemma12"].cells(p, window)]
+    keys = {(p, rho_prime_of(p, r, a), a) for p, r, a in cells}
+    argv = ["verify", "lemma12", "--p", ",".join(map(str, ps)), "--r-max", "400", "--jobs", "1"]
+    assert main([*argv, "--out", str(tmp_path / "v.csv")]) == 0
+    assert cli.lc._lambda_table.cache_info().misses == len(keys) == 2163
