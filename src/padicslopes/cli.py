@@ -18,7 +18,7 @@ import json
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from . import _memo
@@ -86,23 +86,22 @@ def _even_weights(ks: list[int]) -> list[int]:
     return evens
 
 
-def _write(args, header: list[str], rows: list[list] | Callable, payload: Callable[[], dict], notes=()) -> None:
+def _write(args, header: list[str], output: Callable) -> None:
     """Write a command's output, the only writer of CSV and JSON.
 
-    ``--format json`` writes the dict ``payload()``, so only JSON output
-    builds it; CSV writes ``header``, ``rows`` and one ``# note`` line per
-    note.  ``rows`` may instead be a function of whether the output is JSON
-    that returns (rows, notes): ``verify`` runs its sweep there, so that a
-    CSV sweep keeps only the items it prints.  The text goes to ``--out`` (a
-    relative path is taken under $PADICSLOPES_OUT_DIR when that is set),
-    else to stdout.
+    ``output(as_json)`` builds what ``--format`` asks for, so only that is
+    built: for JSON the payload dict, in which Fractions and INFINITY may
+    stand raw (they render through format_rational), for CSV (rows, notes),
+    written as ``header``, the rows and one ``# note`` line per note.  The
+    text goes to ``--out`` (a relative path is taken under
+    $PADICSLOPES_OUT_DIR when that is set), else to stdout.
     """
     as_json = args.format == "json"
-    if callable(rows):
-        rows, notes = rows(as_json)
+    built = output(as_json)
     if as_json:
-        text = json.dumps(payload(), indent=2, sort_keys=True) + "\n"
+        text = json.dumps(built, indent=2, sort_keys=True, default=format_rational) + "\n"
     else:
+        rows, notes = built
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
@@ -147,30 +146,6 @@ def _lemma_record(report: lc.LemmaReport) -> dict:
 
 
 PROFILE_HEADER = ["p", "k", "dim_old", "dim_new", "count_middle", "fraction_middle", "left_end", "right_end"]
-
-
-def _profile_record(table: ms.ProfileTable) -> dict:
-    """The JSON record of a middle-mass profile; its rows hold the CSV columns
-    of PROFILE_HEADER and the masses."""
-    return {
-        "p": table.p,
-        "include_newforms": table.include_newforms,
-        "cutoff": table.cutoff,
-        "rows": [
-            {
-                "p": row.p,
-                "k": row.k,
-                "dim_old": row.dim_old,
-                "dim_new": row.dim_new,
-                "count_middle": row.count_middle,
-                "fraction_middle": format_rational(row.fraction_middle),
-                "left_end": format_rational(row.left_end),
-                "right_end": format_rational(row.right_end),
-                "masses": [format_rational(m) for m in row.masses],
-            }
-            for row in table.rows
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -236,17 +211,6 @@ def _with_rho(cell: tuple) -> tuple:
     return (*cell, comb.rho_of(*cell))
 
 
-def _table_key(cell: tuple) -> tuple:
-    """(p, rho', alpha) of the raw Lambda table that an integrality, lemma12
-    or lemma15 cell reads: rho' = alpha = rho in the rho case.  It only
-    groups cells, so an invalid cell needs no check here."""
-    p, r, *alpha = cell
-    rho = comb.rho_of(p, r)
-    if not alpha or alpha[0] == rho:
-        return p, rho, rho
-    return p, comb.rho_prime_of(p, r, alpha[0]), alpha[0]
-
-
 def _integrality_alphas(p: int, r: int) -> list[int]:
     return comb.general_alphas(p, r) + ([comb.rho_of(p, r)] if r in comb.rho_case_rs(p, r) else [])
 
@@ -308,6 +272,7 @@ def _det_notes(records: list[dict]) -> list[str]:
 
 
 def _check_interior_annihilator(p, r, alpha):
+    comb.below_rho_rho_prime(p, r, alpha)  # at alpha = rho the builder would take the rho-annihilator shape
     sysm = comb.build_interior_annihilator(p, r, alpha)
     ok = not sysm.residual() and comb.vartheta_profile(sysm).holds
     return _identity("interior-annihilator", ok, len(sysm.row_values), p=p, r=r, alpha=alpha)
@@ -367,9 +332,9 @@ VERIFY_TARGETS = {
         lambda p, args: [(p, args.a_max)], _check_lemma9, bounds=("a_max",), primes=(2, 3, 5, 7, 11, 13),
     ),
     **{f"lemma{i}": Target(_GENERAL, _check_lemma(i), pins=("r", "alpha")) for i in (10, 11)},
-    "lemma12": Target(_GENERAL, _check_lemma(12), pins=("r", "alpha"), key=_table_key),
+    "lemma12": Target(_GENERAL, _check_lemma(12), pins=("r", "alpha"), key=lc.table_key),
     **{f"lemma{i}": Target(_RHO_CASE, _check_lemma(i), pins=("r",), shown=_with_rho) for i in (13, 14)},
-    "lemma15": Target(_RHO_CASE, _check_lemma(15), pins=("r",), shown=_with_rho, key=_table_key),
+    "lemma15": Target(_RHO_CASE, _check_lemma(15), pins=("r",), shown=_with_rho, key=lc.table_key),
     "lambda-system": Target(_lambda_cells, _check_lambda_system, bounds=("R_max", "alpha_max")),
     "matrix-entries": Target(_BELOW_RHO, _check_matrix_entries, pins=("r", "alpha")),
     "det-factorization": Target(
@@ -381,7 +346,7 @@ VERIFY_TARGETS = {
     "rho-annihilator": Target(
         _rho_shaped(comb.rho_annihilator_rs), _check_rho_annihilator, pins=("r",), shown=_with_rho,
     ),
-    "integrality": Target(_windowed(_integrality_alphas), _check_integrality, pins=("r", "alpha"), key=_table_key),
+    "integrality": Target(_windowed(_integrality_alphas), _check_integrality, pins=("r", "alpha"), key=lc.table_key),
     "hecke": Target(
         _hecke_cells, _check_hecke, bounds=("t_max", "delta_max"), primes=(5, 7),
         shown=lambda cell: (cell[0], cell[1], f"{cell[2]}/{cell[3]}"),
@@ -480,20 +445,19 @@ def cmd_verify(args) -> int:
     cells = sorted(cell for p in ps for cell in target.cells(p, args))
     if not cells:
         raise UsageError(f"no cells of target {name} in the requested window")
-    results, notes = [], []
+    results = []
 
-    def sweep(as_json: bool) -> tuple[list, list]:
+    def output(as_json: bool):
         keep = as_json or target.notes is not None  # else only fails and rejected cells keep their items
         results.extend(_pool_starmap(functools.partial(_verify_cell, name, keep), cells, args.jobs, target.key))
-        notes.extend(target.notes([item for _, item in results]) if target.notes else [])
-        return [row for row, _ in results], notes
-
-    def payload():
+        notes = target.notes([item for _, item in results]) if target.notes else []
+        if not as_json:
+            return [row for row, _ in results], notes
         records = [_record(item) for _, item in results]
         verified = all(row[4] not in ("fails", "rejected") for row, _ in results)
         return {"target": name, "records": records, "notes": notes, "verified": verified}
 
-    _write(args, VERIFY_HEADER, sweep, payload)
+    _write(args, VERIFY_HEADER, output)
     failures = [_record(item) for row, item in results if row[4] == "fails"]
     rejected = [item for row, item in results if row[4] == "rejected"]
     for rec in failures:
@@ -510,22 +474,25 @@ def cmd_verify(args) -> int:
 
 def cmd_slopes(args) -> int:
     ks = _even_weights(args.k)
-    found = mf.slope_table(_check_primes(args.p), ks, lambda fn, tasks: _pool_starmap(fn, tasks, args.jobs))
-    rows = []
-    records = []
-    for (p, k), svals in sorted(found.items()):
-        records.append({"p": p, "k": k, "slopes": [format_rational(s) for s in svals]})
-        for s in svals:
-            row = [p, k, format_rational(s)]
-            if args.approx:
-                row.append("~" + ("inf" if s == INFINITY else f"{float(s):.6f}"))
-            rows.append(row)
-    header = ["p", "k", "slope"] + (["approx_decimal"] if args.approx else [])
-    _write(args, header, rows, lambda: {"records": records})
+    table = mf.slope_table(_check_primes(args.p), ks, lambda fn, tasks: _pool_starmap(fn, tasks, args.jobs))
+    found = sorted(table.items())
+
+    def output(as_json: bool):
+        if as_json:
+            return {"records": [{"p": p, "k": k, "slopes": svals} for (p, k), svals in found]}
+        return [
+            [p, k, format_rational(s)] + (["~" + ("inf" if s == INFINITY else f"{float(s):.6f}")] if args.approx else [])
+            for (p, k), svals in found for s in svals
+        ], []
+
+    _write(args, ["p", "k", "slope"] + (["approx_decimal"] if args.approx else []), output)
     return 0
 
 
 def cmd_measure(args) -> int:
+    """The middle-mass profile of one prime.  Its JSON is the ProfileTable
+    itself, whose fields are the record's keys; a CSV row holds the columns
+    of PROFILE_HEADER and, with --dump-masses, the masses joined by ';'."""
     p = _one_prime(args.p, "measure")
     ks = _even_weights(args.k)
     table = ms.middle_mass_profile(
@@ -534,10 +501,18 @@ def cmd_measure(args) -> int:
         max_dim=args.max_dim,
         starmap=lambda fn, tasks: _pool_starmap(fn, tasks, args.jobs),
     )
-    record = _profile_record(table)
-    header = PROFILE_HEADER + (["masses"] if args.dump_masses else [])
-    rows = [[";".join(row[h]) if h == "masses" else row[h] for h in header] for row in record["rows"]]
-    _write(args, header, rows, lambda: record, [f"cutoff: {table.cutoff}"] if table.cutoff else [])
+
+    def output(as_json: bool):
+        if as_json:
+            return asdict(table)
+        rows = [
+            [format_rational(getattr(row, h)) for h in PROFILE_HEADER]
+            + ([";".join(map(format_rational, row.masses))] if args.dump_masses else [])
+            for row in table.rows
+        ]
+        return rows, [f"cutoff: {table.cutoff}"] if table.cutoff else []
+
+    _write(args, PROFILE_HEADER + (["masses"] if args.dump_masses else []), output)
     if table.cutoff:
         sys.stderr.write(f"resource guard: {table.cutoff}\n")
     return 0
@@ -545,10 +520,14 @@ def cmd_measure(args) -> int:
 
 def cmd_lambda(args) -> int:
     p = _one_prime(args.p, "lambda")
-    values = [[b, format_rational(v)] for b, v in
-              sorted(comb.lambda_values_by_differences(p, args.R, args.alpha).items())]
-    payload = {"p": p, "R": args.R, "alpha": args.alpha, "values": {str(b): v for b, v in values}}
-    _write(args, ["beta", "value"], values, lambda: payload)
+    values = sorted(comb.lambda_values_by_differences(p, args.R, args.alpha).items())
+
+    def output(as_json: bool):
+        if as_json:
+            return {"p": p, "R": args.R, "alpha": args.alpha, "values": {str(b): v for b, v in values}}
+        return [[b, format_rational(v)] for b, v in values], []
+
+    _write(args, ["beta", "value"], output)
     return 0
 
 

@@ -356,7 +356,8 @@ def factor_and_rank_checks(p: int, R: int, gamma: int) -> FactorRankReport:
     The determinant is (-1)^R times the constant term of the characteristic
     polynomial.  The report also compares it against the linear-exponent
     power (p-1)^R; the two agree only at R = 0 and R = 3, and both are units
-    mod p, so the rank conclusion is the same either way.
+    mod p, so the rank conclusion is the same either way.  The rank verdict
+    is the memoized _carry_full_rank(p, R, gamma), the one route to it.
     """
     _check_prime_gt3(p)
     if R < 1 or gamma < 0:
@@ -380,7 +381,7 @@ def factor_and_rank_checks(p: int, R: int, gamma: int) -> FactorRankReport:
         det_expected=expected,
         det_matches_closed_form=det_b == expected,
         linear_power_agrees=det_b == (p - 1) ** R,
-        full_rank_mod_p=rank_mod_p(m3, p) == R,
+        full_rank_mod_p=_carry_full_rank(p, R, gamma),
     )
 
 

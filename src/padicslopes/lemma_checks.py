@@ -40,6 +40,7 @@ from .combinatorics import (
     lambda_variant,
     rho_case_rho_prime,
     rho_of,
+    rho_prime_of,
 )
 from .padic import (
     INFINITY,
@@ -60,6 +61,17 @@ RHO_LEMMAS = (13, 14, 15)
 # r <= 400 a size of 64 already builds each table once (2,339 integrality
 # keys, 2,163 lemma-12 keys).
 TABLE_MEMO_SIZE = 256
+
+
+def table_key(cell: tuple) -> tuple[int, int, int]:
+    """(p, rho', alpha) of the raw Lambda table that an integrality, lemma12
+    or lemma15 cell (p, r[, alpha]) reads, alpha = rho when omitted: the key
+    of _lambda_table and _integrality_facts.  A rho-case cell has
+    r - rho = rho p + 1, so rho' = rho there.  It only groups cells, so an
+    invalid cell needs no check here."""
+    p, r, *alpha = cell
+    a = alpha[0] if alpha else rho_of(p, r)
+    return p, rho_prime_of(p, r, a), a
 
 
 @memo(maxsize=TABLE_MEMO_SIZE)

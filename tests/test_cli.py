@@ -1,16 +1,19 @@
 import ast
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 from argparse import Namespace
+from fractions import Fraction
 
 import pytest
 
 from padicslopes import cli
 from padicslopes import lemma_checks as lc
 from padicslopes.cli import main
+from padicslopes.padic import INFINITY
 
 
 def run_console(args):
@@ -70,6 +73,17 @@ class TestSlopesCommand:
         lines = out.read_text().splitlines()
         assert lines[0].endswith("approx_decimal")
         assert "~" in lines[1]
+
+    def test_exact_values_rendered_by_the_writer(self, tmp_path, monkeypatch):
+        # raw INFINITY and Fraction slopes reach _write: JSON renders them through its hook
+        monkeypatch.setattr(cli.mf, "slope_table", lambda ps, ks, starmap: {(5, 12): [INFINITY, Fraction(1, 2)]})
+        out = tmp_path / "s"
+        assert run_cli(["slopes", "--p", "5", "--k", "12", "--format", "json"], out) == 0
+        assert json.loads(out.read_text()) == {"records": [{"p": 5, "k": 12, "slopes": ["inf", "1/2"]}]}
+        assert run_cli(["slopes", "--p", "5", "--k", "12"], out) == 0
+        assert out.read_text().splitlines() == ["p,k,slope", "5,12,inf", "5,12,1/2"]
+        assert run_cli(["slopes", "--p", "5", "--k", "12", "--approx"], out) == 0
+        assert out.read_text().splitlines()[1:] == ["5,12,inf,~inf", "5,12,1/2,~0.500000"]
 
 
 class TestMeasureCommand:
@@ -343,6 +357,12 @@ class TestArgumentBoundary:
             assert sizes == pools
             assert pooled.read_bytes() == serial.read_bytes()
 
+    def test_pool_leaves_no_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a real pool even on one CPU
+        for argv in (["verify", "lemma12", "--p", "5,7", "--r-max", "60"], ["slopes", "--p", "5", "--k", "12..40"]):
+            assert run_cli([*argv, "--jobs", "2"], tmp_path / "out") == 0
+            assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("target", ["integrality", "lemma12", "lemma15"])
     def test_key_groups_same_bytes_on_a_pool(self, target, tmp_path):
         serial, pooled = tmp_path / "a.out", tmp_path / "b.out"
@@ -461,6 +481,16 @@ class TestHeckeCheckCommand:
         ]
         assert capsys.readouterr().err.splitlines() == [
             f"invalid cell: [5, 14, {a}]: general variant needs alpha > rho, got alpha={a}, rho=2" for a in (1, 2)
+        ]
+
+    @pytest.mark.parametrize("p, r", [(5, 9), (7, 13), (5, 10)])
+    def test_interior_annihilator_rejects_alpha_rho(self, p, r, tmp_path, capsys):
+        # the target's window is below rho; at alpha = rho the builder would take the rho-annihilator shape
+        out = tmp_path / "v.csv"
+        assert run_cli(["verify", "interior-annihilator", "--p", str(p), "--r", str(r), "--alpha", "1"], out) == 2
+        assert out.read_text().splitlines()[1:] == [f"interior-annihilator,{p},{r},1,rejected,,0"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid cell: [{p}, {r}, 1]: need 0 <= alpha < rho = 1, got alpha=1"
         ]
 
     def test_integrality_rho_zero_cell_rejected(self, tmp_path, capsys):

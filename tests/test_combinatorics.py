@@ -215,6 +215,16 @@ class TestFactorAndRank:
             assert rep.det_matches_closed_form
             assert rep.full_rank_mod_p
 
+    def test_rank_read_from_the_memo(self, tmp_path, monkeypatch):
+        # one route to the rank verdict: the (p, R, gamma) memo of the interior cells
+        argv = ["verify", "det-factorization", "--p", "5", "--R-max", "5", "--out", str(tmp_path / "v.csv")]
+        assert main(argv) == 0
+        assert combinatorics._carry_full_rank.cache_info().misses == 25  # R in 1..5, gamma in (0, 1, 2, 5, 11)
+        monkeypatch.setattr(combinatorics, "rank_mod_p", lambda rows, p: len(rows) - 1)
+        assert main(argv) == 1
+        rows = [row for row in (tmp_path / "v.csv").read_text().splitlines()[1:] if not row.startswith("# ")]
+        assert len(rows) == 25 and all(row.split(",")[4] == "fails" for row in rows)
+
     def test_interior_rank(self, monkeypatch):
         m = build_matrix_M(5, 26, 2)
         assert m.row_indices == (1, 2, 3, 4)

@@ -26,6 +26,7 @@ from padicslopes.cli import main as cli_main
 from padicslopes.lemma_checks import (
     integrality_checks,
     sweep_lemma9_with_oracle,
+    table_key,
     verify_lemma,
 )
 from padicslopes.padic import INFINITY, _carries, valuation
@@ -596,6 +597,19 @@ class TestTableMemo:
         assert cli_main(["verify", name, "--p", "5", "--r-max", "200", "--jobs", "1", "--out", str(tmp_path / "v")]) == 0
         assert sorted(built) == sorted({table_key(*cell) for cell in cells})
         assert len(built) < len(cells)
+
+    def test_table_key_is_the_lambda_variant_key(self):
+        # the pool groups cells by table_key: on every cell it is the (p, rho', alpha) the checks read
+        window = Namespace(r=None, alpha=None, r_max=200)
+        for name in ("integrality", "lemma12", "lemma15"):
+            target = VERIFY_TARGETS[name]
+            assert target.key is table_key
+            cells = [cell for p in target.primes for cell in target.cells(p, window)]
+            assert cells
+            for cell in cells:
+                p, r, *alpha = cell
+                a = alpha[0] if alpha else rho_of(p, r)
+                assert table_key(cell) == (p, lambda_variant(p, r, a)[1], a)
 
     def test_no_table_outlives_its_invocation(self, monkeypatch, tmp_path):
         argv = ["verify", "integrality", "--p", "5", "--r", "40", "--alpha", "9", "--out", str(tmp_path / "v")]

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from padicslopes.measures import (
     oldform_slope_pair,
     supersingularity_measure,
 )
-from padicslopes.cli import _profile_record
 from padicslopes.cli import main as cli_main
 from padicslopes.padic import INFINITY, lower_hull
 
@@ -223,16 +223,17 @@ class TestProfiles:
         assert [r.k for r in middle_mass_profile(5, 14, 14, max_dim=0).rows] == [14]
 
     def test_csv_and_json(self, tmp_path):
-        table = middle_mass_profile(59, 12, 16)
-        csv_path = tmp_path / "profile.csv"
+        csv_path, json_path = tmp_path / "profile.csv", tmp_path / "profile.json"
         # the command line is the one serializer of profiles
-        assert cli_main(["measure", "--p", "59", "--k", "12..16", "--out", str(csv_path)]) == 0
+        argv = ["measure", "--p", "59", "--k", "12..16"]
+        assert cli_main([*argv, "--out", str(csv_path)]) == 0
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0].startswith("p,k,dim_old")
         row16 = [ln for ln in lines if ln.startswith("59,16")][0]
         assert row16.split(",")[4] == "2"
         assert "." not in row16  # exact rationals only
-        d = _profile_record(table)
+        assert cli_main([*argv, "--format", "json", "--out", str(json_path)]) == 0
+        d = json.loads(json_path.read_text())
         assert d["rows"][-1]["count_middle"] == 2
         assert d["rows"][-1]["masses"] == ["1/15", "14/15"]
 
