@@ -215,11 +215,6 @@ def _integrality_alphas(p: int, r: int) -> list[int]:
     return comb.general_alphas(p, r) + ([comb.rho_of(p, r)] if r in comb.rho_case_rs(p, r) else [])
 
 
-def _double_sum_alphas(p: int, r: int) -> list[int]:
-    rho = comb.rho_of(p, r)
-    return [a for a in comb.general_alphas(p, r) if a <= rho + comb.rho_prime_of(p, r, a)]
-
-
 def _check_lemma(lemma_id: int) -> Callable:
     def check(p, r, alpha=None):
         rep = lc.verify_lemma(lemma_id, p, r, alpha)
@@ -342,7 +337,7 @@ VERIFY_TARGETS = {
         _check_det_factorization, bounds=("R_max",), notes=_det_notes,
     ),
     "interior-annihilator": Target(_BELOW_RHO, _check_interior_annihilator, pins=("r", "alpha")),
-    "double-sum": Target(_windowed(_double_sum_alphas), _check_double_sum, pins=("r", "alpha")),
+    "double-sum": Target(_GENERAL, _check_double_sum, pins=("r", "alpha")),
     "rho-annihilator": Target(
         _rho_shaped(comb.rho_annihilator_rs), _check_rho_annihilator, pins=("r",), shown=_with_rho,
     ),

@@ -8,10 +8,10 @@ satisfy.  Every check runs in int, over one common denominator per table or
 system; a Fraction is built only where a public function returns a rational.
 Nothing is approximated.
 
-Every binomial row of a cell (the rows of M, the row sums of the interior and
-double-sum systems, the rows of the carry matrices) comes from one exact ratio
-recurrence, _binomial_row: one math.comb call per row, then each entry from the
-last by an exact division.  The per-entry math.comb routes are the tests' oracle.
+Every binomial row and table, symhecke's Pascal rows included, comes from one
+exact ratio recurrence, _binomial_row: one math.comb call per row, then each
+entry from the last by an exact division.  math.comb stays only where a value
+must come from outside it: trinomial_revision_check and the interior solve.
 
 The carry-matrix rank verdicts and the step-difference tables of the interior
 solve are bounded memos registered in _memo, which empties them once per
@@ -30,13 +30,6 @@ from typing import Mapping
 from ._memo import memo
 from .exactlinalg import charpoly, mat_mul_int, rank_mod_p
 from .padic import _check_prime_gt3, integer_log
-
-
-def comb0(n: int, k: int) -> int:
-    """C(n, k) for n >= 0 with the usual convention 0 outside 0 <= k <= n."""
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def _binomial_row(n: int, k: int, length: int, top_step: int = 1) -> list[int]:
@@ -231,20 +224,19 @@ def lambda_identity_holds(p: int, alpha: int, nums: list[int], den: int) -> bool
 
 
 def _vartheta_sums(D: Mapping[int, int], p: int, w_max: int) -> list[int]:
-    """[vartheta_0(D), ..., vartheta_(w_max)(D)] for integer D, in one pass.
-
-    Each C(i(p-1), w) comes from C(i(p-1), w-1) by the falling-factorial
-    ratio (top - w + 1) / w, which divides exactly for any integer top;
-    negative tops give the generalized binomial.
-    """
-    coefs = [n for n in D.values() if n]
-    tops = [i * (p - 1) for i, n in D.items() if n]
-    binoms = [1] * len(coefs)
-    sums = []
-    for w in range(w_max + 1):
-        if w:
-            binoms = [b * (t - w + 1) // w for b, t in zip(binoms, tops)]
-        sums.append(sum(map(operator.mul, coefs, binoms)))
+    """[vartheta_0(D), ..., vartheta_(w_max)(D)] for integer D: one _binomial_row
+    C(i(p-1), w) per nonzero D_i, summed column by column."""
+    sums = [0] * (w_max + 1)
+    for i, n in D.items():
+        if not n:
+            continue
+        top = i * (p - 1)
+        if top < 0:  # C(top, w) = (-1)^w C(-top-1+w, w): a diagonal, signs alternating
+            row = _binomial_row(-top - 1, 0, w_max + 1)
+            row[1::2] = [-c for c in row[1::2]]
+        else:
+            row = _binomial_row(top, 0, w_max + 1, top_step=0)
+        sums = [s + n * c for s, c in zip(sums, row)]
     return sums
 
 
@@ -364,7 +356,7 @@ def factor_and_rank_checks(p: int, R: int, gamma: int) -> FactorRankReport:
         raise ValueError("need R >= 1 and gamma >= 0")
     m3 = _carry_matrix(p, R, gamma)
     b = _carry_matrix(p, R, 0)
-    u = [[comb0(gamma, j - i) for j in range(R)] for i in range(R)]
+    u = [[0] * i + _binomial_row(gamma, 0, R - i, top_step=0) for i in range(R)]
     factorization_ok = mat_mul_int(b, u) == m3
     unitriangular_ok = all(
         (u[i][j] == (1 if i == j else 0)) for i in range(R) for j in range(i + 1)

@@ -15,10 +15,10 @@ computed in closed form with one modular inverse.
 The action of g = [[a, b], [c, d]] is also closed form: the coefficient of
 x^n y^(t-n) in (a x + c y)^e (b x + d y)^(t-e) is the sum over i + j = n of
 C(e, i) a^i c^(e-i) C(t-e, j) b^j d^(t-e-j).  One call costs O(t) for the
-power lists of a, b, c, d mod p^M (the binomials come from a Pascal table
-per t) plus O((e+1)(t-e+1)) per nonzero coefficient f_e; zero powers are
+power lists of a, b, c, d mod p^M (the binomials are the _binomial_row rows
+of t) plus O((e+1)(t-e+1)) per nonzero coefficient f_e; zero powers are
 skipped, so an upper-triangular g on a two-term f costs O(t).  The Pascal
-tables and the Teichmuller lifts per (p, M) are bounded memos registered in
+rows and the Teichmuller lifts per (p, M) are bounded memos registered in
 _memo, which empties them once per invocation.
 
 T makes one action per (term, mu): inserting g . (k . v) under the key of
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._memo import memo
+from .combinatorics import _binomial_row
 from .padic import _check_prime, _check_prime_gt3, _vp, teichmuller_lift
 
 Matrix = tuple[int, int, int, int]  # ((a, b), (c, d)) row-major
@@ -162,12 +163,8 @@ class SymPoly:
 
 @memo(maxsize=256)
 def _pascal(t: int) -> tuple[tuple[int, ...], ...]:
-    """Rows 0..t of Pascal's triangle: _pascal(t)[n][k] = C(n, k)."""
-    rows = [(1,)]
-    for _ in range(t):
-        prev = rows[-1]
-        rows.append((1, *[prev[k] + prev[k + 1] for k in range(len(prev) - 1)], 1))
-    return tuple(rows)
+    """Rows 0..t of Pascal's triangle, _pascal(t)[n][k] = C(n, k), from _binomial_row."""
+    return tuple(tuple(_binomial_row(n, 0, n + 1, top_step=0)) for n in range(t + 1))
 
 
 def _powers(x: int, t: int, q: int) -> list[int]:
@@ -189,7 +186,7 @@ def act(g: Matrix, f: SymPoly) -> SymPoly:
     With f = sum_e f_e x^e y^(t-e), the term f_e contributes
     C(e, i) a^i c^(e-i) C(t-e, j) b^j d^(t-e-j) f_e to the coefficient of
     x^(i+j) y^(t-i-j), read off one power list per entry of g_0 mod
-    q = p^M and the Pascal table of t.  Products with a zero power are
+    q = p^M and the Pascal rows of t.  Products with a zero power are
     skipped, and the sums are reduced mod q once, at the end.  Cost: O(t)
     for the tables plus O((e+1)(t-e+1)) per nonzero f_e, which is O(t) when
     c = 0; expanding every power of the two linear forms costs O(t^2).

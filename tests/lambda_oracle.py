@@ -11,9 +11,10 @@ vartheta) in integers over one common denominator per cell.  The
 term-by-term Fraction formulas for the same quantities are kept at the end
 of this module, and the tests compare the two.
 
-Production builds every binomial row of a cell by one exact ratio
-recurrence (``combinatorics._binomial_row``).  The per-entry routes, one
-math.comb call per entry, are kept here as well.
+Production builds every binomial row and table by one exact ratio
+recurrence (``combinatorics._binomial_row``).  The per-entry routes are kept
+here: ``comb0``, one math.comb call per entry, and ``generalized_binomial``,
+the falling factorial for negative and rational tops.
 """
 
 import math
@@ -23,14 +24,40 @@ from fractions import Fraction
 from padicslopes.combinatorics import (
     _forward_differences,
     all_row_indices,
-    comb0,
     ecal_of,
     interior_row_indices,
     rho_of,
 )
 from padicslopes.padic import _check_prime_gt3
 
-from lemma_oracle import generalized_binomial
+
+def comb0(n: int, k: int) -> int:
+    """C(n, k) for n >= 0 with the usual convention 0 outside 0 <= k <= n."""
+    if k < 0 or k > n:
+        return 0
+    return math.comb(n, k)
+
+
+def generalized_binomial(top: int | Fraction, w: int) -> Fraction:
+    """C(top, w) by the falling factorial; top may be negative or rational.
+
+    Satisfies the negation identity C(-m, w) = (-1)^w C(m+w-1, w).
+    """
+    if w < 0:
+        raise ValueError("w must be nonnegative")
+    if isinstance(top, int) and top >= 0:
+        return Fraction(math.comb(top, w))
+    num = 1
+    den = 1
+    if isinstance(top, Fraction):
+        a, b = top.numerator, top.denominator
+        for u in range(w):
+            num *= a - u * b
+            den *= b
+    else:
+        for u in range(w):
+            num *= top - u
+    return Fraction(num, den * math.factorial(w))
 
 
 def _ptrim(c: list[Fraction]) -> list[Fraction]:

@@ -28,7 +28,6 @@ from fractions import Fraction
 from padicslopes.combinatorics import (
     _column_numerators,
     all_row_indices,
-    comb0,
     general_rho_prime,
     lambda_raw_table,
     lambda_values_by_differences,
@@ -38,6 +37,8 @@ from padicslopes.combinatorics import (
 )
 from padicslopes.lemma_checks import GENERAL_LEMMAS, RHO_LEMMAS, _report
 from padicslopes.padic import INFINITY, _carries, _vp, factorial_valuation, valuation
+
+from lambda_oracle import comb0, generalized_binomial
 
 
 @dataclass(frozen=True)
@@ -61,28 +62,6 @@ def c_constants(p: int, r: int, alpha: int) -> CConstants:
     lam = lambda_values_by_differences(p, rp, alpha)
     values = {l: lam[l] * comb0(r, alpha - l) for l in range(alpha - rp, alpha + 1)}
     return CConstants(p=p, r=r, alpha=alpha, rho_prime=rp, values=values)
-
-
-def generalized_binomial(top: int | Fraction, w: int) -> Fraction:
-    """C(top, w) by the falling factorial; top may be negative or rational.
-
-    Satisfies the negation identity C(-m, w) = (-1)^w C(m+w-1, w).
-    """
-    if w < 0:
-        raise ValueError("w must be nonnegative")
-    if isinstance(top, int) and top >= 0:
-        return Fraction(math.comb(top, w))
-    num = 1
-    den = 1
-    if isinstance(top, Fraction):
-        a, b = top.numerator, top.denominator
-        for u in range(w):
-            num *= a - u * b
-            den *= b
-    else:
-        for u in range(w):
-            num *= top - u
-    return Fraction(num, den * math.factorial(w))
 
 
 def witness_values(p: int, r: int, alpha: int, rho_prime: int, i: int) -> tuple[Fraction, Fraction]:

@@ -22,7 +22,6 @@ from padicslopes.combinatorics import (
     below_rho_rho_prime,
     build_interior_annihilator,
     build_matrix_M,
-    comb0,
     ecal_of,
     general_alphas,
     general_rho_prime,
@@ -50,8 +49,8 @@ from padicslopes.exactlinalg import rank_mod_p
 from padicslopes.padic import valuation
 
 import lambda_oracle as oracle
-from lemma_oracle import c_constants, generalized_binomial
-from lambda_oracle import lambda_coefficients, lambda_defining_residual
+from lemma_oracle import c_constants
+from lambda_oracle import comb0, generalized_binomial, lambda_coefficients, lambda_defining_residual
 
 
 class TestLambdaTables:
@@ -535,7 +534,17 @@ class TestCellShapes:
         assert _target_cells("interior-annihilator") == below
         assert _target_cells("rho-annihilator") == _rho_window(rho_annihilator_rs)
         assert _target_cells("integrality") == general | rho_case
-        assert _target_cells("double-sum") <= general
+        assert _target_cells("double-sum") == general
+
+    def test_general_window_meets_the_double_sum_cap(self):
+        # alpha <= rho + rho' on every general cell, so double-sum reads the
+        # general window uncapped.  A cell with alpha >= rho + rho' + 1 would
+        # have r(p^2 - 3p - 2) <= p(p-1)^2: no r >= p + 2 for p >= 11, and
+        # r <= 10 at p = 5, r <= 9 at p = 7, all inside r <= 3p
+        primes = [p for p in range(5, 100) if all(p % d for d in range(2, p))]
+        cells = [(p, r, a) for p in primes for r in range(1, 3 * p + 1) for a in general_alphas(p, r)]
+        assert len(cells) == 161
+        assert all(a <= rho_of(p, r) + rho_prime_of(p, r, a) for p, r, a in cells)
 
     @pytest.mark.parametrize("p", [-1, 0, 1])
     @pytest.mark.parametrize(
@@ -590,10 +599,15 @@ class TestIntegerRouteAgainstOracle:
             diffs = _forward_differences([math.comb((p - 1) * i, j) for i in range(size)])
             assert [row[j] for row in table] == diffs
 
-    @pytest.mark.parametrize("w", range(6))
+    @pytest.mark.parametrize("w", range(13))
     def test_vartheta_negative_rows(self, w):
-        D = {-3: Fraction(2, 3), -1: Fraction(-5, 7), 0: Fraction(1), 2: Fraction(9, 4)}
-        assert vartheta(D, w, 5) == oracle.vartheta(D, w, 5)
+        # negative tops read the alternating diagonal C(-m, w) = (-1)^w C(m-1+w, w)
+        for D in (
+            {-3: Fraction(2, 3), -1: Fraction(-5, 7), 0: Fraction(1), 2: Fraction(9, 4)},
+            {-9: Fraction(1, 2), -6: Fraction(3), -4: Fraction(-7, 5), -2: Fraction(11), -1: Fraction(-1, 6),
+             0: Fraction(0), 3: Fraction(5, 2)},
+        ):
+            assert vartheta(D, w, 5) == oracle.vartheta(D, w, 5)
 
 
 class TestRowKernelAgainstOracle:
@@ -737,6 +751,21 @@ class TestChecksCanFail:
         scaled = vartheta_profile(dataclasses.replace(sysm, row_values=times_p))
         assert scaled.zero_below_alpha and scaled.valuations_ok_up_to >= 2 * rho_of(p, r)
         assert not scaled.valuation_at_alpha_is_ecal and not scaled.holds
+
+    def test_profile_sees_the_row_kernel(self, monkeypatch):
+        # C(4, 0) one too large moves vartheta_0 by D_1, which must be 0 below
+        # alpha; _ratio_off_by_one would not do here, because the alternating
+        # sums of the theta^alpha targets cancel its shift
+        def top_four_off_by_one(n, k, length, top_step=1):
+            row = _binomial_row(n, k, length, top_step)
+            if n == 4 and not top_step and row:
+                row[0] += 1
+            return row
+
+        systems = [build_interior_annihilator(*cell) for cell in [(5, 26, 2), (5, 15, 2), (5, 40, 3)]]
+        assert all(vartheta_profile(sysm).holds for sysm in systems)
+        monkeypatch.setattr(combinatorics, "_binomial_row", top_four_off_by_one)
+        assert not any(vartheta_profile(sysm).holds for sysm in systems)
 
     def test_double_sum_sees_a_perturbed_lambda_table(self, monkeypatch):
         assert verify_vanishing_double_sum(5, 14, 3).holds

@@ -15,7 +15,7 @@ from padicslopes.padic import (
     valuation,
 )
 
-from lemma_oracle import generalized_binomial
+from lambda_oracle import generalized_binomial
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 

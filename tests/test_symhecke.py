@@ -187,6 +187,19 @@ class TestActOracle:
         monkeypatch.setattr(symhecke, "_pascal", off_by_one)
         assert _mismatches(_oracle_cases())
 
+    def test_sees_the_row_kernel(self, monkeypatch):
+        # _pascal reads its rows from combinatorics._binomial_row at each miss
+        kernel = symhecke._binomial_row
+
+        def off_by_one(n, k, length, top_step=1):
+            row = kernel(n, k, length, top_step)
+            if n == 7:
+                row[3] += 1
+            return row
+
+        monkeypatch.setattr(symhecke, "_binomial_row", off_by_one)
+        assert _mismatches(_oracle_cases())
+
 
 class TestSymPolyValidation:
     @pytest.mark.parametrize("M", [0, -1])
