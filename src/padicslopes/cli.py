@@ -248,8 +248,7 @@ def _check_matrix_entries(p, r, alpha):
 
 def _check_det_factorization(p, R, gamma):
     rep = comb.factor_and_rank_checks(p, R, gamma)
-    ok = rep.factorization_ok and rep.unitriangular_ok and rep.det_matches_closed_form
-    ok = ok and rep.full_rank_mod_p
+    ok = rep.factorization_ok and rep.det_matches_closed_form and rep.full_rank_mod_p
     return _identity(
         "det-factorization", ok, R * R, p=p, R=R, gamma=gamma,
         det=rep.det_binomial, closed_form=rep.det_expected,
@@ -286,10 +285,8 @@ def _check_rho_annihilator(p, r):
 
 def _check_integrality(p, r, alpha):
     rep = lc.integrality_checks(p, r, alpha)
-    margin = min(rep.c_prime_min_valuation, rep.c_double_min_valuation)
-    return _identity(
-        "integrality", rep.holds, 2 * (rep.rho_prime + 1), margin, p=p, r=r, alpha=alpha, variant=rep.variant
-    )
+    checked, margin = 2 * (rep.rho_prime + 1), rep.c_prime_min_valuation
+    return _identity("integrality", rep.holds, checked, margin, p=p, r=r, alpha=alpha, variant=rep.variant)
 
 
 def _check_hecke(p, t, delta, alpha):

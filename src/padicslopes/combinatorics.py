@@ -332,7 +332,6 @@ class FactorRankReport:
     R: int
     gamma: int
     factorization_ok: bool
-    unitriangular_ok: bool
     det_binomial: int
     det_expected: int
     det_matches_closed_form: bool
@@ -341,9 +340,11 @@ class FactorRankReport:
 
 
 def factor_and_rank_checks(p: int, R: int, gamma: int) -> FactorRankReport:
-    """Verify the Vandermonde-convolution factorization, the unitriangular
-    cofactor, the determinant closed form (p-1)^(R(R-1)/2), and full rank
-    mod p of (C(i(p-1)+gamma, j)).
+    """Verify the Vandermonde-convolution factorization b u of
+    (C(i(p-1)+gamma, j)), b = (C(i(p-1), j)) and u = (C(gamma, j-i)), the
+    determinant closed form (p-1)^(R(R-1)/2) of b, and full rank mod p.
+    u is unitriangular by construction (zeros below the diagonal, the seed
+    C(gamma, 0) = 1 of _binomial_row on it); a wrong seed breaks b u too.
 
     The determinant is (-1)^R times the constant term of the characteristic
     polynomial.  The report also compares it against the linear-exponent
@@ -358,9 +359,6 @@ def factor_and_rank_checks(p: int, R: int, gamma: int) -> FactorRankReport:
     b = _carry_matrix(p, R, 0)
     u = [[0] * i + _binomial_row(gamma, 0, R - i, top_step=0) for i in range(R)]
     factorization_ok = mat_mul_int(b, u) == m3
-    unitriangular_ok = all(
-        (u[i][j] == (1 if i == j else 0)) for i in range(R) for j in range(i + 1)
-    )
     det_b = (-1) ** R * charpoly(b)[0]
     expected = (p - 1) ** (R * (R - 1) // 2)
     return FactorRankReport(
@@ -368,7 +366,6 @@ def factor_and_rank_checks(p: int, R: int, gamma: int) -> FactorRankReport:
         R=R,
         gamma=gamma,
         factorization_ok=factorization_ok,
-        unitriangular_ok=unitriangular_ok,
         det_binomial=det_b,
         det_expected=expected,
         det_matches_closed_form=det_b == expected,

@@ -286,33 +286,33 @@ def sweep_lemma9_with_oracle(ps: Sequence[int], a_max: int) -> dict[int, Lemma9R
 
 @dataclass(frozen=True)
 class IntegralityReport:
+    """c_prime_min_valuation is the least v_p(C'_l); the C''_j need no
+    verdict of their own (see integrality_checks)."""
+
     p: int
     r: int
     alpha: int
     rho_prime: int
     variant: str
     c_prime_min_valuation: ExtendedValuation
-    c_double_min_valuation: ExtendedValuation
     defining_identity_ok: bool
 
     @property
     def holds(self) -> bool:
-        return (
-            self.c_prime_min_valuation >= 0
-            and self.c_double_min_valuation >= 0
-            and self.defining_identity_ok
-        )
+        return self.c_prime_min_valuation >= 0 and self.defining_identity_ok
 
 
 def integrality_checks(p: int, r: int, alpha: int) -> IntegralityReport:
-    """v_p(C'_l) >= 0 and v_p(C''_j) >= 0, with the defining polynomial
-    identity verified exactly.
+    """v_p(C'_l) >= 0, with the defining polynomial identity verified
+    exactly; v_p(C''_j) >= 0 follows.
 
     C'_l is the Lambda value itself, n_m / den with m = alpha - l over the raw
     table (n, den = (p-1)^rho' rho'!); since p-1 is a unit,
     v_p(C'_l) = v_p(n_m) - v_p(rho'!).  C''_j rescales it by the unit
     (-1)^rho' (p-1)^(alpha-j) and the integer rho'!/(alpha-j)!, so
-    v_p(C''_j) = v_p(n_m) - v_p(m!).
+    v_p(C''_j) = v_p(n_m) - v_p(m!) >= v_p(C'_l), as v_p(m!) <= v_p(rho'!)
+    for m <= rho'.  So v_p(C'') >= 0 follows from v_p(C') >= 0, and a C''
+    verdict could only fail where the C' verdict already fails.
 
     The rescaled constants satisfy the cleared identity
     sum_m (rho'!/m!) n_m G_m(x) = (-1)^rho' den (x-1)...(x-rho') with
@@ -324,7 +324,7 @@ def integrality_checks(p: int, r: int, alpha: int) -> IntegralityReport:
     """
     _check_prime_gt3(p)
     variant, rp = lambda_variant(p, r, alpha)
-    c_prime, c_double, identity_ok = _integrality_facts(p, rp, alpha)
+    c_prime, identity_ok = _integrality_facts(p, rp, alpha)
     return IntegralityReport(
         p=p,
         r=r,
@@ -332,21 +332,15 @@ def integrality_checks(p: int, r: int, alpha: int) -> IntegralityReport:
         rho_prime=rp,
         variant=variant,
         c_prime_min_valuation=c_prime,
-        c_double_min_valuation=c_double,
         defining_identity_ok=identity_ok,
     )
 
 
 @memo(maxsize=TABLE_MEMO_SIZE)
-def _integrality_facts(p: int, rp: int, alpha: int) -> tuple[ExtendedValuation, ExtendedValuation, bool]:
-    """(min v_p(C'_l), min v_p(C''_j), defining identity proved) of the raw
-    table (p, rho', alpha): what integrality_checks reads of it, computed once
+def _integrality_facts(p: int, rp: int, alpha: int) -> tuple[ExtendedValuation, bool]:
+    """(min v_p(C'_l), defining identity proved) of the raw table
+    (p, rho', alpha): what integrality_checks reads of it, computed once
     while it stays in the memo."""
     nums, den = lambda_raw_table(p, rp, alpha)  # Lambda(alpha, alpha-m) = nums[m]/den
-    vnums = [INFINITY if n == 0 else _vp(n, p) for n in nums]
-    vfacts = list(accumulate((_vp(m, p) for m in range(1, rp + 1)), initial=0))  # v_p(m!)
-    return (
-        min(vnums) - vfacts[rp],
-        min(map(operator.sub, vnums, vfacts)),
-        lambda_identity_holds(p, alpha, nums, den),
-    )
+    vmin = min(INFINITY if n == 0 else _vp(n, p) for n in nums)
+    return vmin - factorial_valuation(rp, p), lambda_identity_holds(p, alpha, nums, den)

@@ -274,6 +274,7 @@ class FormalSum:
     __slots__ = ("p", "terms")
 
     def __init__(self, p: int, terms: dict[CosetRep, SymPoly] | None = None):
+        _check_prime(p)
         self.p = p
         self.terms: dict[CosetRep, SymPoly] = dict(terms or {})
 

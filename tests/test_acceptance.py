@@ -131,7 +131,7 @@ def test_criterion_7_integrality():
     results = _verify("integrality", r_max=400)
     _assert_all_hold(results, 12341)
     _report(7, time.time() - t0, "exact (no target)",
-            f"v_p(C') >= 0, v_p(C'') >= 0, and the defining identity (the cleared one is rho'! times it) "
+            f"v_p(C') >= 0 (so v_p(C'') >= 0), and the defining identity (the cleared one is rho'! times it) "
             f"on {len(results)} cells")
 
 

@@ -1,7 +1,13 @@
-"""The boundary contract of the public API: every export returns or raises
-ValueError, and does so promptly, on any small int input, including
-non-primes, 0, negatives and the p <= 3 edge.  Each call runs under a 0.5 s
-SIGALRM timer in this process; no thread or pool is started."""
+"""The boundary contract of the public API and the CLI.
+
+Every export returns or raises ValueError, and does so promptly, on any
+small int input, including non-primes, 0, negatives and the p <= 3 edge.
+Each call runs under a 0.5 s SIGALRM timer in this process.  Every CLI
+subcommand and verify target exits 0 or 2 on the same kind of input, on
+bounds of 0 and -1, on a bound or pin it does not read and on an unwritable
+--out, and exit 2 comes with one error line or only invalid-cell lines.
+``cli.main`` runs in this process at the default --jobs 1; no thread or pool
+is started."""
 
 import inspect
 import itertools
@@ -11,6 +17,8 @@ import pytest
 
 import padicslopes
 from padicslopes import SurrogateParams, h_polys, verify_T_expansion
+from padicslopes.cli import BOUND_DEFAULTS, TARGET_ALIASES, VERIFY_TARGETS
+from padicslopes.cli import main as cli_main
 
 VALUES = (*range(-2, 8), 13)
 CALL_SECONDS = 0.5
@@ -132,3 +140,67 @@ def test_the_timer_fires(timer):
     assert timer(spin) == "CallTimeout"
     assert timer(int, "x") == "ValueError"
     assert timer(lambda: 1 // 0) == "ZeroDivisionError"
+
+
+BAD_PRIMES = ("0", "1", "4", "-2")
+LOW_BOUNDS = ("0", "-1")
+FLAG = {bound: "--" + bound.replace("_", "-") for bound in BOUND_DEFAULTS}
+# a small window of each verify target, so that a case that runs computes little
+SMALL = {
+    "lemma9": ["--a-max", "10"],
+    "lambda-system": ["--R-max", "1", "--alpha-max", "2"],
+    "det-factorization": ["--R-max", "1"],
+    "rho-annihilator": ["--r-max", "30"],
+    "hecke": ["--t-max", "3", "--delta-max", "1"],
+}
+# the other subcommands, each on a small valid input; each case adds its --p
+OTHER_COMMANDS = {
+    "hecke-check": ["hecke-check", "--t-max", "3", "--delta-max", "1"],
+    "slopes": ["slopes", "--k", "12"],
+    "measure": ["measure", "--k", "12..14"],
+    "lambda": ["lambda", "--R", "1", "--alpha", "1"],
+}
+
+
+def _cli_cases(unwritable: str) -> list[list[str]]:
+    cases = []
+    for name, target in VERIFY_TARGETS.items():
+        verify = ["verify", name]
+        small = SMALL.get(name, ["--r-max", "10"])
+        cases += [verify + ["--p", p, *small] for p in (*BAD_PRIMES, "2", "3")]
+        cases += [verify + ["--p", "5", FLAG[b], v] for b in target.bounds for v in LOW_BOUNDS]
+        cases += [verify + ["--p", "5", FLAG[b], "5"] for b in BOUND_DEFAULTS if b not in target.bounds]
+        cases += [verify + ["--p", "5", f"--{pin}", "5"] for pin in ("r", "alpha") if pin not in target.pins]
+        if "alpha" in target.pins:  # pinned cells outside every window: invalid-cell lines
+            cases += [verify + ["--p", "5", "--r", r, "--alpha", a] for r in LOW_BOUNDS for a in LOW_BOUNDS]
+        cases += [verify + ["--p", "5", *small, "--jobs", j] for j in LOW_BOUNDS]
+        cases.append(verify + ["--p", "5", *small, "--out", unwritable])
+    cases += [["verify", alias, "--p", "4"] for alias in TARGET_ALIASES]
+    for argv in OTHER_COMMANDS.values():
+        cases += [argv + ["--p", p] for p in (*BAD_PRIMES, "2", "3")]
+        cases.append(argv + ["--p", "5", "--out", unwritable])
+    cases += [["hecke-check", "--p", "5", f"--{b}", v] for b in ("t-max", "delta-max") for v in LOW_BOUNDS]
+    cases += [["hecke-check", "--p", "5", "--r-max", "5"]]
+    cases += [["slopes", "--p", "5", "--k", k] for k in LOW_BOUNDS]
+    cases += [["measure", "--p", "5", "--k", "12", "--max-dim", d] for d in LOW_BOUNDS]
+    cases += [["lambda", "--p", "5", "--R", R, "--alpha", a] for R in LOW_BOUNDS for a in LOW_BOUNDS]
+    return cases
+
+
+def test_cli_exits_0_or_2_with_one_error_line(tmp_path, capsys):
+    broken = []
+    cases = _cli_cases(str(tmp_path / "missing" / "out.csv"))
+    for argv in cases:
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        except Exception as exc:
+            code = f"raised {type(exc).__name__}: {exc}"
+        lines = capsys.readouterr().err.splitlines()
+        errors = [line for line in lines if "error:" in line]
+        invalid_cells = bool(lines) and all(line.startswith("invalid cell: ") for line in lines)
+        if code not in (0, 2) or code == 2 and len(errors) != 1 and not invalid_cells:
+            broken.append((argv, code, lines))
+    assert broken == []
+    assert len(cases) > 300

@@ -1,0 +1,326 @@
+"""The mutation matrix: every conjunct of every verify verdict can fail.
+
+Each row plants one fault in one kernel and names the target and the
+conjunct of its verdict that the fault must break.  With the fault in place
+the row walks the target's gate grid (the primes and bounds of
+tests/test_acceptance.py; lambda-system, which the gate checks on its own
+grid, walks the CLI's default window) in order, takes the first cell whose
+verdict turns "fails", and asserts that the named conjunct is false there
+and that the cell holds again once the fault is gone.
+
+Two former conjuncts are gone because they hold by construction: the C''
+integrality of `integrality` (see lemma_checks.integrality_checks) and the
+unitriangular cofactor of `det-factorization` (see
+combinatorics.factor_and_rank_checks; the seed fault row below shows that
+the factorization sees the one fault that could break the cofactor).
+"""
+
+from argparse import Namespace
+
+import pytest
+
+from padicslopes import _memo
+from padicslopes import combinatorics as comb
+from padicslopes import lemma_checks as lc
+from padicslopes import symhecke as sh
+from padicslopes.cli import VERIFY_TARGETS
+
+from test_combinatorics import _ratio_off_by_one
+
+PS = (5, 7, 11, 13)
+GATE_GRIDS = {
+    "lemma9": ((2, 3, 5, 7, 11, 13), {"a_max": 2000}),
+    **{f"lemma{i}": (PS, {"r_max": 400}) for i in range(10, 16)},
+    "lambda-system": (PS, {"R_max": 12, "alpha_max": 60}),
+    "matrix-entries": (PS, {"r_max": 200}),
+    "det-factorization": (PS, {"R_max": 12}),
+    "interior-annihilator": (PS, {"r_max": 200}),
+    "double-sum": (PS, {"r_max": 200}),
+    "rho-annihilator": (PS, {"r_max": 200}),
+    "integrality": (PS, {"r_max": 400}),
+    "hecke": ((5, 7), {"t_max": 8, "delta_max": 4}),
+}
+
+
+# ---------------------------------------------------------------------------
+# each target's verdict, conjunct by conjunct
+# ---------------------------------------------------------------------------
+
+
+def _lemma9(cell, record):
+    """Lemma 9's verdict is its violation list: a violating pair (a, b)
+    breaks the agreement of carry count and oracle, the log bound, or both."""
+    p, a_max = cell
+    sums = lc._digit_sums(p, a_max)
+    scaled_vp = [0] + [(p - 1) * lc._vp(n, p) for n in range(1, a_max + 1)]
+    seen = [
+        (lc._drop_row(sums, a)[b], lc._oracle_row(scaled_vp, a)[b], (p - 1) * lc.integer_log(p, a))
+        for a, b in record["violations"]
+    ]
+    return {
+        "oracle_agrees": all(drop == oracle for drop, oracle, _ in seen),
+        "log_bound": all(drop <= limit for drop, _, limit in seen),
+    }
+
+
+def _lemma(cell, report):
+    return {"strict": report.verdict != "fails"}
+
+
+def _lambda_system(cell, record):
+    p, R, alpha = cell
+    return {"defining_identity": comb.lambda_identity_holds(p, alpha, *comb.lambda_raw_table(p, R, alpha))}
+
+
+def _matrix_entries(cell, record):
+    m = comb.build_matrix_M(*cell)
+    return {"trinomial_revision": comb.trinomial_revision_check(m), "interior_full_rank": comb.interior_full_rank(m)}
+
+
+def _det_factorization(cell, record):
+    rep = comb.factor_and_rank_checks(*cell)
+    return {name: getattr(rep, name) for name in ("factorization_ok", "det_matches_closed_form", "full_rank_mod_p")}
+
+
+def _interior_annihilator(cell, record):
+    sysm = comb.build_interior_annihilator(*cell)
+    profile = comb.vartheta_profile(sysm)
+    return {
+        "residual_zero": not sysm.residual(),
+        "zero_below_alpha": profile.zero_below_alpha,
+        "valuation_at_alpha_is_ecal": profile.valuation_at_alpha_is_ecal,
+        "valuations_ok_to_2rho": profile.valuations_ok_up_to == max(profile.values),
+    }
+
+
+def _double_sum(cell, record):
+    return {"row_sums_zero": comb.verify_vanishing_double_sum(*cell).holds}
+
+
+def _rho_annihilator(cell, record):
+    sysm = comb.build_interior_annihilator(*cell, comb.rho_of(*cell))
+    return {"residual_zero": not sysm.residual(), "zero_row_identity": comb.rho_zero_row_identity(sysm)[2]}
+
+
+def _integrality(cell, record):
+    rep = lc.integrality_checks(*cell)
+    return {"c_prime_integral": rep.c_prime_min_valuation >= 0, "defining_identity_ok": rep.defining_identity_ok}
+
+
+def _hecke(cell, record):
+    p, t, delta, alpha = cell
+    rep = sh.verify_T_expansion(sh.SurrogateParams(p=p, t=t, delta=delta), alpha)
+    return {"matches": rep.matches, "combined_form_matches": rep.combined_form_matches is not False}
+
+
+CONJUNCTS = {
+    "lemma9": _lemma9,
+    **{f"lemma{i}": _lemma for i in range(10, 16)},
+    "lambda-system": _lambda_system,
+    "matrix-entries": _matrix_entries,
+    "det-factorization": _det_factorization,
+    "interior-annihilator": _interior_annihilator,
+    "double-sum": _double_sum,
+    "rho-annihilator": _rho_annihilator,
+    "integrality": _integrality,
+    "hecke": _hecke,
+}
+
+
+# ---------------------------------------------------------------------------
+# the faults: each takes the kernel it replaces and returns the faulty one
+# ---------------------------------------------------------------------------
+
+
+def _undivided_carries(carries):
+    # Kummer's digit-sum drop s(x) + s(y) - s(x+y) left undivided by p-1
+    return lambda x, y, p: (p - 1) * carries(x, y, p)
+
+
+def _digit_sum_off_by_one(n):
+    def fault(digit_sums):
+        def faulty(p, n_max):
+            sums = digit_sums(p, n_max)
+            if n <= n_max:
+                sums[n] += 1
+            return sums
+
+        return faulty
+
+    return fault
+
+
+def _one_more(kernel):
+    return lambda *args: kernel(*args) + 1
+
+
+def _lowered_log(integer_log):
+    return lambda p, a: max(0, integer_log(p, a) - 1)
+
+
+def _numerators_plus_one(table):
+    # every raw Lambda numerator one too large
+    def faulty(p, R, alpha):
+        nums, den = table(p, R, alpha)
+        return [n + 1 for n in nums], den
+
+    return faulty
+
+
+def _first_numerator_plus_one(table):
+    def faulty(p, R, alpha):
+        nums, den = table(p, R, alpha)
+        return [nums[0] + 1, *nums[1:]], den
+
+    return faulty
+
+
+def _last_difference_plus_one(differences):
+    def faulty(values):
+        out = differences(values)
+        out[-1] += 1
+        return out
+
+    return faulty
+
+
+def _ratio_fault(kernel):
+    return _ratio_off_by_one
+
+
+def _seed_of_top_two(kernel):
+    # the row of top gamma = 2 run from the seed C(2, 0) = 2 instead of 1;
+    # its ratios are exact, so the whole row doubles
+    def faulty(n, k, length, top_step=1):
+        row = kernel(n, k, length, top_step)
+        return [2 * c for c in row] if (n, k, top_step) == (2, 0, 0) else row
+
+    return faulty
+
+
+def _row_entry_off_by_one(n, index):
+    """The row kernel with entry ``index`` of the rows of top n one too large."""
+
+    def fault(kernel):
+        def faulty(top, k, length, top_step=1):
+            row = kernel(top, k, length, top_step)
+            if top == n and not top_step and row:
+                row[index] += 1
+            return row
+
+        return faulty
+
+    return fault
+
+
+def _rank_one_short(rank_mod_p):
+    return lambda rows, p: rank_mod_p(rows, p) - 1
+
+
+def _last_pivot_off_by_one(carry_matrix):
+    # b, the carry matrix of gamma = 0 whose determinant is taken
+    def faulty(p, R, gamma):
+        m = carry_matrix(p, R, gamma)
+        if gamma == 0:
+            m[R - 1][R - 1] += 1
+        return m
+
+    return faulty
+
+
+def _targets_times_p(targets):
+    return lambda p, alpha, ecal, offset: {i: p * v for i, v in targets(p, alpha, ecal, offset).items()}
+
+
+def _last_target_unscaled(targets):
+    # the m = alpha term of p^ecal theta^alpha without its p^ecal
+    def faulty(p, alpha, ecal, offset):
+        out = targets(p, alpha, ecal, offset)
+        out[alpha + offset] //= p**ecal
+        return out
+
+    return faulty
+
+
+def _untwisted_lifts(lifts):
+    # 0, 1, ..., p-1 themselves: most are no roots of unity mod p^M
+    return lambda p, M: tuple(range(p))
+
+
+def _insert_ignoring_k(insert):
+    return lambda self, g, value, k=sh.IDENTITY: insert(self, g, value)
+
+
+# (target, conjunct, module, kernel, fault)
+ROWS = [
+    ("lemma9", "oracle_agrees", lc, "_digit_sums", _digit_sum_off_by_one(37)),
+    ("lemma9", "log_bound", lc, "integer_log", _lowered_log),
+    ("lemma10", "strict", lc, "_carries", _undivided_carries),
+    ("lemma11", "strict", lc, "_digit_sums", _digit_sum_off_by_one(12)),
+    ("lemma12", "strict", lc, "factorial_valuation", _one_more),
+    ("lemma13", "strict", lc, "_carries", _undivided_carries),
+    ("lemma14", "strict", lc, "_carries", _undivided_carries),
+    ("lemma15", "strict", lc, "lambda_raw_table", _numerators_plus_one),
+    ("lambda-system", "defining_identity", comb, "_forward_differences", _last_difference_plus_one),
+    ("matrix-entries", "trinomial_revision", comb, "_binomial_row", _ratio_fault),
+    ("matrix-entries", "interior_full_rank", comb, "rank_mod_p", _rank_one_short),
+    ("det-factorization", "factorization_ok", comb, "_binomial_row", _seed_of_top_two),
+    ("det-factorization", "det_matches_closed_form", comb, "_carry_matrix", _last_pivot_off_by_one),
+    ("det-factorization", "full_rank_mod_p", comb, "rank_mod_p", _rank_one_short),
+    ("interior-annihilator", "residual_zero", comb, "_binomial_row", _ratio_fault),
+    ("interior-annihilator", "zero_below_alpha", comb, "_binomial_row", _row_entry_off_by_one(4, 0)),
+    ("interior-annihilator", "valuation_at_alpha_is_ecal", comb, "_theta_monomial_targets", _targets_times_p),
+    ("interior-annihilator", "valuations_ok_to_2rho", comb, "_theta_monomial_targets", _last_target_unscaled),
+    ("double-sum", "row_sums_zero", comb, "lambda_raw_table", _first_numerator_plus_one),
+    ("rho-annihilator", "residual_zero", comb, "_binomial_row", _ratio_fault),
+    ("rho-annihilator", "zero_row_identity", comb, "_binomial_row", _row_entry_off_by_one(4, -1)),
+    ("integrality", "c_prime_integral", lc, "factorial_valuation", _one_more),
+    ("integrality", "defining_identity_ok", lc, "lambda_raw_table", _first_numerator_plus_one),
+    ("hecke", "matches", sh.FormalSum, "_insert", _insert_ignoring_k),
+    ("hecke", "combined_form_matches", sh, "teichmuller_lifts", _untwisted_lifts),
+]
+
+
+def _first_failing(name):
+    """(cell, item) of the first gate-grid cell of ``name`` whose verdict is
+    "fails", or None."""
+    target = VERIFY_TARGETS[name]
+    primes, bounds = GATE_GRIDS[name]
+    args = Namespace(r=None, alpha=None, **bounds)
+    for p in primes:
+        for cell in target.cells(p, args):
+            verdict, _, _, item = target.check(*cell)
+            if verdict == "fails":
+                return cell, item
+    return None
+
+
+@pytest.mark.parametrize(
+    "name,conjunct,module,kernel,fault", ROWS, ids=[f"{row[0]}:{row[1]}" for row in ROWS]
+)
+def test_a_fault_breaks_the_conjunct(monkeypatch, name, conjunct, module, kernel, fault):
+    monkeypatch.setattr(module, kernel, fault(getattr(module, kernel)))
+    failing = _first_failing(name)
+    assert failing is not None, f"no gate cell of {name} fails"
+    cell, item = failing
+    assert CONJUNCTS[name](cell, item)[conjunct] is False, cell
+    monkeypatch.undo()
+    _memo.reset()  # drop what the memos built through the fault
+    assert VERIFY_TARGETS[name].check(*cell)[0] == "holds", cell
+
+
+# a small window of every target, each with cells at its first prime
+SMALL = Namespace(r=None, alpha=None, a_max=10, r_max=40, R_max=2, alpha_max=12, t_max=4, delta_max=4)
+
+
+def test_every_conjunct_of_every_target_has_a_row():
+    named = {}
+    for name, target in VERIFY_TARGETS.items():
+        cell = target.cells(GATE_GRIDS[name][0][0], SMALL)[-1]
+        verdict, _, _, item = target.check(*cell)
+        conjuncts = CONJUNCTS[name](cell, item)
+        assert verdict == "holds" and all(conjuncts.values()), (name, cell, conjuncts)
+        named[name] = set(conjuncts)
+    assert {(name, conjunct) for name, conjunct, *_ in ROWS} == {
+        (name, conjunct) for name, conjuncts in named.items() for conjunct in conjuncts
+    }

@@ -754,6 +754,11 @@ class TestModuleRelation:
 
 
 class TestFormalSumArithmetic:
+    @pytest.mark.parametrize("p", [4, 0, -2])
+    def test_rejects_non_prime(self, p):
+        with pytest.raises(ValueError, match="prime"):
+            FormalSum(p)
+
     def test_sub_is_add_of_negation(self):
         rng = random.Random(37)
         sp = SurrogateParams(p=5, t=3, delta=1)
