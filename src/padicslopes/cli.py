@@ -224,7 +224,7 @@ def _check_lemma(lemma_id: int) -> Callable:
 
 
 def _check_lemma9(p, a_max):
-    rep = lc.sweep_lemma9_with_oracle([p], a_max)[p]
+    rep = lc.sweep_lemma9(p, a_max)
     record = {
         "target": "lemma9", "p": p, "a_max": a_max,
         "verdict": rep.verdict, "checked": rep.checked,

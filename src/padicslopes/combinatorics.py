@@ -289,11 +289,13 @@ class MatrixM:
 
 
 def build_matrix_M(p: int, r: int, alpha: int) -> MatrixM:
-    """A below-rho cell or alpha = rho; rows may be empty (legal), columns number rho + 1."""
+    """A below-rho cell or alpha = rho >= 1; rows may be empty (legal), columns number rho + 1."""
     _check_prime_gt3(p)
     rho = rho_of(p, r)
     if alpha != rho:
         below_rho_rho_prime(p, r, alpha)
+    elif rho < 1:
+        raise ValueError(f"alpha = rho needs rho >= 1, got r={r}, alpha={alpha}")
     rows = interior_row_indices(p, r, alpha)
     cols = list(range(alpha - rho, alpha + 1))
     # row i is one diagonal: top r - alpha + j and bottom i(p-1) + j > 0 step together

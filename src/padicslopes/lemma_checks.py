@@ -14,7 +14,8 @@ Every witness valuation is a sum of table lookups.  By Kummer,
 the table lemma 9 reads), and the column witnesses of lemmas 12 and 15 add
 one such carry count to v_p(Lambda(alpha, l) p^l).  The route that builds
 each binomial and Lambda column numerator and divides out p is kept in
-tests/lemma_oracle.py as an oracle.
+tests/lemma_oracle.py as an oracle, and so is the valuation recurrence that
+lemma 9's carry-count rows are tested against.
 
 A raw Lambda table depends on (p, rho', alpha) only, not on r, so a sweep
 meets each one on many cells.  Lemmas 12 and 15 read the valuations of its
@@ -28,8 +29,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from typing import Sequence
+from itertools import repeat
 
 from ._memo import memo
 from .combinatorics import (
@@ -154,7 +154,7 @@ def verify_lemma(lemma_id: int, p: int, r: int, alpha: int | None = None) -> Lem
 
     Lemmas 10-12 take a general cell; lemmas 13-15 take a rho-case cell,
     with alpha = rho implicitly.  Lemmas 12 and 15 need p > 3, the others
-    any prime.  Lemma 9 is checked by :func:`sweep_lemma9_with_oracle`.
+    any prime.  Lemma 9 is checked by :func:`sweep_lemma9`.
 
     With core = C(r, i(p-1)+alpha) C(rho'-i, rho'), the row witnesses are
     X_i = p^(-i(p-1)) core and X_i* = p^(i(p-1)+2 alpha-r) core; the column
@@ -224,59 +224,41 @@ def _drop_row(sums: list[int], a: int) -> list[int]:
     return list(map(operator.sub, map(operator.add, sums[: a + 1], sums[a::-1]), repeat(sums[a])))
 
 
-def _oracle_row(scaled_vp: list[int], a: int) -> list[int]:
-    """[(p-1) v_p(C(a, b)) for b in 0..a] along the recurrence
-    v(C(a, b)) = v(C(a, b-1)) + v(a-b+1) - v(b), from scaled_vp[n] =
-    (p-1) v_p(n): no digit is read and nothing is divided."""
-    return list(accumulate(map(operator.sub, scaled_vp[a:0:-1], scaled_vp[1 : a + 1]), initial=0))
+def sweep_lemma9(p: int, a_max: int) -> Lemma9Report:
+    """The carry bound v_p(C(a, b)) <= floor(log_p a) for every 0 <= b <= a
+    with 1 <= a <= a_max.  a = 0 lies outside the sweep (log_p 0 is
+    undefined), so a_max < 1 would check nothing and is a ValueError.
 
-
-def sweep_lemma9_with_oracle(ps: Sequence[int], a_max: int) -> dict[int, Lemma9Report]:
-    """Carry counts against an independent recurrence oracle, plus the log
-    bound, for every prime in ps and every 0 <= b <= a with 1 <= a <= a_max.
-    a = 0 lies outside the sweep (log_p 0 is undefined), so a_max < 1 would
-    check nothing and is a ValueError.
-
-    The sweep runs by rows, one per a, and scales both sides by p-1.  The
-    checked side is Kummer's carry count of b + (a-b) in digit-sum form,
-    (p-1) carries = s_p(b) + s_p(a-b) - s_p(a), read from one base-p
-    digit-sum table per prime (padic._digit_sums, read here as a module
-    global).  The oracle never reads a digit and never builds C(a, b): it
-    accumulates v(C(a, b)) = v(C(a, b-1)) + v(a-b+1) - v(b), the valuation
-    of the exact ratio C(a, b)/C(a, b-1) = (a-b+1)/b, over a per-prime table
-    of (p-1) v_p(n) for n <= a_max.  Rows are compared whole, and the bound
-    by the row's largest entry; only a row that disagrees or exceeds the
-    bound is walked pair by pair, so violations keep their (a, b) order.
+    The sweep runs by rows, one per a, each scaled by p-1: Kummer's carry
+    count of b + (a-b) in digit-sum form, (p-1) carries = s_p(b) + s_p(a-b)
+    - s_p(a), read from one base-p digit-sum table (padic._digit_sums, read
+    here as a module global), against (p-1) floor(log_p a).  The bound is
+    compared with the row's largest entry; only a row that exceeds it is
+    walked pair by pair, so violations keep their (a, b) order.  The
+    valuation recurrence v(C(a, b)) = v(C(a, b-1)) + v(a-b+1) - v(b), which
+    never reads a digit, is the oracle of these rows in tests/lemma_oracle.py.
     """
     if a_max < 1:
         raise ValueError(f"lemma 9 sweeps 1 <= a <= a_max, got a_max={a_max}")
-    for p in ps:
-        _check_prime(p)
-    reports = {}
-    for p in ps:
-        sums = _digit_sums(p, a_max)
-        scaled_vp = [0] + [(p - 1) * _vp(n, p) for n in range(1, a_max + 1)]
-        violations: list[tuple[int, int]] = []
-        top = 0  # the largest entry of any row: p-1 times the largest carry count
-        checked = 0
-        for a in range(1, a_max + 1):
-            limit = (p - 1) * integer_log(p, a)
-            drops = _drop_row(sums, a)
-            oracle = _oracle_row(scaled_vp, a)
-            row_top = max(drops)
-            if drops != oracle or row_top > limit:
-                violations += [(a, b) for b, (d, o) in enumerate(zip(drops, oracle)) if d != o or d > limit]
-            top = max(top, row_top)
-            checked += a + 1
-        reports[p] = Lemma9Report(
-            p=p,
-            a_max=a_max,
-            checked=checked,
-            verdict="holds" if not violations else "fails",
-            max_valuation_seen=top // (p - 1),
-            violations=tuple(violations[:100]),
-        )
-    return reports
+    _check_prime(p)
+    sums = _digit_sums(p, a_max)
+    violations: list[tuple[int, int]] = []
+    top = 0  # the largest entry of any row: p-1 times the largest carry count
+    for a in range(1, a_max + 1):
+        limit = (p - 1) * integer_log(p, a)
+        drops = _drop_row(sums, a)
+        row_top = max(drops)
+        if row_top > limit:
+            violations += [(a, b) for b, d in enumerate(drops) if d > limit]
+        top = max(top, row_top)
+    return Lemma9Report(
+        p=p,
+        a_max=a_max,
+        checked=a_max * (a_max + 3) // 2,  # a + 1 pairs in row a
+        verdict="holds" if not violations else "fails",
+        max_valuation_seen=top // (p - 1),
+        violations=tuple(violations[:100]),
+    )
 
 
 # ---------------------------------------------------------------------------

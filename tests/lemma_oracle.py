@@ -18,13 +18,19 @@ report that ``_report`` builds, so the tests can compare whole reports:
   ``c_constants``, the constants C_l as Fractions.
 
 It also keeps the cleared integrality identity, which production no longer
-evaluates because it is rho'! times the defining identity.
+evaluates because it is rho'! times the defining identity, and the oracle of
+the lemma-9 sweep: production's rows are Kummer's carry counts in digit-sum
+form, and ``recurrence_rows`` builds the same rows from the valuation
+recurrence, which never reads a digit.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
+from padicslopes import lemma_checks
 from padicslopes.combinatorics import (
     _column_numerators,
     all_row_indices,
@@ -172,3 +178,27 @@ def cleared_identity_holds(p: int, alpha: int, nums: list[int], den: int) -> boo
         if lhs != (-1) ** rp * den * rhs_prod:
             return False
     return True
+
+
+def recurrence_rows(p: int, a_max: int):
+    """Yield [(p-1) v_p(C(a, b)) for b in 0..a] for a = 1..a_max along the
+    recurrence v(C(a, b)) = v(C(a, b-1)) + v(a-b+1) - v(b), the valuation of
+    the exact ratio C(a, b)/C(a, b-1) = (a-b+1)/b, over a table of
+    (p-1) v_p(n) for n <= a_max: no digit is read and C(a, b) is never built."""
+    scaled_vp = [0] + [(p - 1) * _vp(n, p) for n in range(1, a_max + 1)]
+    for a in range(1, a_max + 1):
+        yield list(accumulate(map(operator.sub, scaled_vp[a:0:-1], scaled_vp[1 : a + 1]), initial=0))
+
+
+def lemma9_disagreements(p: int, a_max: int) -> list[tuple[int, int]]:
+    """The pairs (a, b), 1 <= a <= a_max, where the digit-sum row that
+    ``lemma_checks.sweep_lemma9`` checks differs from the recurrence row,
+    in (a, b) order.  The rows are built by production's kernels, read as
+    module globals, so a patched ``_digit_sums`` or ``_drop_row`` is seen."""
+    sums = lemma_checks._digit_sums(p, a_max)
+    out = []
+    for a, oracle in enumerate(recurrence_rows(p, a_max), start=1):
+        drops = lemma_checks._drop_row(sums, a)
+        if drops != oracle:
+            out += [(a, b) for b, (d, o) in enumerate(zip(drops, oracle)) if d != o]
+    return out

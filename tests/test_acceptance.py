@@ -11,7 +11,6 @@ from argparse import Namespace
 from fractions import Fraction
 
 from padicslopes import combinatorics as comb
-from padicslopes import lemma_checks as lc
 from padicslopes import measures as ms
 from padicslopes import modforms as mf
 from padicslopes import symhecke as sh
@@ -20,24 +19,59 @@ from padicslopes.cli import main as cli_main
 from padicslopes.padic import INFINITY
 
 from lambda_oracle import lambda_coefficients, lambda_defining_residual
+from lemma_oracle import lemma9_disagreements
 
 
 PS = (5, 7, 11, 13)
+# (primes, window bounds) of every verify target on the gate: the criteria
+# below run each target on its grid, and tests/test_mutations.py walks the
+# same grids
+GATE_GRIDS = {
+    "lemma9": ((2, 3, 5, 7, 11, 13), {"a_max": 2000}),
+    **{f"lemma{i}": (PS, {"r_max": 400}) for i in range(10, 16)},
+    "lambda-system": (PS, {"R_max": 12, "alpha_max": 60}),
+    "matrix-entries": (PS, {"r_max": 200}),
+    "det-factorization": (PS, {"R_max": 12}),
+    "interior-annihilator": (PS, {"r_max": 200}),
+    "double-sum": (PS, {"r_max": 200}),
+    "rho-annihilator": (PS, {"r_max": 200}),
+    "integrality": (PS, {"r_max": 400}),
+    "hecke": ((5, 7), {"t_max": 8, "delta_max": 4}),
+}
 
 
 def _report(n, elapsed, target, detail):
     print(f"[criterion {n}] PASS ({elapsed:.1f}s, target {target}): {detail}")
 
 
+def _verify(name):
+    """(cell, verdict, checked, margin, item) for every cell that the verify
+    table lists for ``name`` on its gate grid, judged by its check; the item
+    is a JSON record, or a lemma report for the lemma targets."""
+    target = VERIFY_TARGETS[name]
+    primes, bounds = GATE_GRIDS[name]
+    args = Namespace(r=None, alpha=None, **bounds)
+    return [(cell, *target.check(*cell)) for p in primes for cell in target.cells(p, args)]
+
+
+def _assert_all_hold(results, count):
+    # the pinned count makes a window change in the table fail the gate
+    assert len(results) == count
+    for cell, verdict, _, _, _ in results:
+        assert verdict == "holds", cell
+
+
 def test_criterion_1_lemma9_sweep():
     t0 = time.time()
-    reports = lc.sweep_lemma9_with_oracle((2, 3, 5, 7, 11, 13), 2000)
-    for p, rep in reports.items():
-        assert rep.verdict == "holds", f"lemma 9 fails at p={p}: {rep.violations[:3]}"
-        assert rep.checked == sum(a + 1 for a in range(1, 2001))
+    results = _verify("lemma9")
+    _assert_all_hold(results, 6)
+    for (p, a_max), _, checked, _, _ in results:
+        assert checked == sum(a + 1 for a in range(1, a_max + 1))
+        assert lemma9_disagreements(p, a_max) == [], f"digit-sum rows differ from the recurrence at p={p}"
     _report(1, time.time() - t0, "<60s",
             "digit-sum carry count (s_p(b)+s_p(a-b)-s_p(a))/(p-1) = recurrence valuation "
-            f"v(C(a,b-1)) + v(a-b+1) - v(b) <= floor(log_p a) on {6 * reports[2].checked} triples")
+            "v(C(a,b-1)) + v(a-b+1) - v(b) <= floor(log_p a) on "
+            f"{sum(checked for _, _, checked, _, _ in results)} triples")
 
 
 def test_criterion_2_lambda_system():
@@ -55,31 +89,18 @@ def test_criterion_2_lambda_system():
             t = comb.lambda_values_by_differences(p, 1, alpha)
             assert t[alpha - 1] == Fraction(-1, p - 1)
             assert t[alpha] == Fraction(p - 1 + alpha, p - 1)
+    target_cells = _verify("lambda-system")
+    _assert_all_hold(target_cells, 552)
     _report(2, time.time() - t0, "<30s",
-            f"defining identity residual zero on {cells} tables; closed forms match")
-
-
-def _verify(name, primes=PS, **grid):
-    """(cell, verdict, checked, margin, item) for every cell that the verify
-    table lists for ``name`` over ``primes`` on ``grid``, judged by its check;
-    the item is a JSON record, or a lemma report for the lemma targets."""
-    target = VERIFY_TARGETS[name]
-    args = Namespace(r=None, alpha=None, **grid)
-    return [(cell, *target.check(*cell)) for p in primes for cell in target.cells(p, args)]
-
-
-def _assert_all_hold(results, count):
-    # the pinned count makes a window change in the table fail the gate
-    assert len(results) == count
-    for cell, verdict, _, _, _ in results:
-        assert verdict == "holds", cell
+            f"defining identity residual zero on {cells} tables and on the {len(target_cells)} cells "
+            "of verify lambda-system; closed forms match")
 
 
 def test_criterion_3_matrix_suite():
     t0 = time.time()
-    entries = _verify("matrix-entries", r_max=200)
+    entries = _verify("matrix-entries")
     _assert_all_hold(entries, 8708)
-    dets = _verify("det-factorization", R_max=12)
+    dets = _verify("det-factorization")
     _assert_all_hold(dets, 240)
     disagreements = sum(not record["linear_power_agrees"] for _, _, _, _, record in dets)
     assert disagreements > 0
@@ -93,7 +114,7 @@ def test_criterion_3_matrix_suite():
 
 def test_criterion_4_interior_annihilator():
     t0 = time.time()
-    results = _verify("interior-annihilator", r_max=200)
+    results = _verify("interior-annihilator")
     _assert_all_hold(results, 8708)
     _report(4, time.time() - t0, "<10min",
             f"identity residual zero and theta-functional profile exact on {len(results)} cells")
@@ -101,9 +122,9 @@ def test_criterion_4_interior_annihilator():
 
 def test_criterion_5_identities_88_and_105():
     t0 = time.time()
-    double_sums = _verify("double-sum", r_max=200)
+    double_sums = _verify("double-sum")
     _assert_all_hold(double_sums, 3009)
-    rho_variants = _verify("rho-annihilator", r_max=200)
+    rho_variants = _verify("rho-annihilator")
     _assert_all_hold(rho_variants, 84)
     _report(5, time.time() - t0, "<5min",
             f"vanishing double sum on {len(double_sums)} cells; "
@@ -114,7 +135,7 @@ def test_criterion_6_lemmas_10_to_15():
     t0 = time.time()
     details = []
     for lemma, count in ((10, 12165), (11, 12165), (12, 12165), (13, 176), (14, 176), (15, 176)):
-        results = _verify(f"lemma{lemma}", r_max=400)
+        results = _verify(f"lemma{lemma}")
         assert len(results) == count
         fails = [cell for cell, verdict, _, _, _ in results if verdict == "fails"]
         assert not fails, f"lemma {lemma}: {fails[:1]}"
@@ -128,7 +149,7 @@ def test_criterion_6_lemmas_10_to_15():
 
 def test_criterion_7_integrality():
     t0 = time.time()
-    results = _verify("integrality", r_max=400)
+    results = _verify("integrality")
     _assert_all_hold(results, 12341)
     _report(7, time.time() - t0, "exact (no target)",
             f"v_p(C') >= 0 (so v_p(C'') >= 0), and the defining identity (the cleared one is rho'! times it) "
@@ -137,7 +158,7 @@ def test_criterion_7_integrality():
 
 def test_criterion_8_hecke_operator():
     t0 = time.time()
-    results = _verify("hecke", primes=(5, 7), t_max=8, delta_max=4)
+    results = _verify("hecke")
     _assert_all_hold(results, 130)
 
     rng = random.Random(20260809)

@@ -499,6 +499,15 @@ class TestHeckeCheckCommand:
         assert out.read_text().splitlines() == [",".join(cli.VERIFY_HEADER), "integrality,5,1,0,rejected,,0"]
         assert "invalid cell: [5, 1, 0]" in capsys.readouterr().err
 
+    def test_matrix_entries_rho_zero_cells_rejected(self, tmp_path, capsys):
+        # r < p has rho = 0, so alpha = 0 is the alpha = rho shape, which needs rho >= 1
+        out = tmp_path / "v.csv"
+        assert run_cli(["verify", "matrix-entries", "--p", "5", "--r", "0..4", "--alpha", "0"], out) == 2
+        assert out.read_text().splitlines()[1:] == [f"matrix-entries,5,{r},0,rejected,,0" for r in range(5)]
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid cell: [5, {r}, 0]: alpha = rho needs rho >= 1, got r={r}, alpha=0" for r in range(5)
+        ]
+
 
 class TestOneWriter:
     """cli.py is the only module that serializes, and cli._write is the only

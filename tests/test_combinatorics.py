@@ -233,10 +233,11 @@ class TestFactorAndRank:
         assert interior_full_rank(m) and interior_full_rank(build_matrix_M(5, 5, 0))
         assert keys == [(5, 4, 1 * 4 + 2)]
 
-    @pytest.mark.parametrize("cell", [(1, 10, 0), (4, 60, 2), (5, 60, 99)])
+    @pytest.mark.parametrize("cell", [(1, 10, 0), (4, 60, 2), (5, 60, 99), (5, 4, 0)])
     def test_interior_rank_rejects_cells_build_matrix_M_rejects(self, cell):
-        # p = 1 (p - 1 = 0 in the row window), p = 4 (not prime), alpha above rho;
-        # the rank check reads only a MatrixM, so it never sees such a cell
+        # p = 1 (p - 1 = 0 in the row window), p = 4 (not prime), alpha above
+        # rho, alpha = rho = 0; the rank check reads only a MatrixM, so it
+        # never sees such a cell
         with pytest.raises(ValueError):
             build_matrix_M(*cell)
 

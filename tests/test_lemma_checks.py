@@ -25,16 +25,19 @@ from padicslopes.cli import VERIFY_TARGETS, _lemma_record
 from padicslopes.cli import main as cli_main
 from padicslopes.lemma_checks import (
     integrality_checks,
-    sweep_lemma9_with_oracle,
+    sweep_lemma9,
     table_key,
     verify_lemma,
 )
 from padicslopes.padic import INFINITY, _carries, valuation
 
+import lemma_oracle
 from lemma_oracle import (
     c_constants,
     cleared_identity_holds,
     core_valuation_by_vp,
+    lemma9_disagreements,
+    recurrence_rows,
     verify_lemma_by_fractions,
     verify_lemma_by_vp,
     witness_values,
@@ -177,20 +180,21 @@ class TestVerifyLemma:
 
 class TestLemma9:
     def test_small_sweep_holds(self):
-        rep = sweep_lemma9_with_oracle([3], 200)[3]
+        rep = sweep_lemma9(3, 200)
         assert rep.verdict == "holds"
         assert rep.checked == sum(a + 1 for a in range(1, 201))
 
     def test_oracle_sweep(self):
-        reps = sweep_lemma9_with_oracle([2, 5], 150)
-        assert all(r.verdict == "holds" for r in reps.values())
+        for p in (2, 5):
+            assert sweep_lemma9(p, 150).verdict == "holds"
+            assert lemma9_disagreements(p, 150) == []
 
     @pytest.mark.parametrize("a_max", [0, -3])
     def test_empty_sweep_rejected(self, a_max):
         # a = 0 is outside the sweep, so a_max < 1 would check nothing: a
         # vacuous sweep must not read as "holds"
         with pytest.raises(ValueError, match="a_max"):
-            sweep_lemma9_with_oracle([5], a_max)
+            sweep_lemma9(5, a_max)
 
 
 class TestIntegrality:
@@ -304,19 +308,20 @@ class TestIntegerRouteAgainstOracle:
 
     def test_lemma9_matches_brute_division(self, monkeypatch):
         ps, a_max = (2, 3, 5, 7, 11, 13), 150
-        reports = sweep_lemma9_with_oracle(ps, a_max)
+        reports = {p: sweep_lemma9(p, a_max) for p in ps}
         for p in ps:
             sums = lc._digit_sums(p, a_max)
             brute = {}
-            for a in range(1, a_max + 1):
+            for a, recurrence in enumerate(recurrence_rows(p, a_max), start=1):
                 brute[a] = [_brute_valuation(math.comb(a, b), p) for b in range(a + 1)]
-                # the checked digit-sum row, compared with brute division on every pair
-                assert lc._drop_row(sums, a) == [(p - 1) * v for v in brute[a]]
+                # the checked digit-sum row and the recurrence oracle's row,
+                # each compared with brute division on every pair
+                assert lc._drop_row(sums, a) == recurrence == [(p - 1) * v for v in brute[a]]
             assert reports[p].verdict == "holds"
             assert reports[p].max_valuation_seen == max(map(max, brute.values()))
 
-        # the recurrence oracle against brute division: s_p(n) = n - (p-1) v_p(n!)
-        # (Legendre) with v_p(n!) by dividing 1..n, so this table's rows are
+        # the sweep over brute division: s_p(n) = n - (p-1) v_p(n!) (Legendre)
+        # with v_p(n!) by dividing 1..n, so this table's rows are
         # (p-1) v_p(C(a, b)) by brute division
         def brute_digit_sums(p, n_max):
             vfact = [0]
@@ -326,7 +331,7 @@ class TestIntegerRouteAgainstOracle:
 
         built = []
         monkeypatch.setattr(lc, "_digit_sums", lambda p, n_max: built.append(p) or brute_digit_sums(p, n_max))
-        assert sweep_lemma9_with_oracle(ps, a_max) == reports
+        assert {p: sweep_lemma9(p, a_max) for p in ps} == reports
         assert built == list(ps)  # the sweep read the patched table, once per prime
 
     @settings(max_examples=200, deadline=None)
@@ -473,32 +478,37 @@ class TestChecksCanFail:
             return sums
 
         monkeypatch.setattr(lc, "_digit_sums", corrupted)
-        rep = sweep_lemma9_with_oracle([5], 60)[5]
-        assert rep.verdict == "fails"
+        rep = sweep_lemma9(5, 60)
         # s_5(37) enters the row of (a, b) once for each of b, a-b that is 37,
-        # and leaves it once if a is 37
-        expected = [
-            (a, b) for a in range(1, 61) for b in range(a + 1)
-            if (b == 37) + (a - b == 37) != (a == 37)
-        ]
-        assert rep.violations == tuple(expected[:100])  # first (37, 1)
+        # and leaves it once if a is 37: the comparison with the recurrence
+        # sees every moved pair, first (37, 1)
+        moved = {
+            (a, b): (b == 37) + (a - b == 37) - (a == 37) for a in range(1, 61) for b in range(a + 1)
+        }
+        assert lemma9_disagreements(5, 60) == [pair for pair, step in moved.items() if step]
+        # the sweep sees the pairs that a raised entry lifts over the bound:
+        # (p-1) carries + step > (p-1) floor(log_p a) with step < p-1
+        lifted = tuple(
+            (a, b) for (a, b), step in moved.items() if step > 0 and _carries(b, a - b, 5) == lc.integer_log(5, a)
+        )
+        assert (rep.verdict, rep.violations, lifted[0]) == ("fails", lifted, (50, 13))
 
     def test_lemma9_reports_a_broken_bound(self, monkeypatch):
         # with floor(log_p a) taken as 0, every pair with a carry breaks the bound
         monkeypatch.setattr(lc, "integer_log", lambda p, a: 0)
-        rep = sweep_lemma9_with_oracle([5], 60)[5]
+        rep = sweep_lemma9(5, 60)
         assert rep.verdict == "fails"
         expected = [(a, b) for a in range(1, 61) for b in range(a + 1) if _carries(b, a - b, 5)]
         assert rep.violations == tuple(expected[:100])  # first (5, 1)
         assert rep.max_valuation_seen == 2
 
     def test_lemma9_reports_a_wrong_oracle_valuation(self, monkeypatch):
-        vp = lc._vp
-        monkeypatch.setattr(lc, "_vp", lambda n, p: vp(n, p) + (n == 25))
-        rep = sweep_lemma9_with_oracle([5], 60)[5]
-        assert rep.verdict == "fails"
-        # the oracle reads v(25) first at (25, 1), through v(a-b+1)
-        assert rep.violations[0] == (25, 1)
+        vp = lemma_oracle._vp
+        monkeypatch.setattr(lemma_oracle, "_vp", lambda n, p: vp(n, p) + (n == 25))
+        # the recurrence reads v(25) first at (25, 1), through v(a-b+1); the
+        # sweep itself never reads a valuation
+        assert lemma9_disagreements(5, 60)[0] == (25, 1)
+        assert sweep_lemma9(5, 60).verdict == "holds"
 
 
 class TestPrimeValidation:
@@ -511,9 +521,7 @@ class TestPrimeValidation:
             with pytest.raises(ValueError, match="prime"):
                 verify_lemma(lemma, p, rho_of(p, 60) * (p + 1) + 1)
         with pytest.raises(ValueError, match="prime"):
-            sweep_lemma9_with_oracle([p], 20)
-        with pytest.raises(ValueError, match="prime"):
-            sweep_lemma9_with_oracle([2, p], 20)
+            sweep_lemma9(p, 20)
         with pytest.raises(ValueError, match="prime"):
             integrality_checks(p, 60, 9)
 

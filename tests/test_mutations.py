@@ -2,17 +2,20 @@
 
 Each row plants one fault in one kernel and names the target and the
 conjunct of its verdict that the fault must break.  With the fault in place
-the row walks the target's gate grid (the primes and bounds of
-tests/test_acceptance.py; lambda-system, which the gate checks on its own
-grid, walks the CLI's default window) in order, takes the first cell whose
-verdict turns "fails", and asserts that the named conjunct is false there
-and that the cell holds again once the fault is gone.
+the row walks the target's gate grid (GATE_GRIDS of tests/test_acceptance.py)
+in order, takes the first cell whose verdict turns "fails", and asserts that
+the named conjunct is false there and that the cell holds again once the
+fault is gone.
 
 Two former conjuncts are gone because they hold by construction: the C''
 integrality of `integrality` (see lemma_checks.integrality_checks) and the
 unitriangular cofactor of `det-factorization` (see
 combinatorics.factor_and_rank_checks; the seed fault row below shows that
-the factorization sees the one fault that could break the cofactor).
+the factorization sees the one fault that could break the cofactor).  The
+agreement of lemma 9's carry counts with the valuation recurrence is no
+conjunct either: gate criterion 1 compares the rows with the recurrence in
+tests/lemma_oracle.py, and a test below shows that a digit-sum fault breaks
+that comparison.
 """
 
 from argparse import Namespace
@@ -25,22 +28,9 @@ from padicslopes import lemma_checks as lc
 from padicslopes import symhecke as sh
 from padicslopes.cli import VERIFY_TARGETS
 
+from lemma_oracle import lemma9_disagreements
+from test_acceptance import GATE_GRIDS
 from test_combinatorics import _ratio_off_by_one
-
-PS = (5, 7, 11, 13)
-GATE_GRIDS = {
-    "lemma9": ((2, 3, 5, 7, 11, 13), {"a_max": 2000}),
-    **{f"lemma{i}": (PS, {"r_max": 400}) for i in range(10, 16)},
-    "lambda-system": (PS, {"R_max": 12, "alpha_max": 60}),
-    "matrix-entries": (PS, {"r_max": 200}),
-    "det-factorization": (PS, {"R_max": 12}),
-    "interior-annihilator": (PS, {"r_max": 200}),
-    "double-sum": (PS, {"r_max": 200}),
-    "rho-annihilator": (PS, {"r_max": 200}),
-    "integrality": (PS, {"r_max": 400}),
-    "hecke": ((5, 7), {"t_max": 8, "delta_max": 4}),
-}
-
 
 # ---------------------------------------------------------------------------
 # each target's verdict, conjunct by conjunct
@@ -48,19 +38,12 @@ GATE_GRIDS = {
 
 
 def _lemma9(cell, record):
-    """Lemma 9's verdict is its violation list: a violating pair (a, b)
-    breaks the agreement of carry count and oracle, the log bound, or both."""
+    """Lemma 9's verdict is its violation list: each violating pair (a, b)
+    breaks the log bound."""
     p, a_max = cell
     sums = lc._digit_sums(p, a_max)
-    scaled_vp = [0] + [(p - 1) * lc._vp(n, p) for n in range(1, a_max + 1)]
-    seen = [
-        (lc._drop_row(sums, a)[b], lc._oracle_row(scaled_vp, a)[b], (p - 1) * lc.integer_log(p, a))
-        for a, b in record["violations"]
-    ]
-    return {
-        "oracle_agrees": all(drop == oracle for drop, oracle, _ in seen),
-        "log_bound": all(drop <= limit for drop, _, limit in seen),
-    }
+    held = all(lc._drop_row(sums, a)[b] <= (p - 1) * lc.integer_log(p, a) for a, b in record["violations"])
+    return {"log_bound": held}
 
 
 def _lemma(cell, report):
@@ -253,7 +236,6 @@ def _insert_ignoring_k(insert):
 
 # (target, conjunct, module, kernel, fault)
 ROWS = [
-    ("lemma9", "oracle_agrees", lc, "_digit_sums", _digit_sum_off_by_one(37)),
     ("lemma9", "log_bound", lc, "integer_log", _lowered_log),
     ("lemma10", "strict", lc, "_carries", _undivided_carries),
     ("lemma11", "strict", lc, "_digit_sums", _digit_sum_off_by_one(12)),
@@ -307,6 +289,20 @@ def test_a_fault_breaks_the_conjunct(monkeypatch, name, conjunct, module, kernel
     monkeypatch.undo()
     _memo.reset()  # drop what the memos built through the fault
     assert VERIFY_TARGETS[name].check(*cell)[0] == "holds", cell
+
+
+def test_a_digit_sum_fault_breaks_the_lemma9_oracle_comparison(monkeypatch):
+    # a wrong s_p(37) moves rows of a >= 37 without lifting every one over
+    # the bound; gate criterion 1's comparison with the recurrence sees it
+    primes, bounds = GATE_GRIDS["lemma9"]
+    monkeypatch.setattr(lc, "_digit_sums", _digit_sum_off_by_one(37)(lc._digit_sums))
+    for p in primes:
+        pairs = lemma9_disagreements(p, bounds["a_max"])
+        if pairs:
+            break
+    assert (p, pairs[0]) == (primes[0], (37, 1))
+    monkeypatch.undo()
+    assert lemma9_disagreements(p, bounds["a_max"]) == []
 
 
 # a small window of every target, each with cells at its first prime
