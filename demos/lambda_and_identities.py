@@ -14,10 +14,10 @@ from padicslopes.combinatorics import (
     lambda_raw_table,
     lambda_values_by_differences,
     rho_of,
-    rho_zero_row_identity,
-    vartheta_profile,
+    vartheta,
     verify_vanishing_double_sum,
 )
+from padicslopes.padic import valuation
 
 p, R, alpha = 5, 3, 7
 table = lambda_values_by_differences(p, R, alpha)
@@ -33,9 +33,10 @@ print(f"interior annihilator at (p={p}, r={r}, alpha={a}):")
 print(f"  target: {sys71.target}")
 print(f"  column constants C_l: {dict(sorted(sys71.column_constants.items()))}")
 print(f"  residual rows (must be empty): {sys71.residual()}")
-prof = vartheta_profile(sys71)
-print(f"  theta functional: zero below alpha={a}: {prof.zero_below_alpha}; "
-      f"valuation at alpha equals E={ecal_of(p, r)}: {prof.valuation_at_alpha_is_ecal}")
+zero_below = all(vartheta(sys71.row_values, w, p) == 0 for w in range(a))
+at_alpha = valuation(vartheta(sys71.row_values, a, p), p) == ecal_of(p, r)
+print(f"  theta functional: zero below alpha={a}: {zero_below}; "
+      f"valuation at alpha equals E={ecal_of(p, r)}: {at_alpha}")
 print()
 
 p, r, a = 5, 14, 3
@@ -47,8 +48,8 @@ print()
 p, rho = 5, 2
 r = rho * (p + 1) + p - 2
 sys105 = build_interior_annihilator(p, r, rho)
-d0, th, exact = rho_zero_row_identity(sys105)
+d0, th = sys105.row_values[0], vartheta(sys105.row_values, rho, p)
 print(f"rho-case annihilator at (p={p}, r={r}):")
 print(f"  target: {sys105.target}; residual empty: {not sys105.residual()}")
 print(f"  boundary row zero: D_0 = {d0}, theta_rho = {th}, "
-      f"D_0 (1-p)^rho == theta_rho: {exact}")
+      f"D_0 (1-p)^rho == theta_rho: {d0 * (1 - p) ** rho == th}")

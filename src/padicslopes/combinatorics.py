@@ -223,32 +223,25 @@ def lambda_identity_holds(p: int, alpha: int, nums: list[int], den: int) -> bool
 # ---------------------------------------------------------------------------
 
 
-def _vartheta_sums(D: Mapping[int, int], p: int, w_max: int) -> list[int]:
-    """[vartheta_0(D), ..., vartheta_(w_max)(D)] for integer D: one _binomial_row
-    C(i(p-1), w) per nonzero D_i, summed column by column."""
-    sums = [0] * (w_max + 1)
-    for i, n in D.items():
-        if not n:
-            continue
-        top = i * (p - 1)
-        if top < 0:  # C(top, w) = (-1)^w C(-top-1+w, w): a diagonal, signs alternating
-            row = _binomial_row(-top - 1, 0, w_max + 1)
-            row[1::2] = [-c for c in row[1::2]]
-        else:
-            row = _binomial_row(top, 0, w_max + 1, top_step=0)
-        sums = [s + n * c for s, c in zip(sums, row)]
-    return sums
-
-
 def vartheta(D: Mapping[int, Fraction | int], w: int, p: int) -> Fraction:
     """sum_i D_i C(i(p-1), w) for a prime p > 3, with the generalized binomial
-    for negative i, summed in integers over the lcm of D's denominators."""
+    for negative i, summed in integers over the lcm of D's denominators:
+    C(i(p-1), w) is the last entry of one _binomial_row per nonzero D_i."""
     _check_prime_gt3(p)
     if w < 0:
         raise ValueError("w must be nonnegative")
     den = math.lcm(*(v.denominator for v in D.values()))
-    nums = {i: v.numerator * (den // v.denominator) for i, v in D.items()}
-    return Fraction(_vartheta_sums(nums, p, w)[w], den)
+    total = 0
+    for i, v in D.items():
+        if not v:
+            continue
+        top = i * (p - 1)
+        if top < 0:  # C(top, w) = (-1)^w C(-top-1+w, w): a diagonal
+            c = (-1) ** w * _binomial_row(-top - 1, 0, w + 1)[w]
+        else:
+            c = _binomial_row(top, 0, w + 1, top_step=0)[w]
+        total += v.numerator * (den // v.denominator) * c
+    return Fraction(total, den)
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +546,21 @@ class AnnihilatorSystem:
 
 
 def _theta_monomial_targets(p: int, alpha: int, ecal: int, offset: int) -> dict[int, int]:
-    """Coefficients of p^ecal theta^alpha x^(offset(p-1)) y^(...) in the
-    family x^(i(p-1)+alpha) y^(r-i(p-1)-alpha): support i in [offset, alpha+offset]."""
+    """Coefficients D_i of p^ecal theta^alpha x^(offset(p-1)) y^(...) in the
+    family x^(i(p-1)+alpha) y^(r-i(p-1)-alpha): D_(m+offset) = p^ecal (-1)^m
+    C(alpha, m) for m = 0..alpha.
+
+    The reduction argument reads two facts of this expansion; both hold for
+    every (p, alpha, ecal, offset), so no verdict checks them again.  With
+    f(x) = C((x+offset)(p-1), w), vartheta_w(D) = sum_m D_(m+offset) f(m) =
+    p^ecal (-1)^alpha Delta^alpha f(0).  f has degree w and leading
+    coefficient (p-1)^w / w!, so vartheta_w = 0 for w < alpha and
+    vartheta_alpha = p^ecal (1-p)^alpha, of valuation exactly ecal.  The
+    rho-shape identity D_0 (1-p)^rho = vartheta_rho is the case offset = 0,
+    where D_0 = p^ecal.  p^ecal divides every vartheta_w because it divides
+    every D_i.  The tests check the first two facts once per key on the
+    gate grids, through their own Fraction vartheta.
+    """
     scale = p**ecal
     return {m + offset: scale * (-1) ** m * math.comb(alpha, m) for m in range(alpha + 1)}
 
@@ -599,55 +605,6 @@ def _annihilator(p: int, r: int, alpha: int, offset: int, monomial: str) -> Anni
         row_values=targets,
         boundary_numerators=boundary,
     )
-
-
-@dataclass(frozen=True)
-class ThetaProfile:
-    """Valuations of vartheta_w over the annihilator's row family; values
-    maps w to the integer vartheta_w(D) for w = 0..2 rho."""
-
-    alpha: int
-    ecal: int
-    zero_below_alpha: bool
-    valuation_at_alpha_is_ecal: bool
-    valuations_ok_up_to: int
-    values: dict[int, int]
-
-    @property
-    def holds(self) -> bool:
-        """Zero below alpha, a p^ecal-unit at alpha, and divisible by p^ecal
-        through w = 2 rho, the last key of values."""
-        exact_to_alpha = self.zero_below_alpha and self.valuation_at_alpha_is_ecal
-        return exact_to_alpha and self.valuations_ok_up_to == max(self.values)
-
-
-def vartheta_profile(system: AnnihilatorSystem) -> ThetaProfile:
-    """Check vartheta_w(D(r)) = 0 for w < alpha, = p^ecal-unit at w = alpha,
-    and v_p >= ecal for alpha <= w <= 2 rho."""
-    p, alpha, ecal = system.p, system.alpha, system.ecal
-    w_max = 2 * rho_of(p, system.r)
-    sums = _vartheta_sums(system.row_values, p, w_max)
-    unit = p**ecal  # v_p(S_w) >= ecal  <=>  unit divides S_w (also for S_w = 0)
-    zero_below = all(s == 0 for s in sums[:alpha])
-    at_alpha = sums[alpha] % unit == 0 and sums[alpha] % (unit * p) != 0
-    ok_up_to = -1
-    for w in range(alpha, w_max + 1):
-        if sums[w] % unit:
-            break
-        ok_up_to = w
-    return ThetaProfile(alpha, ecal, zero_below, at_alpha, ok_up_to, dict(enumerate(sums)))
-
-
-def rho_zero_row_identity(system: AnnihilatorSystem) -> tuple[int, int, bool]:
-    """(D_0, vartheta_rho(D), exact?) for the rho-case annihilator.
-
-    The exact identity is D_0 (1-p)^rho = vartheta_rho(D): the theta-expansion
-    contributes the unit (1-p)^rho, which reduces to 1 mod p.
-    """
-    rho = system.alpha
-    d0 = system.row_values.get(0, 0)
-    th = _vartheta_sums(system.row_values, system.p, rho)[rho]
-    return d0, th, d0 * (1 - system.p) ** rho == th
 
 
 @dataclass(frozen=True)

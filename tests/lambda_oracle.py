@@ -182,6 +182,17 @@ def vartheta(D: dict[int, Fraction], w: int, p: int) -> Fraction:
     return acc
 
 
+def theta_expansion_errors(key: tuple[int, int, int, int], D: dict[int, int]) -> list[int]:
+    """The w <= alpha at which vartheta_w(D) is not what the reduction
+    argument reads off p^E theta^alpha times a monomial: 0 for w < alpha and
+    p^E (1-p)^alpha at w = alpha, for the key (p, alpha, E, offset) of D.
+    combinatorics._theta_monomial_targets proves both for every key; this
+    checks that D is that expansion."""
+    p, alpha, ecal, _ = key
+    at_alpha = p**ecal * (1 - p) ** alpha
+    return [w for w in range(alpha + 1) if vartheta(D, w, p) != (at_alpha if w == alpha else 0)]
+
+
 def interior_solution(p: int, r: int, alpha: int, targets: dict[int, Fraction]) -> dict[int, Fraction]:
     """Constants C_l with row sums equal to targets[i] on every interior row:
     forward differences of y_i = targets[i] / C(r, n_i) and Fraction

@@ -18,7 +18,7 @@ from padicslopes.cli import VERIFY_TARGETS
 from padicslopes.cli import main as cli_main
 from padicslopes.padic import INFINITY
 
-from lambda_oracle import lambda_coefficients, lambda_defining_residual
+from lambda_oracle import lambda_coefficients, lambda_defining_residual, theta_expansion_errors
 from lemma_oracle import lemma9_disagreements
 
 
@@ -40,6 +40,39 @@ GATE_GRIDS = {
 }
 
 
+def gate_cells(name):
+    """Every cell that the verify table lists for ``name`` on its gate grid,
+    in order."""
+    primes, bounds = GATE_GRIDS[name]
+    args = Namespace(r=None, alpha=None, **bounds)
+    return [cell for p in primes for cell in VERIFY_TARGETS[name].cells(p, args)]
+
+
+# the right side p^E theta^alpha x^(offset(p-1)) y^(...) of each annihilator
+# target: offset 1 below rho, 0 on the rho shape
+THETA_OFFSETS = {"interior-annihilator": 1, "rho-annihilator": 0}
+
+
+def theta_key_systems(name):
+    """[(key, system)] with one system per distinct key (p, alpha, E, offset)
+    of an annihilator target's gate grid, built at the key's first cell.  The
+    right side depends on the key alone, and the verdict reads the residual
+    only, which cannot see it: the criteria check it here, once per key."""
+    cells = {}
+    for cell in gate_cells(name):
+        p, r, alpha = cell if len(cell) == 3 else (*cell, comb.rho_of(*cell))
+        cells.setdefault((p, alpha, comb.ecal_of(p, r), THETA_OFFSETS[name]), (p, r, alpha))
+    return [(key, comb.build_interior_annihilator(*cell)) for key, cell in cells.items()]
+
+
+def _assert_theta_keys(name, count):
+    keys = theta_key_systems(name)
+    assert len(keys) == count
+    for key, sysm in keys:
+        assert theta_expansion_errors(key, sysm.row_values) == [], (key, sysm.r)
+    return len(keys)
+
+
 def _report(n, elapsed, target, detail):
     print(f"[criterion {n}] PASS ({elapsed:.1f}s, target {target}): {detail}")
 
@@ -48,10 +81,8 @@ def _verify(name):
     """(cell, verdict, checked, margin, item) for every cell that the verify
     table lists for ``name`` on its gate grid, judged by its check; the item
     is a JSON record, or a lemma report for the lemma targets."""
-    target = VERIFY_TARGETS[name]
-    primes, bounds = GATE_GRIDS[name]
-    args = Namespace(r=None, alpha=None, **bounds)
-    return [(cell, *target.check(*cell)) for p in primes for cell in target.cells(p, args)]
+    check = VERIFY_TARGETS[name].check
+    return [(cell, *check(*cell)) for cell in gate_cells(name)]
 
 
 def _assert_all_hold(results, count):
@@ -116,8 +147,10 @@ def test_criterion_4_interior_annihilator():
     t0 = time.time()
     results = _verify("interior-annihilator")
     _assert_all_hold(results, 8708)
+    keys = _assert_theta_keys("interior-annihilator", 140)
     _report(4, time.time() - t0, "<10min",
-            f"identity residual zero and theta-functional profile exact on {len(results)} cells")
+            f"identity residual zero on {len(results)} cells; theta^alpha right side exact "
+            f"(vartheta_w = 0 below alpha, p^E (1-p)^alpha at alpha) on its {keys} keys (p, alpha, E, offset)")
 
 
 def test_criterion_5_identities_88_and_105():
@@ -126,9 +159,11 @@ def test_criterion_5_identities_88_and_105():
     _assert_all_hold(double_sums, 3009)
     rho_variants = _verify("rho-annihilator")
     _assert_all_hold(rho_variants, 84)
+    keys = _assert_theta_keys("rho-annihilator", 84)
     _report(5, time.time() - t0, "<5min",
             f"vanishing double sum on {len(double_sums)} cells; "
-            f"rho-variant residual zero on {len(rho_variants)} cells")
+            f"rho-variant residual zero on {len(rho_variants)} cells; theta^rho right side exact "
+            f"(vartheta_w = 0 below rho, p^E (1-p)^rho at rho) on its {keys} keys (p, rho, E, 0)")
 
 
 def test_criterion_6_lemmas_10_to_15():

@@ -39,10 +39,8 @@ from padicslopes.combinatorics import (
     rho_case_rs,
     rho_of,
     rho_prime_of,
-    rho_zero_row_identity,
     solve_interior_system,
     vartheta,
-    vartheta_profile,
     verify_vanishing_double_sum,
 )
 from padicslopes.exactlinalg import rank_mod_p
@@ -363,10 +361,10 @@ class TestInteriorAnnihilator:
     @pytest.mark.parametrize("p,r,alpha", [(5, 26, 2), (5, 47, 3), (7, 62, 4), (13, 90, 2)])
     def test_theta_functional_profile(self, p, r, alpha):
         sys = build_interior_annihilator(p, r, alpha)
-        prof = vartheta_profile(sys)
-        assert prof.zero_below_alpha
-        assert prof.valuation_at_alpha_is_ecal
-        assert prof.valuations_ok_up_to >= 2 * rho_of(p, r)
+        assert oracle.theta_expansion_errors(_theta_key(p, r, alpha), sys.row_values) == []
+        # p^ecal divides every vartheta_w, as it divides every D_i
+        unit = p ** ecal_of(p, r)
+        assert all(oracle.vartheta(sys.row_values, w, p) % unit == 0 for w in range(2 * rho_of(p, r) + 1))
 
     def test_row_values_support(self):
         sys = build_interior_annihilator(5, 40, 3)
@@ -413,12 +411,13 @@ class TestRhoAnnihilator:
         assert sys.residual() == {}
 
     def test_zero_row_vs_theta(self):
-        # exact r-level identity: D_0 (1-p)^rho = vartheta_rho(D);
-        # the two agree up to the unit (1-p)^rho = 1 mod p
+        # exact r-level identity: D_0 (1-p)^rho = vartheta_rho(D), the key
+        # check at offset 0; the two agree up to the unit (1-p)^rho = 1 mod p
         for (p, rho) in [(5, 2), (7, 4), (11, 3)]:
             sys = build_interior_annihilator(p, rho * (p + 1) + p - 2, rho)
-            d0, th, exact = rho_zero_row_identity(sys)
-            assert exact
+            assert oracle.theta_expansion_errors(_theta_key(p, sys.r, rho), sys.row_values) == []
+            d0, th = sys.row_values[0], vartheta(sys.row_values, rho, p)
+            assert d0 * (1 - p) ** rho == th
             assert d0 == p ** ecal_of(p, sys.r)
             assert (th - d0) % p ** (ecal_of(p, sys.r) + 1) == 0
 
@@ -579,10 +578,8 @@ class TestIntegerRouteAgainstOracle:
             rows = all_row_indices(p, r, alpha)
             sums = _row_sum_numerators(p, r, alpha, sysm.column_numerators, rows)
             assert [Fraction(s, sysm.den) for s in sums] == [oracle.row_sum(p, r, alpha, cols, i) for i in rows]
-            prof = vartheta_profile(sysm)
-            assert list(prof.values.items()) == [
-                (w, oracle.vartheta(rhs, w, p)) for w in range(2 * rho_of(p, r) + 1)
-            ]
+            for w in range(2 * rho_of(p, r) + 1):
+                assert vartheta(sysm.row_values, w, p) == oracle.vartheta(rhs, w, p), w
             for i in interior_row_indices(p, r, alpha)[:2]:
                 want = oracle.interior_solution(p, r, alpha, {i: Fraction(p ** ecal_of(p, r))})
                 assert list(solve_interior_system(p, r, alpha, i).items()) == list(want.items())
@@ -708,6 +705,12 @@ def _ratio_off_by_one(n, k, length, top_step=1):
 _RHO_SHAPE_CELLS = [(5, 27, 4), (7, 29, 3)]
 
 
+def _theta_key(p, r, alpha):
+    """(p, alpha, E, offset) of a cell's annihilator right side: offset 0 on
+    the rho shape, 1 below rho."""
+    return p, alpha, ecal_of(p, r), 0 if alpha == rho_of(p, r) else 1
+
+
 def _plus_minus_one(values):
     """Every copy of the dict values with one entry moved by +1 or -1."""
     for key in values:
@@ -740,22 +743,23 @@ class TestChecksCanFail:
 
     @pytest.mark.parametrize("p,r,alpha", _SMALL_CELLS)
     def test_profile_sees_a_perturbed_row_value(self, p, r, alpha):
+        # the key check of gate criteria 4 and 5 on one cell's right side
+        key = _theta_key(p, r, alpha)
         sysm = build_interior_annihilator(p, r, alpha)
-        assert vartheta_profile(sysm).holds
+        assert oracle.theta_expansion_errors(key, sysm.row_values) == []
         for i in sysm.row_values:
             bad = dict(sysm.row_values)
             bad[i] += 1
-            assert not vartheta_profile(dataclasses.replace(sysm, row_values=bad)).holds, i
-        # p D has the zeros and the lower bounds of D, but valuation ecal + 1 at alpha
+            assert oracle.theta_expansion_errors(key, bad), i
+        # p D has the zeros of D, but valuation ecal + 1 at alpha
         times_p = {i: p * d for i, d in sysm.row_values.items()}
-        scaled = vartheta_profile(dataclasses.replace(sysm, row_values=times_p))
-        assert scaled.zero_below_alpha and scaled.valuations_ok_up_to >= 2 * rho_of(p, r)
-        assert not scaled.valuation_at_alpha_is_ecal and not scaled.holds
+        assert oracle.theta_expansion_errors(key, times_p) == [alpha]
 
     def test_profile_sees_the_row_kernel(self, monkeypatch):
-        # C(4, 0) one too large moves vartheta_0 by D_1, which must be 0 below
-        # alpha; _ratio_off_by_one would not do here, because the alternating
-        # sums of the theta^alpha targets cancel its shift
+        # the public vartheta reads the row kernel: C(4, 0) one too large moves
+        # vartheta_0 by D_1, which must be 0 below alpha; _ratio_off_by_one would
+        # not do here, because the alternating sums of the theta^alpha targets
+        # cancel its shift
         def top_four_off_by_one(n, k, length, top_step=1):
             row = _binomial_row(n, k, length, top_step)
             if n == 4 and not top_step and row:
@@ -763,9 +767,9 @@ class TestChecksCanFail:
             return row
 
         systems = [build_interior_annihilator(*cell) for cell in [(5, 26, 2), (5, 15, 2), (5, 40, 3)]]
-        assert all(vartheta_profile(sysm).holds for sysm in systems)
+        assert all(vartheta(sysm.row_values, 0, 5) == 0 for sysm in systems)
         monkeypatch.setattr(combinatorics, "_binomial_row", top_four_off_by_one)
-        assert not any(vartheta_profile(sysm).holds for sysm in systems)
+        assert all(vartheta(sysm.row_values, 0, 5) != 0 for sysm in systems)
 
     def test_double_sum_sees_a_perturbed_lambda_table(self, monkeypatch):
         assert verify_vanishing_double_sum(5, 14, 3).holds

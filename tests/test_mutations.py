@@ -16,6 +16,15 @@ agreement of lemma 9's carry counts with the valuation recurrence is no
 conjunct either: gate criterion 1 compares the rows with the recurrence in
 tests/lemma_oracle.py, and a test below shows that a digit-sum fault breaks
 that comparison.
+
+The theta^alpha facts of the annihilator right sides are no conjuncts
+either: vartheta_w = 0 below alpha, vartheta_alpha = p^E (1-p)^alpha (the
+rho-shape identity is its case offset 0) and p^E dividing every vartheta_w
+hold for every key (p, alpha, E, offset), as
+combinatorics._theta_monomial_targets proves.  The residual checks the solve
+against whatever targets it was given, so gate criteria 4 and 5 check the
+expansion once per key, and a test below shows that a target fault breaks
+that check while every residual stays zero.
 """
 
 from argparse import Namespace
@@ -28,8 +37,9 @@ from padicslopes import lemma_checks as lc
 from padicslopes import symhecke as sh
 from padicslopes.cli import VERIFY_TARGETS
 
+from lambda_oracle import theta_expansion_errors
 from lemma_oracle import lemma9_disagreements
-from test_acceptance import GATE_GRIDS
+from test_acceptance import GATE_GRIDS, gate_cells, theta_key_systems
 from test_combinatorics import _ratio_off_by_one
 
 # ---------------------------------------------------------------------------
@@ -66,14 +76,7 @@ def _det_factorization(cell, record):
 
 
 def _interior_annihilator(cell, record):
-    sysm = comb.build_interior_annihilator(*cell)
-    profile = comb.vartheta_profile(sysm)
-    return {
-        "residual_zero": not sysm.residual(),
-        "zero_below_alpha": profile.zero_below_alpha,
-        "valuation_at_alpha_is_ecal": profile.valuation_at_alpha_is_ecal,
-        "valuations_ok_to_2rho": profile.valuations_ok_up_to == max(profile.values),
-    }
+    return {"residual_zero": not comb.build_interior_annihilator(*cell).residual()}
 
 
 def _double_sum(cell, record):
@@ -81,8 +84,7 @@ def _double_sum(cell, record):
 
 
 def _rho_annihilator(cell, record):
-    sysm = comb.build_interior_annihilator(*cell, comb.rho_of(*cell))
-    return {"residual_zero": not sysm.residual(), "zero_row_identity": comb.rho_zero_row_identity(sysm)[2]}
+    return {"residual_zero": not comb.build_interior_annihilator(*cell, comb.rho_of(*cell)).residual()}
 
 
 def _integrality(cell, record):
@@ -181,21 +183,6 @@ def _seed_of_top_two(kernel):
     return faulty
 
 
-def _row_entry_off_by_one(n, index):
-    """The row kernel with entry ``index`` of the rows of top n one too large."""
-
-    def fault(kernel):
-        def faulty(top, k, length, top_step=1):
-            row = kernel(top, k, length, top_step)
-            if top == n and not top_step and row:
-                row[index] += 1
-            return row
-
-        return faulty
-
-    return fault
-
-
 def _rank_one_short(rank_mod_p):
     return lambda rows, p: rank_mod_p(rows, p) - 1
 
@@ -250,12 +237,8 @@ ROWS = [
     ("det-factorization", "det_matches_closed_form", comb, "_carry_matrix", _last_pivot_off_by_one),
     ("det-factorization", "full_rank_mod_p", comb, "rank_mod_p", _rank_one_short),
     ("interior-annihilator", "residual_zero", comb, "_binomial_row", _ratio_fault),
-    ("interior-annihilator", "zero_below_alpha", comb, "_binomial_row", _row_entry_off_by_one(4, 0)),
-    ("interior-annihilator", "valuation_at_alpha_is_ecal", comb, "_theta_monomial_targets", _targets_times_p),
-    ("interior-annihilator", "valuations_ok_to_2rho", comb, "_theta_monomial_targets", _last_target_unscaled),
     ("double-sum", "row_sums_zero", comb, "lambda_raw_table", _first_numerator_plus_one),
     ("rho-annihilator", "residual_zero", comb, "_binomial_row", _ratio_fault),
-    ("rho-annihilator", "zero_row_identity", comb, "_binomial_row", _row_entry_off_by_one(4, -1)),
     ("integrality", "c_prime_integral", lc, "factorial_valuation", _one_more),
     ("integrality", "defining_identity_ok", lc, "lambda_raw_table", _first_numerator_plus_one),
     ("hecke", "matches", sh.FormalSum, "_insert", _insert_ignoring_k),
@@ -266,14 +249,10 @@ ROWS = [
 def _first_failing(name):
     """(cell, item) of the first gate-grid cell of ``name`` whose verdict is
     "fails", or None."""
-    target = VERIFY_TARGETS[name]
-    primes, bounds = GATE_GRIDS[name]
-    args = Namespace(r=None, alpha=None, **bounds)
-    for p in primes:
-        for cell in target.cells(p, args):
-            verdict, _, _, item = target.check(*cell)
-            if verdict == "fails":
-                return cell, item
+    for cell in gate_cells(name):
+        verdict, _, _, item = VERIFY_TARGETS[name].check(*cell)
+        if verdict == "fails":
+            return cell, item
     return None
 
 
@@ -303,6 +282,37 @@ def test_a_digit_sum_fault_breaks_the_lemma9_oracle_comparison(monkeypatch):
     assert (p, pairs[0]) == (primes[0], (37, 1))
     monkeypatch.undo()
     assert lemma9_disagreements(p, bounds["a_max"]) == []
+
+
+@pytest.mark.parametrize("fault", [_targets_times_p, _last_target_unscaled], ids=lambda fault: fault.__name__)
+def test_a_target_fault_breaks_the_theta_key_check(monkeypatch, fault):
+    # the solve meets the faulty targets, so the residual of every key's
+    # system stays zero and the verdicts hold; the key check of criteria 4
+    # and 5 sees the fault at the first key of each target
+    monkeypatch.setattr(comb, "_theta_monomial_targets", fault(comb._theta_monomial_targets))
+    first = []
+    for name in ("interior-annihilator", "rho-annihilator"):
+        systems = theta_key_systems(name)
+        assert not any(sysm.residual() for _, sysm in systems)
+        key, sysm = next((key, sysm) for key, sysm in systems if theta_expansion_errors(key, sysm.row_values))
+        cell = (sysm.p, sysm.r, sysm.alpha)
+        pinned = cell if name == "interior-annihilator" else cell[:2]  # a rho-annihilator cell is (p, r)
+        assert VERIFY_TARGETS[name].check(*pinned)[0] == "holds"
+        first.append((key, cell))
+    assert first == [((5, 0, 1, 1), (5, 5, 0)), ((5, 1, 1, 0), (5, 9, 1))]
+    monkeypatch.undo()
+    for name in ("interior-annihilator", "rho-annihilator"):
+        assert all(not theta_expansion_errors(key, sysm.row_values) for key, sysm in theta_key_systems(name))
+
+
+def test_the_residual_sums_no_row_on_exactly_four_gate_cells():
+    # at (p, p, 0) the interior window (rho, r - rho) = (1, p - 1) holds no
+    # i(p-1) + 0, so the residual sums nothing and the cell holds with nothing
+    # that could fail; its checked count is the alpha + 1 = 1 target, not a row
+    empty = [cell for cell in gate_cells("interior-annihilator") if not comb.interior_row_indices(*cell)]
+    assert empty == [(p, p, 0) for p in GATE_GRIDS["interior-annihilator"][0]]
+    for cell in empty:
+        assert VERIFY_TARGETS["interior-annihilator"].check(*cell)[:2] == ("holds", 1)
 
 
 # a small window of every target, each with cells at its first prime
