@@ -283,6 +283,7 @@ def _check_rho_annihilator(p, r):
 
 def _check_integrality(p, r, alpha):
     rep = lc.integrality_checks(p, r, alpha)
+    # one per constant: rho'+1 C'_l, which the verdict reads, and rho'+1 C''_j, which follow from them
     checked, margin = 2 * (rep.rho_prime + 1), rep.c_prime_min_valuation
     return _identity("integrality", rep.holds, checked, margin, p=p, r=r, alpha=alpha, variant=rep.variant)
 

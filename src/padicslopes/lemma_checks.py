@@ -18,11 +18,11 @@ tests/lemma_oracle.py as an oracle, and so is the valuation recurrence that
 lemma 9's carry-count rows are tested against.
 
 A raw Lambda table depends on (p, rho', alpha) only, not on r, so a sweep
-meets each one on many cells.  Lemmas 12 and 15 read the valuations of its
-entries from a bounded memo, and integrality_checks memoizes the facts it
-draws from it.  The memos are registered in _memo, which empties them per
-invocation, and build tables through this module's globals lambda_raw_table
-and _digit_sums, so a patch or a trace of those names sees every real build.
+meets each one on many cells.  Lemmas 12 and 15 and integrality_checks read
+the valuations of its entries from one bounded memo.  The memos are
+registered in _memo, which empties them per invocation, and build tables
+through this module's globals lambda_raw_table and _digit_sums, so a patch
+or a trace of those names sees every real build.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from ._memo import memo
 from .combinatorics import (
     all_row_indices,
     general_rho_prime,
-    lambda_identity_holds,
     lambda_raw_table,
     lambda_variant,
     rho_case_rho_prime,
@@ -66,9 +65,8 @@ TABLE_MEMO_SIZE = 256
 def table_key(cell: tuple) -> tuple[int, int, int]:
     """(p, rho', alpha) of the raw Lambda table that an integrality, lemma12
     or lemma15 cell (p, r[, alpha]) reads, alpha = rho when omitted: the key
-    of _lambda_table and _integrality_facts.  A rho-case cell has
-    r - rho = rho p + 1, so rho' = rho there.  It only groups cells, so an
-    invalid cell needs no check here."""
+    of _lambda_table.  A rho-case cell has r - rho = rho p + 1, so rho' = rho
+    there.  It only groups cells, so an invalid cell needs no check here."""
     p, r, *alpha = cell
     a = alpha[0] if alpha else rho_of(p, r)
     return p, rho_prime_of(p, r, a), a
@@ -277,36 +275,37 @@ class IntegralityReport:
     rho_prime: int
     variant: str
     c_prime_min_valuation: ExtendedValuation
-    defining_identity_ok: bool
 
     @property
     def holds(self) -> bool:
-        return self.c_prime_min_valuation >= 0 and self.defining_identity_ok
+        return self.c_prime_min_valuation >= 0
 
 
 def integrality_checks(p: int, r: int, alpha: int) -> IntegralityReport:
-    """v_p(C'_l) >= 0, with the defining polynomial identity verified
-    exactly; v_p(C''_j) >= 0 follows.
+    """v_p(C'_l) >= 0; v_p(C''_j) >= 0 follows.
 
     C'_l is the Lambda value itself, n_m / den with m = alpha - l over the raw
-    table (n, den = (p-1)^rho' rho'!); since p-1 is a unit,
-    v_p(C'_l) = v_p(n_m) - v_p(rho'!).  C''_j rescales it by the unit
-    (-1)^rho' (p-1)^(alpha-j) and the integer rho'!/(alpha-j)!, so
-    v_p(C''_j) = v_p(n_m) - v_p(m!) >= v_p(C'_l), as v_p(m!) <= v_p(rho'!)
-    for m <= rho'.  So v_p(C'') >= 0 follows from v_p(C') >= 0, and a C''
-    verdict could only fail where the C' verdict already fails.
+    table (n, den = (p-1)^rho' rho'!), so v_p(C'_l) is the entry
+    v_p(Lambda(alpha, l) p^l) of _lambda_table(p, rho', alpha), less l.  C''_j
+    rescales it by the unit (-1)^rho' (p-1)^(alpha-j) and the integer
+    rho'!/(alpha-j)!, so v_p(C''_j) = v_p(n_m) - v_p(m!) >= v_p(C'_l), as
+    v_p(m!) <= v_p(rho'!) for m <= rho'.  So a C'' verdict could only fail
+    where the C' verdict already fails.
 
-    The rescaled constants satisfy the cleared identity
-    sum_m (rho'!/m!) n_m G_m(x) = (-1)^rho' den (x-1)...(x-rho') with
-    G_m(x) = prod_(u<m) ((p-1)x + alpha - u).  It is rho'! times the defining
-    identity sum_m n_m C((p-1)x + alpha, m) = den C(rho' - x, rho'): on the
-    left (rho'!/m!) G_m(x) = rho'! C((p-1)x + alpha, m), and on the right
-    (-1)^rho' (x-1)...(x-rho') = rho'! C(rho' - x, rho').  So the proof of
-    the defining identity (exact evaluation at x = 0..rho') proves both.
+    The defining identity sum_m n_m C((p-1)X + alpha, m) = den C(R - X, R),
+    R = rho', holds for every table by construction, so the verdict does not
+    check it.  With the degree-R polynomial
+    h(s) = prod_(k=1..R) (k(p-1) + alpha - s), lambda_raw_table takes
+    n_m = Delta^m h(0), the forward differences of h(0..R), so Newton's
+    formula gives h(s) = sum_m n_m C(s, m) as polynomials.  At
+    s = (p-1)X + alpha, h = prod_k (p-1)(k - X) = (p-1)^R R! C(R - X, R)
+    = den C(R - X, R).  The cleared identity of the C''_j is rho'! times it.
+    Gate criterion 7 runs the lambda-system check, an evaluation independent
+    of the difference kernel, on every key of its grid.
     """
     _check_prime_gt3(p)
     variant, rp = lambda_variant(p, r, alpha)
-    c_prime, identity_ok = _integrality_facts(p, rp, alpha)
+    c_prime = min(v - (alpha - m) for m, v in enumerate(_lambda_table(p, rp, alpha)))
     return IntegralityReport(
         p=p,
         r=r,
@@ -314,15 +313,4 @@ def integrality_checks(p: int, r: int, alpha: int) -> IntegralityReport:
         rho_prime=rp,
         variant=variant,
         c_prime_min_valuation=c_prime,
-        defining_identity_ok=identity_ok,
     )
-
-
-@memo(maxsize=TABLE_MEMO_SIZE)
-def _integrality_facts(p: int, rp: int, alpha: int) -> tuple[ExtendedValuation, bool]:
-    """(min v_p(C'_l), defining identity proved) of the raw table
-    (p, rho', alpha): what integrality_checks reads of it, computed once
-    while it stays in the memo."""
-    nums, den = lambda_raw_table(p, rp, alpha)  # Lambda(alpha, alpha-m) = nums[m]/den
-    vmin = min(INFINITY if n == 0 else _vp(n, p) for n in nums)
-    return vmin - factorial_valuation(rp, p), lambda_identity_holds(p, alpha, nums, den)

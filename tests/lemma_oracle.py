@@ -17,11 +17,12 @@ report that ``_report`` builds, so the tests can compare whole reports:
   no carry count is shared with production.  Its column witnesses come from
   ``c_constants``, the constants C_l as Fractions.
 
-It also keeps the cleared integrality identity, which production no longer
-evaluates because it is rho'! times the defining identity, and the oracle of
-the lemma-9 sweep: production's rows are Kummer's carry counts in digit-sum
-form, and ``recurrence_rows`` builds the same rows from the valuation
-recurrence, which never reads a digit.
+It also keeps the cleared integrality identity, which production does not
+evaluate: it is rho'! times the defining identity, which holds by
+construction (see lemma_checks.integrality_checks).  And it keeps the
+oracle of the lemma-9 sweep: production's rows are Kummer's carry counts in
+digit-sum form, and ``recurrence_rows`` builds the same rows from the
+valuation recurrence, which never reads a digit.
 """
 
 import math

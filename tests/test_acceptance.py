@@ -11,6 +11,7 @@ from argparse import Namespace
 from fractions import Fraction
 
 from padicslopes import combinatorics as comb
+from padicslopes import lemma_checks as lc
 from padicslopes import measures as ms
 from padicslopes import modforms as mf
 from padicslopes import symhecke as sh
@@ -71,6 +72,28 @@ def _assert_theta_keys(name, count):
     for key, sysm in keys:
         assert theta_expansion_errors(key, sysm.row_values) == [], (key, sysm.r)
     return len(keys)
+
+
+def integrality_key_failures():
+    """(keys, failing) over the distinct table keys (p, rho', alpha) of the
+    integrality gate grid, in grid order: failing lists the keys whose table
+    fails the lambda-system check.  The verdict reads v_p(C'_l) alone, and
+    the defining identity of the table holds by construction (see
+    lemma_checks.integrality_checks): the criterion checks it here, once per
+    key."""
+    keys = list(dict.fromkeys(map(lc.table_key, gate_cells("integrality"))))
+    check = VERIFY_TARGETS["lambda-system"].check
+    return keys, [key for key in keys if check(*key)[0] != "holds"]
+
+
+def _least_margins(results):
+    """{p: (least finite margin, first cell that reaches it)} over results."""
+    least = {}
+    for cell, _, _, margin, _ in results:
+        p = cell[0]
+        if margin is not None and margin != INFINITY and (p not in least or margin < least[p][0]):
+            least[p] = (margin, cell)
+    return least
 
 
 def _report(n, elapsed, target, detail):
@@ -169,16 +192,23 @@ def test_criterion_5_identities_88_and_105():
 def test_criterion_6_lemmas_10_to_15():
     t0 = time.time()
     details = []
-    for lemma, count in ((10, 12165), (11, 12165), (12, 12165), (13, 176), (14, 176), (15, 176)):
+    # the least margin of each lemma at each gate prime, pinned exactly
+    p_minus_2, one, two = {p: p - 2 for p in PS}, dict.fromkeys(PS, 1), dict.fromkeys(PS, 2)
+    for lemma, count, margins in (
+        (10, 12165, p_minus_2), (11, 12165, one), (12, 12165, one),
+        (13, 176, p_minus_2), (14, 176, p_minus_2), (15, 176, two),
+    ):
         results = _verify(f"lemma{lemma}")
         assert len(results) == count
         fails = [cell for cell, verdict, _, _, _ in results if verdict == "fails"]
         assert not fails, f"lemma {lemma}: {fails[:1]}"
-        margins = [m for _, _, _, m, _ in results if m is not None and m != INFINITY]
-        assert margins and min(margins) >= 1
+        least = _least_margins(results)
+        assert {p: margin for p, (margin, _) in least.items()} == margins, f"lemma {lemma}"
+        if lemma == 10:
+            assert [cell for _, cell in least.values()] == [(5, 16, 4), (7, 36, 6), (11, 100, 10), (13, 144, 12)]
         witnesses = sum(checked for _, _, checked, _, _ in results)
         vacuous = sum(verdict == "vacuous" for _, verdict, _, _, _ in results)
-        details.append(f"L{lemma}: margin>={min(margins)} ({witnesses} witnesses, {vacuous} vacuous)")
+        details.append(f"L{lemma}: least margin {margins} ({witnesses} witnesses, {vacuous} vacuous)")
     _report(6, time.time() - t0, "<15min", "; ".join(details))
 
 
@@ -186,9 +216,13 @@ def test_criterion_7_integrality():
     t0 = time.time()
     results = _verify("integrality")
     _assert_all_hold(results, 12341)
+    assert {p: margin for p, (margin, _) in _least_margins(results).items()} == dict.fromkeys(PS, 0)
+    keys, failing = integrality_key_failures()
+    assert len(keys) == 2339
+    assert failing == []
     _report(7, time.time() - t0, "exact (no target)",
-            f"v_p(C') >= 0 (so v_p(C'') >= 0), and the defining identity (the cleared one is rho'! times it) "
-            f"on {len(results)} cells")
+            f"v_p(C') >= 0 (so v_p(C'') >= 0), least 0 at every p, on {len(results)} cells; "
+            f"the defining identity (the cleared one is rho'! times it) on their {len(keys)} tables (p, rho', alpha)")
 
 
 def test_criterion_8_hecke_operator():

@@ -425,14 +425,16 @@ class TestChecksCanFail:
         assert not lambda_identity_holds(p, alpha, [nums[0] - alpha, nums[1] + 1, *nums[2:]], den)
 
     def test_integrality_reports_a_broken_table(self, monkeypatch):
+        # the verdict reads v_p(C'_l) alone; gate criterion 7's key check, the
+        # lambda-system check of the cell's table key, sees the broken table
         def corrupted(p, R, alpha):
             nums, den = lambda_raw_table(p, R, alpha)
             return [nums[0], nums[1] - 1, *nums[2:]], den
 
-        monkeypatch.setattr(lc, "lambda_raw_table", corrupted)
-        rep = integrality_checks(5, 40, 9)
-        assert not rep.defining_identity_ok
-        assert not rep.holds
+        monkeypatch.setattr("padicslopes.combinatorics.lambda_raw_table", corrupted)
+        key = table_key((5, 40, 9))
+        assert key == (5, 6, 9)
+        assert VERIFY_TARGETS["lambda-system"].check(*key)[0] == "fails"
 
     def test_oracle_does_not_share_the_carry_kernel(self, monkeypatch):
         # an off-by-one carry count moves production's v_p(X_0) but not the oracle's
@@ -630,7 +632,7 @@ class TestTableMemo:
             return [nums[0], nums[1] - 1, *nums[2:]], den
 
         monkeypatch.setattr(lc, "lambda_raw_table", corrupted)
-        assert cli_main(argv) == 1  # the defining identity fails on the corrupted table
+        assert cli_main(argv) == 1  # v_p(n_1 - 1) = 0 < v_p(6!): a C'_l leaves the integers
         built = self._count_builds(monkeypatch)
         assert cli_main(["verify", "lemma12", *argv[2:]]) == 0
         assert built == [(5, general_rho_prime(5, 40, 9), 9)]

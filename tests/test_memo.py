@@ -5,9 +5,11 @@ import ast
 import os
 from argparse import Namespace
 
+import pytest
+
 from padicslopes import _memo, cli
 from padicslopes.cli import main
-from padicslopes.combinatorics import rho_prime_of
+from padicslopes.combinatorics import lambda_variant
 
 SRC = os.path.dirname(cli.__file__)
 
@@ -49,7 +51,6 @@ def test_every_memo_registered_and_bounded():
         "padicslopes.combinatorics._carry_full_rank",
         "padicslopes.combinatorics._step_differences",
         "padicslopes.lemma_checks._digit_sum_table",
-        "padicslopes.lemma_checks._integrality_facts",
         "padicslopes.lemma_checks._lambda_table",
         "padicslopes.symhecke._pascal",
         "padicslopes.symhecke.teichmuller_lifts",
@@ -64,12 +65,13 @@ def test_every_subcommand_starts_with_empty_memos(tmp_path):
     assert [m.cache_info().currsize for m in _memo.MEMOS] == [0] * len(_memo.MEMOS)
 
 
-def test_lambda_table_built_once_per_key(tmp_path):
+@pytest.mark.parametrize("name,count", [("lemma12", 2163), ("integrality", 2339)], ids=["lemma12", "integrality"])
+def test_lambda_table_built_once_per_key(tmp_path, name, count):
     # one build per distinct (p, rho', alpha) of the sweep's cells
     ps = (5, 7, 11, 13)
     window = Namespace(r=None, alpha=None, r_max=400)
-    cells = [cell for p in ps for cell in cli.VERIFY_TARGETS["lemma12"].cells(p, window)]
-    keys = {(p, rho_prime_of(p, r, a), a) for p, r, a in cells}
-    argv = ["verify", "lemma12", "--p", ",".join(map(str, ps)), "--r-max", "400", "--jobs", "1"]
+    cells = [cell for p in ps for cell in cli.VERIFY_TARGETS[name].cells(p, window)]
+    keys = {(p, lambda_variant(p, r, a)[1], a) for p, r, a in cells}
+    argv = ["verify", name, "--p", ",".join(map(str, ps)), "--r-max", "400", "--jobs", "1"]
     assert main([*argv, "--out", str(tmp_path / "v.csv")]) == 0
-    assert cli.lc._lambda_table.cache_info().misses == len(keys) == 2163
+    assert cli.lc._lambda_table.cache_info().misses == len(keys) == count

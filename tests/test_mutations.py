@@ -7,9 +7,11 @@ in order, takes the first cell whose verdict turns "fails", and asserts that
 the named conjunct is false there and that the cell holds again once the
 fault is gone.
 
-Two former conjuncts are gone because they hold by construction: the C''
-integrality of `integrality` (see lemma_checks.integrality_checks) and the
-unitriangular cofactor of `det-factorization` (see
+Three former conjuncts are gone because they hold by construction: the C''
+integrality of `integrality`, the defining identity
+sum_m n_m C((p-1)X + alpha, m) = den C(rho' - X, rho') of its Lambda tables
+(Newton's forward-difference formula; see lemma_checks.integrality_checks
+for both), and the unitriangular cofactor of `det-factorization` (see
 combinatorics.factor_and_rank_checks; the seed fault row below shows that
 the factorization sees the one fault that could break the cofactor).  The
 agreement of lemma 9's carry counts with the valuation recurrence is no
@@ -25,6 +27,11 @@ combinatorics._theta_monomial_targets proves.  The residual checks the solve
 against whatever targets it was given, so gate criteria 4 and 5 check the
 expansion once per key, and a test below shows that a target fault breaks
 that check while every residual stays zero.
+
+Gate criterion 7 likewise runs the lambda-system check on each table key
+(p, rho', alpha) of its grid, and a test below shows that a
+difference-kernel fault breaks that check where the integrality verdict
+still holds.
 """
 
 from argparse import Namespace
@@ -39,7 +46,7 @@ from padicslopes.cli import VERIFY_TARGETS
 
 from lambda_oracle import theta_expansion_errors
 from lemma_oracle import lemma9_disagreements
-from test_acceptance import GATE_GRIDS, gate_cells, theta_key_systems
+from test_acceptance import GATE_GRIDS, gate_cells, integrality_key_failures, theta_key_systems
 from test_combinatorics import _ratio_off_by_one
 
 # ---------------------------------------------------------------------------
@@ -89,7 +96,7 @@ def _rho_annihilator(cell, record):
 
 def _integrality(cell, record):
     rep = lc.integrality_checks(*cell)
-    return {"c_prime_integral": rep.c_prime_min_valuation >= 0, "defining_identity_ok": rep.defining_identity_ok}
+    return {"c_prime_integral": rep.c_prime_min_valuation >= 0}
 
 
 def _hecke(cell, record):
@@ -240,7 +247,6 @@ ROWS = [
     ("double-sum", "row_sums_zero", comb, "lambda_raw_table", _first_numerator_plus_one),
     ("rho-annihilator", "residual_zero", comb, "_binomial_row", _ratio_fault),
     ("integrality", "c_prime_integral", lc, "factorial_valuation", _one_more),
-    ("integrality", "defining_identity_ok", lc, "lambda_raw_table", _first_numerator_plus_one),
     ("hecke", "matches", sh.FormalSum, "_insert", _insert_ignoring_k),
     ("hecke", "combined_form_matches", sh, "teichmuller_lifts", _untwisted_lifts),
 ]
@@ -303,6 +309,21 @@ def test_a_target_fault_breaks_the_theta_key_check(monkeypatch, fault):
     monkeypatch.undo()
     for name in ("interior-annihilator", "rho-annihilator"):
         assert all(not theta_expansion_errors(key, sysm.row_values) for key, sysm in theta_key_systems(name))
+
+
+def test_a_difference_fault_breaks_the_integrality_key_check(monkeypatch):
+    # one more on the last forward difference breaks the defining identity of
+    # every table; the key check of criterion 7 sees it at the grid's first
+    # key, whose first cell still holds
+    monkeypatch.setattr(comb, "_forward_differences", _last_difference_plus_one(comb._forward_differences))
+    keys, failing = integrality_key_failures()
+    assert failing == keys and failing[0] == (5, 1, 1)
+    cell = gate_cells("integrality")[0]
+    assert lc.table_key(cell) == failing[0]
+    assert VERIFY_TARGETS["integrality"].check(*cell)[0] == "holds"
+    monkeypatch.undo()
+    _memo.reset()
+    assert integrality_key_failures()[1] == []
 
 
 def test_the_residual_sums_no_row_on_exactly_four_gate_cells():
