@@ -1,13 +1,13 @@
 """Per-invocation memos: one registry and one reset.
 
-A memo caches a pure function of a small key (a Lambda table, a carry-matrix
-rank verdict, a Pascal table) for the length of one invocation.  memo(maxsize)
-is functools.lru_cache that also registers the cache; it returns the lru_cache
-object itself, so a hit runs at C speed and cache_info(), cache_clear() and
-__wrapped__ keep working.  reset() empties every registered memo: cli.main
-calls it once before each subcommand, so no invocation reads another's
-entries, and the tests' autouse fixture calls it before each test, so no
-cached entry hides a monkeypatched builder.
+A memo caches a pure function of a small key (a Lambda table, a
+step-difference table, a Pascal table) for the length of one invocation.
+memo(maxsize) is functools.lru_cache that also registers the cache; it returns
+the lru_cache object itself, so a hit runs at C speed and cache_info(),
+cache_clear() and __wrapped__ keep working.  reset() empties every registered
+memo: cli.main calls it once before each subcommand, so no invocation reads
+another's entries, and the tests' autouse fixture calls it before each test,
+so no cached entry hides a monkeypatched builder.
 
 A memo body reads the functions it builds from as module globals at each
 miss, so a patch or a trace of those names sees every real build.

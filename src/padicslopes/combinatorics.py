@@ -13,9 +13,8 @@ exact ratio recurrence, _binomial_row: one math.comb call per row, then each
 entry from the last by an exact division.  math.comb stays only where a value
 must come from outside it: trinomial_revision_check and the interior solve.
 
-The carry-matrix rank verdicts and the step-difference tables of the interior
-solve are bounded memos registered in _memo, which empties them once per
-invocation.
+The step-difference tables of the interior solve are a bounded memo
+registered in _memo, which empties it once per invocation.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from itertools import repeat
 from typing import Mapping
 
 from ._memo import memo
-from .exactlinalg import charpoly, mat_mul_int, rank_mod_p
+from .exactlinalg import charpoly, mat_mul_int
 from .padic import _check_prime_gt3, integer_log
 
 
@@ -331,21 +330,33 @@ class FactorRankReport:
     det_expected: int
     det_matches_closed_form: bool
     linear_power_agrees: bool
-    full_rank_mod_p: bool
 
 
 def factor_and_rank_checks(p: int, R: int, gamma: int) -> FactorRankReport:
     """Verify the Vandermonde-convolution factorization b u of
-    (C(i(p-1)+gamma, j)), b = (C(i(p-1), j)) and u = (C(gamma, j-i)), the
-    determinant closed form (p-1)^(R(R-1)/2) of b, and full rank mod p.
+    (C(i(p-1)+gamma, j)), b = (C(i(p-1), j)) and u = (C(gamma, j-i)), and the
+    determinant closed form (p-1)^(R(R-1)/2) of b.
     u is unitriangular by construction (zeros below the diagonal, the seed
     C(gamma, 0) = 1 of _binomial_row on it); a wrong seed breaks b u too.
 
     The determinant is (-1)^R times the constant term of the characteristic
     polynomial.  The report also compares it against the linear-exponent
-    power (p-1)^R; the two agree only at R = 0 and R = 3, and both are units
-    mod p, so the rank conclusion is the same either way.  The rank verdict
-    is the memoized _carry_full_rank(p, R, gamma), the one route to it.
+    power (p-1)^R; the two agree only at R = 0 and R = 3.
+
+    Full rank mod p is a theorem, so no cell checks it.  Vandermonde's
+    convolution C(x+gamma, j) = sum_k C(x, k) C(gamma, j-k) at x = i(p-1)
+    gives the factorization b u, and det u = 1.  The falling factorial
+    x(x-1)...(x-k+1) = k! C(x, k) is x^k plus lower powers, so
+    b = V S diag(1/k!) with V = (x_i^k) the Vandermonde matrix of
+    x_i = i(p-1) and S unitriangular.  Hence
+    det b = prod_{i<i'<R} (i'-i)(p-1) / prod_{k<R} k! = (p-1)^(R(R-1)/2),
+    since prod_{i<i'<R} (i'-i) = prod_{i'<R} i'!.  That is a unit mod p, so
+    the carry matrix has rank R mod p for every p, R and gamma >= 0.  The
+    square submatrix (C(i(p-1)+alpha, alpha-j)) of a below-rho cell is
+    _carry_matrix(p, R, i_min(p-1) + alpha) with its columns reversed, as
+    its interior rows are consecutive, so it has full rank mod p too.  The
+    two checks below give det(b u) = det b on the same cell, and the tests
+    check the rank on every carry matrix of the gate grid.
     """
     _check_prime_gt3(p)
     if R < 1 or gamma < 0:
@@ -365,40 +376,7 @@ def factor_and_rank_checks(p: int, R: int, gamma: int) -> FactorRankReport:
         det_expected=expected,
         det_matches_closed_form=det_b == expected,
         linear_power_agrees=det_b == (p - 1) ** R,
-        full_rank_mod_p=_carry_full_rank(p, R, gamma),
     )
-
-
-def interior_full_rank(m: MatrixM) -> bool:
-    """Whether the right square submatrix (C(i(p-1)+alpha, alpha-j)) of the
-    cell's carry matrix has full rank R = m.nrows mod p (true for R = 0).
-
-    Row i' of the submatrix, (C(n_i, k)) for k = R-1..0, is row i' of
-    _carry_matrix(p, R, gamma) reversed, with gamma = i_min(p-1) + alpha: the
-    interior rows are one range, so n_i = i(p-1)+alpha = i'(p-1)+gamma.  The
-    verdict depends on (p, R, gamma) only, so a sweep reads it from a memo."""
-    if not m.nrows:
-        return True
-    return _carry_full_rank(m.p, m.nrows, m.row_indices[0] * (m.p - 1) + m.alpha)
-
-
-# Cells come sorted by (p, r, alpha) and the cells sharing a carry matrix lie
-# close together, so a small memo holds every reuse: at p in {5, 7, 11, 13}
-# an LRU of any size from 16 up builds each of the 248 keys of r <= 100 and
-# the 636 of r <= 200 once.
-RANK_MEMO_SIZE = 256
-
-
-@memo(maxsize=RANK_MEMO_SIZE)
-def _carry_full_rank(p: int, R: int, gamma: int) -> bool:
-    """Whether the reversed-column _carry_matrix(p, R, gamma) has rank R mod p.
-
-    Reversing columns keeps the rank; rank_mod_p skips zero entries, and the
-    high columns vanish mod p more often, so the reversed order is cheaper.
-    _carry_matrix and rank_mod_p are read as module globals at each miss, so
-    a patch or a trace of either name sees every real elimination."""
-    submatrix = [row[::-1] for row in _carry_matrix(p, R, gamma)]
-    return rank_mod_p(submatrix, p) == R
 
 
 # ---------------------------------------------------------------------------

@@ -1,37 +1,10 @@
 """Small exact linear-algebra helpers for integer matrices: characteristic
-polynomials (whose constant term gives the determinant), products, and ranks
-mod p.  No floating point anywhere."""
+polynomials (whose constant term gives the determinant) and products.  No
+floating point anywhere."""
 
 from __future__ import annotations
 
 from typing import Sequence
-
-
-def rank_mod_p(mat: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over F_p of an integer matrix, by forward Gaussian elimination
-    mod p: only the rows below each pivot are reduced, since only the rank is
-    read."""
-    rows = [[x % p for x in row] for row in mat]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        rows[rank] = [(x * inv) % p for x in rows[rank]]
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 def mat_mul_int(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:

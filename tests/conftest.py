@@ -5,7 +5,7 @@ from padicslopes import _memo
 
 @pytest.fixture(autouse=True)
 def fresh_memos():
-    """Every test starts with every registered memo empty, so a table or
-    verdict cached by an earlier test cannot hide a monkeypatched
-    ``lambda_raw_table``, ``_carry_matrix`` or ``rank_mod_p``."""
+    """Every test starts with every registered memo empty, so a table
+    cached by an earlier test cannot hide a monkeypatched
+    ``lambda_raw_table`` or ``_digit_sums``."""
     _memo.reset()

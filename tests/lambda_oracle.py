@@ -15,6 +15,10 @@ Production builds every binomial row and table by one exact ratio
 recurrence (``combinatorics._binomial_row``).  The per-entry routes are kept
 here: ``comb0``, one math.comb call per entry, and ``generalized_binomial``,
 the falling factorial for negative and rational tops.
+
+Production proves that every carry matrix has full rank mod p (see
+``combinatorics.factor_and_rank_checks``) and checks it nowhere; the gate
+checks it once per key with ``rank_mod_p``, Gaussian elimination mod p.
 """
 
 import math
@@ -244,6 +248,34 @@ def matrix_M_entries(p: int, r: int, alpha: int) -> tuple[tuple[int, ...], ...]:
 def carry_matrix(p: int, R: int, gamma: int) -> list[list[int]]:
     """The R x R matrix (C(i(p-1)+gamma, j)) for i, j < R."""
     return [[math.comb(i * (p - 1) + gamma, j) for j in range(R)] for i in range(R)]
+
+
+def rank_mod_p(mat: list[list[int]], p: int) -> int:
+    """Rank over F_p of an integer matrix, by forward Gaussian elimination
+    mod p: only the rows below each pivot are reduced, since only the rank is
+    read.  Gate criterion 3 reads it on every carry matrix of its grid, whose
+    full rank combinatorics.factor_and_rank_checks proves."""
+    rows = [[x % p for x in row] for row in mat]
+    if not rows:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < ncols:
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        rows[rank] = [(x * inv) % p for x in rows[rank]]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
 
 
 def row_sum_numerators(p: int, r: int, alpha: int, nums: dict[int, int], rows) -> list[int]:

@@ -19,7 +19,7 @@ from padicslopes.cli import VERIFY_TARGETS
 from padicslopes.cli import main as cli_main
 from padicslopes.padic import INFINITY
 
-from lambda_oracle import lambda_coefficients, lambda_defining_residual, theta_expansion_errors
+from lambda_oracle import lambda_coefficients, lambda_defining_residual, rank_mod_p, theta_expansion_errors
 from lemma_oracle import lemma9_disagreements
 
 
@@ -84,6 +84,22 @@ def integrality_key_failures():
     keys = list(dict.fromkeys(map(lc.table_key, gate_cells("integrality"))))
     check = VERIFY_TARGETS["lambda-system"].check
     return keys, [key for key in keys if check(*key)[0] != "holds"]
+
+
+def carry_rank_key_failures():
+    """(keys, failing) over the distinct carry-matrix keys (p, R, gamma) of the
+    matrix-entries gate grid, in grid order, each mapped to its first cell:
+    failing lists the keys whose carry matrix _carry_matrix(p, R, gamma) has
+    rank below R mod p.  A cell's square submatrix is that matrix with its
+    columns reversed, and its full rank is a theorem (see
+    combinatorics.factor_and_rank_checks), so no verdict reads it: the
+    criterion checks it here, once per key."""
+    keys = {}
+    for p, r, alpha in gate_cells("matrix-entries"):
+        rows = comb.interior_row_indices(p, r, alpha)
+        if rows:
+            keys.setdefault((p, len(rows), rows[0] * (p - 1) + alpha), (p, r, alpha))
+    return keys, [key for key in keys if rank_mod_p(comb._carry_matrix(*key), key[0]) != key[1]]
 
 
 def _least_margins(results):
@@ -158,12 +174,16 @@ def test_criterion_3_matrix_suite():
     _assert_all_hold(dets, 240)
     disagreements = sum(not record["linear_power_agrees"] for _, _, _, _, record in dets)
     assert disagreements > 0
+    keys, failing = carry_rank_key_failures()
+    assert len(keys) == 636
+    assert failing == []
     print(
         "[criterion 3] note: det = (p-1)^(R(R-1)/2) exactly; the linear power "
         f"(p-1)^R form differs on {disagreements} grid cells (unit either way)"
     )
     _report(3, time.time() - t0, "<5min",
-            f"entry identity, factorization, determinant closed form, and full rank on {len(entries)} cells")
+            f"entry identity on {len(entries)} cells and full rank mod p on their {len(keys)} carry "
+            f"matrices (p, R, gamma); factorization and determinant closed form on {len(dets)} cells")
 
 
 def test_criterion_4_interior_annihilator():

@@ -27,7 +27,6 @@ from padicslopes.combinatorics import (
     general_rho_prime,
     trinomial_revision_check,
     factor_and_rank_checks,
-    interior_full_rank,
     interior_row_indices,
     lambda_identity_holds,
     lambda_raw_table,
@@ -43,7 +42,6 @@ from padicslopes.combinatorics import (
     vartheta,
     verify_vanishing_double_sum,
 )
-from padicslopes.exactlinalg import rank_mod_p
 from padicslopes.padic import valuation
 
 import lambda_oracle as oracle
@@ -209,41 +207,22 @@ class TestFactorAndRank:
             rep = factor_and_rank_checks(p, R, gamma)
             assert rep.factorization_ok
             assert rep.det_matches_closed_form
-            assert rep.full_rank_mod_p
-
-    def test_rank_read_from_the_memo(self, tmp_path, monkeypatch):
-        # one route to the rank verdict: the (p, R, gamma) memo of the interior cells
-        argv = ["verify", "det-factorization", "--p", "5", "--R-max", "5", "--out", str(tmp_path / "v.csv")]
-        assert main(argv) == 0
-        assert combinatorics._carry_full_rank.cache_info().misses == 25  # R in 1..5, gamma in (0, 1, 2, 5, 11)
-        monkeypatch.setattr(combinatorics, "rank_mod_p", lambda rows, p: len(rows) - 1)
-        assert main(argv) == 1
-        rows = [row for row in (tmp_path / "v.csv").read_text().splitlines()[1:] if not row.startswith("# ")]
-        assert len(rows) == 25 and all(row.split(",")[4] == "fails" for row in rows)
-
-    def test_interior_rank(self, monkeypatch):
-        m = build_matrix_M(5, 26, 2)
-        assert m.row_indices == (1, 2, 3, 4)
-        assert interior_full_rank(m)
-        # R and gamma = i_min(p-1) + alpha come from the matrix; no rows, no elimination
-        keys = []
-        monkeypatch.setattr(combinatorics, "_carry_full_rank", lambda *key: keys.append(key) or True)
-        assert interior_full_rank(m) and interior_full_rank(build_matrix_M(5, 5, 0))
-        assert keys == [(5, 4, 1 * 4 + 2)]
+            assert oracle.rank_mod_p(combinatorics._carry_matrix(p, R, gamma), p) == R
 
     @pytest.mark.parametrize("cell", [(1, 10, 0), (4, 60, 2), (5, 60, 99), (5, 4, 0)])
     def test_interior_rank_rejects_cells_build_matrix_M_rejects(self, cell):
         # p = 1 (p - 1 = 0 in the row window), p = 4 (not prime), alpha above
-        # rho, alpha = rho = 0; the rank check reads only a MatrixM, so it
+        # rho, alpha = rho = 0; matrix-entries checks only a MatrixM, so it
         # never sees such a cell
         with pytest.raises(ValueError):
             build_matrix_M(*cell)
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_consecutive_rows_is_the_entrywise_comparison(self, p):
-        # interior_full_rank reads the cell's submatrix m2 = (C(i(p-1)+alpha, alpha-j))
-        # as the reversed carry matrix; the R x R comparison holds exactly when the
-        # rows are consecutive, which every interior window of the sweep is
+        # the full-rank proof of factor_and_rank_checks reads the cell's submatrix
+        # m2 = (C(i(p-1)+alpha, alpha-j)) as the reversed carry matrix; the R x R
+        # comparison holds exactly when the rows are consecutive, which every
+        # interior window of the sweep is
         def entrywise(alpha, rows):
             R, gamma = len(rows), rows[0] * (p - 1) + alpha
             m2 = [[comb0(i * (p - 1) + alpha, alpha - j) for j in range(alpha - R + 1, alpha + 1)] for i in rows]
@@ -257,27 +236,14 @@ class TestFactorAndRank:
             assert rows == list(range(rows[0], rows[0] + len(rows)))
             same, m2 = entrywise(alpha, rows)
             assert same
-            assert interior_full_rank(build_matrix_M(p, r, alpha)) == (rank_mod_p(m2, p) == len(rows))
+            assert oracle.rank_mod_p(m2, p) == len(rows)
             gapped = rows[:1] + rows[2:]
             assert entrywise(alpha, gapped)[0] == (gapped == list(range(gapped[0], gapped[0] + len(gapped))))
 
 
 class TestCarryRankMemo:
-    """verify matrix-entries eliminates each carry matrix (p, R, gamma) once
-    per invocation, and no verdict outlives its invocation."""
-
-    def test_rank_conjunct_can_fail(self, tmp_path, capsys, monkeypatch):
-        argv = ["verify", "matrix-entries", "--p", "5", "--r-max", "40", "--format", "json"]
-        out = tmp_path / "v.json"
-        assert main([*argv, "--out", str(out)]) == 0
-        rank = combinatorics.rank_mod_p
-        monkeypatch.setattr(combinatorics, "rank_mod_p", lambda mat, p: rank(mat, p) - 1)
-        # the first run filled the memo; the second reads the patch, so verify empties it at entry
-        assert main([*argv, "--out", str(out)]) == 1
-        records = json.loads(out.read_text())["records"]
-        assert any(rec["rank_R"] >= 1 for rec in records)
-        assert all(rec["holds"] == (rec["rank_R"] == 0) for rec in records)
-        assert capsys.readouterr().err.count("counterexample: ") == sum(rec["rank_R"] >= 1 for rec in records)
+    """verify matrix-entries validates each cell and derives its interior
+    rows once, in build_matrix_M."""
 
     def test_interior_rows_derived_once_per_cell(self, tmp_path, monkeypatch):
         calls = []
@@ -287,26 +253,6 @@ class TestCarryRankMemo:
         assert main(["verify", "matrix-entries", "--p", "5", "--r-max", "40", "--jobs", "1", "--out", str(out)]) == 0
         cells = [tuple(map(int, row.split(",")[1:4])) for row in out.read_text().splitlines()[1:]]
         assert calls == cells and len(cells) > 100
-
-    def test_one_elimination_per_carry_matrix(self, tmp_path, monkeypatch):
-        argv = ["verify", "matrix-entries", "--p", "5,7,11,13", "--r-max", "100"]
-        keys = set()
-        for p in (5, 7, 11, 13):
-            for _, r, alpha in _window("matrix-entries", p, r=None, r_max=100):
-                rows = interior_row_indices(p, r, alpha)
-                if rows:
-                    keys.add((p, len(rows), rows[0] * (p - 1) + alpha))
-        calls, built = [], []
-        rank, carry = combinatorics.rank_mod_p, combinatorics._carry_matrix
-        monkeypatch.setattr(combinatorics, "rank_mod_p", lambda mat, p: calls.append(p) or rank(mat, p))
-        monkeypatch.setattr(combinatorics, "_carry_matrix", lambda *key: built.append(key) or carry(*key))
-        serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
-        assert main([*argv, "--jobs", "1", "--out", str(serial)]) == 0
-        assert len(calls) == len(keys) == 248
-        assert len(built) == 248 and set(built) == keys
-        monkeypatch.undo()
-        assert main([*argv, "--jobs", "2", "--out", str(pooled)]) == 0
-        assert pooled.read_bytes() == serial.read_bytes()
 
 
 class TestInteriorSystem:
@@ -626,7 +572,7 @@ class TestRowKernelAgainstOracle:
         for p, r, alpha in sorted(cells):
             assert build_matrix_M(p, r, alpha).entries == oracle.matrix_M_entries(p, r, alpha)
             rows = interior_row_indices(p, r, alpha)
-            if rows:  # the carry matrix interior_full_rank reads
+            if rows:  # the carry matrix whose reversal is the cell's square submatrix
                 R, gamma = len(rows), rows[0] * (p - 1) + alpha
                 assert combinatorics._carry_matrix(p, R, gamma) == oracle.carry_matrix(p, R, gamma)
 

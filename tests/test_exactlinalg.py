@@ -1,4 +1,5 @@
-"""Direct oracle tests for the exact linear-algebra kernels."""
+"""Direct oracle tests for the exact linear-algebra kernels, and for the
+tests' own rank mod p (lambda_oracle.rank_mod_p)."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -6,7 +7,9 @@ from itertools import combinations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padicslopes.exactlinalg import charpoly, rank_mod_p
+from padicslopes.exactlinalg import charpoly
+
+from lambda_oracle import rank_mod_p
 
 entries = st.integers(-20, 20)
 

@@ -48,7 +48,6 @@ def test_no_cache_outside_the_registry():
 def test_every_memo_registered_and_bounded():
     names = sorted(f"{m.__module__}.{m.__name__}" for m in _memo.MEMOS)
     assert names == [
-        "padicslopes.combinatorics._carry_full_rank",
         "padicslopes.combinatorics._step_differences",
         "padicslopes.lemma_checks._digit_sum_table",
         "padicslopes.lemma_checks._lambda_table",

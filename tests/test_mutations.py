@@ -32,6 +32,13 @@ Gate criterion 7 likewise runs the lambda-system check on each table key
 (p, rho', alpha) of its grid, and a test below shows that a
 difference-kernel fault breaks that check where the integrality verdict
 still holds.
+
+Full rank mod p is no conjunct of `matrix-entries` or `det-factorization`:
+every carry matrix (C(i(p-1)+gamma, j)) has determinant (p-1)^(R(R-1)/2),
+as combinatorics.factor_and_rank_checks proves.  Gate criterion 3 checks
+the rank once per carry-matrix key (p, R, gamma) of its grid, and a test
+below shows that a carry-matrix fault breaks that check while every
+matrix-entries verdict still holds.
 """
 
 from argparse import Namespace
@@ -46,7 +53,9 @@ from padicslopes.cli import VERIFY_TARGETS
 
 from lambda_oracle import theta_expansion_errors
 from lemma_oracle import lemma9_disagreements
-from test_acceptance import GATE_GRIDS, gate_cells, integrality_key_failures, theta_key_systems
+from test_acceptance import (
+    GATE_GRIDS, carry_rank_key_failures, gate_cells, integrality_key_failures, theta_key_systems,
+)
 from test_combinatorics import _ratio_off_by_one
 
 # ---------------------------------------------------------------------------
@@ -74,12 +83,12 @@ def _lambda_system(cell, record):
 
 def _matrix_entries(cell, record):
     m = comb.build_matrix_M(*cell)
-    return {"trinomial_revision": comb.trinomial_revision_check(m), "interior_full_rank": comb.interior_full_rank(m)}
+    return {"trinomial_revision": comb.trinomial_revision_check(m)}
 
 
 def _det_factorization(cell, record):
     rep = comb.factor_and_rank_checks(*cell)
-    return {name: getattr(rep, name) for name in ("factorization_ok", "det_matches_closed_form", "full_rank_mod_p")}
+    return {name: getattr(rep, name) for name in ("factorization_ok", "det_matches_closed_form")}
 
 
 def _interior_annihilator(cell, record):
@@ -190,10 +199,6 @@ def _seed_of_top_two(kernel):
     return faulty
 
 
-def _rank_one_short(rank_mod_p):
-    return lambda rows, p: rank_mod_p(rows, p) - 1
-
-
 def _last_pivot_off_by_one(carry_matrix):
     # b, the carry matrix of gamma = 0 whose determinant is taken
     def faulty(p, R, gamma):
@@ -239,10 +244,8 @@ ROWS = [
     ("lemma15", "strict", lc, "lambda_raw_table", _numerators_plus_one),
     ("lambda-system", "defining_identity", comb, "_forward_differences", _last_difference_plus_one),
     ("matrix-entries", "trinomial_revision", comb, "_binomial_row", _ratio_fault),
-    ("matrix-entries", "interior_full_rank", comb, "rank_mod_p", _rank_one_short),
     ("det-factorization", "factorization_ok", comb, "_binomial_row", _seed_of_top_two),
     ("det-factorization", "det_matches_closed_form", comb, "_carry_matrix", _last_pivot_off_by_one),
-    ("det-factorization", "full_rank_mod_p", comb, "rank_mod_p", _rank_one_short),
     ("interior-annihilator", "residual_zero", comb, "_binomial_row", _ratio_fault),
     ("double-sum", "row_sums_zero", comb, "lambda_raw_table", _first_numerator_plus_one),
     ("rho-annihilator", "residual_zero", comb, "_binomial_row", _ratio_fault),
@@ -324,6 +327,26 @@ def test_a_difference_fault_breaks_the_integrality_key_check(monkeypatch):
     monkeypatch.undo()
     _memo.reset()
     assert integrality_key_failures()[1] == []
+
+
+def test_a_carry_fault_breaks_the_rank_key_check(monkeypatch):
+    # the last row of every carry matrix with R >= 2 repeats the first, so
+    # each such matrix has rank R - 1; the entry identity never reads a carry
+    # matrix, so every matrix-entries verdict holds, and the key check of
+    # criterion 3 sees the fault at the grid's first key with R >= 2
+    carry = comb._carry_matrix
+
+    def repeated_row(p, R, gamma):
+        m = carry(p, R, gamma)
+        return m[:-1] + [m[0]] if R >= 2 else m
+
+    monkeypatch.setattr(comb, "_carry_matrix", repeated_row)
+    keys, failing = carry_rank_key_failures()
+    assert failing == [key for key in keys if key[1] >= 2]
+    assert failing[0] == (5, 2, 4) and keys[failing[0]] == (5, 10, 0)
+    assert _first_failing("matrix-entries") is None
+    monkeypatch.undo()
+    assert carry_rank_key_failures()[1] == []
 
 
 def test_the_residual_sums_no_row_on_exactly_four_gate_cells():
