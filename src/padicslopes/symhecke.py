@@ -15,18 +15,18 @@ computed in closed form with one modular inverse.
 The action of g = [[a, b], [c, d]] is also closed form: the coefficient of
 x^n y^(t-n) in (a x + c y)^e (b x + d y)^(t-e) is the sum over i + j = n of
 C(e, i) a^i c^(e-i) C(t-e, j) b^j d^(t-e-j).  One call costs O(t) for the
-power lists of a, b, c, d mod p^M (the binomials are the _binomial_row rows
-of t) plus O((e+1)(t-e+1)) per nonzero coefficient f_e; zero powers are
-skipped, so an upper-triangular g on a two-term f costs O(t).  The Pascal
-rows and the Teichmuller lifts per (p, M) are bounded memos registered in
-_memo, which empties them once per invocation.
+power lists mod p^M (the binomials are the _binomial_row rows of t) plus a
+pass of O(t-e) per nonzero f_e and nonzero power c^(e-i): O(t-e) per f_e
+when c = 0, as for every g that T makes.  The Pascal rows and the
+Teichmuller lifts per (p, M) are bounded memos registered in _memo, which
+empties them once per invocation.
 
 T makes one action per (term, mu): inserting g . (k . v) under the key of
-g acts once, by h k, where h is the clean-up that coset_decompose returns.
+g acts once, by h k, where h is the clean-up that _coset_key returns.
 This is exact because h = p^m U with U in GL_2(Z_p), so h k has the content
-of k and the twists of h and k add.  Outputs of act, of the SymPoly
-arithmetic and the xi-sum values of verify_T_expansion are built without
-re-validation; the public constructor checks.
+of k and the twists of h and k add.  p is checked once, by the public
+constructors and coset_decompose: what act, T and verify_T_expansion build
+from a checked p is not checked again.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from ._memo import memo
 from .combinatorics import _binomial_row
@@ -63,8 +64,7 @@ def _primitive(g: Matrix, p: int) -> tuple[int, Matrix]:
     if g[0] * g[3] - g[1] * g[2] == 0:
         raise ZeroDivisionError("matrix must be invertible")
     m = _vp(n, p)
-    pm = p**m
-    return m, tuple(e // pm for e in g)
+    return m, tuple(e // p**m for e in g) if m else tuple(g)
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ class SymPoly:
         return cls(degree, p, M, tuple(coeffs), twist)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def _compatible(self, other: "SymPoly") -> None:
         if (self.degree, self.p, self.M) != (other.degree, other.p, other.M):
@@ -134,28 +134,27 @@ class SymPoly:
         if self.twist != other.twist:
             raise ValueError(f"twist mismatch: {self.twist} vs {other.twist}")
 
-    def _derived(self, coeffs: tuple[int, ...], twist: Fraction) -> "SymPoly":
-        """A SymPoly of this degree, p and M, built without validation: for
-        results of act, the arithmetic below and the xi-sum values, whose p
-        was checked when self was built and whose coeffs are already reduced
-        mod p^M."""
+    @staticmethod
+    def _of(degree: int, p: int, M: int, coeffs: tuple[int, ...], twist: Fraction) -> "SymPoly":
+        """A SymPoly built without validation, for results of act, the arithmetic
+        below, h_polys and the xi-sum values: p, M and degree were checked when
+        a SymPoly or SurrogateParams was built, and coeffs are reduced mod p^M."""
         out = object.__new__(SymPoly)
-        out.__dict__.update(degree=self.degree, p=self.p, M=self.M, coeffs=coeffs, twist=twist)
+        out.__dict__.update(degree=degree, p=p, M=M, coeffs=coeffs, twist=twist)
         return out
 
     def __add__(self, other: "SymPoly") -> "SymPoly":
         self._compatible(other)
         q = self.p**self.M
-        return self._derived(tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs)), self.twist)
+        coeffs = tuple((a + b) % q for a, b in zip(self.coeffs, other.coeffs))
+        return SymPoly._of(self.degree, self.p, self.M, coeffs, self.twist)
 
     def __sub__(self, other: "SymPoly") -> "SymPoly":
-        self._compatible(other)
-        q = self.p**self.M
-        return self._derived(tuple((a - b) % q for a, b in zip(self.coeffs, other.coeffs)), self.twist)
+        return self + other.scale(-1)
 
     def scale(self, s: int) -> "SymPoly":
         q = self.p**self.M
-        return self._derived(tuple(c * s % q for c in self.coeffs), self.twist)
+        return SymPoly._of(self.degree, self.p, self.M, tuple(c * s % q for c in self.coeffs), self.twist)
 
     def sparse(self) -> dict[int, int]:
         return {e: c for e, c in enumerate(self.coeffs) if c}
@@ -185,11 +184,11 @@ def act(g: Matrix, f: SymPoly) -> SymPoly:
 
     With f = sum_e f_e x^e y^(t-e), the term f_e contributes
     C(e, i) a^i c^(e-i) C(t-e, j) b^j d^(t-e-j) f_e to the coefficient of
-    x^(i+j) y^(t-i-j), read off one power list per entry of g_0 mod
-    q = p^M and the Pascal rows of t.  Products with a zero power are
-    skipped, and the sums are reduced mod q once, at the end.  Cost: O(t)
-    for the tables plus O((e+1)(t-e+1)) per nonzero f_e, which is O(t) when
-    c = 0; expanding every power of the two linear forms costs O(t^2).
+    x^(i+j) y^(t-i-j), read off the power lists of g_0 mod q = p^M and the
+    Pascal rows of t: one pass over j per nonzero f_e and nonzero c^(e-i),
+    with the sums reduced mod q once, at the end.  Cost: O(t) for the tables
+    plus O(t - e) per nonzero f_e when c = 0, O((e+1)(t-e+1)) when every
+    power of c is nonzero; expanding the linear forms' powers costs O(t^2).
     """
     _, g0 = _primitive(g, f.p)
     if g0 == IDENTITY:
@@ -200,6 +199,7 @@ def act(g: Matrix, f: SymPoly) -> SymPoly:
     det = a * d - b * c
     twist = f.twist if det % p else f.twist - Fraction(_vp(det, p) * t, 2)
     pa, pb, pc, pd = [_powers(x % q, t, q) for x in g0]
+    pc = pc[:pc.index(0)] if 0 in pc else pc  # after one power of c is 0 mod q, all are
     binom = _pascal(t)
     out = [0] * (t + 1)
     for e, fe in enumerate(f.coeffs):
@@ -207,21 +207,17 @@ def act(g: Matrix, f: SymPoly) -> SymPoly:
             continue
         r = t - e
         be, br = binom[e], binom[r]
-        right = [br[j] * pb[j] * pd[r - j] for j in range(r + 1)]
-        for i in range(e + 1):
-            u = pa[i] * pc[e - i]
-            if u:
-                u *= fe * be[i]
-                for n, w in enumerate(right, i):
-                    if w:
-                        out[n] += u * w
-    return f._derived(tuple([x % q for x in out]), twist)
+        for k, ck in enumerate(pc[:e + 1]):
+            i = e - k
+            u = fe * be[i] * pa[i] * ck
+            for j in range(r + 1):
+                out[i + j] += u * br[j] * pb[j] * pd[r - j]
+    return SymPoly._of(t, p, f.M, tuple([x % q for x in out]), twist)
 
 
-@dataclass(frozen=True, order=True)
-class CosetRep:
+class CosetRep(NamedTuple):
     """Canonical key [[p^a, c], [0, p^d]] of a coset; c in [0, p^a) and
-    min(a, d, v_p(c)) = 0."""
+    min(a, d, v_p(c)) = 0.  A tuple: keys hash and compare at C speed."""
 
     a_exp: int
     d_exp: int
@@ -233,16 +229,20 @@ class CosetRep:
 
 
 def coset_decompose(g: Matrix, p: int) -> tuple[CosetRep, Matrix]:
-    """(canonical representative, h) with g = rep.matrix() @ h and h in KZ.
-
-    Right cosets: g1, g2 share a key iff g2^(-1) g1 is an integral unit
-    times a central power of p.  With g / p^m = [[a, b], [c, d]] primitive,
-    the bottom row gives d_exp = s = min(v_p(c), v_p(d)), the determinant
-    gives a_exp = v_p(ad - bc) - s, and the top entry over the bottom one of
-    valuation s gives c_val; h = rep^(-1) g is then p^m times an integral
-    unit, and every division below is exact.
-    """
+    """(canonical representative, h) with g = rep.matrix() @ h and h in KZ."""
     _check_prime(p)
+    return _coset_key(g, p)
+
+
+def _coset_key(g: Matrix, p: int) -> tuple[CosetRep, Matrix]:
+    """coset_decompose for a p the caller has checked.  Right cosets: g1, g2
+    share a key iff g2^(-1) g1 is an integral unit times a central power of
+    p.  With g / p^m = [[a, b], [c, d]] primitive, the bottom row gives
+    d_exp = s = min(v_p(c), v_p(d)), the determinant gives a_exp =
+    v_p(ad - bc) - s, and the top entry over the bottom one of valuation s
+    gives c_val; h = rep^(-1) g is then p^m times an integral unit, and
+    every division below is exact.
+    """
     m, (a, b, c, d) = _primitive(g, p)
     # c and d are not both 0; a zero entry never has the least valuation
     if d and (not c or _vp(d, p) <= _vp(c, p)):
@@ -260,7 +260,7 @@ def coset_decompose(g: Matrix, p: int) -> tuple[CosetRep, Matrix]:
         pm * (c // ps),
         pm * (d // ps),
     )
-    return CosetRep(a_exp=a_exp, d_exp=s, c_val=c_val, p=p), h
+    return CosetRep(a_exp, s, c_val, p), h
 
 
 class FormalSum:
@@ -279,8 +279,15 @@ class FormalSum:
         self.terms: dict[CosetRep, SymPoly] = dict(terms or {})
 
     @classmethod
+    def _empty(cls, p: int) -> "FormalSum":
+        """An empty sum at a p checked upstream, built without validation."""
+        out = object.__new__(cls)
+        out.p, out.terms = p, {}
+        return out
+
+    @classmethod
     def single(cls, g, value: SymPoly) -> "FormalSum":
-        out = cls(value.p)
+        out = cls._empty(value.p)
         out._insert(g, value)
         return out
 
@@ -291,7 +298,7 @@ class FormalSum:
     def _insert(self, g, value: SymPoly, k: Matrix = IDENTITY) -> None:
         """Add the term g . (k . value), as act(h k, value) under the key of g.
 
-        coset_decompose writes g = rep h with h = p^m U, U an integral unit,
+        _coset_key writes g = rep h with h = p^m U, U an integral unit,
         so h k = p^m (U k) has the content of k and v_p(det U k) =
         v_p(det k_0): the twists of h and k add, and act(h, act(k, value))
         = act(h k, value).  Two actions do not compose like this in
@@ -300,7 +307,7 @@ class FormalSum:
         """
         if value.is_zero():
             return
-        rep, h = coset_decompose(g, self.p)
+        rep, h = _coset_key(g, self.p)
         self._accumulate(rep, act(mat_mul(h, k), value))
 
     def _accumulate(self, rep: CosetRep, w: SymPoly) -> None:
@@ -324,13 +331,13 @@ class FormalSum:
         return self + other.scale(-1)
 
     def scale(self, s: int) -> "FormalSum":
-        out = FormalSum(self.p)
+        out = FormalSum._empty(self.p)
         for rep, v in self.terms.items():
             out._accumulate(rep, v.scale(s))
         return out
 
     def act(self, g: Matrix) -> "FormalSum":
-        out = FormalSum(self.p)
+        out = FormalSum._empty(self.p)
         for rep, v in self.terms.items():
             out._insert(mat_mul(g, rep.matrix()), v)
         return out
@@ -363,11 +370,10 @@ def h_polys(sp: SurrogateParams, alpha: int) -> tuple[SymPoly, SymPoly]:
         raise ValueError("need 0 <= alpha <= delta")
     if alpha + d > t:
         raise ValueError("need alpha + delta <= t")
-    one = 1
-    minus = sp.p**sp.M - 1
-    h = SymPoly.from_dict(t, sp.p, sp.M, {alpha: one, alpha + d: minus})
-    hstar = SymPoly.from_dict(t, sp.p, sp.M, {t - alpha: one, t - alpha - d: minus})
-    return h, hstar
+    h, hstar = [0] * (t + 1), [0] * (t + 1)
+    h[alpha] = hstar[t - alpha] = 1
+    h[alpha + d] = hstar[t - alpha - d] = sp.p**sp.M - 1
+    return tuple(SymPoly._of(t, sp.p, sp.M, tuple(c), Fraction(0)) for c in (h, hstar))
 
 
 @memo(maxsize=256)
@@ -388,7 +394,7 @@ def hecke_T(s: FormalSum, sp: SurrogateParams) -> FormalSum:
     if s.p != p:
         raise ValueError(f"formal sum at p={s.p} given to T at p={p}")
     lifts = teichmuller_lifts(p, M)
-    out = FormalSum(p)
+    out = FormalSum._empty(p)
     for rep, v in s.terms.items():
         gamma = rep.matrix()
         for mu in range(p):
@@ -441,19 +447,17 @@ def verify_T_expansion(sp: SurrogateParams, alpha: int) -> TExpansionReport:
     lhs = hecke_T(FormalSum.unit(h), sp)
 
     lifts = teichmuller_lifts(p, M)
-    a_val = SymPoly.from_dict(
-        t, p, M,
-        {alpha: pow(p, alpha, q), alpha + d: -pow(p, alpha + d, q) % q},
-        twist=Fraction(-t, 2),
-    )
+    a_coeffs = [0] * (t + 1)
+    a_coeffs[alpha], a_coeffs[alpha + d] = pow(p, alpha, q), -pow(p, alpha + d, q) % q
+    a_val = SymPoly._of(t, p, M, tuple(a_coeffs), Fraction(-t, 2))
 
     def expansion(offsets: list[int]) -> FormalSum:
         """The right-hand side with the xi-sum of mu taken at offsets[mu]; the
         xi-sum values share a_val's degree, p, M and twist."""
-        out = FormalSum(p)
+        out = FormalSum._empty(p)
         for mu in range(p):
             coeffs = _xi_sum_value(sp, alpha, lifts[mu], offsets[mu])
-            out._insert((p, lifts[mu], 0, 1), a_val._derived(coeffs, a_val.twist))
+            out._insert((p, lifts[mu], 0, 1), SymPoly._of(t, p, M, coeffs, a_val.twist))
         out._insert((1, 0, 0, p), a_val)
         return out
 

@@ -7,8 +7,10 @@ at a time, reduced mod p^M after every step.
 
 Production ``hecke_T`` makes one action per (term, mu), fusing the inner
 matrix with the coset clean-up; ``hecke_T_two_step`` keeps the two actions
-apart: the inner matrix first, then the clean-up h of the new key.  The
-tests compare the routes.
+apart: the inner matrix first, applied by ``act_by_expansion`` so that the
+oracle does not share production ``act`` for it, then the clean-up h of the
+new key, which insertion applies by production ``act``.  The tests compare
+the routes.
 """
 
 from fractions import Fraction
@@ -21,7 +23,6 @@ from padicslopes.symhecke import (
     SurrogateParams,
     SymPoly,
     _primitive,
-    act,
     mat_mul,
     teichmuller_lifts,
 )
@@ -31,7 +32,8 @@ def hecke_T_two_step(s: FormalSum, sp: SurrogateParams) -> FormalSum:
     """T with the inner action applied before insertion: each term
     gamma . v maps to sum_mu gamma [[p,[mu]],[0,1]] . ([[1,-[mu]],[0,p]] v)
     + gamma [[1,0],[0,p]] . ([[p,0],[0,1]] v), and inserting each image
-    acts once more by the h of its key."""
+    acts once more by the h of its key.  The inner action is
+    act_by_expansion's."""
     p, M = sp.p, sp.M
     lifts = teichmuller_lifts(p, M)
     out = FormalSum(p)
@@ -39,8 +41,8 @@ def hecke_T_two_step(s: FormalSum, sp: SurrogateParams) -> FormalSum:
         gamma = rep.matrix()
         for mu in range(p):
             lift = lifts[mu]
-            out._insert(mat_mul(gamma, (p, lift, 0, 1)), act((1, -lift, 0, p), v))
-        out._insert(mat_mul(gamma, (1, 0, 0, p)), act((p, 0, 0, 1), v))
+            out._insert(mat_mul(gamma, (p, lift, 0, 1)), act_by_expansion((1, -lift, 0, p), v))
+        out._insert(mat_mul(gamma, (1, 0, 0, p)), act_by_expansion((p, 0, 0, 1), v))
     return out
 
 

@@ -25,6 +25,7 @@ from padicslopes.symhecke import (
     verify_T_expansion,
 )
 from symhecke_oracle import act_by_expansion, hecke_T_two_step
+from test_acceptance import gate_cells
 
 
 def theta_divides(coeffs, t, p, modulus, power=1):
@@ -167,6 +168,8 @@ class TestActOracle:
         assert any(g[1] == 0 and g[2] % f.p for g, f in cases)  # lower, c a unit
         assert any(g[2] and g[2] % f.p == 0 for g, f in cases)  # c p-divisible
         assert any(all(g) and min(g) < 0 for g, f in cases)  # full, negative
+        # upper triangular on a dense f at t >= 8: the shape of every g that T makes
+        assert any(g[1] and g[2] == 0 and f.degree >= 8 and all(f.coeffs) for g, f in cases)
         assert {f.degree for g, f in cases} == set(range(13))
         assert {f.M for g, f in cases} == set(range(1, 21))
         assert any(f.twist for g, f in cases)
@@ -339,6 +342,18 @@ class TestCosets:
         assert mat_mul(rep.matrix(), h) == g
         assert rep.d_exp == valuation(g[2] or g[3], 5)
 
+    def test_key_contract(self):
+        # first_mismatch strings and FormalSum.dump() embed the key, and
+        # support() sorts keys by their fields in order
+        rep = CosetRep(1, 0, 2, 5)
+        assert repr(rep) == "CosetRep(a_exp=1, d_exp=0, c_val=2, p=5)"
+        assert rep.matrix() == (5, 2, 0, 1) and CosetRep(0, 2, 0, 5).matrix() == (1, 0, 0, 25)
+        keys = [CosetRep(*k) for k in ((1, 0, 2, 5), (0, 1, 0, 5), (1, 0, 0, 5), (2, 0, 7, 5), (0, 0, 0, 5))]
+        fields = [(k.a_exp, k.d_exp, k.c_val, k.p) for k in sorted(keys)]
+        assert fields == sorted((k.a_exp, k.d_exp, k.c_val, k.p) for k in keys)
+        with pytest.raises(AttributeError):
+            rep.c_val = 3
+
     def test_canonical_form_invariants(self):
         rep, _ = coset_decompose((50, 7, 0, 10), 5)
         assert 0 <= rep.c_val < 5**rep.a_exp
@@ -402,7 +417,8 @@ class TestHeckeOperator:
                 combine(s5, s7)
 
     def test_terms_written_only_by_init_and_accumulate(self):
-        # every merge goes through FormalSum._accumulate
+        # every merge goes through FormalSum._accumulate; __init__ and the
+        # unchecked _empty only start the dict
         tree = ast.parse(inspect.getsource(FormalSum))
         writers = set()
         for fn in ast.walk(tree):
@@ -419,7 +435,7 @@ class TestHeckeOperator:
                         continue
                     if isinstance(target, ast.Attribute) and target.attr == "terms":
                         writers.add(fn.name)
-        assert writers == {"__init__", "_accumulate"}
+        assert writers == {"__init__", "_empty", "_accumulate"}
 
     def test_difference_and_scaling(self):
         f = SymPoly(3, 5, 6, (1, 2, 3, 4))
@@ -557,6 +573,31 @@ class TestFusedHecke:
             hecke_T(s, sp)
             assert len(calls) == (sp.p + 1) * len(s)
 
+    def test_every_gate_action_is_upper_triangular(self, monkeypatch):
+        # act's common case: on the gate grid of criterion 8, each primitive
+        # g_0 that hecke_T and verify_T_expansion act by has c = 0
+        g0s = []
+        counted = symhecke.act
+
+        def recording(g, f):
+            g0s.append(symhecke._primitive(g, f.p)[1])
+            return counted(g, f)
+
+        monkeypatch.setattr(symhecke, "act", recording)
+        for p, t, delta, alpha in gate_cells("hecke"):
+            assert verify_T_expansion(SurrogateParams(p, t, delta), alpha).matches
+        assert [g0[2] for g0 in g0s] == [0] * len(g0s)
+        assert any(g0 != IDENTITY for g0 in g0s)
+
+    def test_T_on_a_built_sum_checks_nothing(self, monkeypatch):
+        # p was checked when each sum and SurrogateParams was built
+        cases = _random_keyed_sums(per_prime=2)
+        checks = []
+        monkeypatch.setattr(symhecke, "_check_prime", checks.append)
+        for sp, s in cases:
+            hecke_T(hecke_T(s, sp), sp)
+        assert checks == []
+
     def test_internal_results_skip_validation(self, monkeypatch):
         rng = random.Random(43)
         sp = SurrogateParams(p=7, t=6, delta=2)
@@ -574,15 +615,17 @@ class TestFusedHecke:
         assert checks == [7]
 
     def test_expansion_validates_only_its_inputs(self, monkeypatch):
-        # h, h* and a_val are built through the public constructor, once per cell;
-        # the xi-sum values are derived from a_val
-        built = []
+        # SurrogateParams checks p and delta when the cell is built; h, h*,
+        # a_val, the xi-sum values and every sum of the cell are built from it
+        # without the public constructors or a second check of p
+        sp = SurrogateParams(p=7, t=8, delta=6)
+        built, checks = [], []
         post_init = SymPoly.__post_init__
         monkeypatch.setattr(SymPoly, "__post_init__", lambda self: built.append(self) or post_init(self))
-        sp = SurrogateParams(p=7, t=8, delta=6)
+        monkeypatch.setattr(symhecke, "_check_prime", checks.append)
         rep = verify_T_expansion(sp, 2)
         assert rep.matches and rep.combined_form_applicable
-        assert len(built) == 3
+        assert built == [] and checks == []
 
 
 def _insert_fusing(fuse):
