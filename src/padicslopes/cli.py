@@ -211,6 +211,12 @@ def _with_rho(cell: tuple) -> tuple:
     return (*cell, comb.rho_of(*cell))
 
 
+def _p_and_r(cell: tuple) -> tuple[int, int]:
+    """(p, r): the key of the binomial diagonal table whose rows an identity
+    cell (p, r, alpha) reads."""
+    return cell[:2]
+
+
 def _integrality_alphas(p: int, r: int) -> list[int]:
     return comb.general_alphas(p, r) + ([comb.rho_of(p, r)] if r in comb.rho_case_rs(p, r) else [])
 
@@ -327,13 +333,13 @@ VERIFY_TARGETS = {
     **{f"lemma{i}": Target(_RHO_CASE, _check_lemma(i), pins=("r",), shown=_with_rho) for i in (13, 14)},
     "lemma15": Target(_RHO_CASE, _check_lemma(15), pins=("r",), shown=_with_rho, key=lc.table_key),
     "lambda-system": Target(_lambda_cells, _check_lambda_system, bounds=("R_max", "alpha_max")),
-    "matrix-entries": Target(_BELOW_RHO, _check_matrix_entries, pins=("r", "alpha")),
+    "matrix-entries": Target(_BELOW_RHO, _check_matrix_entries, pins=("r", "alpha"), key=_p_and_r),
     "det-factorization": Target(
         lambda p, args: [(p, R, g) for R in range(1, args.R_max + 1) for g in (0, 1, 2, 5, 11)],
         _check_det_factorization, bounds=("R_max",), notes=_det_notes,
     ),
-    "interior-annihilator": Target(_BELOW_RHO, _check_interior_annihilator, pins=("r", "alpha")),
-    "double-sum": Target(_GENERAL, _check_double_sum, pins=("r", "alpha")),
+    "interior-annihilator": Target(_BELOW_RHO, _check_interior_annihilator, pins=("r", "alpha"), key=_p_and_r),
+    "double-sum": Target(_GENERAL, _check_double_sum, pins=("r", "alpha"), key=_p_and_r),
     "rho-annihilator": Target(
         _rho_shaped(comb.rho_annihilator_rs), _check_rho_annihilator, pins=("r",), shown=_with_rho,
     ),

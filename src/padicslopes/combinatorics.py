@@ -11,10 +11,18 @@ Nothing is approximated.
 Every binomial row and table, symhecke's Pascal rows included, comes from one
 exact ratio recurrence, _binomial_row: one math.comb call per row, then each
 entry from the last by an exact division.  math.comb stays only where a value
-must come from outside it: trinomial_revision_check and the interior solve.
+must come from outside it: the right side of the trinomial revision check
+(_revision_holds) and the interior solve.
 
-The step-difference tables of the interior solve are a bounded memo
-registered in _memo, which empties it once per invocation.
+The binomial rows of the identity targets depend on (p, r, n) only, with
+n = i(p-1) + alpha: row n of the (p, r) diagonal table is the diagonal
+C(r-rho+t, n-rho+t), t = 0..rho, that every cell of (p, r) with a row at n
+reads.  The table builds a row on its first read and checks its trinomial
+revision on the first read of its verdict; the matrices of matrix-entries
+take their rows from it, and every row sum of the interior solve, the
+annihilators and the double sum reads a suffix of a row.  The diagonal
+tables and the step-difference tables of the interior solve are bounded
+memos registered in _memo, which empties them once per invocation.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from ._memo import memo
 from .exactlinalg import charpoly, mat_mul_int
@@ -259,6 +267,62 @@ def all_row_indices(p: int, r: int, alpha: int) -> list[int]:
     return list(range(-(alpha // (p - 1)), (r - alpha) // (p - 1) + 1))
 
 
+def _revision_holds(r: int, n: int, row: Sequence[int], ks: Sequence[int], scales: list[int]) -> bool:
+    """Trinomial revision on one row whose entries are C(r-k, n-k) for k in ks:
+    row[t] C(r, k) = C(r, n) C(n, k) with k = ks[t] (Graham, Knuth and
+    Patashnik, Concrete Mathematics, (5.21)).
+
+    The right side is computed entry by entry with math.comb, a route
+    independent of the ratio recurrence that built the row.  scales holds
+    C(r, k) for k in ks, shared by the rows that pass the same (r, ks); the
+    first call fills it."""
+    if not scales:
+        scales.extend(map(math.comb, repeat(r), ks))
+    rhs = map(operator.mul, repeat(math.comb(r, n)), map(math.comb, repeat(n), ks))
+    return list(map(operator.mul, row, scales)) == list(rhs)
+
+
+class _DiagonalTable(dict):
+    """The binomial diagonals of (p, r): row n, for 0 <= n <= r, is the tuple
+    C(r-rho+t, n-rho+t), t = 0..rho, zero where n-rho+t < 0.
+
+    Row i of a cell (p, r, alpha) over its columns l = alpha-rho+t is row
+    n = i(p-1) + alpha, so the cells of one r that meet n share one row.
+    A row is built by _binomial_row on its first read (table[n]), and its
+    trinomial-revision verdict is checked on the first read of holds(n), so
+    the sweeps that never read a verdict never pay for one.  Rows are filled
+    lazily because at large p a sweep reads few n of each table.  A row with
+    n < 0 or n > r reads as a zero row and is not stored."""
+
+    def __init__(self, p: int, r: int):
+        super().__init__()
+        self.r, self.rho = r, rho_of(p, r)
+        self.verdicts: dict[int, bool] = {}
+        self.scales: list[int] = []  # C(r, k) for k = rho..0, filled by _revision_holds
+
+    def __missing__(self, n: int) -> tuple[int, ...]:
+        r, rho = self.r, self.rho
+        if not 0 <= n <= r:
+            return (0,) * (rho + 1)
+        t0 = max(0, rho - n)
+        row = self[n] = (0,) * t0 + tuple(_binomial_row(r - rho + t0, n - rho + t0, rho + 1 - t0))
+        return row
+
+    def holds(self, n: int) -> bool:
+        """Trinomial revision on row n, checked once per row."""
+        verdict = self.verdicts.get(n)
+        if verdict is None:
+            verdict = self.verdicts[n] = _revision_holds(self.r, n, self[n], range(self.rho, -1, -1), self.scales)
+        return verdict
+
+
+# Cells come sorted by (p, r), and every cell of one (p, r) reads one table.
+@memo(maxsize=4)
+def _diagonal_table(p: int, r: int) -> _DiagonalTable:
+    """The (p, r) diagonal table, empty until its rows are read."""
+    return _DiagonalTable(p, r)
+
+
 @dataclass(frozen=True)
 class MatrixM:
     """The matrix (C(r - alpha + j, i(p-1) + j)) over interior rows i and
@@ -289,26 +353,30 @@ def build_matrix_M(p: int, r: int, alpha: int) -> MatrixM:
     elif rho < 1:
         raise ValueError(f"alpha = rho needs rho >= 1, got r={r}, alpha={alpha}")
     rows = interior_row_indices(p, r, alpha)
-    cols = list(range(alpha - rho, alpha + 1))
-    # row i is one diagonal: top r - alpha + j and bottom i(p-1) + j > 0 step together
-    entries = tuple(tuple(_binomial_row(r - rho, i * (p - 1) + alpha - rho, rho + 1)) for i in rows)
-    return MatrixM(p, r, alpha, tuple(rows), tuple(cols), entries)
+    table = _diagonal_table(p, r)
+    entries = tuple(table[i * (p - 1) + alpha] for i in rows)
+    return MatrixM(p, r, alpha, tuple(rows), tuple(range(alpha - rho, alpha + 1)), entries)
 
 
 def trinomial_revision_check(m: MatrixM) -> bool:
     """Per-entry trinomial revision:
     C(r-a+j, i(p-1)+j) * C(r, a-j) = C(r, i(p-1)+a) * C(i(p-1)+a, a-j).
 
-    The right side is computed entry by entry with math.comb, a route
-    independent of the ratio recurrence that built the entries."""
-    r, a = m.r, m.alpha
-    ks = [a - j for j in m.col_indices]  # 0..rho, descending
-    c_rk = [math.comb(r, k) for k in ks]  # constant down each column
+    A row that build_matrix_M took from the (p, r) diagonal table, the same
+    object over the table's columns, reads the table's verdict, checked once
+    per row of the table; any other row is checked here, entry by entry
+    (_revision_holds)."""
+    p, r, a = m.p, m.r, m.alpha
+    table = _diagonal_table(p, r)
+    own = m.col_indices == tuple(range(a - table.rho, a + 1))
+    ks, scales = [a - j for j in m.col_indices], []
     for i, row in zip(m.row_indices, m.entries):
-        n = i * (m.p - 1) + a
-        c_rn = math.comb(r, n)  # constant along the row; 0 <= n <= r on interior rows
-        rhs = map(operator.mul, repeat(c_rn), map(math.comb, repeat(n), ks))
-        if list(map(operator.mul, row, c_rk)) != list(rhs):
+        n = i * (p - 1) + a
+        if own and table.get(n) is row:
+            ok = table.holds(n)
+        else:
+            ok = _revision_holds(r, n, row, ks, scales)
+        if not ok:
             return False
     return True
 
@@ -386,20 +454,25 @@ def factor_and_rank_checks(p: int, R: int, gamma: int) -> FactorRankReport:
 
 def _row_sum_numerators(p: int, r: int, alpha: int, nums: Mapping[int, int], rows) -> list[int]:
     """[sum_l N_l C(r-alpha+l, i(p-1)+l) for i in rows] for integer column
-    numerators nums = {l: N_l}.  A column with r-alpha+l < 0 is zero on every
-    row, and row i meets only the columns with i(p-1)+l >= 0.
+    numerators nums = {l: N_l} on columns alpha - rho <= l <= alpha, a
+    missing l counting as N_l = 0.  A column outside them raises ValueError.
 
-    The columns run over one range of l, a missing l counting as N_l = 0, so
-    the binomials of a row are one diagonal from _binomial_row."""
-    lo = max(min(nums, default=0), alpha - r)
-    ns = [nums.get(l, 0) for l in range(lo, max(nums, default=lo - 1) + 1)]
-    out = []
-    for i in rows:
-        k = i * (p - 1)
-        j = max(0, -k - lo)  # the first column with i(p-1)+l >= 0
-        diagonal = _binomial_row(r - alpha + lo + j, k + lo + j, len(ns) - j)
-        out.append(sum(map(operator.mul, ns[j:], diagonal)))
-    return out
+    Column l is t = l - alpha + rho of row n = i(p-1) + alpha of the (p, r)
+    diagonal table, so row i's binomials are the suffix of that row from
+    t = min(nums) - alpha + rho.  Every caller's columns lie there.  The
+    interior solve and the annihilators read l in [alpha - rho, alpha].  The
+    double sum reads l in [alpha - rho', alpha], and rho' <= rho on every
+    general cell: with r = rho(p+1) + s, where s <= p - 1 since
+    r + 1 < (rho+1)(p+1), and alpha >= rho + 1, r - alpha <= rho p + p - 2 <
+    (rho+1)p, so rho' = ceil((r-alpha)/p) - 1 <= rho, and its suffix starts
+    at t = rho - rho' >= 0."""
+    table = _diagonal_table(p, r)
+    lo, hi = min(nums, default=alpha), max(nums, default=alpha)
+    if lo < alpha - table.rho or hi > alpha:
+        raise ValueError(f"columns {lo}..{hi} outside [{alpha - table.rho}, {alpha}] of (p={p}, r={r}, alpha={alpha})")
+    ns = [nums.get(l, 0) for l in range(lo, hi + 1)]
+    t0 = lo - alpha + table.rho
+    return [sum(map(operator.mul, ns, table[i * (p - 1) + alpha][t0:])) for i in rows]
 
 
 @memo(maxsize=16)

@@ -245,6 +245,12 @@ def matrix_M_entries(p: int, r: int, alpha: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def diagonal_row(p: int, r: int, n: int) -> tuple[int, ...]:
+    """Row n of the (p, r) diagonal table: C(r-rho+t, n-rho+t) for t = 0..rho."""
+    rho = rho_of(p, r)
+    return tuple(comb0(r - rho + t, n - rho + t) for t in range(rho + 1))
+
+
 def carry_matrix(p: int, R: int, gamma: int) -> list[list[int]]:
     """The R x R matrix (C(i(p-1)+gamma, j)) for i, j < R."""
     return [[math.comb(i * (p - 1) + gamma, j) for j in range(R)] for i in range(R)]

@@ -14,7 +14,7 @@ SRC = os.path.dirname(cli.__file__)
 
 MATH_COMB_SITES = {
     ("combinatorics.py", "_binomial_row"),
-    ("combinatorics.py", "trinomial_revision_check"),
+    ("combinatorics.py", "_revision_holds"),
     ("combinatorics.py", "_step_differences"),
     ("combinatorics.py", "_interior_solution"),
     ("combinatorics.py", "_theta_monomial_targets"),

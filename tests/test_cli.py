@@ -372,6 +372,17 @@ class TestArgumentBoundary:
             assert run_cli([*argv, "--jobs", "2"], pooled) == 0
             assert pooled.read_bytes() == serial.read_bytes()
 
+    @pytest.mark.parametrize("target", ["matrix-entries", "interior-annihilator", "double-sum"])
+    def test_diagonal_table_groups_same_bytes_on_a_pool(self, target, tmp_path):
+        # the cells of one (p, r) share a diagonal table and go to one worker
+        assert cli.VERIFY_TARGETS[target].key((5, 40, 3)) == (5, 40)
+        serial, pooled = tmp_path / "a.out", tmp_path / "b.out"
+        for fmt in ("csv", "json"):
+            argv = ["verify", target, "--p", "5,7,11,13", "--r-max", "80", "--format", fmt]
+            assert run_cli([*argv, "--jobs", "1"], serial) == 0
+            assert run_cli([*argv, "--jobs", "2"], pooled) == 0
+            assert pooled.read_bytes() == serial.read_bytes()
+
     def test_counterexamples_same_on_a_pool(self, tmp_path, capsys, monkeypatch):
         # one v_p(n_m) of every key table off by one: the pool's workers,
         # forked after the patch, fail the same cells with the same records

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicslopes import combinatorics
+from padicslopes import _memo, combinatorics
 from padicslopes.cli import VERIFY_TARGETS, main
 from padicslopes.combinatorics import (
     _binomial_row,
@@ -46,6 +46,7 @@ from padicslopes.padic import valuation
 
 import lambda_oracle as oracle
 from lemma_oracle import c_constants
+from test_acceptance import gate_cells
 from lambda_oracle import comb0, generalized_binomial, lambda_coefficients, lambda_defining_residual
 
 
@@ -491,6 +492,19 @@ class TestCellShapes:
         assert len(cells) == 161
         assert all(a <= rho_of(p, r) + rho_prime_of(p, r, a) for p, r, a in cells)
 
+    def test_rho_prime_at_most_rho_on_the_gate_grids(self):
+        # the double sum reads its rows from t = rho - rho' of the diagonal
+        # table (see _row_sum_numerators); every general cell of gate criteria
+        # 5-7, those of lemmas 10-12 and integrality at r <= 400 included
+        general = {
+            cell
+            for name in ("double-sum", "lemma10", "lemma11", "lemma12", "integrality")
+            for cell in gate_cells(name)
+            if cell[2] > rho_of(*cell[:2])
+        }
+        assert len(general) == 12165
+        assert all(1 <= rho_prime_of(*cell) <= rho_of(*cell[:2]) for cell in general)
+
     @pytest.mark.parametrize("p", [-1, 0, 1])
     @pytest.mark.parametrize(
         "validator",
@@ -589,6 +603,21 @@ class TestRowKernelAgainstOracle:
             rows = all_row_indices(p, r, alpha)
             assert _row_sum_numerators(p, r, alpha, cols, rows) == oracle.row_sum_numerators(p, r, alpha, cols, rows)
 
+    def test_diagonal_tables_on_the_gate_grids(self):
+        # every row that a cell of gate criteria 3-5 reads, against one
+        # math.comb call per entry
+        reads = {(p, r, i * (p - 1) + alpha)
+                 for p, r, alpha in gate_cells("matrix-entries") for i in interior_row_indices(p, r, alpha)}
+        for p, r, alpha in gate_cells("interior-annihilator"):
+            reads.update((p, r, i * (p - 1) + alpha) for i in all_row_indices(p, r, alpha))
+        for p, r in gate_cells("rho-annihilator"):
+            reads.update((p, r, i * (p - 1) + rho_of(p, r)) for i in all_row_indices(p, r, rho_of(p, r)))
+        for p, r, alpha in gate_cells("double-sum"):
+            reads.update((p, r, i * (p - 1) + alpha) for i in range(1, rho_prime_of(p, r, alpha) + 1))
+        assert len(reads) == 74382
+        for p, r, n in sorted(reads):
+            assert combinatorics._diagonal_table(p, r)[n] == oracle.diagonal_row(p, r, n), (p, r, n)
+
     @pytest.mark.parametrize("p", _SHAPE_PRIMES)
     def test_empty_interior(self, p):
         # (p, p, 0): rho = 1, and no i(p-1) lies strictly between 1 and p - 1
@@ -604,15 +633,21 @@ class TestRowKernelAgainstOracle:
         [
             {-8: 5, -7: 0, -6: 0, -2: 0, 3: -11, 5: 0},  # zero numerators inside the range
             {-8: 5, 3: -11},  # the same columns, the zeros left out
-            {-200: 4, -90: 1, 5: 2},  # columns with r - alpha + l < 0
+            {-1: 4, 0: 1, 2: 2},  # a suffix of the rows, as the double sum reads
             {0: 0},
             {},
         ],
     )
     def test_zero_and_missing_numerators(self, nums):
-        p, r, alpha = 7, 100, 5
-        rows = list(range(-3, 20))  # rows 16..19 start above their top: i(p-1) > r - alpha
+        p, r, alpha = 7, 104, 5  # rho = 13: columns -8..5
+        rows = list(range(-3, 20))  # rows 17..19 start above their top: i(p-1) > r - alpha
         assert _row_sum_numerators(p, r, alpha, nums, rows) == oracle.row_sum_numerators(p, r, alpha, nums, rows)
+
+    @pytest.mark.parametrize("nums", [{-200: 4, -90: 1, 5: 2}, {-9: 1, 0: 2}, {-8: 1, 6: 2}])
+    def test_columns_outside_the_table_raise(self, nums):
+        # the (7, 104) table holds the columns alpha - rho = -8 .. alpha = 5 only
+        with pytest.raises(ValueError, match=r"outside \[-8, 5\]"):
+            _row_sum_numerators(7, 104, 5, nums, [0, 1])
 
     def test_diagonal_starting_above_its_top_is_zero(self):
         assert _binomial_row(10, 11, 6) == [0] * 6
@@ -632,7 +667,8 @@ class TestRowKernelAgainstOracle:
         calls.clear()
         rows = all_row_indices(5, 200, 20)
         _row_sum_numerators(5, 200, 20, {l: l + 14 for l in range(-13, 21)}, rows)
-        assert len(calls) == len(rows) == 51
+        # the interior rows are the matrix's rows, already in the (5, 200) table
+        assert len(calls) == len(rows) - m.nrows == 18
 
 
 _SMALL_CELLS = [(5, 26, 2), (7, 33, 1), (5, 47, 0), (5, 15, 2), (7, 53, 4)]
@@ -749,6 +785,7 @@ class TestChecksCanFail:
         monkeypatch.setattr(combinatorics, "_binomial_row", _ratio_off_by_one)
         failing = next(cell for cell in grid if check(*cell)[0] == "fails")
         monkeypatch.undo()
+        _memo.reset()  # drop the rows built through the fault
         assert check(*failing)[0] == "holds"
 
     def test_double_sum_sees_the_row_kernel(self, monkeypatch):
@@ -756,12 +793,46 @@ class TestChecksCanFail:
         monkeypatch.setattr(combinatorics, "_binomial_row", _ratio_off_by_one)
         failing = next(cell for cell in cells if not verify_vanishing_double_sum(*cell).holds)
         monkeypatch.undo()
+        _memo.reset()  # drop the rows built through the fault
         assert verify_vanishing_double_sum(*failing).holds
+
+    def test_a_wrong_row_fails_exactly_its_readers(self, monkeypatch):
+        # the last entry of row n = 30 of the (5, 60) diagonal table one too
+        # large: every cell that reads the row fails, the annihilator's
+        # residual at that row only, and every other cell holds, so the
+        # shared row neither spreads the fault nor hides it
+        p, r, n = 5, 60, 30
+        rho = rho_of(p, r)
+        kernel = combinatorics._binomial_row
+
+        def planted(top, k, length, top_step=1):
+            row = kernel(top, k, length, top_step)
+            if (top, k, length, top_step) == (r - rho, n - rho, rho + 1, 1):
+                row[-1] += 1
+            return row
+
+        monkeypatch.setattr(combinatorics, "_binomial_row", planted)
+        rows_read = {
+            "matrix-entries": interior_row_indices,
+            "interior-annihilator": interior_row_indices,
+            "double-sum": lambda *cell: range(1, rho_prime_of(*cell) + 1),
+        }
+        readers = {}
+        for name, rows_of in rows_read.items():
+            for cell in (cell for q in (5, 7) for cell in _window(name, q, r=None, r_max=80)):
+                reads = cell[:2] == (p, r) and n in {i * (p - 1) + cell[2] for i in rows_of(*cell)}
+                assert VERIFY_TARGETS[name].check(*cell)[0] == ("fails" if reads else "holds"), (name, cell)
+                if reads:
+                    readers.setdefault(name, []).append(cell[2])
+        assert readers == {"matrix-entries": [2, 6], "interior-annihilator": [2, 6], "double-sum": [14]}
+        for alpha in readers["interior-annihilator"]:
+            assert list(build_interior_annihilator(p, r, alpha).residual()) == [(n - alpha) // (p - 1)]
 
     def test_interior_solve_sees_the_row_kernel(self, monkeypatch):
         u = interior_row_indices(5, 26, 2)[0]
         solve_interior_system(5, 26, 2, u)
         monkeypatch.setattr(combinatorics, "_binomial_row", _ratio_off_by_one)
+        _memo.reset()  # the check reads rows built through the fault, not the cached ones
         with pytest.raises(AssertionError, match="failed verification"):
             solve_interior_system(5, 26, 2, u)
 

@@ -8,8 +8,9 @@ from argparse import Namespace
 import pytest
 
 from padicslopes import _memo, cli
+from padicslopes import combinatorics as comb
 from padicslopes.cli import main
-from padicslopes.combinatorics import lambda_variant
+from padicslopes.combinatorics import interior_row_indices, lambda_variant
 
 SRC = os.path.dirname(cli.__file__)
 
@@ -48,6 +49,7 @@ def test_no_cache_outside_the_registry():
 def test_every_memo_registered_and_bounded():
     names = sorted(f"{m.__module__}.{m.__name__}" for m in _memo.MEMOS)
     assert names == [
+        "padicslopes.combinatorics._diagonal_table",
         "padicslopes.combinatorics._step_differences",
         "padicslopes.lemma_checks._digit_sum_table",
         "padicslopes.lemma_checks._lambda_table",
@@ -74,3 +76,20 @@ def test_lambda_table_built_once_per_key(tmp_path, name, count):
     argv = ["verify", name, "--p", ",".join(map(str, ps)), "--r-max", "400", "--jobs", "1"]
     assert main([*argv, "--out", str(tmp_path / "v.csv")]) == 0
     assert cli.lc._lambda_table.cache_info().misses == len(keys) == count
+
+
+def test_diagonal_rows_built_and_checked_once_per_key(tmp_path, monkeypatch):
+    # one row build and one trinomial-revision check per distinct (p, r, n)
+    # that the sweep's cells read, n = i(p-1) + alpha over their interior rows
+    ps = (5, 7, 11, 13)
+    window = Namespace(r=None, alpha=None, r_max=100)
+    cells = [cell for p in ps for cell in cli.VERIFY_TARGETS["matrix-entries"].cells(p, window)]
+    keys = {(p, r, i * (p - 1) + a) for p, r, a in cells for i in interior_row_indices(p, r, a)}
+    built, checked = [], []
+    row, holds = comb._binomial_row, comb._revision_holds
+    monkeypatch.setattr(comb, "_binomial_row", lambda *args: built.append(args) or row(*args))
+    monkeypatch.setattr(comb, "_revision_holds", lambda *args: checked.append(args[:2]) or holds(*args))
+    argv = ["verify", "matrix-entries", "--p", ",".join(map(str, ps)), "--r-max", "100", "--jobs", "1"]
+    assert main([*argv, "--out", str(tmp_path / "v.csv")]) == 0
+    assert len(built) == len(checked) == len(keys) == 10337
+    assert sum(len(interior_row_indices(*cell)) for cell in cells) == 17800  # the rows the cells read
