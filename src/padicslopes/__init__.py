@@ -6,8 +6,8 @@ Fractions appear only where a quantity is rational (slopes, masses, Lambda)."""
 
 from .combinatorics import (
     build_interior_annihilator,
-    build_matrix_M,
     factor_and_rank_checks,
+    matrix_entries_check,
     solve_interior_system,
     vartheta,
     verify_vanishing_double_sum,
@@ -52,7 +52,6 @@ __all__ = [
     "act",
     "binomial_valuation",
     "build_interior_annihilator",
-    "build_matrix_M",
     "delta",
     "dim_cusp",
     "eisenstein",
@@ -65,6 +64,7 @@ __all__ = [
     "integrality_checks",
     "is_regular",
     "mass_in_middle",
+    "matrix_entries_check",
     "middle_mass_profile",
     "miller_basis",
     "newton_polygon",

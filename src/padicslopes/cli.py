@@ -247,9 +247,8 @@ def _check_lambda_system(p, R, alpha):
 
 
 def _check_matrix_entries(p, r, alpha):
-    m = comb.build_matrix_M(p, r, alpha)
-    ok = comb.trinomial_revision_check(m)
-    return _identity("matrix-entries", ok, m.nrows * m.ncols, p=p, r=r, alpha=alpha, rank_R=m.nrows)
+    ok, nrows = comb.matrix_entries_check(p, r, alpha)
+    return _identity("matrix-entries", ok, nrows * (comb.rho_of(p, r) + 1), p=p, r=r, alpha=alpha, rank_R=nrows)
 
 
 def _check_det_factorization(p, R, gamma):

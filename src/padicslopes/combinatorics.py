@@ -18,11 +18,12 @@ The binomial rows of the identity targets depend on (p, r, n) only, with
 n = i(p-1) + alpha: row n of the (p, r) diagonal table is the diagonal
 C(r-rho+t, n-rho+t), t = 0..rho, that every cell of (p, r) with a row at n
 reads.  The table builds a row on its first read and checks its trinomial
-revision on the first read of its verdict; the matrices of matrix-entries
-take their rows from it, and every row sum of the interior solve, the
-annihilators and the double sum reads a suffix of a row.  The diagonal
-tables and the step-difference tables of the interior solve are bounded
-memos registered in _memo, which empties them once per invocation.
+revision on the first read of its verdict, the one revision route:
+matrix_entries_check reads the verdicts of a cell's interior rows, and every
+row sum of the interior solve, the annihilators and the double sum reads a
+suffix of a row.  The diagonal tables and the step-difference tables of the
+interior solve are bounded memos registered in _memo, which empties them
+once per invocation.
 """
 
 from __future__ import annotations
@@ -267,15 +268,17 @@ def all_row_indices(p: int, r: int, alpha: int) -> list[int]:
     return list(range(-(alpha // (p - 1)), (r - alpha) // (p - 1) + 1))
 
 
-def _revision_holds(r: int, n: int, row: Sequence[int], ks: Sequence[int], scales: list[int]) -> bool:
-    """Trinomial revision on one row whose entries are C(r-k, n-k) for k in ks:
-    row[t] C(r, k) = C(r, n) C(n, k) with k = ks[t] (Graham, Knuth and
+def _revision_holds(r: int, n: int, row: Sequence[int], scales: list[int]) -> bool:
+    """Trinomial revision on row n of a (p, r) diagonal table, whose entries
+    are C(r-k, n-k) for k = rho..0, rho = len(row) - 1:
+    row[t] C(r, k) = C(r, n) C(n, k) with k = rho - t (Graham, Knuth and
     Patashnik, Concrete Mathematics, (5.21)).
 
     The right side is computed entry by entry with math.comb, a route
     independent of the ratio recurrence that built the row.  scales holds
-    C(r, k) for k in ks, shared by the rows that pass the same (r, ks); the
-    first call fills it."""
+    C(r, k) for k = rho..0, shared by the rows of one table; the first call
+    fills it."""
+    ks = range(len(row) - 1, -1, -1)
     if not scales:
         scales.extend(map(math.comb, repeat(r), ks))
     rhs = map(operator.mul, repeat(math.comb(r, n)), map(math.comb, repeat(n), ks))
@@ -312,7 +315,7 @@ class _DiagonalTable(dict):
         """Trinomial revision on row n, checked once per row."""
         verdict = self.verdicts.get(n)
         if verdict is None:
-            verdict = self.verdicts[n] = _revision_holds(self.r, n, self[n], range(self.rho, -1, -1), self.scales)
+            verdict = self.verdicts[n] = _revision_holds(self.r, n, self[n], self.scales)
         return verdict
 
 
@@ -323,29 +326,15 @@ def _diagonal_table(p: int, r: int) -> _DiagonalTable:
     return _DiagonalTable(p, r)
 
 
-@dataclass(frozen=True)
-class MatrixM:
-    """The matrix (C(r - alpha + j, i(p-1) + j)) over interior rows i and
-    columns j in [alpha - rho, alpha]."""
+def matrix_entries_check(p: int, r: int, alpha: int) -> tuple[bool, int]:
+    """Trinomial revision on the matrix (C(r-alpha+j, i(p-1)+j)) of a below-rho
+    cell or alpha = rho >= 1, over its interior rows i and its rho + 1 columns
+    j in [alpha-rho, alpha]:
+    C(r-alpha+j, i(p-1)+j) C(r, alpha-j) = C(r, i(p-1)+alpha) C(i(p-1)+alpha, alpha-j).
 
-    p: int
-    r: int
-    alpha: int
-    row_indices: tuple[int, ...]
-    col_indices: tuple[int, ...]
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def nrows(self) -> int:
-        return len(self.row_indices)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.col_indices)
-
-
-def build_matrix_M(p: int, r: int, alpha: int) -> MatrixM:
-    """A below-rho cell or alpha = rho >= 1; rows may be empty (legal), columns number rho + 1."""
+    Row i is row n = i(p-1) + alpha of the (p, r) diagonal table, whose
+    verdict is checked once per row.  Returns (holds, number of interior
+    rows); a cell may have none."""
     _check_prime_gt3(p)
     rho = rho_of(p, r)
     if alpha != rho:
@@ -354,31 +343,7 @@ def build_matrix_M(p: int, r: int, alpha: int) -> MatrixM:
         raise ValueError(f"alpha = rho needs rho >= 1, got r={r}, alpha={alpha}")
     rows = interior_row_indices(p, r, alpha)
     table = _diagonal_table(p, r)
-    entries = tuple(table[i * (p - 1) + alpha] for i in rows)
-    return MatrixM(p, r, alpha, tuple(rows), tuple(range(alpha - rho, alpha + 1)), entries)
-
-
-def trinomial_revision_check(m: MatrixM) -> bool:
-    """Per-entry trinomial revision:
-    C(r-a+j, i(p-1)+j) * C(r, a-j) = C(r, i(p-1)+a) * C(i(p-1)+a, a-j).
-
-    A row that build_matrix_M took from the (p, r) diagonal table, the same
-    object over the table's columns, reads the table's verdict, checked once
-    per row of the table; any other row is checked here, entry by entry
-    (_revision_holds)."""
-    p, r, a = m.p, m.r, m.alpha
-    table = _diagonal_table(p, r)
-    own = m.col_indices == tuple(range(a - table.rho, a + 1))
-    ks, scales = [a - j for j in m.col_indices], []
-    for i, row in zip(m.row_indices, m.entries):
-        n = i * (p - 1) + a
-        if own and table.get(n) is row:
-            ok = table.holds(n)
-        else:
-            ok = _revision_holds(r, n, row, ks, scales)
-        if not ok:
-            return False
-    return True
+    return all(table.holds(i * (p - 1) + alpha) for i in rows), len(rows)
 
 
 def _carry_matrix(p: int, R: int, gamma: int) -> list[list[int]]:

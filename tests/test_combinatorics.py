@@ -21,17 +21,16 @@ from padicslopes.combinatorics import (
     below_rho_alphas,
     below_rho_rho_prime,
     build_interior_annihilator,
-    build_matrix_M,
     ecal_of,
     general_alphas,
     general_rho_prime,
-    trinomial_revision_check,
     factor_and_rank_checks,
     interior_row_indices,
     lambda_identity_holds,
     lambda_raw_table,
     lambda_values_by_differences,
     lambda_variant,
+    matrix_entries_check,
     rho_annihilator_rho_prime,
     rho_annihilator_rs,
     rho_case_rho_prime,
@@ -158,30 +157,32 @@ class TestVartheta:
 
 
 class TestMatrixM:
+    """The cell's matrix M reads the (p, r) diagonal table: row i is table row
+    i(p-1) + alpha, over the rho + 1 columns j in [alpha - rho, alpha]."""
+
     def test_shape(self):
-        m = build_matrix_M(5, 20, 3)
-        assert m.ncols == rho_of(5, 20) + 1
-        assert m.nrows <= m.ncols
-        assert m.col_indices == (0, 1, 2, 3)
+        rows, table = interior_row_indices(5, 20, 3), combinatorics._diagonal_table(5, 20)
+        assert [len(table[i * 4 + 3]) for i in rows] == [rho_of(5, 20) + 1] * len(rows) == [4] * 3
+        assert matrix_entries_check(5, 20, 3) == (True, 3)
 
     def test_entry_and_revision_example(self):
-        # p=5, r=20, alpha=3, i=2, j=1: entry C(18,9) = 48620 = 167960*55/190
-        m = build_matrix_M(5, 20, 3)
-        e = m.entries[m.row_indices.index(2)][m.col_indices.index(1)]
-        assert e == 48620
+        # p=5, r=20, alpha=3, i=2, j=1: entry C(18,9) = 48620 = 167960*55/190;
+        # columns j = 0..3 are t = 0..3 of table row n = 2*4 + 3
+        assert 2 in interior_row_indices(5, 20, 3)
+        assert combinatorics._diagonal_table(5, 20)[11][1] == 48620
         assert 167960 * 55 == 48620 * 190
-        assert trinomial_revision_check(m)
+        assert combinatorics._diagonal_table(5, 20).holds(11)
+        assert matrix_entries_check(5, 20, 3)[0]
 
     def test_empty_rows_legal(self):
-        m = build_matrix_M(5, 5, 0)  # rho=1, window (1,4) has no i(p-1)
-        assert m.nrows == 0
-        assert m.ncols == rho_of(5, 5) + 1
+        # rho=1, window (1,4) has no i(p-1)
+        assert matrix_entries_check(5, 5, 0) == (True, 0)
 
     @pytest.mark.parametrize("p", [5, 7])
     def test_revision_sweep(self, p):
         for r in range(1, 60):
             for a in range(0, rho_of(p, r)):
-                assert trinomial_revision_check(build_matrix_M(p, r, a))
+                assert matrix_entries_check(p, r, a)[0]
 
 
 class TestFactorAndRank:
@@ -213,10 +214,10 @@ class TestFactorAndRank:
     @pytest.mark.parametrize("cell", [(1, 10, 0), (4, 60, 2), (5, 60, 99), (5, 4, 0)])
     def test_interior_rank_rejects_cells_build_matrix_M_rejects(self, cell):
         # p = 1 (p - 1 = 0 in the row window), p = 4 (not prime), alpha above
-        # rho, alpha = rho = 0; matrix-entries checks only a MatrixM, so it
-        # never sees such a cell
+        # rho, alpha = rho = 0; matrix_entries_check validates the cell before
+        # it derives a row, so the sweep never sees such a cell
         with pytest.raises(ValueError):
-            build_matrix_M(*cell)
+            matrix_entries_check(*cell)
 
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_consecutive_rows_is_the_entrywise_comparison(self, p):
@@ -244,7 +245,7 @@ class TestFactorAndRank:
 
 class TestCarryRankMemo:
     """verify matrix-entries validates each cell and derives its interior
-    rows once, in build_matrix_M."""
+    rows once, in matrix_entries_check."""
 
     def test_interior_rows_derived_once_per_cell(self, tmp_path, monkeypatch):
         calls = []
@@ -584,8 +585,9 @@ class TestRowKernelAgainstOracle:
         cells = _target_cells("matrix-entries")
         assert cells == _target_cells("interior-annihilator")
         for p, r, alpha in sorted(cells):
-            assert build_matrix_M(p, r, alpha).entries == oracle.matrix_M_entries(p, r, alpha)
             rows = interior_row_indices(p, r, alpha)
+            table = combinatorics._diagonal_table(p, r)
+            assert tuple(table[i * (p - 1) + alpha] for i in rows) == oracle.matrix_M_entries(p, r, alpha)
             if rows:  # the carry matrix whose reversal is the cell's square submatrix
                 R, gamma = len(rows), rows[0] * (p - 1) + alpha
                 assert combinatorics._carry_matrix(p, R, gamma) == oracle.carry_matrix(p, R, gamma)
@@ -622,7 +624,7 @@ class TestRowKernelAgainstOracle:
     def test_empty_interior(self, p):
         # (p, p, 0): rho = 1, and no i(p-1) lies strictly between 1 and p - 1
         assert interior_row_indices(p, p, 0) == []
-        assert build_matrix_M(p, p, 0).entries == () == oracle.matrix_M_entries(p, p, 0)
+        assert matrix_entries_check(p, p, 0) == (True, 0) and oracle.matrix_M_entries(p, p, 0) == ()
         nums = {-1: 3, 0: -2}
         rows = all_row_indices(p, p, 0)
         assert _row_sum_numerators(p, p, 0, nums, []) == []
@@ -660,15 +662,16 @@ class TestRowKernelAgainstOracle:
         calls = []
         comb = math.comb
         monkeypatch.setattr(math, "comb", lambda n, k: calls.append((n, k)) or comb(n, k))
-        m = build_matrix_M(5, 200, 20)
-        assert len(calls) == m.nrows == 33 and m.ncols == 34
+        interior, table = interior_row_indices(5, 200, 20), combinatorics._diagonal_table(5, 200)
+        assert [len(table[i * 4 + 20]) for i in interior] == [34] * 33
+        assert len(calls) == len(interior) == 33
         calls.clear()
         assert len(combinatorics._carry_matrix(5, 12, 7)) == len(calls) == 12
         calls.clear()
         rows = all_row_indices(5, 200, 20)
         _row_sum_numerators(5, 200, 20, {l: l + 14 for l in range(-13, 21)}, rows)
         # the interior rows are the matrix's rows, already in the (5, 200) table
-        assert len(calls) == len(rows) - m.nrows == 18
+        assert len(calls) == len(rows) - len(interior) == 18
 
 
 _SMALL_CELLS = [(5, 26, 2), (7, 33, 1), (5, 47, 0), (5, 15, 2), (7, 53, 4)]

@@ -84,7 +84,6 @@ def test_the_int_exports():
         "SurrogateParams": ["p", "t", "delta"],
         "binomial_valuation": ["a", "b", "p"],
         "build_interior_annihilator": ["p", "r", "alpha"],
-        "build_matrix_M": ["p", "r", "alpha"],
         "delta": ["prec"],
         "dim_cusp": ["k", "level"],
         "eisenstein": ["k", "prec"],
@@ -94,6 +93,7 @@ def test_the_int_exports():
         "integer_log": ["p", "n"],
         "integrality_checks": ["p", "r", "alpha"],
         "is_regular": ["p", "k_max"],
+        "matrix_entries_check": ["p", "r", "alpha"],
         "middle_mass_profile": ["p", "k_min", "k_max"],
         "miller_basis": ["k", "prec"],
         "slopes": ["p", "k"],

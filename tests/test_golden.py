@@ -57,6 +57,10 @@ CASES += [
     ("verify-double-sum-rejected.csv", "verify double-sum --p 5 --r 14 --alpha 2..3".split(), 2),
     ("verify-double-sum-rejected.json",
      "verify double-sum --p 5 --r 14 --alpha 2..3 --format json".split(), 2),
+    # pinned cells above the matrix-entries window (alpha > rho = 2) are reported, exit 2
+    ("verify-matrix-entries-rejected.csv", "verify matrix-entries --p 5 --r 14 --alpha 0..4".split(), 2),
+    ("verify-matrix-entries-rejected.json",
+     "verify matrix-entries --p 5 --r 14 --alpha 0..4 --format json".split(), 2),
     ("slopes.csv", "slopes --p 2,5 --k 12..30".split(), 0),
     ("slopes-approx.csv", "slopes --p 5,59 --k 12..16 --approx".split(), 0),
     ("slopes.json", "slopes --p 2,5 --k 12..24 --format json".split(), 0),

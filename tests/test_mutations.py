@@ -82,8 +82,7 @@ def _lambda_system(cell, record):
 
 
 def _matrix_entries(cell, record):
-    m = comb.build_matrix_M(*cell)
-    return {"trinomial_revision": comb.trinomial_revision_check(m)}
+    return {"trinomial_revision": comb.matrix_entries_check(*cell)[0]}
 
 
 def _det_factorization(cell, record):
