@@ -518,11 +518,9 @@ def solve_interior_system(p: int, r: int, alpha: int, u: int) -> dict[int, Fract
 class AnnihilatorSystem:
     """A solved instance of the interior annihilator identity, in integers.
 
-    column_numerators maps l to N_l and boundary_numerators maps boundary
-    rows i to N'_i, so that C_l = N_l / den are the column constants and
-    D'_i = N'_i / den the absorbed coefficients; row_values maps i to the
-    integer coefficient D_i(r) of the right-hand side.  ``target``
-    describes the right side.
+    column_numerators maps l to N_l, so that C_l = N_l / den are the column
+    constants; row_values maps i to the integer coefficient D_i(r) of the
+    right-hand side.  ``target`` describes the right side.
     """
 
     p: int
@@ -533,24 +531,18 @@ class AnnihilatorSystem:
     den: int
     column_numerators: dict[int, int]
     row_values: dict[int, int]
-    boundary_numerators: dict[int, int]
 
     @property
     def column_constants(self) -> dict[int, Fraction]:
         """{l: C_l}."""
         return {l: Fraction(n, self.den) for l, n in self.column_numerators.items()}
 
-    @property
-    def boundary_values(self) -> dict[int, Fraction]:
-        """{i: D'_i} on the boundary rows."""
-        return {i: Fraction(n, self.den) for i, n in self.boundary_numerators.items()}
-
     def residual(self) -> dict[int, Fraction]:
         """lhs - rhs per interior row, lhs being the row sum of the column
         constants, in integers over den; identically zero iff the identity
-        holds.  A boundary row needs no sum: its numerator is den D_i minus
-        that same sum, so it vanishes by construction (the tests check the
-        boundary numerators against an independent Fraction route)."""
+        holds.  This is the only row sum an annihilator makes: the other
+        rows of the cell absorb the difference as their coefficients D'_i,
+        so they hold by definition and are never summed."""
         p, r, alpha, den, rhs = self.p, self.r, self.alpha, self.den, self.row_values
         rows = interior_row_indices(p, r, alpha)
         out = {}
@@ -599,17 +591,14 @@ def build_interior_annihilator(p: int, r: int, alpha: int) -> AnnihilatorSystem:
 
 def _annihilator(p: int, r: int, alpha: int, offset: int, monomial: str) -> AnnihilatorSystem:
     """Right side p^ecal theta^alpha times the monomial, whose theta-expansion
-    has support i in [offset, alpha + offset]; interior rows are solved,
-    the remaining rows absorb the difference as boundary coefficients."""
+    has support i in [offset, alpha + offset].  Only the interior rows are
+    solved; the columns the solve leaves free are zero, and the remaining
+    rows' coefficients, being defined as their difference, are not built."""
     ecal = ecal_of(p, r)
     targets = _theta_monomial_targets(p, alpha, ecal, offset)
     interior = interior_row_indices(p, r, alpha)
     cols, den = _interior_solution(p, r, alpha, interior, targets)
     cols.update(dict.fromkeys(range(alpha - rho_of(p, r), alpha - len(interior) + 1), 0))  # unsolved columns
-    rows = sorted(set(all_row_indices(p, r, alpha)).difference(interior))
-    boundary = {
-        i: targets.get(i, 0) * den - s for i, s in zip(rows, _row_sum_numerators(p, r, alpha, cols, rows))
-    }
     return AnnihilatorSystem(
         p=p,
         r=r,
@@ -619,7 +608,6 @@ def _annihilator(p: int, r: int, alpha: int, offset: int, monomial: str) -> Anni
         den=den,
         column_numerators=cols,
         row_values=targets,
-        boundary_numerators=boundary,
     )
 
 

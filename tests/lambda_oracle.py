@@ -27,7 +27,6 @@ from fractions import Fraction
 
 from padicslopes.combinatorics import (
     _forward_differences,
-    all_row_indices,
     ecal_of,
     interior_row_indices,
     rho_of,
@@ -212,9 +211,9 @@ def interior_solution(p: int, r: int, alpha: int, targets: dict[int, Fraction]) 
     return {alpha - m: c * comb0(r, m) for m, c in cprime.items()}
 
 
-def annihilator(p: int, r: int, alpha: int) -> tuple[dict, dict, dict]:
-    """(column_constants, row_values, boundary_values) of the cell's
-    annihilator: offset 1 below rho, offset 0 in the rho case."""
+def annihilator(p: int, r: int, alpha: int) -> tuple[dict, dict]:
+    """(column_constants, row_values) of the cell's annihilator: offset 1
+    below rho, offset 0 in the rho case."""
     ecal = ecal_of(p, r)
     offset = 1 if alpha < rho_of(p, r) else 0
     targets = {m + offset: Fraction(p**ecal) * (-1) ** m * math.comb(alpha, m) for m in range(alpha + 1)}
@@ -222,12 +221,7 @@ def annihilator(p: int, r: int, alpha: int) -> tuple[dict, dict, dict]:
     cols = interior_solution(p, r, alpha, {i: t for i, t in targets.items() if i in interior})
     for l in range(alpha - rho_of(p, r), alpha - len(interior) + 1):
         cols.setdefault(l, Fraction(0))
-    boundary = {
-        i: targets.get(i, Fraction(0)) - row_sum(p, r, alpha, cols, i)
-        for i in all_row_indices(p, r, alpha)
-        if i not in interior
-    }
-    return cols, targets, boundary
+    return cols, targets
 
 
 # ---------------------------------------------------------------------------

@@ -531,9 +531,8 @@ class TestIntegerRouteAgainstOracle:
             alphas.append(rho_of(p, r))
         for alpha in alphas:
             sysm = build_interior_annihilator(p, r, alpha)
-            cols, rhs, boundary = oracle.annihilator(p, r, alpha)
-            for got, want, kind in ((sysm.column_constants, cols, Fraction), (sysm.row_values, rhs, int),
-                                    (sysm.boundary_values, boundary, Fraction)):
+            cols, rhs = oracle.annihilator(p, r, alpha)
+            for got, want, kind in ((sysm.column_constants, cols, Fraction), (sysm.row_values, rhs, int)):
                 assert list(got.items()) == list(want.items())
                 assert all(type(v) is kind for v in got.values())
             rows = all_row_indices(p, r, alpha)
@@ -715,17 +714,6 @@ class TestChecksCanFail:
         for key, delta, bad in _plus_minus_one(sysm.column_numerators):
             assert dataclasses.replace(sysm, column_numerators=bad).residual(), (key, delta)
 
-    @pytest.mark.parametrize("p,r,alpha", _SMALL_CELLS + _RHO_SHAPE_CELLS)
-    def test_oracle_sees_every_boundary_perturbation(self, p, r, alpha):
-        # the residual sums interior rows only, where a boundary row vanishes by
-        # construction; the boundary numerators are checked against the oracle
-        sysm = build_interior_annihilator(p, r, alpha)
-        want = oracle.annihilator(p, r, alpha)[2]
-        assert sysm.boundary_values == want
-        assert sysm.boundary_numerators
-        for key, delta, bad in _plus_minus_one(sysm.boundary_numerators):
-            assert dataclasses.replace(sysm, boundary_numerators=bad).boundary_values != want, (key, delta)
-
     @pytest.mark.parametrize("p,r,alpha", _SMALL_CELLS)
     def test_profile_sees_a_perturbed_row_value(self, p, r, alpha):
         # the key check of gate criteria 4 and 5 on one cell's right side
@@ -842,8 +830,8 @@ class TestChecksCanFail:
 
 class TestOneSumPerRow:
     def test_interior_annihilator_sums_each_row_once(self, monkeypatch, capsys):
-        # the boundary rows are summed once, to build their numerators, and the
-        # residual sums the interior rows only
+        # the residual is the only row sum an annihilator makes, over the
+        # interior rows; the other rows hold by definition and are never summed
         argv = ["verify", "interior-annihilator", "--p", "5,7,11,13", "--r-max", "60", "--jobs", "1"]
         summed = []
         row_sums = combinatorics._row_sum_numerators
@@ -855,14 +843,14 @@ class TestOneSumPerRow:
         monkeypatch.setattr(combinatorics, "_row_sum_numerators", counting)
         assert main(argv) == 0
         cells = [line.split(",")[1:4] for line in capsys.readouterr().out.splitlines()[1:]]
-        assert sum(summed) == sum(len(all_row_indices(*map(int, cell))) for cell in cells) == 5590
+        assert sum(summed) == sum(len(interior_row_indices(*map(int, cell))) for cell in cells) == 3730
 
 
 class TestFractionOnlyAtTheEdge:
     # the public builders that return a rational; every check below them runs in int
     PUBLIC = {
         "lambda_values_by_differences", "vartheta", "solve_interior_system",
-        "column_constants", "boundary_values", "residual", "verify_vanishing_double_sum",
+        "column_constants", "residual", "verify_vanishing_double_sum",
     }
 
     def test_fraction_built_only_by_public_report_builders(self):
@@ -883,6 +871,6 @@ class TestFractionOnlyAtTheEdge:
 
     def test_annihilator_fields_are_integers(self):
         sysm = build_interior_annihilator(5, 26, 2)
-        for field in ("column_numerators", "row_values", "boundary_numerators"):
+        for field in ("column_numerators", "row_values"):
             assert all(type(v) is int for v in getattr(sysm, field).values()), field
         assert type(sysm.den) is int and sysm.den > 0

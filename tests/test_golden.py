@@ -61,6 +61,13 @@ CASES += [
     ("verify-matrix-entries-rejected.csv", "verify matrix-entries --p 5 --r 14 --alpha 0..4".split(), 2),
     ("verify-matrix-entries-rejected.json",
      "verify matrix-entries --p 5 --r 14 --alpha 0..4 --format json".split(), 2),
+    # pinned cells at and above rho = 4 are reported, exit 2
+    ("verify-interior-annihilator-rejected.csv", "verify interior-annihilator --p 5 --r 26 --alpha 0..5".split(), 2),
+    ("verify-interior-annihilator-rejected.json",
+     "verify interior-annihilator --p 5 --r 26 --alpha 0..5 --format json".split(), 2),
+    # r = 14 is not of the rho shape r = rho(p+1) + p - 2 and is reported, exit 2
+    ("verify-rho-annihilator-rejected.csv", "verify rho-annihilator --p 5 --r 14..15".split(), 2),
+    ("verify-rho-annihilator-rejected.json", "verify rho-annihilator --p 5 --r 14..15 --format json".split(), 2),
     ("slopes.csv", "slopes --p 2,5 --k 12..30".split(), 0),
     ("slopes-approx.csv", "slopes --p 5,59 --k 12..16 --approx".split(), 0),
     ("slopes.json", "slopes --p 2,5 --k 12..24 --format json".split(), 0),
