@@ -295,9 +295,8 @@ def _check_integrality(p, r, alpha):
 
 def _check_hecke(p, t, delta, alpha):
     rep = sh.verify_T_expansion(sh.SurrogateParams(p=p, t=t, delta=delta), alpha)
-    ok = rep.matches and rep.combined_form_matches is not False
     return _identity(
-        "hecke", ok, 1, p=p, t=t, delta=delta, alpha=alpha, mismatch=rep.first_mismatch
+        "hecke", rep.matches, 1, p=p, t=t, delta=delta, alpha=alpha, mismatch=rep.first_mismatch
     )
 
 
@@ -545,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"output path (relative paths use ${OUT_DIR_ENV} when set)")
         if jobs:
             sp.add_argument("--jobs", type=_parse_jobs, default=1,
-                            help="worker processes, at most the CPU count and the number of cells")
+                            help="worker processes: the pool has min(--jobs, CPU count, task groups)")
 
     def bounds(sp, *names):  # None: cmd_verify fills the default of a bound the target reads
         for dest in names:

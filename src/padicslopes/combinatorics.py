@@ -628,6 +628,14 @@ def verify_vanishing_double_sum(p: int, r: int, alpha: int) -> DoubleSumReport:
     """sum_l C_l C(r-alpha+l, i(p-1)+l) = 0 for i = 1..rho', coefficient-wise,
     with C_l = N_l / den from _column_numerators over the raw Lambda table
     (n, den = (p-1)^rho' rho'!).
+
+    The sums vanish on every cell.  With n_i = i(p-1) + alpha and m = alpha - l,
+    the trinomial revision C(r, m) C(r-m, i(p-1)+l) = C(r, n_i) C(n_i, m)
+    turns row i into C(r, n_i) sum_m Lambda(alpha, alpha-m) C(n_i, m), which
+    the defining identity at X = i (see lemma_checks.integrality_checks)
+    makes C(r, n_i) C(rho'-i, rho'): 0 for 1 <= i <= rho'.  Like
+    lambda-system, the target stays as a check of its kernels: the Lambda
+    table, the column numerators and the diagonal table's rows.
     """
     _check_prime_gt3(p)
     rp = general_rho_prime(p, r, alpha)  # a rho-case cell has constants but no double sum

@@ -302,6 +302,14 @@ def integrality_checks(p: int, r: int, alpha: int) -> IntegralityReport:
     = den C(R - X, R).  The cleared identity of the C''_j is rho'! times it.
     Gate criterion 7 runs the lambda-system check, an evaluation independent
     of the difference kernel, on every key of its grid.
+
+    The verdict itself holds on every cell.  C'_l = Lambda_R(alpha, alpha-m)
+    = n_m / den = Delta^m f(0) with f(s) = C(R + (alpha-s)/(p-1), R).  As
+    p - 1 is a p-adic unit, (alpha-s)/(p-1) lies in Z_p for every integer s,
+    and the binomial polynomial C(x + R, R) maps Z, hence its closure Z_p,
+    into Z_p; so f maps Z into Z_p, and so do its forward differences.  The
+    target's information is its margin, which gate criterion 7 pins at 0 at
+    every prime; like lambda-system, it stays as a check of its kernels.
     """
     _check_prime_gt3(p)
     variant, rp = lambda_variant(p, r, alpha)

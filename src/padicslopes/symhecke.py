@@ -406,22 +406,15 @@ def hecke_T(s: FormalSum, sp: SurrogateParams) -> FormalSum:
 
 @dataclass(frozen=True)
 class TExpansionReport:
-    sp: SurrogateParams
-    alpha: int
     matches: bool
-    combined_form_applicable: bool
-    combined_form_matches: bool | None
     first_mismatch: str | None
 
 
-def _xi_sum_value(sp: SurrogateParams, alpha: int, lift: int, offset: int) -> tuple[int, ...]:
+def _xi_sum_value(sp: SurrogateParams, alpha: int, lift: int) -> tuple[int, ...]:
     """The coefficients mod p^M of the xi-sum expansion of
-    x^a (-[mu] x + p y)^(t-a) - x^(a+d)(...)^(t-a-d), with the coefficient of
-    x^(t-xi) y^xi written as
-    ((-[mu])^(t-a-xi) C(t-a, xi) - (-[mu])^(t-a-offset-xi) C(t-a-d, xi)) p^xi.
-    offset = delta is the exact expansion; offset = 0 is the combined form
-    with a single common power of (-[mu]), equal to it only when
-    (-[mu])^delta = 1."""
+    x^a (-[mu] x + p y)^(t-a) - x^(a+d) (-[mu] x + p y)^(t-a-d), with the
+    coefficient of x^(t-xi) y^xi written as
+    ((-[mu])^(t-a-xi) C(t-a, xi) - (-[mu])^(t-a-d-xi) C(t-a-d, xi)) p^xi."""
     p, M, t, d = sp.p, sp.M, sp.t, sp.delta
     q = p**M
     n = t - alpha
@@ -431,7 +424,7 @@ def _xi_sum_value(sp: SurrogateParams, alpha: int, lift: int, offset: int) -> tu
     for xi in range(n + 1):
         c = binom[n][xi] * pu[n - xi]
         if xi <= n - d:
-            c -= binom[n - d][xi] * pu[n - offset - xi]
+            c -= binom[n - d][xi] * pu[n - d - xi]
         coeffs[t - xi] = c * pp[xi] % q
     return tuple(coeffs)
 
@@ -440,28 +433,30 @@ def verify_T_expansion(sp: SurrogateParams, alpha: int) -> TExpansionReport:
     """Compare hecke_T(1 . h_alpha) against the independently expanded
     right-hand side: sum_mu [[p,[mu]],[0,1]] . A_mu + [[1,0],[0,p]] . A with
     A_mu the exact xi-sum and A = p^a x^a y^(t-a) - p^(a+d) x^(a+d) y^(t-a-d).
+
+    The single-power form of A_mu, with one common power
+    (-[mu])^(t-a-xi) in both binomial sums, needs no check of its own: where
+    it applies it is this same FormalSum.  For mu != 0 the lift [mu] is a
+    unit with [mu]^p = [mu] mod p^M, so [mu]^(p-1) = 1 mod p^M.  When
+    2 | delta and (p-1) | delta, (-[mu])^delta = 1, so the powers pu of
+    -[mu] in _xi_sum_value have pu[j + delta] == pu[j], and the xi-sum with
+    the common power equals the exact one coefficient by coefficient.
+    mu = 0 takes the exact xi-sum in both forms.  The acceptance gate checks
+    the lifts' congruences once per (p, M).
     """
     p, M, t, d = sp.p, sp.M, sp.t, sp.delta
     q = p**M
     h, _ = h_polys(sp, alpha)
     lhs = hecke_T(FormalSum.unit(h), sp)
 
-    lifts = teichmuller_lifts(p, M)
     a_coeffs = [0] * (t + 1)
     a_coeffs[alpha], a_coeffs[alpha + d] = pow(p, alpha, q), -pow(p, alpha + d, q) % q
     a_val = SymPoly._of(t, p, M, tuple(a_coeffs), Fraction(-t, 2))
+    rhs = FormalSum._empty(p)
+    for lift in teichmuller_lifts(p, M):  # the xi-sum values share a_val's degree, p, M and twist
+        rhs._insert((p, lift, 0, 1), SymPoly._of(t, p, M, _xi_sum_value(sp, alpha, lift), a_val.twist))
+    rhs._insert((1, 0, 0, p), a_val)
 
-    def expansion(offsets: list[int]) -> FormalSum:
-        """The right-hand side with the xi-sum of mu taken at offsets[mu]; the
-        xi-sum values share a_val's degree, p, M and twist."""
-        out = FormalSum._empty(p)
-        for mu in range(p):
-            coeffs = _xi_sum_value(sp, alpha, lifts[mu], offsets[mu])
-            out._insert((p, lifts[mu], 0, 1), SymPoly._of(t, p, M, coeffs, a_val.twist))
-        out._insert((1, 0, 0, p), a_val)
-        return out
-
-    rhs = expansion([d] * p)
     matches = lhs == rhs
     mismatch = None
     if not matches:
@@ -469,16 +464,4 @@ def verify_T_expansion(sp: SurrogateParams, alpha: int) -> TExpansionReport:
             if lhs.terms.get(rep) != rhs.terms.get(rep):
                 mismatch = f"coset {rep}: {lhs.terms.get(rep)} != {rhs.terms.get(rep)}"
                 break
-
-    # the single-common-power form needs (-[mu])^delta = 1, so it applies to
-    # mu != 0 when lcm(2, p-1) | delta; mu = 0 always needs the exact form
-    applicable = d % 2 == 0 and d % (p - 1) == 0
-    combined = lhs == expansion([d] + [0] * (p - 1)) if applicable else None
-    return TExpansionReport(
-        sp=sp,
-        alpha=alpha,
-        matches=matches,
-        combined_form_applicable=applicable,
-        combined_form_matches=combined,
-        first_mismatch=mismatch,
-    )
+    return TExpansionReport(matches=matches, first_mismatch=mismatch)

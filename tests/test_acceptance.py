@@ -102,6 +102,26 @@ def carry_rank_key_failures():
     return keys, [key for key in keys if rank_mod_p(comb._carry_matrix(*key), key[0]) != key[1]]
 
 
+def lift_key_failures():
+    """(keys, failing) over the distinct lift keys (p, M = t + delta + 2) of
+    the hecke gate grid, in grid order: failing lists the keys at which some
+    lift [mu] of sh.teichmuller_lifts(p, M) is not mu mod p, is not fixed by
+    x -> x^p mod p^M, or, for mu != 0, has [mu]^(p-1) != 1 mod p^M.  These
+    facts make the single-power form of the xi-sum the same sum as the exact
+    one (see symhecke.verify_T_expansion), so no verdict reads them: the
+    criterion checks them here, once per key, with pow alone."""
+    keys = list(dict.fromkeys((p, t + delta + 2) for p, t, delta, _ in gate_cells("hecke")))
+
+    def fails(p, M):
+        q, lifts = p**M, sh.teichmuller_lifts(p, M)
+        return len(lifts) != p or any(
+            lift % p != mu or pow(lift, p, q) != lift % q or (mu and pow(lift, p - 1, q) != 1)
+            for mu, lift in enumerate(lifts)
+        )
+
+    return keys, [key for key in keys if fails(*key)]
+
+
 def _least_margins(results):
     """{p: (least finite margin, first cell that reaches it)} over results."""
     least = {}
@@ -249,6 +269,9 @@ def test_criterion_8_hecke_operator():
     t0 = time.time()
     results = _verify("hecke")
     _assert_all_hold(results, 130)
+    keys, failing = lift_key_failures()
+    assert keys == [(p, M) for p in (5, 7) for M in range(5, 15)]
+    assert failing == []
 
     rng = random.Random(20260809)
     sp = sh.SurrogateParams(p=5, t=6, delta=2)
@@ -276,7 +299,9 @@ def test_criterion_8_hecke_operator():
         g = rng.choice(gens)
         assert sh.hecke_T(s.act(g), sp) == sh.hecke_T(s, sp).act(g)
     _report(8, time.time() - t0, "<60s",
-            f"expansion identity on {len(results)} grid cells; linearity and equivariance on 100 random instances")
+            f"expansion identity on {len(results)} grid cells; Teichmuller lifts ([mu] = mu mod p, "
+            f"[mu]^p = [mu], [mu]^(p-1) = 1 for mu != 0) on their {len(keys)} keys (p, M); "
+            "linearity and equivariance on 100 random instances")
 
 
 def test_criterion_9_modular_forms():

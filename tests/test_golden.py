@@ -80,6 +80,10 @@ CASES += [
     ("lambda.json", "lambda --p 7 --R 4 --alpha 9 --format json".split(), 0),
     ("hecke-check.csv", "hecke-check --p 5,7 --t-max 4 --delta-max 2".split(), 0),
     ("hecke-check.json", "hecke-check --p 5 --t-max 3 --format json".split(), 0),
+    # 13 of the 120 cells, p = 5 at delta = 4 and p = 7 at delta = 6, have 2 | delta and
+    # (p - 1) | delta, where the single-power xi-sum applies (see symhecke.verify_T_expansion)
+    ("hecke-check-applicable.csv", "hecke-check --p 5,7 --t-max 7 --delta-max 6".split(), 0),
+    ("hecke-check-applicable.json", "hecke-check --p 5,7 --t-max 7 --delta-max 6 --format json".split(), 0),
 ]
 
 # one case per command and format, replayed to stdout instead of --out

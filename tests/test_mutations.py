@@ -39,6 +39,14 @@ as combinatorics.factor_and_rank_checks proves.  Gate criterion 3 checks
 the rank once per carry-matrix key (p, R, gamma) of its grid, and a test
 below shows that a carry-matrix fault breaks that check while every
 matrix-entries verdict still holds.
+
+The single-power form of the hecke expansion, with one common power of
+-[mu] in both binomial sums of each xi-sum, is no conjunct: where
+2 | delta and (p-1) | delta it is the same formal sum as the exact
+expansion, because every unit lift [mu] has [mu]^(p-1) = 1 mod p^M (see
+symhecke.verify_T_expansion).  Gate criterion 8 checks the lifts once per
+key (p, M) of its grid, and a test below shows that a lift fault breaks
+that check while every hecke verdict still holds.
 """
 
 from argparse import Namespace
@@ -54,7 +62,8 @@ from padicslopes.cli import VERIFY_TARGETS
 from lambda_oracle import theta_expansion_errors
 from lemma_oracle import lemma9_disagreements
 from test_acceptance import (
-    GATE_GRIDS, carry_rank_key_failures, gate_cells, integrality_key_failures, theta_key_systems,
+    GATE_GRIDS, carry_rank_key_failures, gate_cells, integrality_key_failures, lift_key_failures,
+    theta_key_systems,
 )
 from test_combinatorics import _ratio_off_by_one
 
@@ -110,7 +119,7 @@ def _integrality(cell, record):
 def _hecke(cell, record):
     p, t, delta, alpha = cell
     rep = sh.verify_T_expansion(sh.SurrogateParams(p=p, t=t, delta=delta), alpha)
-    return {"matches": rep.matches, "combined_form_matches": rep.combined_form_matches is not False}
+    return {"matches": rep.matches}
 
 
 CONJUNCTS = {
@@ -250,7 +259,6 @@ ROWS = [
     ("rho-annihilator", "residual_zero", comb, "_binomial_row", _ratio_fault),
     ("integrality", "c_prime_integral", lc, "factorial_valuation", _one_more),
     ("hecke", "matches", sh.FormalSum, "_insert", _insert_ignoring_k),
-    ("hecke", "combined_form_matches", sh, "teichmuller_lifts", _untwisted_lifts),
 ]
 
 
@@ -346,6 +354,19 @@ def test_a_carry_fault_breaks_the_rank_key_check(monkeypatch):
     assert _first_failing("matrix-entries") is None
     monkeypatch.undo()
     assert carry_rank_key_failures()[1] == []
+
+
+def test_a_lift_fault_breaks_the_lift_key_check(monkeypatch):
+    # with 0, 1, ..., p-1 for the lifts, T and the xi-sum side insert under
+    # the same faulty keys, so all 130 hecke verdicts hold; the key check of
+    # criterion 8 sees the fault at every key (p, M), since 2^p != 2 mod p^M
+    monkeypatch.setattr(sh, "teichmuller_lifts", _untwisted_lifts(sh.teichmuller_lifts))
+    keys, failing = lift_key_failures()
+    assert len(keys) == 20 and failing == keys
+    assert _first_failing("hecke") is None and len(gate_cells("hecke")) == 130
+    monkeypatch.undo()
+    _memo.reset()
+    assert lift_key_failures()[1] == []
 
 
 def test_the_residual_sums_no_row_on_exactly_four_gate_cells():

@@ -624,7 +624,7 @@ class TestFusedHecke:
         monkeypatch.setattr(SymPoly, "__post_init__", lambda self: built.append(self) or post_init(self))
         monkeypatch.setattr(symhecke, "_check_prime", checks.append)
         rep = verify_T_expansion(sp, 2)
-        assert rep.matches and rep.combined_form_applicable
+        assert rep.matches
         assert built == [] and checks == []
 
 
@@ -666,13 +666,6 @@ class TestTExpansion:
         sp = SurrogateParams(p=p, t=t, delta=d)
         rep = verify_T_expansion(sp, a)
         assert rep.matches, rep.first_mismatch
-
-    def test_combined_form_when_applicable(self):
-        # lcm(2, p-1) | delta: the single-power combined form agrees for mu != 0
-        sp = SurrogateParams(p=5, t=8, delta=4)
-        rep = verify_T_expansion(sp, 2)
-        assert rep.combined_form_applicable
-        assert rep.combined_form_matches
 
 
 class TestThetaMachinery:
