@@ -10,12 +10,13 @@ point.
 
 Every witness valuation is a sum of table lookups.  By Kummer,
 (p-1) v_p(C(a+b, a)) = s_p(a) + s_p(b) - s_p(a+b), so the binomials of lemmas
-10, 11, 13 and 14 are read from one base-p digit-sum table (padic._digit_sums,
-the table lemma 9 reads), and the column witnesses of lemmas 12 and 15 add
-one such carry count to v_p(Lambda(alpha, l) p^l).  The route that builds
-each binomial and Lambda column numerator and divides out p is kept in
-tests/lemma_oracle.py as an oracle, and so is the valuation recurrence that
-lemma 9's carry-count rows are tested against.
+10, 11, 13 and 14 are read from one base-p digit-sum table (padic._digit_sums),
+and the column witnesses of lemmas 12 and 15 add one such carry count to
+v_p(Lambda(alpha, l) p^l).  The route that builds each binomial and Lambda
+column numerator and divides out p is kept in tests/lemma_oracle.py as an
+oracle.  Lemma 9 reads no table: its row maximum has a closed form (see
+sweep_lemma9), and its oracles, the digit-sum rows and the valuation
+recurrence, are kept there too.
 
 A raw Lambda table depends on (p, rho', alpha) only, not on r, so a sweep
 meets each one on many cells.  Lemmas 12 and 15 and integrality_checks read
@@ -27,9 +28,7 @@ or a trace of those names sees every real build.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from itertools import repeat
 
 from ._memo import memo
 from .combinatorics import (
@@ -213,49 +212,46 @@ class Lemma9Report:
     checked: int
     verdict: str
     max_valuation_seen: int
-    violations: tuple[tuple[int, int], ...]  # (a, b) pairs
 
 
-def _drop_row(sums: list[int], a: int) -> list[int]:
-    """[s_p(b) + s_p(a-b) - s_p(a) for b in 0..a], from the digit-sum table
-    sums: (p-1) times the carry count of b + (a-b), for every b at once."""
-    return list(map(operator.sub, map(operator.add, sums[: a + 1], sums[a::-1]), repeat(sums[a])))
+def _carry_row_max(p: int, a: int) -> int:
+    """max_b v_p(C(a, b)) over 0 <= b <= a, for a >= 1: the closed form
+    max(0, floor(log_p a) - v_p(a + 1)) (see sweep_lemma9)."""
+    return max(0, integer_log(p, a) - _vp(a + 1, p))
 
 
 def sweep_lemma9(p: int, a_max: int) -> Lemma9Report:
     """The carry bound v_p(C(a, b)) <= floor(log_p a) for every 0 <= b <= a
     with 1 <= a <= a_max.  a = 0 lies outside the sweep (log_p 0 is
     undefined), so a_max < 1 would check nothing and is a ValueError.
+    checked counts the pairs (a, b) the bound covers, a + 1 in row a.
 
-    The sweep runs by rows, one per a, each scaled by p-1: Kummer's carry
-    count of b + (a-b) in digit-sum form, (p-1) carries = s_p(b) + s_p(a-b)
-    - s_p(a), read from one base-p digit-sum table (padic._digit_sums, read
-    here as a module global), against (p-1) floor(log_p a).  The bound is
-    compared with the row's largest entry; only a row that exceeds it is
-    walked pair by pair, so violations keep their (a, b) order.  The
-    valuation recurrence v(C(a, b)) = v(C(a, b-1)) + v(a-b+1) - v(b), which
-    never reads a digit, is the oracle of these rows in tests/lemma_oracle.py.
+    The bound holds on every row, so the verdict is "holds" by this proof.
+    By Kummer, v_p(C(a, b)) counts the borrows of a - b in base p.  The top
+    digit position of a never borrows, since b <= a, and nor does the
+    trailing run of (p-1) digits of a, whose length t is v_p(a + 1).  Every
+    other position below the top borrows at once for the b whose digit at
+    position t is a's plus one, whose digits above it below the top are a's
+    own, and whose other digits are 0.  So the row maximum is
+    max(0, floor(log_p a) - v_p(a + 1)), the max(0, .) for a = p^j - 1,
+    where no b borrows.  It is at most floor(log_p a), and equal to it
+    where p does not divide a + 1.
+
+    max_valuation_seen is the largest row maximum, one O(log a) evaluation
+    of _carry_row_max per row, so the sweep is linear in a_max.  It is
+    floor(log_p a_max), reached at (p^e, 1).  Gate criterion 1 compares the
+    closed form with two oracle rows in tests/lemma_oracle.py on every row
+    of its grid: Kummer's digit-sum row and the valuation recurrence.
     """
     if a_max < 1:
         raise ValueError(f"lemma 9 sweeps 1 <= a <= a_max, got a_max={a_max}")
     _check_prime(p)
-    sums = _digit_sums(p, a_max)
-    violations: list[tuple[int, int]] = []
-    top = 0  # the largest entry of any row: p-1 times the largest carry count
-    for a in range(1, a_max + 1):
-        limit = (p - 1) * integer_log(p, a)
-        drops = _drop_row(sums, a)
-        row_top = max(drops)
-        if row_top > limit:
-            violations += [(a, b) for b, d in enumerate(drops) if d > limit]
-        top = max(top, row_top)
     return Lemma9Report(
         p=p,
         a_max=a_max,
         checked=a_max * (a_max + 3) // 2,  # a + 1 pairs in row a
-        verdict="holds" if not violations else "fails",
-        max_valuation_seen=top // (p - 1),
-        violations=tuple(violations[:100]),
+        verdict="holds",
+        max_valuation_seen=max(_carry_row_max(p, a) for a in range(1, a_max + 1)),
     )
 
 

@@ -19,17 +19,18 @@ report that ``_report`` builds, so the tests can compare whole reports:
 
 It also keeps the cleared integrality identity, which production does not
 evaluate: it is rho'! times the defining identity, which holds by
-construction (see lemma_checks.integrality_checks).  And it keeps the
-oracle of the lemma-9 sweep: production's rows are Kummer's carry counts in
-digit-sum form, and ``recurrence_rows`` builds the same rows from the
-valuation recurrence, which never reads a digit.
+construction (see lemma_checks.integrality_checks).  And it keeps the two
+oracles of the lemma-9 sweep, whose row maximum production takes in closed
+form: ``digit_sum_row`` is Kummer's carry counts of a row in digit-sum form,
+and ``recurrence_rows`` builds the same rows from the valuation recurrence,
+which never reads a digit.
 """
 
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 from padicslopes import lemma_checks
 from padicslopes.combinatorics import (
@@ -191,15 +192,23 @@ def recurrence_rows(p: int, a_max: int):
         yield list(accumulate(map(operator.sub, scaled_vp[a:0:-1], scaled_vp[1 : a + 1]), initial=0))
 
 
-def lemma9_disagreements(p: int, a_max: int) -> list[tuple[int, int]]:
-    """The pairs (a, b), 1 <= a <= a_max, where the digit-sum row that
-    ``lemma_checks.sweep_lemma9`` checks differs from the recurrence row,
-    in (a, b) order.  The rows are built by production's kernels, read as
-    module globals, so a patched ``_digit_sums`` or ``_drop_row`` is seen."""
+def digit_sum_row(sums: list[int], a: int) -> list[int]:
+    """[s_p(b) + s_p(a-b) - s_p(a) for b in 0..a], from the digit-sum table
+    sums: (p-1) times the carry count of b + (a-b), for every b at once."""
+    return list(map(operator.sub, map(operator.add, sums[: a + 1], sums[a::-1]), repeat(sums[a])))
+
+
+def lemma9_disagreements(p: int, a_max: int) -> list[int]:
+    """The rows a, 1 <= a <= a_max, in order, where the digit-sum row and the
+    recurrence row differ, or where (p-1) times the closed form
+    ``lemma_checks._carry_row_max`` differs from their largest entry.  Each
+    oracle row is built once.  The digit sums and the closed form are read as
+    module globals of ``lemma_checks``, so a patched ``_digit_sums`` or
+    ``_carry_row_max`` is seen."""
     sums = lemma_checks._digit_sums(p, a_max)
     out = []
     for a, oracle in enumerate(recurrence_rows(p, a_max), start=1):
-        drops = lemma_checks._drop_row(sums, a)
-        if drops != oracle:
-            out += [(a, b) for b, (d, o) in enumerate(zip(drops, oracle)) if d != o]
+        row = digit_sum_row(sums, a)
+        if row != oracle or max(row) != (p - 1) * lemma_checks._carry_row_max(p, a):
+            out.append(a)
     return out

@@ -157,11 +157,13 @@ def test_criterion_1_lemma9_sweep():
     _assert_all_hold(results, 6)
     for (p, a_max), _, checked, _, _ in results:
         assert checked == sum(a + 1 for a in range(1, a_max + 1))
-        assert lemma9_disagreements(p, a_max) == [], f"digit-sum rows differ from the recurrence at p={p}"
+        rows = lemma9_disagreements(p, a_max)
+        assert rows == [], f"closed form or oracle rows disagree at p={p}, rows a = {rows[:5]}"
     _report(1, time.time() - t0, "<60s",
-            "digit-sum carry count (s_p(b)+s_p(a-b)-s_p(a))/(p-1) = recurrence valuation "
-            "v(C(a,b-1)) + v(a-b+1) - v(b) <= floor(log_p a) on "
-            f"{sum(checked for _, _, checked, _, _ in results)} triples")
+            "closed-form row maximum max(0, floor(log_p a) - v_p(a+1)) = largest digit-sum carry count "
+            "(s_p(b)+s_p(a-b)-s_p(a))/(p-1), whose row = recurrence row v(C(a,b-1)) + v(a-b+1) - v(b), "
+            f"on {sum(a_max for (_, a_max), *_ in results)} rows "
+            f"({sum(checked for _, _, checked, _, _ in results)} triples)")
 
 
 def test_criterion_2_lambda_system():

@@ -13,7 +13,9 @@ import pytest
 from padicslopes import cli
 from padicslopes import lemma_checks as lc
 from padicslopes.cli import main
-from padicslopes.padic import INFINITY
+from padicslopes.padic import INFINITY, integer_log
+
+from lemma_oracle import recurrence_rows
 
 
 def run_console(args):
@@ -135,6 +137,27 @@ class TestVerifyCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 4
         assert all("holds" in ln for ln in lines[1:])
+
+    def test_lemma9_sweep_is_linear(self, tmp_path):
+        # the closed-form row maximum makes a sweep to 10^6 one O(log a)
+        # evaluation per row; the pair count stays a(a+3)/2
+        out, a_max = tmp_path / "v.json", 10**6
+        assert run_cli(["verify", "lemma9", "--p", "2", "--a-max", str(a_max), "--format", "json"], out) == 0
+        [record] = json.loads(out.read_text())["records"]
+        assert (record["checked"], record["max_valuation"]) == (a_max * (a_max + 3) // 2, 19)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_lemma9_maximum_is_the_log_of_a_max(self, p):
+        # at every a_max the largest v_p(C(a, b)) is floor(log_p a_max),
+        # reached at (p^e, 1): checked on the recurrence oracle's rows
+        top = 0
+        for a, row in enumerate(recurrence_rows(p, 2000), start=1):
+            top = max(top, max(row) // (p - 1))
+            e = integer_log(p, a)
+            assert top == e, a
+            if a == p**e:
+                assert row[1] == (p - 1) * e
+        assert lc.sweep_lemma9(p, 2000).max_valuation_seen == e
 
     def test_double_sum_target(self, tmp_path):
         out = tmp_path / "v.csv"

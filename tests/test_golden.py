@@ -5,13 +5,23 @@ Each case is one small invocation whose exact output is stored under
 code.  The fixtures are a safety net for refactors: any change to a verdict,
 a row, a column or the serialization shows up here.
 
+With PADICSLOPES_GOLDEN_ENTRY_POINT naming an installed console script, each
+case runs through that script in a child process instead, and its stdout is
+compared with the fixture, so the installed entry point is checked on every
+case:
+
+    PADICSLOPES_GOLDEN_ENTRY_POINT=padicslopes python3 -m pytest tests/test_golden.py
+
 Rewrite the fixtures, and the demo outputs under ``tests/golden/demos/``
 (only when an output change is intended), with
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+which prints the path of every file whose bytes changed.
 """
 
 import os
+import subprocess
 import sys
 
 import pytest
@@ -19,6 +29,7 @@ import pytest
 from padicslopes.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+ENTRY_POINT = os.environ.get("PADICSLOPES_GOLDEN_ENTRY_POINT")
 
 # one small configuration per verify target (and one alias), in both formats
 VERIFY = {
@@ -99,10 +110,16 @@ def _run(argv, path):
 
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
 def test_golden_output(name, argv, code, tmp_path):
-    out = tmp_path / name
-    assert _run(argv, out) == code
+    if ENTRY_POINT:
+        proc = subprocess.run([ENTRY_POINT, *argv], capture_output=True, timeout=120)
+        got, output = proc.returncode, proc.stdout
+    else:
+        out = tmp_path / name
+        got = _run(argv, out)
+        output = out.read_bytes()
+    assert got == code
     with open(os.path.join(GOLDEN, name), "rb") as fh:
-        assert out.read_bytes() == fh.read()
+        assert output == fh.read()
 
 
 @pytest.mark.parametrize("name,argv,code", STDOUT_CASES, ids=[c[0] for c in STDOUT_CASES])
@@ -112,12 +129,25 @@ def test_golden_stdout(name, argv, code, capsys):
         assert capsys.readouterr().out.encode() == fh.read()
 
 
+def _read(path):
+    """The bytes of path, or None if it does not exist."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except FileNotFoundError:
+        return None
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     for name, argv, code in CASES:
-        got = _run(argv, os.path.join(GOLDEN, name))
+        path = os.path.join(GOLDEN, name)
+        before = _read(path)
+        got = _run(argv, path)
         if got != code:
             sys.exit(f"{name}: exit code {got}, expected {code}")
+        if _read(path) != before:
+            print(f"rewrote {os.path.relpath(path)}")
     from test_demos import DEMOS, GOLDEN_DEMOS, fixture_path, run_demo
 
     os.makedirs(GOLDEN_DEMOS, exist_ok=True)
@@ -125,5 +155,7 @@ if __name__ == "__main__":
         proc = run_demo(path)
         if proc.returncode:
             sys.exit(f"{path}: exit code {proc.returncode}\n{proc.stderr.decode()}")
-        with open(fixture_path(path), "wb") as fh:
-            fh.write(proc.stdout)
+        if _read(fixture_path(path)) != proc.stdout:
+            with open(fixture_path(path), "wb") as fh:
+                fh.write(proc.stdout)
+            print(f"rewrote {os.path.relpath(fixture_path(path))}")

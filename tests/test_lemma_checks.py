@@ -36,6 +36,7 @@ from lemma_oracle import (
     c_constants,
     cleared_identity_holds,
     core_valuation_by_vp,
+    digit_sum_row,
     lemma9_disagreements,
     recurrence_rows,
     verify_lemma_by_fractions,
@@ -306,45 +307,47 @@ class TestIntegerRouteAgainstOracle:
         assert _lemma_record(rep) == _lemma_record(oracle)
         assert rep == oracle
 
-    def test_lemma9_matches_brute_division(self, monkeypatch):
+    def test_lemma9_matches_brute_division(self):
         ps, a_max = (2, 3, 5, 7, 11, 13), 150
-        reports = {p: sweep_lemma9(p, a_max) for p in ps}
         for p in ps:
             sums = lc._digit_sums(p, a_max)
             brute = {}
             for a, recurrence in enumerate(recurrence_rows(p, a_max), start=1):
                 brute[a] = [_brute_valuation(math.comb(a, b), p) for b in range(a + 1)]
-                # the checked digit-sum row and the recurrence oracle's row,
-                # each compared with brute division on every pair
-                assert lc._drop_row(sums, a) == recurrence == [(p - 1) * v for v in brute[a]]
-            assert reports[p].verdict == "holds"
-            assert reports[p].max_valuation_seen == max(map(max, brute.values()))
+                # the digit-sum row and the recurrence row, each compared with
+                # brute division on every pair, and the closed form with the
+                # row's largest brute valuation
+                assert digit_sum_row(sums, a) == recurrence == [(p - 1) * v for v in brute[a]]
+                assert lc._carry_row_max(p, a) == max(brute[a])
+            rep = sweep_lemma9(p, a_max)
+            assert rep.verdict == "holds"
+            assert rep.max_valuation_seen == max(map(max, brute.values()))
 
-        # the sweep over brute division: s_p(n) = n - (p-1) v_p(n!) (Legendre)
-        # with v_p(n!) by dividing 1..n, so this table's rows are
-        # (p-1) v_p(C(a, b)) by brute division
-        def brute_digit_sums(p, n_max):
+            # the digit-sum table by brute division: s_p(n) = n - (p-1) v_p(n!)
+            # (Legendre), with v_p(n!) by dividing 1..n
             vfact = [0]
-            for n in range(1, n_max + 1):
+            for n in range(1, a_max + 1):
                 vfact.append(vfact[-1] + _brute_valuation(n, p))
-            return [n - (p - 1) * vfact[n] for n in range(n_max + 1)]
-
-        built = []
-        monkeypatch.setattr(lc, "_digit_sums", lambda p, n_max: built.append(p) or brute_digit_sums(p, n_max))
-        assert {p: sweep_lemma9(p, a_max) for p in ps} == reports
-        assert built == list(ps)  # the sweep read the patched table, once per prime
+            assert sums == [n - (p - 1) * vfact[n] for n in range(a_max + 1)]
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from((2, 3, 5, 7, 11, 13)), st.integers(1, 3000))
     def test_digit_sum_row_is_the_carry_count(self, p, a):
-        assert lc._drop_row(lc._digit_sums(p, a), a) == [(p - 1) * _carries(b, a - b, p) for b in range(a + 1)]
+        # Kummer over the digit-sum table that lemmas 10-15 read, and the
+        # closed form of lemma 9 as the row's largest carry count
+        carries = [_carries(b, a - b, p) for b in range(a + 1)]
+        assert digit_sum_row(lc._digit_sums(p, a), a) == [(p - 1) * c for c in carries]
+        assert lc._carry_row_max(p, a) == max(carries)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_digit_sum_rows_at_powers(self, p):
-        # a = p^e - 1 adds without a carry; a = p^e carries the most
+        # a = p^e - 1 adds without a carry, where the closed form needs its
+        # max(0, .); a = p^e carries the most
         sums = lc._digit_sums(p, 3000)
         for a in _power_edges(p):
-            assert lc._drop_row(sums, a) == [(p - 1) * _carries(b, a - b, p) for b in range(a + 1)]
+            carries = [_carries(b, a - b, p) for b in range(a + 1)]
+            assert digit_sum_row(sums, a) == [(p - 1) * c for c in carries]
+            assert lc._carry_row_max(p, a) == max(carries) == (0 if a % p else lc.integer_log(p, a))
 
 
 def _edge_rs(p, r_max):
@@ -480,36 +483,29 @@ class TestChecksCanFail:
             return sums
 
         monkeypatch.setattr(lc, "_digit_sums", corrupted)
-        rep = sweep_lemma9(5, 60)
         # s_5(37) enters the row of (a, b) once for each of b, a-b that is 37,
         # and leaves it once if a is 37: the comparison with the recurrence
-        # sees every moved pair, first (37, 1)
-        moved = {
-            (a, b): (b == 37) + (a - b == 37) - (a == 37) for a in range(1, 61) for b in range(a + 1)
-        }
-        assert lemma9_disagreements(5, 60) == [pair for pair, step in moved.items() if step]
-        # the sweep sees the pairs that a raised entry lifts over the bound:
-        # (p-1) carries + step > (p-1) floor(log_p a) with step < p-1
-        lifted = tuple(
-            (a, b) for (a, b), step in moved.items() if step > 0 and _carries(b, a - b, 5) == lc.integer_log(5, a)
-        )
-        assert (rep.verdict, rep.violations, lifted[0]) == ("fails", lifted, (50, 13))
+        # sees every row with a moved pair, first a = 37
+        moved = {a for a in range(1, 61) for b in range(a + 1) if (b == 37) + (a - b == 37) - (a == 37)}
+        assert lemma9_disagreements(5, 60) == sorted(moved) == list(range(37, 61))
+        # the closed form reads no digit sum
+        assert sweep_lemma9(5, 60) == lc.Lemma9Report(5, 60, 1890, "holds", 2)
 
     def test_lemma9_reports_a_broken_bound(self, monkeypatch):
-        # with floor(log_p a) taken as 0, every pair with a carry breaks the bound
+        # with floor(log_p a) taken as 0 the closed form is 0 on every row, so
+        # the comparison sees every row with a carry, first a = 5, and the
+        # sweep's largest row maximum drops from 2 to 0
         monkeypatch.setattr(lc, "integer_log", lambda p, a: 0)
-        rep = sweep_lemma9(5, 60)
-        assert rep.verdict == "fails"
-        expected = [(a, b) for a in range(1, 61) for b in range(a + 1) if _carries(b, a - b, 5)]
-        assert rep.violations == tuple(expected[:100])  # first (5, 1)
-        assert rep.max_valuation_seen == 2
+        expected = [a for a in range(1, 61) if any(_carries(b, a - b, 5) for b in range(a + 1))]
+        assert lemma9_disagreements(5, 60) == expected and expected[0] == 5
+        assert sweep_lemma9(5, 60).max_valuation_seen == 0
 
     def test_lemma9_reports_a_wrong_oracle_valuation(self, monkeypatch):
         vp = lemma_oracle._vp
         monkeypatch.setattr(lemma_oracle, "_vp", lambda n, p: vp(n, p) + (n == 25))
-        # the recurrence reads v(25) first at (25, 1), through v(a-b+1); the
-        # sweep itself never reads a valuation
-        assert lemma9_disagreements(5, 60)[0] == (25, 1)
+        # the recurrence reads v(25) first in row 25, at b = 1 through
+        # v(a-b+1); the sweep reads the production _vp, not this one
+        assert lemma9_disagreements(5, 60)[0] == 25
         assert sweep_lemma9(5, 60).verdict == "holds"
 
 

@@ -7,17 +7,20 @@ in order, takes the first cell whose verdict turns "fails", and asserts that
 the named conjunct is false there and that the cell holds again once the
 fault is gone.
 
-Three former conjuncts are gone because they hold by construction: the C''
+Four former conjuncts are gone because they hold by construction: the C''
 integrality of `integrality`, the defining identity
 sum_m n_m C((p-1)X + alpha, m) = den C(rho' - X, rho') of its Lambda tables
 (Newton's forward-difference formula; see lemma_checks.integrality_checks
-for both), and the unitriangular cofactor of `det-factorization` (see
+for both), the unitriangular cofactor of `det-factorization` (see
 combinatorics.factor_and_rank_checks; the seed fault row below shows that
-the factorization sees the one fault that could break the cofactor).  The
-agreement of lemma 9's carry counts with the valuation recurrence is no
-conjunct either: gate criterion 1 compares the rows with the recurrence in
-tests/lemma_oracle.py, and a test below shows that a digit-sum fault breaks
-that comparison.
+the factorization sees the one fault that could break the cofactor), and
+the log bound of `lemma9`, which the closed-form row maximum
+max(0, floor(log_p a) - v_p(a + 1)) meets on every row (Kummer; see
+lemma_checks.sweep_lemma9).  Gate criterion 1 compares that closed form with
+the largest entry of the digit-sum row and of the valuation-recurrence row
+in tests/lemma_oracle.py, and the two rows with each other, on every row of
+its grid; tests below show that a closed-form fault and a digit-sum fault
+each break that comparison on a named first row.
 
 The theta^alpha facts of the annihilator right sides are no conjuncts
 either: vartheta_w = 0 below alpha, vartheta_alpha = p^E (1-p)^alpha (the
@@ -72,15 +75,6 @@ from test_combinatorics import _ratio_off_by_one
 # ---------------------------------------------------------------------------
 
 
-def _lemma9(cell, record):
-    """Lemma 9's verdict is its violation list: each violating pair (a, b)
-    breaks the log bound."""
-    p, a_max = cell
-    sums = lc._digit_sums(p, a_max)
-    held = all(lc._drop_row(sums, a)[b] <= (p - 1) * lc.integer_log(p, a) for a, b in record["violations"])
-    return {"log_bound": held}
-
-
 def _lemma(cell, report):
     return {"strict": report.verdict != "fails"}
 
@@ -123,7 +117,7 @@ def _hecke(cell, record):
 
 
 CONJUNCTS = {
-    "lemma9": _lemma9,
+    "lemma9": lambda cell, record: {},  # holds by construction (see the module docstring)
     **{f"lemma{i}": _lemma for i in range(10, 16)},
     "lambda-system": _lambda_system,
     "matrix-entries": _matrix_entries,
@@ -161,10 +155,6 @@ def _digit_sum_off_by_one(n):
 
 def _one_more(kernel):
     return lambda *args: kernel(*args) + 1
-
-
-def _lowered_log(integer_log):
-    return lambda p, a: max(0, integer_log(p, a) - 1)
 
 
 def _numerators_plus_one(table):
@@ -243,7 +233,6 @@ def _insert_ignoring_k(insert):
 
 # (target, conjunct, module, kernel, fault)
 ROWS = [
-    ("lemma9", "log_bound", lc, "integer_log", _lowered_log),
     ("lemma10", "strict", lc, "_carries", _undivided_carries),
     ("lemma11", "strict", lc, "_digit_sums", _digit_sum_off_by_one(12)),
     ("lemma12", "strict", lc, "factorial_valuation", _one_more),
@@ -286,18 +275,52 @@ def test_a_fault_breaks_the_conjunct(monkeypatch, name, conjunct, module, kernel
     assert VERIFY_TARGETS[name].check(*cell)[0] == "holds", cell
 
 
-def test_a_digit_sum_fault_breaks_the_lemma9_oracle_comparison(monkeypatch):
-    # a wrong s_p(37) moves rows of a >= 37 without lifting every one over
-    # the bound; gate criterion 1's comparison with the recurrence sees it
+def _first_lemma9_disagreement():
+    """(p, a) of the first row of gate criterion 1's grid where the closed
+    form or the oracle rows disagree, or None."""
     primes, bounds = GATE_GRIDS["lemma9"]
-    monkeypatch.setattr(lc, "_digit_sums", _digit_sum_off_by_one(37)(lc._digit_sums))
     for p in primes:
-        pairs = lemma9_disagreements(p, bounds["a_max"])
-        if pairs:
-            break
-    assert (p, pairs[0]) == (primes[0], (37, 1))
+        rows = lemma9_disagreements(p, bounds["a_max"])
+        if rows:
+            return p, rows[0]
+    return None
+
+
+def _trailing_run_plus_one(p, a):
+    # the trailing run of (p-1) digits of a taken one digit too long
+    return max(0, lc.integer_log(p, a) - lc._vp(a + 1, p) - ((a + 1) % p == 0))
+
+
+def _unclamped(p, a):
+    # without max(0, .), a = p^j - 1 has row maximum -1
+    return lc.integer_log(p, a) - lc._vp(a + 1, p)
+
+
+@pytest.mark.parametrize(
+    "fault,first", [(_trailing_run_plus_one, (2, 5)), (_unclamped, (2, 1))], ids=["trailing_run_plus_one", "unclamped"]
+)
+def test_a_closed_form_fault_breaks_the_lemma9_oracle_comparison(monkeypatch, fault, first):
+    # both faults differ from the true row maximum only where p | a + 1, so
+    # the sweep's largest row maximum floor(log_p a_max), reached at
+    # a = p^e, and every record of the gate grid are unchanged; gate
+    # criterion 1's comparison with the oracle rows sees the fault, at
+    # a = 5 = 101 in base 2 (one borrow, not 0) and at a = 1 = 2 - 1 (0, not -1)
+    records = [VERIFY_TARGETS["lemma9"].check(*cell) for cell in gate_cells("lemma9")]
+    monkeypatch.setattr(lc, "_carry_row_max", fault)
+    assert _first_lemma9_disagreement() == first
+    assert [VERIFY_TARGETS["lemma9"].check(*cell) for cell in gate_cells("lemma9")] == records
     monkeypatch.undo()
-    assert lemma9_disagreements(p, bounds["a_max"]) == []
+    assert lemma9_disagreements(first[0], GATE_GRIDS["lemma9"][1]["a_max"]) == []
+
+
+def test_a_digit_sum_fault_breaks_the_lemma9_oracle_comparison(monkeypatch):
+    # a wrong s_p(37) moves the digit-sum rows of a >= 37, the table that
+    # lemmas 10-15 read; gate criterion 1's comparison with the recurrence
+    # sees it at the first prime
+    monkeypatch.setattr(lc, "_digit_sums", _digit_sum_off_by_one(37)(lc._digit_sums))
+    assert _first_lemma9_disagreement() == (2, 37)
+    monkeypatch.undo()
+    assert lemma9_disagreements(2, GATE_GRIDS["lemma9"][1]["a_max"]) == []
 
 
 @pytest.mark.parametrize("fault", [_targets_times_p, _last_target_unscaled], ids=lambda fault: fault.__name__)
