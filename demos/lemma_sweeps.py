@@ -1,10 +1,13 @@
-"""Walkthrough: exhaustive valuation-lemma sweeps.
+"""Walkthrough: the valuation-lemma sweeps.
 
-Each lemma asserts strict inequalities v_p(X_0) < v_p(.) over a finite index
-window; the sweep enumerates every hypothesis-admissible cell up to a bound
-(the cells ``padicslopes verify lemmaN`` runs) and checks each window
-exactly.  Vacuous cells (empty windows) are counted separately so a "holds"
-verdict never hides an empty range.
+Lemma 9, the carry bound v_p(C(a, b)) <= floor(log_p a), holds by proof
+(Kummer): the sweep reports the pairs the bound covers and its largest
+valuation, floor(log_p a_max), without walking a row.  Each of lemmas 10-15
+asserts strict inequalities v_p(X_0) < v_p(.) over a finite index window;
+the sweep enumerates every hypothesis-admissible cell up to a bound (the
+cells ``padicslopes verify lemmaN`` runs) and checks each window exactly.
+Vacuous cells (empty windows) are counted separately so a "holds" verdict
+never hides an empty range.
 """
 
 from argparse import Namespace
@@ -13,7 +16,7 @@ from padicslopes.cli import VERIFY_TARGETS
 from padicslopes.lemma_checks import sweep_lemma9
 from padicslopes.padic import INFINITY
 
-print("carry bound v_p(C(a, b)) <= floor(log_p a) (exhaustive, from Kummer's carry counts):")
+print("carry bound v_p(C(a, b)) <= floor(log_p a) (by proof, max = floor(log_p a_max)):")
 for p in (2, 3, 5):
     rep = sweep_lemma9(p, 300)
     print(f"  p={p}: {rep.verdict} on {rep.checked} pairs, "

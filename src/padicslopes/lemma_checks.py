@@ -8,15 +8,17 @@ computation, never an estimate.  Vacuous windows are reported as such rather
 than silently passing.  The prime is validated once, at each public entry
 point.
 
-Every witness valuation is a sum of table lookups.  By Kummer,
-(p-1) v_p(C(a+b, a)) = s_p(a) + s_p(b) - s_p(a+b), so the binomials of lemmas
-10, 11, 13 and 14 are read from one base-p digit-sum table (padic._digit_sums),
-and the column witnesses of lemmas 12 and 15 add one such carry count to
-v_p(Lambda(alpha, l) p^l).  The route that builds each binomial and Lambda
-column numerator and divides out p is kept in tests/lemma_oracle.py as an
-oracle.  Lemma 9 reads no table: its row maximum has a closed form (see
-sweep_lemma9), and its oracles, the digit-sum rows and the valuation
-recurrence, are kept there too.
+Every valuation is a sum of table lookups.  By Kummer,
+(p-1) v_p(C(a+b, a)) = s_p(a) + s_p(b) - s_p(a+b), so v_p(X_0) and the
+binomials of lemmas 10, 11, 13 and 14 are read from one base-p digit-sum
+table (padic._digit_sums), and the column witnesses of lemmas 12 and 15 add
+one such carry count to v_p(Lambda(alpha, l) p^l).  Every witness and v_p(X_0)
+take -s_p(r) alike, so no margin depends on s_p(r).  The routes that build
+each binomial and Lambda column numerator and divide out p, or count the
+carries digit by digit, are kept in tests/lemma_oracle.py as oracles.  Lemma
+9 reads no table: its largest row maximum is floor(log_p a_max) (see
+sweep_lemma9), and its oracles, the row maximum in closed form, the
+digit-sum rows and the valuation recurrence, are kept there too.
 
 A raw Lambda table depends on (p, rho', alpha) only, not on r, so a sweep
 meets each one on many cells.  Lemmas 12 and 15 and integrality_checks read
@@ -43,7 +45,6 @@ from .combinatorics import (
 from .padic import (
     INFINITY,
     ExtendedValuation,
-    _carries,
     _check_prime,
     _check_prime_gt3,
     _digit_sums,
@@ -159,7 +160,8 @@ def verify_lemma(lemma_id: int, p: int, r: int, alpha: int | None = None) -> Lem
     valuation is additive: v_p(core) is two carry counts over the digit-sum
     table of p (see _core_valuation), and v_p(C_l p^l) is the memoized
     v_p(Lambda(alpha, l) p^l) of the key (p, rho', alpha) plus the carry count
-    of C(r, alpha-l).  v_p(X_0) = v_p(C(r, alpha)) is padic._carries.
+    of C(r, alpha-l).  v_p(X_0) = v_p(C(r, alpha)) is one more carry count
+    over the same table.
     """
     if lemma_id in (12, 15):
         _check_prime_gt3(p)
@@ -176,9 +178,9 @@ def verify_lemma(lemma_id: int, p: int, r: int, alpha: int | None = None) -> Lem
     else:
         raise ValueError(f"unknown lemma id {lemma_id}")
 
-    v0 = _carries(alpha, r - alpha, p)
     sums = _digit_sum_table(p, r.bit_length())
     q = p - 1
+    v0 = (sums[alpha] + sums[r - alpha] - sums[r]) // q
     if lemma_id in (10, 13):  # the rows below zero, from -1 down
         kind = "X_i"
         witnesses = [
@@ -214,12 +216,6 @@ class Lemma9Report:
     max_valuation_seen: int
 
 
-def _carry_row_max(p: int, a: int) -> int:
-    """max_b v_p(C(a, b)) over 0 <= b <= a, for a >= 1: the closed form
-    max(0, floor(log_p a) - v_p(a + 1)) (see sweep_lemma9)."""
-    return max(0, integer_log(p, a) - _vp(a + 1, p))
-
-
 def sweep_lemma9(p: int, a_max: int) -> Lemma9Report:
     """The carry bound v_p(C(a, b)) <= floor(log_p a) for every 0 <= b <= a
     with 1 <= a <= a_max.  a = 0 lies outside the sweep (log_p 0 is
@@ -234,14 +230,15 @@ def sweep_lemma9(p: int, a_max: int) -> Lemma9Report:
     position t is a's plus one, whose digits above it below the top are a's
     own, and whose other digits are 0.  So the row maximum is
     max(0, floor(log_p a) - v_p(a + 1)), the max(0, .) for a = p^j - 1,
-    where no b borrows.  It is at most floor(log_p a), and equal to it
-    where p does not divide a + 1.
+    where no b borrows.
 
-    max_valuation_seen is the largest row maximum, one O(log a) evaluation
-    of _carry_row_max per row, so the sweep is linear in a_max.  It is
-    floor(log_p a_max), reached at (p^e, 1).  Gate criterion 1 compares the
-    closed form with two oracle rows in tests/lemma_oracle.py on every row
-    of its grid: Kummer's digit-sum row and the valuation recurrence.
+    max_valuation_seen, the largest row maximum, is e = floor(log_p a_max),
+    with no row walked.  Every row maximum is at most floor(log_p a) <= e.
+    When e >= 1 the bound is reached at a = p^e <= a_max, whose row maximum
+    is e since v_p(p^e + 1) = 0 (at b = 1).  When e = 0 every a <= a_max is
+    below p, so every row maximum is 0 = e.  Gate criterion 1 compares the
+    row closed form with two oracle rows in tests/lemma_oracle.py on every
+    row of its grid: Kummer's digit-sum row and the valuation recurrence.
     """
     if a_max < 1:
         raise ValueError(f"lemma 9 sweeps 1 <= a <= a_max, got a_max={a_max}")
@@ -251,7 +248,7 @@ def sweep_lemma9(p: int, a_max: int) -> Lemma9Report:
         a_max=a_max,
         checked=a_max * (a_max + 3) // 2,  # a + 1 pairs in row a
         verdict="holds",
-        max_valuation_seen=max(_carry_row_max(p, a) for a in range(1, a_max + 1)),
+        max_valuation_seen=integer_log(p, a_max),
     )
 
 

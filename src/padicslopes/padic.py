@@ -123,25 +123,14 @@ def factorial_valuation(n: int, p: int) -> int:
     return v
 
 
-def _carries(x: int, y: int, p: int) -> int:
-    """The number of carries when adding x, y >= 0 in base p (p unchecked).
-
-    Once x and y run out of digits, an incoming carry cannot carry again.
-    """
-    carries = carry = 0
-    while x or y:
-        carry = 1 if x % p + y % p + carry >= p else 0
-        carries += carry
-        x //= p
-        y //= p
-    return carries
-
-
 def _digit_sums(p: int, n_max: int) -> list[int]:
     """[s_p(n) for n in 0..n_max], s_p the base-p digit sum (p unchecked).
 
-    By Kummer, (p-1)·carries(x, y) = s_p(x) + s_p(y) - s_p(x + y), so one
-    table gives every carry count of sums up to n_max.
+    By Kummer, (p-1) v_p(C(x + y, x)) = s_p(x) + s_p(y) - s_p(x + y), the
+    carries of x + y in base p, so one table gives the valuation of every
+    binomial with top at most n_max.  It is the one Kummer route in this
+    package; a scalar carry count is kept in tests/lemma_oracle.py as an
+    oracle.
     """
     sums = [0] * (n_max + 1)
     for n in range(1, n_max + 1):
@@ -150,14 +139,14 @@ def _digit_sums(p: int, n_max: int) -> list[int]:
 
 
 def binomial_valuation(a: int, b: int, p: int) -> int:
-    """v_p(C(a, b)) as the number of base-p carries when adding b and a-b.
+    """v_p(C(a, b)) = v_p(a!) - v_p(b!) - v_p((a-b)!), by Legendre's formula.
 
-    Kummer's theorem; for a >= 1 the count is at most floor(log_p(a)).
+    For a >= 1 it is at most floor(log_p(a)) (see lemma_checks.sweep_lemma9).
     """
     _check_prime(p)
     if not 0 <= b <= a:
         raise ValueError(f"need 0 <= b <= a, got a={a}, b={b}")
-    return _carries(b, a - b, p)
+    return factorial_valuation(a, p) - factorial_valuation(b, p) - factorial_valuation(a - b, p)
 
 
 def integer_log(p: int, n: int) -> int:

@@ -1,16 +1,17 @@
 """Independent routes for the valuation lemmas, kept as oracles.
 
-Production (``padicslopes.lemma_checks``) adds every witness valuation up
-from table lookups: Kummer's carry counts over one base-p digit-sum table,
-plus the memoized valuations of each raw Lambda table, and v_p(X_0) by the
-scalar carry count.  This module keeps two other routes, built into the
-report that ``_report`` builds, so the tests can compare whole reports:
+Production (``padicslopes.lemma_checks``) adds every witness valuation and
+v_p(X_0) up from table lookups: Kummer's carry counts over one base-p
+digit-sum table, plus the memoized valuations of each raw Lambda table.
+This module keeps two other routes, built into the report that ``_report``
+builds, so the tests can compare whole reports:
 
 - ``verify_lemma_by_vp`` builds each witness as an integer, the binomial
   core C(r, n) C(rho'-i, rho') with ``math.comb`` and the column numerators
   of ``combinatorics._column_numerators`` over the raw Lambda table, and
   divides out p with ``padic._vp``: production's route before it turned
-  additive.
+  additive.  Its v_p(X_0) is ``carries``, a digit-by-digit carry count
+  that production does not use.
 - ``verify_lemma_by_fractions`` builds the witnesses as exact ``Fraction``s,
   the way the lemmas state them, and splits them with ``padic.valuation``;
   v_p(X_0) = v_p(C(r, alpha)) is split the same way from ``math.comb``, so
@@ -19,11 +20,13 @@ report that ``_report`` builds, so the tests can compare whole reports:
 
 It also keeps the cleared integrality identity, which production does not
 evaluate: it is rho'! times the defining identity, which holds by
-construction (see lemma_checks.integrality_checks).  And it keeps the two
-oracles of the lemma-9 sweep, whose row maximum production takes in closed
-form: ``digit_sum_row`` is Kummer's carry counts of a row in digit-sum form,
-and ``recurrence_rows`` builds the same rows from the valuation recurrence,
-which never reads a digit.
+construction (see lemma_checks.integrality_checks).  And it keeps the
+lemma-9 sweep's routes, of which production keeps none, since its largest
+row maximum is floor(log_p a_max) by proof (see lemma_checks.sweep_lemma9):
+``carry_row_max`` is the row maximum in closed form, ``digit_sum_row`` is
+Kummer's carry counts of a row in digit-sum form, and ``recurrence_rows``
+builds the same rows from the valuation recurrence, which never reads a
+digit.
 """
 
 import math
@@ -44,9 +47,24 @@ from padicslopes.combinatorics import (
     rho_of,
 )
 from padicslopes.lemma_checks import GENERAL_LEMMAS, RHO_LEMMAS, _report
-from padicslopes.padic import INFINITY, _carries, _vp, factorial_valuation, valuation
+from padicslopes.padic import INFINITY, _vp, factorial_valuation, integer_log, valuation
 
 from lambda_oracle import comb0, generalized_binomial
+
+
+def carries(x: int, y: int, p: int) -> int:
+    """The number of carries when adding x, y >= 0 in base p: v_p(C(x+y, x))
+    by Kummer, one digit at a time.
+
+    Once x and y run out of digits, an incoming carry cannot carry again.
+    """
+    count = carry = 0
+    while x or y:
+        carry = 1 if x % p + y % p + carry >= p else 0
+        count += carry
+        x //= p
+        y //= p
+    return count
 
 
 @dataclass(frozen=True)
@@ -137,10 +155,10 @@ def core_valuation_by_vp(p: int, r: int, alpha: int, rho_prime: int, i: int):
 def verify_lemma_by_vp(lemma_id: int, p: int, r: int, alpha: int | None = None):
     """``verify_lemma`` with every witness built as an integer and its
     valuation taken by ``_vp``: the same windows, v_p(X_0) by the carry
-    count, in the report that ``_report`` builds."""
+    count ``carries``, in the report that ``_report`` builds."""
     rho, alpha, rp = _lemma_cell(lemma_id, p, r, alpha)
 
-    v0 = _carries(alpha, r - alpha, p)
+    v0 = carries(alpha, r - alpha, p)
     rows = all_row_indices(p, r, alpha)
     if lemma_id in (10, 13):
         kind = "X_i"
@@ -192,6 +210,13 @@ def recurrence_rows(p: int, a_max: int):
         yield list(accumulate(map(operator.sub, scaled_vp[a:0:-1], scaled_vp[1 : a + 1]), initial=0))
 
 
+def carry_row_max(p: int, a: int) -> int:
+    """max_b v_p(C(a, b)) over 0 <= b <= a, for a >= 1, in closed form:
+    max(0, floor(log_p a) - v_p(a + 1)) (the proof is in
+    lemma_checks.sweep_lemma9)."""
+    return max(0, integer_log(p, a) - _vp(a + 1, p))
+
+
 def digit_sum_row(sums: list[int], a: int) -> list[int]:
     """[s_p(b) + s_p(a-b) - s_p(a) for b in 0..a], from the digit-sum table
     sums: (p-1) times the carry count of b + (a-b), for every b at once."""
@@ -201,14 +226,14 @@ def digit_sum_row(sums: list[int], a: int) -> list[int]:
 def lemma9_disagreements(p: int, a_max: int) -> list[int]:
     """The rows a, 1 <= a <= a_max, in order, where the digit-sum row and the
     recurrence row differ, or where (p-1) times the closed form
-    ``lemma_checks._carry_row_max`` differs from their largest entry.  Each
-    oracle row is built once.  The digit sums and the closed form are read as
-    module globals of ``lemma_checks``, so a patched ``_digit_sums`` or
-    ``_carry_row_max`` is seen."""
+    ``carry_row_max`` differs from their largest entry.  Each oracle row is
+    built once.  The digit sums are read as the module global ``_digit_sums``
+    of ``lemma_checks``, the table that lemmas 10-15 read, so a patched
+    table is seen, and so is a patched ``carry_row_max`` of this module."""
     sums = lemma_checks._digit_sums(p, a_max)
     out = []
     for a, oracle in enumerate(recurrence_rows(p, a_max), start=1):
         row = digit_sum_row(sums, a)
-        if row != oracle or max(row) != (p - 1) * lemma_checks._carry_row_max(p, a):
+        if row != oracle or max(row) != (p - 1) * carry_row_max(p, a):
             out.append(a)
     return out

@@ -20,7 +20,7 @@ from padicslopes.cli import main as cli_main
 from padicslopes.padic import INFINITY
 
 from lambda_oracle import lambda_coefficients, lambda_defining_residual, rank_mod_p, theta_expansion_errors
-from lemma_oracle import lemma9_disagreements
+from lemma_oracle import carry_row_max, lemma9_disagreements
 
 
 PS = (5, 7, 11, 13)
@@ -155,13 +155,15 @@ def test_criterion_1_lemma9_sweep():
     t0 = time.time()
     results = _verify("lemma9")
     _assert_all_hold(results, 6)
-    for (p, a_max), _, checked, _, _ in results:
+    for (p, a_max), _, checked, _, record in results:
         assert checked == sum(a + 1 for a in range(1, a_max + 1))
+        assert record["max_valuation"] == max(carry_row_max(p, a) for a in range(1, a_max + 1))
         rows = lemma9_disagreements(p, a_max)
         assert rows == [], f"closed form or oracle rows disagree at p={p}, rows a = {rows[:5]}"
     _report(1, time.time() - t0, "<60s",
-            "closed-form row maximum max(0, floor(log_p a) - v_p(a+1)) = largest digit-sum carry count "
-            "(s_p(b)+s_p(a-b)-s_p(a))/(p-1), whose row = recurrence row v(C(a,b-1)) + v(a-b+1) - v(b), "
+            "max_valuation = largest closed-form row maximum max(0, floor(log_p a) - v_p(a+1)) = largest "
+            "digit-sum carry count (s_p(b)+s_p(a-b)-s_p(a))/(p-1), whose row = recurrence row "
+            "v(C(a,b-1)) + v(a-b+1) - v(b), "
             f"on {sum(a_max for (_, a_max), *_ in results)} rows "
             f"({sum(checked for _, _, checked, _, _ in results)} triples)")
 

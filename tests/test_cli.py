@@ -138,26 +138,27 @@ class TestVerifyCommand:
         assert len(lines) == 4
         assert all("holds" in ln for ln in lines[1:])
 
-    def test_lemma9_sweep_is_linear(self, tmp_path):
-        # the closed-form row maximum makes a sweep to 10^6 one O(log a)
-        # evaluation per row; the pair count stays a(a+3)/2
+    def test_lemma9_sweep_to_a_million(self, tmp_path):
+        # the sweep reports floor(log_p a_max) and walks no row; the pair
+        # count stays a(a+3)/2
         out, a_max = tmp_path / "v.json", 10**6
         assert run_cli(["verify", "lemma9", "--p", "2", "--a-max", str(a_max), "--format", "json"], out) == 0
         [record] = json.loads(out.read_text())["records"]
         assert (record["checked"], record["max_valuation"]) == (a_max * (a_max + 3) // 2, 19)
 
-    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_lemma9_maximum_is_the_log_of_a_max(self, p):
-        # at every a_max the largest v_p(C(a, b)) is floor(log_p a_max),
-        # reached at (p^e, 1): checked on the recurrence oracle's rows
+        # at every a_max the sweep's largest v_p(C(a, b)) is the running
+        # maximum of the recurrence oracle's rows, floor(log_p a_max),
+        # reached at (p^e, 1)
         top = 0
         for a, row in enumerate(recurrence_rows(p, 2000), start=1):
             top = max(top, max(row) // (p - 1))
+            assert lc.sweep_lemma9(p, a).max_valuation_seen == top, a
             e = integer_log(p, a)
             assert top == e, a
             if a == p**e:
                 assert row[1] == (p - 1) * e
-        assert lc.sweep_lemma9(p, 2000).max_valuation_seen == e
 
     def test_double_sum_target(self, tmp_path):
         out = tmp_path / "v.csv"

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from padicslopes import _memo
 from padicslopes import lemma_checks as lc
-from padicslopes import padic
 from padicslopes.combinatorics import (
     all_row_indices,
     general_alphas,
@@ -29,11 +29,13 @@ from padicslopes.lemma_checks import (
     table_key,
     verify_lemma,
 )
-from padicslopes.padic import INFINITY, _carries, valuation
+from padicslopes.padic import INFINITY, integer_log, valuation
 
 import lemma_oracle
 from lemma_oracle import (
     c_constants,
+    carries,
+    carry_row_max,
     cleared_identity_holds,
     core_valuation_by_vp,
     digit_sum_row,
@@ -318,7 +320,7 @@ class TestIntegerRouteAgainstOracle:
                 # brute division on every pair, and the closed form with the
                 # row's largest brute valuation
                 assert digit_sum_row(sums, a) == recurrence == [(p - 1) * v for v in brute[a]]
-                assert lc._carry_row_max(p, a) == max(brute[a])
+                assert carry_row_max(p, a) == max(brute[a])
             rep = sweep_lemma9(p, a_max)
             assert rep.verdict == "holds"
             assert rep.max_valuation_seen == max(map(max, brute.values()))
@@ -333,11 +335,12 @@ class TestIntegerRouteAgainstOracle:
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from((2, 3, 5, 7, 11, 13)), st.integers(1, 3000))
     def test_digit_sum_row_is_the_carry_count(self, p, a):
-        # Kummer over the digit-sum table that lemmas 10-15 read, and the
-        # closed form of lemma 9 as the row's largest carry count
-        carries = [_carries(b, a - b, p) for b in range(a + 1)]
-        assert digit_sum_row(lc._digit_sums(p, a), a) == [(p - 1) * c for c in carries]
-        assert lc._carry_row_max(p, a) == max(carries)
+        # Kummer over the digit-sum table that lemmas 10-15 read, against the
+        # oracle's digit-by-digit carry count, and the closed form of lemma 9
+        # as the row's largest carry count
+        row = [carries(b, a - b, p) for b in range(a + 1)]
+        assert digit_sum_row(lc._digit_sums(p, a), a) == [(p - 1) * c for c in row]
+        assert carry_row_max(p, a) == max(row)
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
     def test_digit_sum_rows_at_powers(self, p):
@@ -345,9 +348,9 @@ class TestIntegerRouteAgainstOracle:
         # max(0, .); a = p^e carries the most
         sums = lc._digit_sums(p, 3000)
         for a in _power_edges(p):
-            carries = [_carries(b, a - b, p) for b in range(a + 1)]
-            assert digit_sum_row(sums, a) == [(p - 1) * c for c in carries]
-            assert lc._carry_row_max(p, a) == max(carries) == (0 if a % p else lc.integer_log(p, a))
+            row = [carries(b, a - b, p) for b in range(a + 1)]
+            assert digit_sum_row(sums, a) == [(p - 1) * c for c in row]
+            assert carry_row_max(p, a) == max(row) == (0 if a % p else integer_log(p, a))
 
 
 def _edge_rs(p, r_max):
@@ -440,14 +443,28 @@ class TestChecksCanFail:
         assert VERIFY_TARGETS["lambda-system"].check(*key)[0] == "fails"
 
     def test_oracle_does_not_share_the_carry_kernel(self, monkeypatch):
-        # an off-by-one carry count moves production's v_p(X_0) but not the oracle's
-        assert verify_lemma(10, 5, 40, 9) == verify_lemma_by_fractions(10, 5, 40, 9)
-        carries = _carries
-        for module in (padic, lc):
-            monkeypatch.setattr(module, "_carries", lambda x, y, p: carries(x, y, p) + 1)
-        rep, oracle = verify_lemma(10, 5, 40, 9), verify_lemma_by_fractions(10, 5, 40, 9)
-        assert rep.v_x0 == oracle.v_x0 + 1
-        assert rep != oracle
+        # s_5(9) = s_p(alpha) enters production's v_p(X_0) of (5, 40, 9) and
+        # none of its witnesses: p-1 more moves that v_p(X_0) by one carry,
+        # and neither oracle's
+        oracles = (verify_lemma_by_fractions(10, 5, 40, 9), verify_lemma_by_vp(10, 5, 40, 9))
+        assert verify_lemma(10, 5, 40, 9) == oracles[0] == oracles[1]
+        digit_sums = lc._digit_sums
+
+        def corrupted(p, n_max):
+            sums = digit_sums(p, n_max)
+            sums[9] += p - 1
+            return sums
+
+        monkeypatch.setattr(lc, "_digit_sums", corrupted)
+        _memo.reset()  # drop the table built before the patch
+        rep = verify_lemma(10, 5, 40, 9)
+        assert (rep.v_x0, rep.witnesses) == (oracles[0].v_x0 + 1, oracles[0].witnesses)
+        assert (verify_lemma_by_fractions(10, 5, 40, 9), verify_lemma_by_vp(10, 5, 40, 9)) == oracles
+        # and the oracle's carry count moves the integer oracle's v_p(X_0) alone
+        monkeypatch.undo()
+        _memo.reset()
+        monkeypatch.setattr(lemma_oracle, "carries", lambda x, y, p: carries(x, y, p) + 1)
+        assert verify_lemma_by_vp(10, 5, 40, 9).v_x0 == verify_lemma(10, 5, 40, 9).v_x0 + 1
 
     def test_lemma12_reports_an_off_by_one_table_valuation(self, monkeypatch):
         # (5, 8, 2) has rho' = 1 and its least margin, 1, at l = 1, read from
@@ -459,15 +476,17 @@ class TestChecksCanFail:
         assert (rep.verdict, rep.min_margin) == ("fails", 0)
 
     def test_lemma11_reports_a_wrong_digit_sum(self, monkeypatch):
-        # s_5(12) enters the witness of (5, 12, 3) at i = 2 once, negatively, as
-        # s_p(r): one unit more floors its quotient by p-1 one lower, and the
-        # cell's only margin is 1
+        # s_5(11) enters the witness of (5, 12, 3) at i = 2 once, positively,
+        # as s_p(n) with n = i(p-1) + alpha, and not v_p(X_0): one unit less
+        # floors its quotient by p-1 one lower, and the cell's only margin is
+        # 1.  A fault at s_p(r) alone would move no margin, as -s_p(r) enters
+        # v_p(X_0) and every witness alike.
         assert verify_lemma_by_vp(11, 5, 12, 3).min_margin == 1  # the memo stays empty until the patch
         digit_sums = lc._digit_sums
 
         def corrupted(p, n_max):
             sums = digit_sums(p, n_max)
-            sums[12] += 1
+            sums[11] -= 1
             return sums
 
         monkeypatch.setattr(lc, "_digit_sums", corrupted)
@@ -492,12 +511,15 @@ class TestChecksCanFail:
         assert sweep_lemma9(5, 60) == lc.Lemma9Report(5, 60, 1890, "holds", 2)
 
     def test_lemma9_reports_a_broken_bound(self, monkeypatch):
-        # with floor(log_p a) taken as 0 the closed form is 0 on every row, so
-        # the comparison sees every row with a carry, first a = 5, and the
-        # sweep's largest row maximum drops from 2 to 0
-        monkeypatch.setattr(lc, "integer_log", lambda p, a: 0)
-        expected = [a for a in range(1, 61) if any(_carries(b, a - b, 5) for b in range(a + 1))]
+        # with floor(log_p a) taken as 0 the oracle's closed form is 0 on every
+        # row, so the comparison sees every row with a carry, first a = 5, and
+        # production's sweep is untouched; with production's floor(log_p a)
+        # taken as 0, the sweep's largest row maximum drops from 2 to 0
+        monkeypatch.setattr(lemma_oracle, "integer_log", lambda p, a: 0)
+        expected = [a for a in range(1, 61) if any(carries(b, a - b, 5) for b in range(a + 1))]
         assert lemma9_disagreements(5, 60) == expected and expected[0] == 5
+        assert sweep_lemma9(5, 60).max_valuation_seen == 2
+        monkeypatch.setattr(lc, "integer_log", lambda p, a: 0)
         assert sweep_lemma9(5, 60).max_valuation_seen == 0
 
     def test_lemma9_reports_a_wrong_oracle_valuation(self, monkeypatch):

@@ -14,13 +14,26 @@ sum_m n_m C((p-1)X + alpha, m) = den C(rho' - X, rho') of its Lambda tables
 for both), the unitriangular cofactor of `det-factorization` (see
 combinatorics.factor_and_rank_checks; the seed fault row below shows that
 the factorization sees the one fault that could break the cofactor), and
-the log bound of `lemma9`, which the closed-form row maximum
-max(0, floor(log_p a) - v_p(a + 1)) meets on every row (Kummer; see
-lemma_checks.sweep_lemma9).  Gate criterion 1 compares that closed form with
-the largest entry of the digit-sum row and of the valuation-recurrence row
-in tests/lemma_oracle.py, and the two rows with each other, on every row of
-its grid; tests below show that a closed-form fault and a digit-sum fault
-each break that comparison on a named first row.
+the log bound of `lemma9`: every row maximum
+max(0, floor(log_p a) - v_p(a + 1)) is at most floor(log_p a) (Kummer), so
+the sweep reports floor(log_p a_max) and walks no row (see
+lemma_checks.sweep_lemma9).  Gate criterion 1 compares the row maximum in
+closed form (tests/lemma_oracle.carry_row_max) with the largest entry of the
+digit-sum row and of the valuation-recurrence row, and the two rows with
+each other, on every row of its grid; tests below show that a closed-form
+fault and a digit-sum fault each break that comparison on a named first row.
+
+The faults of lemmas 10, 11, 13 and 14 move one entry s_p(n) of the
+digit-sum table that v_p(X_0) and every binomial core read.  No fault sits
+at s_p(r): -s_p(r) enters v_p(X_0) and every witness alike, so a fault there
+alone cancels in every margin and moves no verdict.  The rows of lemmas 10,
+13 and 14 raise s_p(21) by 3(p - 1), three carries more in v_p(X_0)
+wherever 21 is alpha or r - alpha.  Their first failing cells are
+(5, 25), with r - alpha = 21 and margin 3, and (5, 122, 21), with margin
+4, where s_5(21) also enters the witness at i = -1 negatively, as
+s_p(rho' - i).  Lemma 11's row lowers s_p(11) by one, which floors a
+witness one lower where 11 is i(p-1) + alpha: at (5, 12, 3), i = 2, whose
+margin is 1.
 
 The theta^alpha facts of the annihilator right sides are no conjuncts
 either: vartheta_w = 0 below alpha, vartheta_alpha = p^E (1-p)^alpha (the
@@ -61,7 +74,9 @@ from padicslopes import combinatorics as comb
 from padicslopes import lemma_checks as lc
 from padicslopes import symhecke as sh
 from padicslopes.cli import VERIFY_TARGETS
+from padicslopes.padic import _vp, integer_log
 
+import lemma_oracle
 from lambda_oracle import theta_expansion_errors
 from lemma_oracle import lemma9_disagreements
 from test_acceptance import (
@@ -135,17 +150,14 @@ CONJUNCTS = {
 # ---------------------------------------------------------------------------
 
 
-def _undivided_carries(carries):
-    # Kummer's digit-sum drop s(x) + s(y) - s(x+y) left undivided by p-1
-    return lambda x, y, p: (p - 1) * carries(x, y, p)
-
-
-def _digit_sum_off_by_one(n):
+def _digit_sum_moved(n, ones=0, carries=0):
+    # s_p(n) moved by ones + carries (p-1); a move by k (p-1) moves by k
+    # every carry count that reads s_p(n)
     def fault(digit_sums):
         def faulty(p, n_max):
             sums = digit_sums(p, n_max)
             if n <= n_max:
-                sums[n] += 1
+                sums[n] += ones + carries * (p - 1)
             return sums
 
         return faulty
@@ -233,11 +245,11 @@ def _insert_ignoring_k(insert):
 
 # (target, conjunct, module, kernel, fault)
 ROWS = [
-    ("lemma10", "strict", lc, "_carries", _undivided_carries),
-    ("lemma11", "strict", lc, "_digit_sums", _digit_sum_off_by_one(12)),
+    ("lemma10", "strict", lc, "_digit_sums", _digit_sum_moved(21, carries=3)),
+    ("lemma11", "strict", lc, "_digit_sums", _digit_sum_moved(11, ones=-1)),
     ("lemma12", "strict", lc, "factorial_valuation", _one_more),
-    ("lemma13", "strict", lc, "_carries", _undivided_carries),
-    ("lemma14", "strict", lc, "_carries", _undivided_carries),
+    ("lemma13", "strict", lc, "_digit_sums", _digit_sum_moved(21, carries=3)),
+    ("lemma14", "strict", lc, "_digit_sums", _digit_sum_moved(21, carries=3)),
     ("lemma15", "strict", lc, "lambda_raw_table", _numerators_plus_one),
     ("lambda-system", "defining_identity", comb, "_forward_differences", _last_difference_plus_one),
     ("matrix-entries", "trinomial_revision", comb, "_binomial_row", _ratio_fault),
@@ -288,27 +300,24 @@ def _first_lemma9_disagreement():
 
 def _trailing_run_plus_one(p, a):
     # the trailing run of (p-1) digits of a taken one digit too long
-    return max(0, lc.integer_log(p, a) - lc._vp(a + 1, p) - ((a + 1) % p == 0))
+    return max(0, integer_log(p, a) - _vp(a + 1, p) - ((a + 1) % p == 0))
 
 
 def _unclamped(p, a):
     # without max(0, .), a = p^j - 1 has row maximum -1
-    return lc.integer_log(p, a) - lc._vp(a + 1, p)
+    return integer_log(p, a) - _vp(a + 1, p)
 
 
 @pytest.mark.parametrize(
     "fault,first", [(_trailing_run_plus_one, (2, 5)), (_unclamped, (2, 1))], ids=["trailing_run_plus_one", "unclamped"]
 )
 def test_a_closed_form_fault_breaks_the_lemma9_oracle_comparison(monkeypatch, fault, first):
-    # both faults differ from the true row maximum only where p | a + 1, so
-    # the sweep's largest row maximum floor(log_p a_max), reached at
-    # a = p^e, and every record of the gate grid are unchanged; gate
-    # criterion 1's comparison with the oracle rows sees the fault, at
-    # a = 5 = 101 in base 2 (one borrow, not 0) and at a = 1 = 2 - 1 (0, not -1)
-    records = [VERIFY_TARGETS["lemma9"].check(*cell) for cell in gate_cells("lemma9")]
-    monkeypatch.setattr(lc, "_carry_row_max", fault)
+    # both faults differ from the true row maximum only where p | a + 1; gate
+    # criterion 1's comparison of the closed form with the oracle rows sees
+    # the fault, at a = 5 = 101 in base 2 (one borrow, not 0) and at
+    # a = 1 = 2 - 1 (0, not -1)
+    monkeypatch.setattr(lemma_oracle, "carry_row_max", fault)
     assert _first_lemma9_disagreement() == first
-    assert [VERIFY_TARGETS["lemma9"].check(*cell) for cell in gate_cells("lemma9")] == records
     monkeypatch.undo()
     assert lemma9_disagreements(first[0], GATE_GRIDS["lemma9"][1]["a_max"]) == []
 
@@ -317,7 +326,7 @@ def test_a_digit_sum_fault_breaks_the_lemma9_oracle_comparison(monkeypatch):
     # a wrong s_p(37) moves the digit-sum rows of a >= 37, the table that
     # lemmas 10-15 read; gate criterion 1's comparison with the recurrence
     # sees it at the first prime
-    monkeypatch.setattr(lc, "_digit_sums", _digit_sum_off_by_one(37)(lc._digit_sums))
+    monkeypatch.setattr(lc, "_digit_sums", _digit_sum_moved(37, ones=1)(lc._digit_sums))
     assert _first_lemma9_disagreement() == (2, 37)
     monkeypatch.undo()
     assert lemma9_disagreements(2, GATE_GRIDS["lemma9"][1]["a_max"]) == []
