@@ -9,20 +9,26 @@ product of them.
 
 Every product of two series is one integer multiplication (Kronecker
 substitution): the coefficients are packed into fixed-width slots of one
-int each, multiplied, and read back slot by slot.  The slots are wide
-enough that no coefficient of the product overflows, so the result is exact.
-The schoolbook double loop is kept in the tests as the oracle.
+int each, multiplied, and read back slot by slot.  A slot is as wide as
+the top kept anti-diagonal needs (``_kronecker_product`` proves that no
+lower one needs more), so no coefficient of the product overflows and the
+result is exact.  The schoolbook double loop is kept in the tests as the
+oracle.
 
-The Miller basis rows Delta^i E_4^a_i E_6^b = q^i h_i come from one chain
-h_i = h_(i+1) J, about d products for dimension d.  Every weight sweep
+The Miller basis rows g_i = Delta^i E_4^a_i E_6^b = q^i h_i come from one
+chain h_i = h_(i+1) J, about d products for dimension d.  Every weight sweep
 (``slope_table``) groups its weights by dimension once and builds J,
 Delta'^d, E_4 and E_6 once per (p, d) task, shared among the weights of that
-dimension; nothing is cached between calls.
+dimension; nothing is cached between calls.  The echelon basis is U^-1 g
+with U = (a_j(g_i)) unitriangular, and the Hecke matrix on it is U^-1 M with
+M = (a_j(T_p g_i)), 1 <= i, j <= d: one back substitution on d x d integers
+(``_unitriangular_solve``), so no full row is reduced for a Hecke matrix.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .exactlinalg import charpoly
@@ -66,7 +72,7 @@ class QExpansion:
 
     def __mul__(self, other: "QExpansion") -> "QExpansion":
         prec = min(self.prec, other.prec)
-        out = _kronecker_product(self.coeffs[:prec], other.coeffs[:prec], prec)
+        out = _kronecker_product(self.coeffs, other.coeffs, prec)
         return QExpansion(self.weight + other.weight, out, prec)
 
     def pow(self, e: int) -> "QExpansion":
@@ -108,22 +114,31 @@ def _pack(coeffs: list[int], width: int) -> int:
 def _kronecker_product(a: list[int], b: list[int], n: int) -> list[int]:
     """The first n coefficients of the product of the integer series a and b.
 
-    Each product coefficient is a sum of at most min(len) terms, so its
-    absolute value is below 2^(bits(max|a|) + bits(max|b|) + bits(min len));
-    one more bit holds the sign.  Slot j of the product's low n slots, read
-    unsigned, is c_j minus the borrow of the slots below it (1 exactly when
-    their sum is negative); adding the borrow back and reading the slot as
-    signed gives c_j.
+    Slot width: only a_i, b_j with i, j < n reach a kept slot, so a and b are
+    cut to n terms, and the top kept slot is top = min(n, len a + len b - 1)
+    - 1.  Let A_i and B_j be the running maxima of the bit lengths of a and
+    b.  Each term of c_m = sum_(i+j=m) a_i b_j is below 2^(A_i + B_j) in
+    absolute value, and there are at most min(len a, len b) terms, so |c_m| <
+    min(len a, len b) 2^S_m with S_m = max_(i+j=m) A_i + B_j.  A and B are
+    nondecreasing, so S_m is too (a pair (i, j) on one anti-diagonal moves to
+    a pair (i', j') >= (i, j) on any later one), and S_top bounds every kept
+    slot; the top anti-diagonal also holds the last terms of a and b, so
+    every a_i and b_j fits a slot.  One more bit holds the sign.
+
+    Reading: slot j of the product's low n slots, read unsigned, is c_j
+    minus the borrow of the slots below it (1 exactly when their sum is
+    negative); adding the borrow back and reading the slot as signed gives
+    c_j.  Slots above n may overflow; they are cut off before reading.
     """
     if n == 0:
         return []
-    bits = (
-        max(map(abs, a)).bit_length()
-        + max(map(abs, b)).bit_length()
-        + min(len(a), len(b)).bit_length()
-        + 1
-    )
-    width = (bits + 7) // 8
+    a, b = a[:n], b[:n]
+    top = min(n, len(a) + len(b) - 1) - 1
+    lo, hi = max(0, top - len(b) + 1), min(len(a) - 1, top)
+    a_bits = list(itertools.accumulate(map(int.bit_length, map(abs, a)), max))
+    b_bits = list(itertools.accumulate(map(int.bit_length, map(abs, b)), max))
+    peak = max(map(operator.add, a_bits[lo : hi + 1], reversed(b_bits[top - hi : top - lo + 1])))
+    width = (peak + min(len(a), len(b)).bit_length() + 8) // 8
     size = width * n
     raw = ((_pack(a, width) * _pack(b, width)) & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
     half = 1 << (8 * width - 1)
@@ -233,7 +248,8 @@ def miller_basis(k: int, prec: int) -> list[QExpansion]:
     and J = E_4^3/Delta' = q j = 1 + 744q + 196884q^2 + ... is integral, so
     each row costs one product.  g_i is needed mod q^prec, so h_i only mod
     q^(prec - i); h_1 needs prec - 1 coefficients and every h_i feeds it
-    through the chain, so the whole chain runs mod q^(prec - 1)."""
+    through the chain, so the whole chain runs mod q^(prec - 1).  The rows
+    are echelonized by ``_unitriangular_solve``, as U^-1 g."""
     if k % 2 or k < 12:
         raise ValueError("k must be even and >= 12")
     d = dim_cusp(k)
@@ -241,7 +257,8 @@ def miller_basis(k: int, prec: int) -> list[QExpansion]:
         return []
     if prec < d + 1:
         raise ValueError(f"prec {prec} too small for dimension {d}")
-    return next(_miller_bases(d, [k], prec))
+    rows = next(_miller_rows(d, [k], prec))
+    return [QExpansion(k, f, prec) for f in _unitriangular_solve(rows, rows)]
 
 
 def _q_j(n: int) -> QExpansion:
@@ -250,13 +267,15 @@ def _q_j(n: int) -> QExpansion:
     return eisenstein(4, n).pow(3) * _delta_prime(n, inverse=True)
 
 
-def _miller_bases(d: int, ks: list[int], prec: int):
-    """Yield miller_basis(k, prec) for each weight k in ks, all of dimension
-    d >= 1.  J, Delta'^d, E_4 and E_6 are built once for all of ks, and so is
-    each start h_d = Delta'^d E_4^a E_6^b (a <= 2, b <= 1)."""
+def _miller_rows(d: int, ks: list[int], prec: int):
+    """Yield the rows g_1..g_d (coefficient lists mod q^prec, g_i = q^i + ...)
+    of the Miller basis before echelonization, for each weight k in ks, all
+    of dimension d >= 1.  J, Delta'^d, E_4 and E_6 are built once for all of
+    ks, and so is each start h_d = Delta'^d E_4^a E_6^b (a <= 2, b <= 1); J
+    only when d > 1, since a chain of one row has no product."""
     n = prec - 1
     e4, e6 = eisenstein(4, n), eisenstein(6, n)
-    qj = _q_j(n)
+    qj = _q_j(n) if d > 1 else None
     starts = {(0, 0): _delta_prime(n).pow(d)}
 
     def start(a: int, b: int) -> QExpansion:
@@ -270,17 +289,32 @@ def _miller_bases(d: int, ks: list[int], prec: int):
         chain = [h]  # h_d, h_(d-1), ..., h_1
         for _ in range(d - 1):
             chain.append(chain[-1] * qj)
-        rows = [QExpansion(k, [0] * i + hi.coeffs[: prec - i], prec) for i, hi in enumerate(reversed(chain), 1)]
-        # echelonize: leading coefficient of rows[i-1] at q^i is already 1
-        for i in range(d, 0, -1):
-            fi = rows[i - 1]
-            if fi.a(i) != 1:
-                raise AssertionError(f"Miller basis row {i} has leading coefficient {fi.a(i)} (bug)")
-            for j in range(i - 1, 0, -1):
-                c = rows[j - 1].a(i)
-                if c:
-                    rows[j - 1] = rows[j - 1] - fi.scale(c)
-        yield rows
+        yield [[0] * i + hi.coeffs[: prec - i] for i, hi in enumerate(reversed(chain), 1)]
+
+
+def _unitriangular_solve(rows: list[list[int]], rhs: list[list[int]]) -> list[list[int]]:
+    """U^-1 rhs for U_ij = a_j(g_i) = rows[i-1][j] (1 <= i, j <= d), where
+    rows are the Miller rows g_i = q^i + ... of one weight.
+
+    U is upper unitriangular, so back substitution gives the solution X of
+    U X = rhs with integers only: X_i = rhs_i - sum_(j > i) U_ij X_j, from
+    i = d down.  The echelon basis is f = U^-1 g: a cusp form is fixed by
+    a_1..a_d, and a_j(f_l) = [j = l], so g_i = sum_j a_j(g_i) f_j.  A
+    leading coefficient other than 1 is a bug and raises.
+    """
+    d = len(rows)
+    out: list[list[int]] = [[]] * d
+    for i in range(d - 1, -1, -1):
+        g = rows[i]
+        if g[i + 1] != 1:
+            raise AssertionError(f"Miller basis row {i + 1} has leading coefficient {g[i + 1]} (bug)")
+        x = rhs[i]
+        for j in range(i + 1, d):
+            c = g[j + 1]
+            if c:
+                x = [s - c * t for s, t in zip(x, out[j])]
+        out[i] = x
+    return out
 
 
 @dataclass(frozen=True)
@@ -321,13 +355,18 @@ def hecke_matrix(p: int, k: int) -> HeckeMatrix:
 
 def _hecke_matrices(p: int, ks: list[int]):
     """Yield hecke_matrix(p, k) for each weight k in ks, all of one
-    dimension d, from one set of basis series at precision p d + 1."""
+    dimension d, from one set of Miller rows at precision p d + 1.
+
+    With U_ij = a_j(g_i) and M_ij = a_j(T_p g_i) for 1 <= i, j <= d, the
+    matrix on the echelon basis f = U^-1 g is U^-1 M: T_p is linear, so
+    T_p f = U^-1 T_p g, and a_1..a_d of a cusp form are its coordinates on
+    f.  So only the d x d block M is reduced, never a full row."""
     d = dim_cusp(ks[0])
-    bases = _miller_bases(d, ks, p * d + 1) if d else ([] for _ in ks)
-    for k, basis in zip(ks, bases):
-        # T_p f has precision d + 1: its coefficients a_1..a_d are the row
-        entries = tuple(tuple(hecke_operator(f, p).coeffs[1:]) for f in basis)
-        yield HeckeMatrix(p=p, k=k, d=d, entries=entries)
+    rows_by_weight = _miller_rows(d, ks, p * d + 1) if d else ([] for _ in ks)
+    for k, rows in zip(ks, rows_by_weight):
+        # T_p g has precision d + 1: its coefficients a_1..a_d are the row
+        m = [hecke_operator(QExpansion(k, g), p).coeffs[1:] for g in rows]
+        yield HeckeMatrix(p=p, k=k, d=d, entries=tuple(map(tuple, _unitriangular_solve(rows, m))))
 
 
 def slopes(p: int, k: int) -> list[ExtendedValuation]:
@@ -342,7 +381,7 @@ def slope_table(ps, ks, starmap=itertools.starmap) -> dict[tuple[int, int], list
 
     The weights are grouped by d = dim S_k once; one task (p, group) per prime
     and dimension goes through ``starmap`` (a process pool's starmap works
-    too), and its weights share one J, Delta'^d, E_4 and E_6 (``_miller_bases``)."""
+    too), and its weights share one J, Delta'^d, E_4 and E_6 (``_miller_rows``)."""
     for p in ps:
         _check_prime(p)
     groups: dict[int, list[int]] = {}

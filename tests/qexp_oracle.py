@@ -7,14 +7,16 @@ products by J = E_4^3/Delta' = q j, and the genus of X_0(p) in integers.
 This module keeps the routes they replaced: the coefficient-by-coefficient
 double loop, the eta-product loop raised to the 24th power, the Bernoulli
 recurrence and the general-weight E_k, the per-row Delta^i E_4^a E_6^b
-basis, and the rational genus formula.  The tests compare the routes.
+basis, the Hecke matrix read off T_p of the echelonized full rows (where
+production reduces only the d x d block), and the rational genus formula.
+The tests compare the routes.
 """
 
 import math
 from fractions import Fraction
 from functools import lru_cache
 
-from padicslopes.modforms import QExpansion, delta, dim_cusp
+from padicslopes.modforms import QExpansion, delta, dim_cusp, hecke_operator
 
 
 def schoolbook_mul(f: QExpansion, g: QExpansion) -> QExpansion:
@@ -85,20 +87,25 @@ def genus_gamma0_rational(p: int) -> Fraction:
     return Fraction(1) + Fraction(mu, 12) - Fraction(eps2, 4) - Fraction(eps3, 3) - Fraction(eps_inf, 2)
 
 
+@lru_cache(maxsize=128)
+def _power(k: int, e: int, prec: int) -> QExpansion:
+    """E_4^e or E_6^e (k = 4, 6, the Bernoulli route) or Delta^e (k = 12)
+    mod q^prec; cached, since the rows of the weights of one dimension
+    share their powers."""
+    return (delta(prec) if k == 12 else eisenstein_by_bernoulli(k, prec)).pow(e)
+
+
 def miller_basis_by_rows(k: int, prec: int) -> list[QExpansion]:
     """The Miller basis with each row Delta^i E_4^a E_6^b built on its own from
     the Bernoulli-route E_4 and E_6, then echelonized."""
     d = dim_cusp(k)
-    e4, e6, dl = eisenstein_by_bernoulli(4, prec), eisenstein_by_bernoulli(6, prec), delta(prec)
     rows = []
-    dpow = QExpansion(0, [1], prec)
     for i in range(1, d + 1):
-        dpow = dpow * dl
         w = k - 12 * i
         b = 0 if w % 4 == 0 else 1
-        form = dpow * e4.pow((w - 6 * b) // 4)
+        form = _power(12, i, prec) * _power(4, (w - 6 * b) // 4, prec)
         if b:
-            form = form * e6
+            form = form * _power(6, 1, prec)
         rows.append(QExpansion(k, form.coeffs, prec))
     for i in range(d, 0, -1):
         fi = rows[i - 1]
@@ -106,3 +113,10 @@ def miller_basis_by_rows(k: int, prec: int) -> list[QExpansion]:
         for j in range(i - 1, 0, -1):
             rows[j - 1] = rows[j - 1] - fi.scale(rows[j - 1].a(i))
     return rows
+
+
+def hecke_entries_by_rows(p: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The matrix of T_p on the Miller basis: row i is a_1..a_d of T_p f_i,
+    with f_i the echelonized full rows of ``miller_basis_by_rows``."""
+    d = dim_cusp(k)
+    return tuple(tuple(hecke_operator(f, p).coeffs[1:]) for f in miller_basis_by_rows(k, p * d + 1))

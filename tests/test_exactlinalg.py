@@ -8,8 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicslopes.exactlinalg import charpoly
+from padicslopes.modforms import dim_cusp, hecke_matrix
 
 from lambda_oracle import rank_mod_p
+from test_golden import CASES
 
 entries = st.integers(-20, 20)
 
@@ -57,6 +59,35 @@ def minor_rank_mod_p(mat, p):
     return 0
 
 
+def charpoly_one_sided(mat):
+    """det(xI - A), lowest degree first, by Berkowitz's algorithm with the
+    one-sided powers A_k^j C (the production route before it went two-sided)."""
+    n = len(mat)
+    poly = [1]  # highest degree first
+    for k in range(n):
+        row = mat[k][:k]
+        col = [mat[i][k] for i in range(k)]
+        toeplitz = [1, -mat[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(a * b for a, b in zip(row, col)))
+            col = [sum(a * b for a, b in zip(mat[i], col)) for i in range(k)]
+        poly = [sum(toeplitz[i - j] * c for j, c in enumerate(poly[: i + 1])) for i in range(k + 2)]
+    return poly[::-1]
+
+
+def golden_level1_cells():
+    """Every (p, k) with dim S_k >= 1 that a slopes or measure golden case
+    reports (measure skips dimensions above --max-dim)."""
+    cells = set()
+    for _, argv, _ in CASES:
+        if argv[0] in ("slopes", "measure"):
+            lo, _, hi = argv[argv.index("--k") + 1].partition("..")
+            max_dim = int(argv[argv.index("--max-dim") + 1]) if "--max-dim" in argv else 80
+            ks = [k for k in range(int(lo), int(hi or lo) + 1) if k % 2 == 0 and 1 <= dim_cusp(k) <= max_dim]
+            cells |= {(int(p), k) for p in argv[argv.index("--p") + 1].split(",") for k in ks}
+    return sorted(cells)
+
+
 def horner(coeffs, x):
     acc = 0
     for c in reversed(coeffs):
@@ -90,6 +121,34 @@ def test_charpoly_matches_determinants(mat):
     for x in range(n + 1):
         shifted = [[(x if i == j else 0) - a for j, a in enumerate(row)] for i, row in enumerate(mat)]
         assert horner(coeffs, x) == fraction_det(shifted)
+
+
+# 1-bit and 800-bit entries mixed, the sizes of Hecke matrices at p = 5, k = 300
+mixed = st.one_of(st.integers(-1, 1), st.integers(-(2**800), 2**800))
+
+
+@given(st.integers(0, 12).flatmap(
+    lambda n: st.lists(st.lists(mixed, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+@example([[2**800, -1], [1, 0]])
+@settings(max_examples=100)
+def test_two_sided_charpoly_matches_one_sided(mat):
+    assert charpoly(mat) == charpoly_one_sided(mat)
+
+
+def test_two_sided_charpoly_matches_one_sided_on_golden_hecke_matrices():
+    cells = golden_level1_cells()
+    assert len(cells) == 27 and max(dim_cusp(k) for _, k in cells) == 2
+    for p, k in cells:
+        entries = hecke_matrix(p, k).entries
+        assert charpoly(entries) == charpoly_one_sided(entries)
+
+
+def test_two_sided_charpoly_matches_one_sided_at_dimension_25():
+    # the slopes workload's largest matrix, with entries of up to 821 bits
+    entries = hecke_matrix(5, 300).entries
+    assert len(entries) == 25
+    assert charpoly(entries) == charpoly_one_sided(entries)
 
 
 @given(square())

@@ -28,6 +28,7 @@ from qexp_oracle import (
     delta_by_eta,
     eisenstein_by_bernoulli,
     genus_gamma0_rational,
+    hecke_entries_by_rows,
     miller_basis_by_rows,
     schoolbook_mul,
     schoolbook_pow,
@@ -163,7 +164,8 @@ class TestMillerBasis:
         ks = [k for k in range(12 * d + 14, 12 * d - 2, -2) if dim_cusp(k) == d]
         assert len(ks) == 6
         ks = ks[1::2] + ks[::2]
-        assert list(modforms._miller_bases(d, ks, prec)) == [miller_basis_by_rows(k, prec) for k in ks]
+        echelon = [modforms._unitriangular_solve(rows, rows) for rows in modforms._miller_rows(d, ks, prec)]
+        assert echelon == [[f.coeffs for f in miller_basis_by_rows(k, prec)] for k in ks]
 
     def test_product_count(self, monkeypatch):
         # J, Delta' and 1/Delta' cost 9 products, Delta'^25 six, the chain 24
@@ -222,6 +224,27 @@ class TestHeckeMatrix:
 
     def test_5_12(self):
         assert hecke_matrix(5, 12).entries == ((4830,),)
+
+    @pytest.mark.parametrize("p", [2, 5, 59])
+    def test_entries_match_the_echelonized_rows(self, p):
+        # U^-1 M from the d x d blocks against T_p of the echelonized full rows, every d <= 8
+        ks = [k for k in range(12, 120, 2) if 1 <= dim_cusp(k) <= 8]
+        assert len(ks) == 48 and dim_cusp(ks[-1]) == 8
+        for k in ks:
+            assert hecke_matrix(p, k).entries == hecke_entries_by_rows(p, k)
+
+    def test_entries_match_the_echelonized_rows_at_dimension_25(self):
+        assert hecke_matrix(5, 300).entries == hecke_entries_by_rows(5, 300)
+
+    def test_one_dimensional_cells_build_no_j(self, monkeypatch):
+        # a chain of one row has no product, so J is built only when d > 1
+        built = []
+        true_q_j = modforms._q_j
+        monkeypatch.setattr(modforms, "_q_j", lambda n: built.append(n) or true_q_j(n))
+        assert slope_table([5], [12, 16, 18, 20, 22, 26]) == {(5, k): slopes(5, k) for k in (12, 16, 18, 20, 22, 26)}
+        assert built == []
+        hecke_matrix(5, 24)
+        assert built == [5 * 2]
 
     def test_trace_cross_check(self):
         # trace of T_2 on S_24 against direct images of the basis
@@ -364,6 +387,15 @@ def series(coeffs):
     )
 
 
+@st.composite
+def growing_coeffs(draw):
+    # |a_i| <= 2^(c i) at a drawn rate c, with signs and zeros: the shape of the J chain
+    c = draw(st.integers(0, 64))
+    length = draw(st.integers(1, 24))
+    bounds = [2 ** (c * i) for i in range(length)]
+    return [draw(st.one_of(st.just(0), st.integers(-bound, bound))) for bound in bounds]
+
+
 class TestKroneckerProduct:
     @given(series(integer_coeffs), series(integer_coeffs))
     @example(QExpansion(0, [1, -1, 2]), QExpansion(0, [1, -1, 2]))
@@ -374,9 +406,38 @@ class TestKroneckerProduct:
 
     def test_fraction_coefficient_raises(self):
         # the product is over Z only: a rational series is not silently multiplied
+        # (int.bit_length, which sizes the slots, rejects a Fraction)
         f = QExpansion(0, [1, Fraction(1, 2), 3])
-        with pytest.raises(AttributeError):
+        with pytest.raises(TypeError):
             f * f
+
+    @given(growing_coeffs(), growing_coeffs(), st.integers(0, 60))
+    @example([1, -(2**40), 2**80], [3], 7)
+    @example([0] * 5 + [-(2**300)], [2**9] * 3, 8)
+    @settings(max_examples=300)
+    def test_growing_coefficients_match_schoolbook(self, a, b, n):
+        # unequal lengths, and n below, at and above len a + len b - 1
+        expected = schoolbook_mul(QExpansion(0, a, n), QExpansion(0, b, n)).coeffs
+        assert modforms._kronecker_product(a, b, n) == expected
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_anti_diagonal_bound_is_attained(self, sign):
+        # a_i = 2^(c(i+1) + s) - 1 and b_i = 2^(c(i+1)) - 1 over n = 2^t - 1 slots: every
+        # term of the top slot has A_i + B_(top-i) = c(n+1) + s = S, and the top coefficient
+        # needs all S + t bits of the bound, so a slot of S + t + 1 bits has no spare bit
+        # where that is a whole number of bytes
+        boundary = 0
+        for c in (3, 5, 8):
+            for s in range(8):
+                for t in range(2, 6):
+                    n = 2**t - 1
+                    a = [sign * (2 ** (c * (i + 1) + s) - 1) for i in range(n)]
+                    b = [2 ** (c * (i + 1)) - 1 for i in range(n)]
+                    out = modforms._kronecker_product(a, b, n)
+                    assert out == schoolbook_mul(QExpansion(0, a), QExpansion(0, b)).coeffs
+                    assert abs(out[-1]).bit_length() == c * (n + 1) + s + t
+                    boundary += (c * (n + 1) + s + t + 1) % 8 == 0
+        assert boundary == 12
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_slot_width_is_tight(self, sign):

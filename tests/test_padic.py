@@ -2,11 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from padicslopes import padic
 from padicslopes.padic import (
     INFINITY,
+    _vp,
     binomial_valuation,
     factorial_valuation,
     integer_log,
@@ -61,6 +63,21 @@ class TestValuation:
     def test_additivity(self, x, y, p):
         assert valuation(x * y, p) == valuation(x, p) + valuation(y, p)
 
+    @given(
+        st.sampled_from(PRIMES + [59]),
+        st.integers(min_value=0, max_value=2000),
+        st.integers(min_value=1, max_value=10**40),
+        st.sampled_from([1, -1]),
+    )
+    @example(5, 637, 1, 1)  # v_5(c_0) of the charpoly at (p, k) = (5, 300)
+    @example(2, 2000, 3, -1)
+    @example(3, 2**10 - 1, 1, 1)  # one round of p, p^2, ..., p^512 removes all of it
+    @settings(max_examples=200)
+    def test_vp_matches_brute_valuation(self, p, v, u, sign):
+        # the logarithmic rounds against one division at a time, negative n included
+        n = sign * u * p**v
+        assert _vp(n, p) == brute_valuation(n, p) >= v
+
     def test_infinity_ordering(self):
         assert INFINITY > 10**9
         assert not INFINITY < Fraction(1, 2)
@@ -113,6 +130,15 @@ class TestBinomialValuation:
         # Legendre's route against Kummer's carry count and direct factorization
         b = b % (a + 1)
         assert binomial_valuation(a, b, p) == carries(b, a - b, p) == brute_valuation(math.comb(a, b), p)
+
+    def test_validates_p_once(self, monkeypatch):
+        checked = []
+        true_check = padic._check_prime
+        monkeypatch.setattr(padic, "_check_prime", lambda p: checked.append(p) or true_check(p))
+        assert binomial_valuation(50, 25, 5) == brute_valuation(math.comb(50, 25), 5)
+        assert checked == [5]
+        with pytest.raises(ValueError):
+            binomial_valuation(10, 5, 6)
 
     @pytest.mark.parametrize("p", [1, 0, -2])
     def test_integer_log_rejects_base_below_two(self, p):
